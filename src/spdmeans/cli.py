@@ -55,8 +55,7 @@ def _load_sigma(path):
         raise SpdMeansError(f"bad matrix-list JSON in {path}: {exc}") from exc
 
 
-def _emit(obj, path):
-    text = json.dumps(obj) + "\n"
+def _write(text, path):
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -65,107 +64,84 @@ def _emit(obj, path):
 
 
 def _solver_config(args):
-    return solver.SolverConfig(
-        fp_tol=args.fp_tol,
-        max_iters=args.max_iters,
-        lambda_tol=args.lambda_tol,
-    )
+    fields = ("fp_tol", "max_iters", "lambda_tol")
+    return solver.SolverConfig(**{k: getattr(args, k) for k in fields if k in args})
+
+
+# each subcommand takes only the options it reads, plus --output
+_OPTIONS = {
+    "t": dict(type=float, required=True),
+    "fp-tol": dict(type=float, default=1e-12),
+    "max-iters": dict(type=int, default=10000),
+    "lambda-tol": dict(type=float, default=1e-9),
+    "grad-tol": dict(type=float, default=1e-9),
+    "nodes": dict(type=int, default=64,
+                  help="default quadrature nodes for measures that omit them"),
+    "seed": dict(type=int, default=0),
+    "suite": dict(default="all"),
+    "trials": dict(type=int, default=50),
+    "dim": dict(type=int, default=4),
+}
+
+_COMMANDS = (
+    ("mean", "induced mean at parameter t", ["measure"],
+     ["t", "fp-tol", "max-iters", "nodes"]),
+    ("lambda", "Karcher mean (t -> 0 net limit)", ["measure"],
+     ["fp-tol", "max-iters", "lambda-tol", "nodes"]),
+    ("power", "matrix power mean of a matrix list", ["sigma"],
+     ["t", "fp-tol", "max-iters"]),
+    ("residual", "Karcher residual at a point", ["measure", "x"], ["nodes"]),
+    ("metric", "Thompson distance of two matrices", ["a", "b"], []),
+    ("divergence", "integrated divergence at a point", ["measure", "x"], ["nodes"]),
+    ("minimize", "gradient-descent minimizer", ["measure"],
+     ["grad-tol", "max-iters", "nodes"]),
+    ("verify", "seeded invariant suites", [],
+     ["suite", "trials", "dim", "seed", "nodes"]),
+)
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--fp-tol", type=float, default=1e-12)
-    common.add_argument("--max-iters", type=int, default=10000)
-    common.add_argument("--lambda-tol", type=float, default=1e-9)
-    common.add_argument("--nodes", type=int, default=64,
-                        help="default quadrature nodes for measures that omit them")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--output", default="-", metavar="PATH|-")
-
     p = argparse.ArgumentParser(prog="spdmeans", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("mean", parents=[common], help="induced mean at parameter t")
-    sp.add_argument("measure")
-    sp.add_argument("--t", type=float, required=True)
-
-    sp = sub.add_parser("lambda", parents=[common], help="Karcher mean (t -> 0 net limit)")
-    sp.add_argument("measure")
-
-    sp = sub.add_parser("power", parents=[common], help="matrix power mean of a matrix list")
-    sp.add_argument("sigma")
-    sp.add_argument("--t", type=float, required=True)
-
-    sp = sub.add_parser("residual", parents=[common], help="Karcher residual at a point")
-    sp.add_argument("measure")
-    sp.add_argument("x")
-
-    sp = sub.add_parser("metric", parents=[common], help="Thompson distance of two matrices")
-    sp.add_argument("a")
-    sp.add_argument("b")
-
-    sp = sub.add_parser("divergence", parents=[common], help="integrated divergence at a point")
-    sp.add_argument("measure")
-    sp.add_argument("x")
-
-    sp = sub.add_parser("minimize", parents=[common], help="gradient-descent minimizer")
-    sp.add_argument("measure")
-    sp.add_argument("--grad-tol", type=float, default=1e-9)
-
-    sp = sub.add_parser("verify", parents=[common], help="seeded invariant suites")
-    sp.add_argument("--suite", default="all")
-    sp.add_argument("--trials", type=int, default=50)
-    sp.add_argument("--dim", type=int, default=4)
+    for name, help_text, positionals, options in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for arg in positionals:
+            sp.add_argument(arg)
+        for opt in options:
+            sp.add_argument(f"--{opt}", **_OPTIONS[opt])
+        sp.add_argument("--output", default="-", metavar="PATH|-")
     return p
 
 
 def _run(args):
-    if args.command == "mean":
-        mu = _load_measure(args.measure, args.nodes)
-        report = solver.induced_mean(args.t, mu, _solver_config(args))
-        _emit(report.to_json(), args.output)
-    elif args.command == "lambda":
-        mu = _load_measure(args.measure, args.nodes)
-        report = solver.lambda_mean(mu, _solver_config(args))
-        _emit(report.to_json(), args.output)
-    elif args.command == "power":
-        sigma = _load_sigma(args.sigma)
-        report = solver.power_mean(args.t, sigma, _solver_config(args))
-        _emit(report.to_json(), args.output)
-    elif args.command == "residual":
-        mu = _load_measure(args.measure, args.nodes)
-        x = _load_matrix(args.x)
-        r = solver.karcher_residual(x, mu)
-        _emit(
-            {"residual_norm": float(np.linalg.norm(r)), "residual": matrix_to_json(r)},
-            args.output,
-        )
-    elif args.command == "metric":
-        a = _load_matrix(args.a)
-        b = _load_matrix(args.b)
-        _emit({"d_inf": thompson.distance(a, b)}, args.output)
-    elif args.command == "divergence":
-        mu = _load_measure(args.measure, args.nodes)
-        x = _load_matrix(args.x)
-        _emit({"objective": dvg.objective(x, mu)}, args.output)
-    elif args.command == "minimize":
-        mu = _load_measure(args.measure, args.nodes)
-        cfg = dvg.RgdConfig(grad_tol=args.grad_tol, max_iters=args.max_iters)
-        report = dvg.minimize_divergence(mu, cfg)
-        _emit(report.to_json(), args.output)
-    elif args.command == "verify":
+    cmd = args.command
+    if cmd == "verify":
         lines = []
         ok = verify.run_suite(
             args.suite, args.seed, args.dim, args.trials,
             nodes=args.nodes, out=lines.append,
         )
-        text = "\n".join(lines) + "\n"
-        if args.output == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        _write("\n".join(lines) + "\n", args.output)
         return 0 if ok else 1
+    if "measure" in args:
+        mu = _load_measure(args.measure, args.nodes)
+    if cmd == "mean":
+        out = solver.induced_mean(args.t, mu, _solver_config(args)).to_json()
+    elif cmd == "lambda":
+        out = solver.lambda_mean(mu, _solver_config(args)).to_json()
+    elif cmd == "power":
+        out = solver.power_mean(args.t, _load_sigma(args.sigma), _solver_config(args)).to_json()
+    elif cmd == "residual":
+        r = solver.karcher_residual(_load_matrix(args.x), mu)
+        out = {"residual_norm": float(np.linalg.norm(r)), "residual": matrix_to_json(r)}
+    elif cmd == "metric":
+        out = {"d_inf": thompson.distance(_load_matrix(args.a), _load_matrix(args.b))}
+    elif cmd == "divergence":
+        out = {"objective": dvg.objective(_load_matrix(args.x), mu)}
+    else:
+        cfg = dvg.RgdConfig(grad_tol=args.grad_tol, max_iters=args.max_iters)
+        out = dvg.minimize_divergence(mu, cfg).to_json()
+    _write(json.dumps(out) + "\n", args.output)
     return 0
 
 

@@ -136,6 +136,28 @@ def sqrt_pair(a):
     return _sym((q * r) @ q.T), _sym((q / r) @ q.T)
 
 
+def whitened_eigh(x, mats):
+    """Stacked spectra of the whitened matrices ``X^(-1/2) A_k X^(-1/2)``.
+
+    One :func:`sqrt_pair` of X and one ``eigh`` over the (k, n, n) stack
+    ``mats``; returns ``(X^(1/2), X^(-1/2), lam, q)`` with ``lam[k]``
+    ascending and ``q[k]`` the matching eigenvectors.
+    """
+    rs, irs = sqrt_pair(x)
+    white = irs @ mats @ irs
+    try:
+        lam, q = np.linalg.eigh(0.5 * (white + white.swapaxes(1, 2)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
+    return rs, irs, lam, q
+
+
+def spectral_sum(q, vals) -> np.ndarray:
+    """``sum_k Q_k diag(vals_k) Q_k.T`` for q (k, n, n) and vals (k, n), as one product."""
+    cols = q.transpose(1, 0, 2).reshape(q.shape[1], -1)
+    return _sym((cols * np.ravel(vals)) @ cols.T)
+
+
 def congruence(c, a) -> np.ndarray:
     """Congruence transform ``C A C.T``.
 
@@ -163,8 +185,10 @@ def geometric_mean(a, b, t: float) -> np.ndarray:
         raise DomainError(f"geometric mean weight must lie in [0, 1], got {t}")
     if a.shape != b.shape:
         raise ShapeError("operands must share dimensions")
-    rs, irs = sqrt_pair(a)
-    return _sym(rs @ spd_power(_sym(irs @ b @ irs), t) @ rs)
+    rs, _, lam, q = whitened_eigh(a, b[None])
+    if np.any(lam <= 0.0):
+        raise NotPositiveDefinite("matrix power of a non-positive matrix")
+    return _sym(rs @ spectral_sum(q, lam**t) @ rs)
 
 
 def loewner_leq(a, b, tol: float = LOEWNER_TOL) -> bool:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _sym, geometric_mean, spectral, sqrt_pair, weighted_arith
+from .core import _sym, geometric_mean, spectral_sum, sqrt_pair, weighted_arith, whitened_eigh
 from .errors import DomainError, NonConvergence, ShapeError
 from .measures import PMeasure
 from .solver import SolverReport, karcher_residual
@@ -87,19 +87,16 @@ def logdet_divergence(x, a, s: float) -> float:
         raise ShapeError("operands must share dimensions")
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"divergence parameter must lie in [0, 1], got {s}")
-    _, irs = sqrt_pair(x)
-    w, _ = spectral(_sym(irs @ a @ irs))
-    return float(np.sum(_eig_divergence([s], w)))
+    return float(np.sum(_eig_divergence([s], whitened_eigh(x, a[None])[2][0])))
 
 
 def objective(x, mu: PMeasure) -> float:
     """Integrated divergence ``sum_k w_k int LD_s(X, A_k) d nu_k(s)``; nonnegative."""
     if x.shape != (mu.dim, mu.dim):
         raise ShapeError("matrix and measure dimensions differ")
-    _, irs = sqrt_pair(x)
+    lam = whitened_eigh(x, mu.matrices)[2]
     total = 0.0
-    for wk, m, nu in mu.atoms:
-        w, _ = spectral(_sym(irs @ m @ irs))
+    for (wk, _, nu), w in zip(mu.atoms, lam):
         total += wk * float(nu.weights @ np.sum(_eig_divergence(nu.nodes, w), axis=1))
     return total
 
@@ -134,8 +131,8 @@ def minimize_divergence(mu: PMeasure, cfg: RgdConfig = None, on_step=None) -> So
     f = objective(x, mu)
     iters = 0
     final_step = 0.0
+    r = karcher_residual(x, mu)  # equals -gradient
     while True:
-        r = karcher_residual(x, mu)  # equals -gradient
         gnorm = float(np.linalg.norm(r))
         if gnorm <= cfg.grad_tol:
             break
@@ -146,15 +143,16 @@ def minimize_divergence(mu: PMeasure, cfg: RgdConfig = None, on_step=None) -> So
                 final_step=final_step,
                 iterations=iters,
             )
-        rs, irs = sqrt_pair(x)
-        d = _sym(irs @ r @ irs)  # whitened descent direction
-        gsq = float(np.sum(d * d))  # metric norm^2 of the gradient
+        # whiten the descent direction once; each trial step then only
+        # exponentiates its eigenvalues
+        rs, _, lam, q = whitened_eigh(x, r[None])
+        gsq = float(np.sum(lam * lam))  # metric norm^2 of the gradient
         armijo_floor = 16.0 * np.finfo(float).eps * (1.0 + abs(f))
         eta = cfg.step0
         accepted = False
         while eta >= 1e-14:
-            lam, q = np.linalg.eigh(eta * d)
-            xn = _sym(rs @ ((q * np.exp(lam)) @ q.T) @ rs)
+            xn = _sym(rs @ spectral_sum(q, np.exp(eta * lam)) @ rs)
+            rn = None
             predicted = cfg.armijo_c * eta * gsq
             if predicted > armijo_floor:
                 fn = objective(xn, mu)
@@ -163,7 +161,8 @@ def minimize_divergence(mu: PMeasure, cfg: RgdConfig = None, on_step=None) -> So
                     break
             else:
                 # objective differences are below noise; accept on gradient decrease
-                if np.linalg.norm(karcher_residual(xn, mu)) < gnorm:
+                rn = karcher_residual(xn, mu)
+                if np.linalg.norm(rn) < gnorm:
                     fn = objective(xn, mu)
                     accepted = True
                     break
@@ -176,9 +175,10 @@ def minimize_divergence(mu: PMeasure, cfg: RgdConfig = None, on_step=None) -> So
             )
         final_step = distance(xn, x)
         x, f = xn, fn
+        r = karcher_residual(x, mu) if rn is None else rn
         iters += 1
         if on_step is not None:
-            on_step(x, f, float(np.linalg.norm(karcher_residual(x, mu))))
+            on_step(x, f, float(np.linalg.norm(r)))
     return SolverReport(
         mean=x,
         iterations=iters,

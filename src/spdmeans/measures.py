@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import congruence, loewner_leq, matrix_from_json, matrix_to_json, spd_matrix
 from .errors import Incomparable, MeasureError, ShapeError
-from .monotone import SMeasure, smeasure_from_json, smeasure_to_json
+from .monotone import SMeasure, _frozen, smeasure_from_json, smeasure_to_json
 
 
 class PMeasure:
@@ -25,28 +25,32 @@ class PMeasure:
     ----------
     atoms : sequence of (weight, matrix, SMeasure)
         Positive weights summing to 1 (within 1e-12); matrices all SPD and
-        of one shared dimension.
+        of one shared dimension.  They are stored once, as the read-only
+        (k, n, n) stack ``matrices`` and vector ``weights``; ``atoms`` holds
+        views into that stack.
     """
 
-    __slots__ = ("atoms", "dim")
+    __slots__ = ("atoms", "dim", "matrices", "weights")
 
     def __init__(self, atoms):
-        atoms = [(float(w), spd_matrix(m), nu) for w, m, nu in atoms]
+        atoms = list(atoms)
         if not atoms:
             raise MeasureError("measure needs at least one atom")
-        w = np.array([a[0] for a in atoms])
+        mats = [spd_matrix(m) for _, m, _ in atoms]
+        if len({m.shape for m in mats}) > 1:
+            raise MeasureError("all atom matrices must share one dimension")
+        nus = [nu for _, _, nu in atoms]
+        if not all(isinstance(nu, SMeasure) for nu in nus):
+            raise MeasureError("each atom needs an SMeasure on [0, 1]")
+        w = _frozen([w for w, _, _ in atoms])
         if np.any(w <= 0.0):
             raise MeasureError("atom weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise MeasureError(f"atom weights must sum to 1, got {w.sum()!r}")
-        dim = atoms[0][1].shape[0]
-        for _, m, nu in atoms:
-            if m.shape != (dim, dim):
-                raise MeasureError("all atom matrices must share one dimension")
-            if not isinstance(nu, SMeasure):
-                raise MeasureError("each atom needs an SMeasure on [0, 1]")
-        self.atoms = tuple(atoms)
-        self.dim = dim
+        self.matrices = _frozen(np.stack(mats))
+        self.weights = w
+        self.atoms = tuple((float(wk), m, nu) for wk, m, nu in zip(w, self.matrices, nus))
+        self.dim = mats[0].shape[0]
 
     def __len__(self):
         return len(self.atoms)

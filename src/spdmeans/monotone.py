@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .core import _sym, spectral, sqrt_pair
+from .core import _sym, apply_scalar_fn, spectral_sum, whitened_eigh
 from .errors import DomainError, MeasureError
 
 DEFAULT_NODES = 64
@@ -40,10 +40,12 @@ def _is_matrix(x):
 
 
 def _spectral_apply(x, scalar_fn):
-    w, q = spectral(x)
-    if np.any(w <= 0.0):
-        raise DomainError("matrix argument must be positive definite")
-    return _sym((q * scalar_fn(w)) @ q.T)
+    def fn(w):
+        if np.any(w <= 0.0):
+            raise DomainError("matrix argument must be positive definite")
+        return scalar_fn(w)
+
+    return apply_scalar_fn(x, fn)
 
 
 def _check_s(s):
@@ -322,13 +324,11 @@ def eval_mean(nu: SMeasure, a, b):
     """
     if a.shape != b.shape:
         raise MeasureError("mean operands must share dimensions")
-    rs, irs = sqrt_pair(a)
-    w, q = spectral(_sym(irs @ b @ irs))
-    if np.any(w <= 0.0):
+    rs, _, lam, q = whitened_eigh(a, b[None])
+    if np.any(lam <= 0.0):
         raise DomainError("mean operands must be positive definite")
-    vals = nu.weights @ (w[None, :] / ((1.0 - nu.nodes)[:, None] * w[None, :] + nu.nodes[:, None]))
-    inner = _sym((q * vals) @ q.T)
-    return _sym(rs @ inner @ rs)
+    vals = nu.weights @ x_over_affine(nu.nodes[:, None], lam)
+    return _sym(rs @ spectral_sum(q, vals[None]) @ rs)
 
 
 def transpose_measure(nu: SMeasure) -> SMeasure:

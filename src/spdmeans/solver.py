@@ -32,11 +32,19 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .core import _sym, loewner_leq, matrix_to_json, sqrt_pair, weighted_arith, weighted_harm
+from .core import (
+    _sym,
+    loewner_leq,
+    matrix_to_json,
+    spectral_sum,
+    weighted_arith,
+    weighted_harm,
+    whitened_eigh,
+)
 from .errors import DomainError, MonotonicityViolation, NonConvergence, ShapeError
 from .measures import PMeasure
 from .monotone import log_kernel_grid
-from .thompson import contraction_factor_uniform, distance
+from .thompson import distance
 
 # Fixed points are polished until the whitened residual (the Riemannian
 # gradient norm of the level objective) also drops below fp_tol; a Thompson
@@ -82,8 +90,6 @@ class SolverReport:
     final_step : Thompson distance d(X, T(X)) at the reported mean
     residual_norm : Frobenius norm of the Karcher residual at the mean
     t_trace : [(t, iterations)] per level of the schedule
-    iterations_bound : a-priori Picard bound from the uniform contraction
-        factor at the first level (diagnostic only; pessimistic)
     """
 
     mean: np.ndarray
@@ -91,7 +97,6 @@ class SolverReport:
     final_step: float
     residual_norm: float
     t_trace: list = field(default_factory=list)
-    iterations_bound: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -100,7 +105,6 @@ class SolverReport:
             "final_step": float(self.final_step),
             "residual_norm": float(self.residual_norm),
             "t_trace": [[float(t), int(n)] for t, n in self.t_trace],
-            "iterations_bound": int(self.iterations_bound),
         }
 
 
@@ -109,33 +113,27 @@ class SolverReport:
 # ---------------------------------------------------------------------------
 
 
-def _level_residual(x, mu: PMeasure, t: float):
-    """R_t(X) = (T_t(X) - X)/t evaluated directly; t = 0 gives the Karcher residual.
+def _whitened_residual(x, mats, kernel):
+    """Residual ``R = X^(1/2) (sum_k Q_k diag(kernel(lam)_k) Q_k.T) X^(1/2)``.
 
-    Returns ``(residual, whitened_norm)`` where the whitened norm is the
-    Frobenius norm of ``X^(-1/2) R X^(-1/2)``.
+    ``(lam, Q)`` are the stacked spectra of the whitened ``mats``; returns
+    ``(R, ||X^(-1/2) R X^(-1/2)||_F)``.
     """
-    rs, irs = sqrt_pair(x)
-    acc = np.zeros_like(x)
-    for w, m, nu in mu.atoms:
-        lam, q = np.linalg.eigh(_sym(irs @ m @ irs))
-        qq = t + nu.nodes * (1.0 - t)
-        vals = nu.weights @ log_kernel_grid(qq, lam)
-        acc += w * ((q * vals) @ q.T)
-    acc = _sym(acc)
+    rs, _, lam, q = whitened_eigh(x, mats)
+    acc = spectral_sum(q, kernel(lam))
     return _sym(rs @ acc @ rs), float(np.linalg.norm(acc))
 
 
-def _power_residual(x, sigma, t: float):
-    """Residual of the power-mean equation: (sum_i w_i X #_t A_i - X)/t, cancellation-free."""
-    rs, irs = sqrt_pair(x)
-    acc = np.zeros_like(x)
-    for w, m in sigma:
-        lam, q = np.linalg.eigh(_sym(irs @ m @ irs))
-        vals = np.expm1(t * np.log(lam)) / t
-        acc += w * ((q * vals) @ q.T)
-    acc = _sym(acc)
-    return _sym(rs @ acc @ rs), float(np.linalg.norm(acc))
+def _level_residual(x, mu: PMeasure, t: float):
+    """R_t(X) = (T_t(X) - X)/t evaluated directly; t = 0 gives the Karcher residual."""
+
+    def kernel(lam):
+        return np.array([
+            w * (nu.weights @ log_kernel_grid(t + nu.nodes * (1.0 - t), lk))
+            for (w, _, nu), lk in zip(mu.atoms, lam)
+        ])
+
+    return _whitened_residual(x, mu.matrices, kernel)
 
 
 def karcher_residual(x, mu: PMeasure) -> np.ndarray:
@@ -170,17 +168,12 @@ def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
 
 
 def _sym_basis(n):
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n))
-        e[i, i] = 1.0
-        basis.append(e)
-    inv = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = inv
-            basis.append(e)
+    # orthonormal basis of the symmetric matrices: diagonal units, then
+    # (E_ij + E_ji)/sqrt(2) for i < j in row-major order
+    pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    basis = np.zeros((len(pairs), n, n))
+    for k, (i, j) in enumerate(pairs):
+        basis[k, i, j] = basis[k, j, i] = 1.0 if i == j else 1.0 / math.sqrt(2.0)
     return basis
 
 
@@ -189,38 +182,33 @@ class _Chord:
 
     def __init__(self, n):
         self.basis = _sym_basis(n)
+        self.flat = self.basis.reshape(len(self.basis), -1)
         self.lu = None
         self.evals = 0
 
     def assemble(self, residual, x):
-        h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-        m = len(self.basis)
-        jac = np.empty((m, m))
+        # central differences with a step relative to X, so that the probes
+        # X +- hE stay in the cone at every scale
+        h = 1e-6 * float(np.linalg.norm(x))
+        diffs = np.empty_like(self.flat)
         for k, e in enumerate(self.basis):
             rp, _ = residual(_sym(x + h * e))
             rm, _ = residual(_sym(x - h * e))
             self.evals += 2
-            d = (rp - rm) / (2.0 * h)
-            jac[:, k] = [np.tensordot(d, b) for b in self.basis]
+            diffs[k] = ((rp - rm) / (2.0 * h)).ravel()
         try:
-            self.lu = sla.lu_factor(jac)
+            self.lu = sla.lu_factor(self.flat @ diffs.T)
         except (ValueError, sla.LinAlgError):
             self.lu = None
 
     def step(self, r):
-        rhs = np.array([np.tensordot(r, b) for b in self.basis])
-        delta = sla.lu_solve(self.lu, -rhs)
-        out = np.zeros_like(r)
-        for d, b in zip(delta, self.basis):
-            out += d * b
-        return out
+        delta = sla.lu_solve(self.lu, -(self.flat @ r.ravel()))
+        return (delta @ self.flat).reshape(r.shape)
 
 
 def _thompson_step(x, r, t):
     # d(X, X + tR) from the whitened residual spectrum
-    _, irs = sqrt_pair(x)
-    w = np.linalg.eigvalsh(_sym(irs @ r @ irs))
-    arg = 1.0 + t * w
+    arg = 1.0 + t * whitened_eigh(x, r[None])[2]
     if np.any(arg <= 0.0):
         return float("inf")
     return float(np.max(np.abs(np.log(arg))))
@@ -299,20 +287,6 @@ def _solve_level(residual, t, x0, cfg, chord, iters_used):
     return x, iters, _thompson_step(x, r, t)
 
 
-def _apriori_bound(x0, mu, t, fp_tol):
-    # Pessimistic Picard iteration count from the uniform contraction factor.
-    d0 = distance(x0, iteration_map(x0, t, mu))
-    if d0 <= fp_tol:
-        return 0
-    radius = max(distance(x0, m) for _, m, _ in mu.atoms) + d0
-    rho = contraction_factor_uniform(t, radius)
-    if rho <= 0.0:
-        return 1
-    if rho >= 1.0:
-        return -1
-    return int(math.ceil(math.log(fp_tol / d0) / math.log(rho)))
-
-
 def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     """Solve the induced-mean equation ``X = T_t(X)`` for t in (0, 1].
 
@@ -325,7 +299,6 @@ def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverRepo
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
     x0 = weighted_arith(mu.matrix_pairs())
-    bound = _apriori_bound(x0, mu, t, cfg.fp_tol)
     chord = _Chord(mu.dim)
     residual = lambda y: _level_residual(y, mu, t)
     x, iters, final_step = _solve_level(residual, t, x0, cfg, chord, 0)
@@ -336,7 +309,6 @@ def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverRepo
         final_step=final_step,
         residual_norm=rnorm,
         t_trace=[(t, iters)],
-        iterations_bound=bound,
     )
 
 
@@ -352,8 +324,14 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
     cfg = cfg or SolverConfig()
     sigma = [(float(w), np.asarray(m, dtype=float)) for w, m in sigma]
     x0 = weighted_arith(sigma)
+    w = np.array([wk for wk, _ in sigma])[:, None]
+    mats = np.array([m for _, m in sigma])
+
+    def kernel(lam):
+        return w * np.expm1(t * np.log(lam)) / t  # closed form of (x^t - 1)/t
+
     chord = _Chord(x0.shape[0])
-    residual = lambda y: _power_residual(y, sigma, t)
+    residual = lambda y: _whitened_residual(y, mats, kernel)
     x, iters, final_step = _solve_level(residual, t, x0, cfg, chord, 0)
     rnorm = residual(x)[0]
     return SolverReport(
@@ -377,7 +355,6 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     """
     cfg = cfg or SolverConfig()
     x = weighted_arith(mu.matrix_pairs())
-    bound = _apriori_bound(x, mu, cfg.t_start, cfg.fp_tol)
     chord = _Chord(mu.dim)
     t = cfg.t_start
     prev = None
@@ -413,7 +390,6 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
         final_step=final_step,
         residual_norm=rnorm,
         t_trace=trace,
-        iterations_bound=bound,
     )
 
 

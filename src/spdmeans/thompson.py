@@ -3,19 +3,20 @@
 The metric is ``d(A, B) = max(log M(A/B), log M(B/A))`` with
 ``M(A/B) = inf{alpha : A <= alpha B}``.  It is computed from the spectrum of
 the symmetric similarity ``B^(-1/2) A B^(-1/2)`` (never via a generalized
-eigenproblem), which reuses the spectral kernel and keeps symmetry exact.
+eigenproblem) by :func:`spdmeans.core.whitened_eigh`, which keeps symmetry
+exact.
 
 The contraction factors quantify how fast the affine map ``B -> aA + bB``
 and the two-parameter mean iteration contract Thompson balls of radius
-``r`` around the anchor matrix; they are strictly below one and feed the
-a-priori iteration bounds reported by the solvers.
+``r`` around the anchor matrix; they are strictly below one and bound
+the Picard iteration counts of the fixed-point solvers a priori.
 """
 
 import math
 
 import numpy as np
 
-from .core import _sym, spectral, sqrt_pair
+from .core import whitened_eigh
 from .errors import DomainError, ShapeError
 
 
@@ -23,9 +24,7 @@ def min_scaling(a, b) -> float:
     """Smallest ``alpha`` with ``A <= alpha B``: the top eigenvalue of ``B^(-1/2) A B^(-1/2)``."""
     if a.shape != b.shape:
         raise ShapeError("operands must share dimensions")
-    _, irs = sqrt_pair(b)
-    w, _ = spectral(_sym(irs @ a @ irs))
-    return float(w[-1])
+    return float(whitened_eigh(b, a[None])[2][0, -1])
 
 
 def distance(a, b) -> float:
@@ -38,8 +37,7 @@ def distance(a, b) -> float:
         raise ShapeError("operands must share dimensions")
     if np.array_equal(a, b):
         return 0.0
-    _, irs = sqrt_pair(b)
-    w, _ = spectral(_sym(irs @ a @ irs))
+    w = whitened_eigh(b, a[None])[2]
     # max(log w_max, -log w_min) == max |log w_i| for positive spectra
     return max(0.0, float(np.max(np.abs(np.log(w)))))
 

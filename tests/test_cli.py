@@ -101,6 +101,12 @@ def test_metric_command(setup_files):
     assert abs(json.loads(proc.stdout)["d_inf"] - distance(a, b)) <= 1e-12
 
 
+def test_subcommand_rejects_flags_it_does_not_read(setup_files):
+    files, _, _, _ = setup_files
+    proc = run_cli("metric", files["a"], files["b"], "--fp-tol", "1e-3")
+    assert proc.returncode == 1
+
+
 def test_lambda_and_residual_roundtrip(setup_files):
     files, a, b, tmp = setup_files
     proc = run_cli("lambda", files["measure"])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import rand_spd, sym
 from spdmeans import (
@@ -20,6 +21,7 @@ from spdmeans import (
     weighted_arith,
     weighted_harm,
 )
+from spdmeans.core import spectral_sum, whitened_eigh
 from spdmeans.errors import SingularTransform
 
 
@@ -81,6 +83,24 @@ def test_apply_scalar_fn_inverse_consistency():
     a = rand_spd(rng, 4)
     inv = apply_scalar_fn(a, lambda x: 1.0 / x)
     assert np.linalg.norm(inv - np.linalg.inv(a)) <= 1e-10 * np.linalg.norm(inv)
+
+
+def test_whitened_eigh_and_spectral_sum_on_a_stack():
+    rng = np.random.default_rng(12)
+    x = rand_spd(rng, 4)
+    mats = np.stack([rand_spd(rng, 4) for _ in range(5)])
+    rs, irs, lam, q = whitened_eigh(x, mats)
+    assert lam.shape == (5, 4) and q.shape == (5, 4, 4)
+    assert np.allclose(rs @ rs, x, atol=1e-12) and np.allclose(rs @ irs, np.eye(4), atol=1e-12)
+    white = [irs @ a @ irs for a in mats]
+    for k, a in enumerate(mats):
+        ref = sla.eigh(a, x, eigvals_only=True)
+        assert np.allclose(lam[k], ref, rtol=1e-10, atol=0.0)
+        assert np.allclose(spectral_sum(q[k:k + 1], lam[k:k + 1]), white[k], atol=1e-10)
+    w = rng.uniform(0.5, 1.5, 5)
+    assert np.allclose(
+        spectral_sum(q, w[:, None] * lam), sum(wk * m for wk, m in zip(w, white)), atol=1e-10
+    )
 
 
 def test_congruence_basics_and_roundtrip():

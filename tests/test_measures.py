@@ -40,6 +40,10 @@ def test_product_measure():
     two = product_measure(nu, [(0.3, a), (0.7, b)])
     assert [w for w, _, _ in two.atoms] == [0.3, 0.7]
     assert all(n is nu for _, _, n in two.atoms)
+    # matrices are stored once, as a read-only stack that the atoms view
+    assert two.matrices.shape == (2, 3, 3) and not two.matrices.flags.writeable
+    assert np.array_equal(two.weights, [0.3, 0.7])
+    assert all(np.shares_memory(m, two.matrices) for _, m, _ in two.atoms)
 
 
 def test_integrate_basics():

@@ -25,6 +25,7 @@ from spdmeans import (
     weighted_arith,
     weighted_harm,
 )
+from spdmeans.verify import random_measure
 
 CFG = SolverConfig()
 
@@ -281,6 +282,13 @@ def test_lambda_mean_single_atom():
     assert distance(rep.mean, a) <= 1e-10
 
 
+def test_lambda_mean_positive_homogeneity_at_small_scale():
+    # L(c mu) = c L(mu); the chord's finite-difference probes must scale with X
+    mu = random_measure(np.random.default_rng(0), 4, n_atoms=3)
+    scaled = PMeasure([(w, 1e-6 * m, nu) for w, m, nu in mu.atoms])
+    assert distance(lambda_mean(scaled, CFG).mean, 1e-6 * lambda_mean(mu, CFG).mean) <= 1e-12
+
+
 def test_lambda_mean_two_point_geometric():
     rng = np.random.default_rng(19)
     for _ in range(5):
@@ -435,7 +443,7 @@ def test_report_json_schema():
     rep = lambda_mean(mu, CFG)
     obj = rep.to_json()
     assert set(obj) == {
-        "mean", "iterations", "final_step", "residual_norm", "t_trace", "iterations_bound",
+        "mean", "iterations", "final_step", "residual_norm", "t_trace",
     }
     assert obj["mean"]["dim"] == 2
     assert all(len(pair) == 2 for pair in obj["t_trace"])
