@@ -13,6 +13,7 @@ flag), 2 solver non-convergence.
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,6 +101,7 @@ _COMMANDS = (
 )
 
 
+@lru_cache(maxsize=None)  # built once per process; parse_args keeps no state in it
 def _build_parser():
     p = argparse.ArgumentParser(prog="spdmeans", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -15,11 +15,12 @@ Numerically everything leans on the exact algebraic identity
 
 so the update ``T_t(X) - X`` equals ``t * R_t(X)`` with R_t a reparametrized
 residual that we evaluate directly, without the catastrophic cancellation of
-forming ``T_t(X) - X`` at small t.  Each level is solved by Picard iteration
-warmed up into a finite-difference chord-Newton phase; the Newton phase is
-what keeps the cost bounded as t shrinks (plain iteration needs O(1/t)
-steps, Newton a handful).  The chord Jacobian is reused across levels of
-the t-schedule because the scaled residual varies slowly in t.
+forming ``T_t(X) - X`` at small t.  Every iteration tries an exact Newton
+step in whitened coordinates ``X^(1/2)(I + E)X^(1/2)``, its Jacobian built in
+closed form from the kernels' divided differences (Daleckii-Krein; Higham,
+Functions of Matrices, 2008, 3.2), and falls back to the Picard update.
+Newton keeps the cost bounded as t shrinks (plain iteration needs O(1/t)
+steps, Newton a handful) and, being congruence-equivariant, any scale of X.
 
 No extrapolation is applied to the net: each reported level is a genuine
 fixed point, the decreasing-net property is checked at every step, and the
@@ -28,6 +29,7 @@ limit is taken plainly.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -50,7 +52,6 @@ from .thompson import distance
 # gradient norm of the level objective) also drops below fp_tol; a Thompson
 # step alone goes blind at small t where the map contracts by only 1 - O(t).
 _NEWTON_DECREASE = 0.7
-_PICARD_BEFORE_NEWTON = 8
 
 
 @dataclass
@@ -114,26 +115,56 @@ class SolverReport:
 
 
 def _whitened_residual(x, mats, kernel):
-    """Residual ``R = X^(1/2) (sum_k Q_k diag(kernel(lam)_k) Q_k.T) X^(1/2)``.
+    """Residual ``R = X^(1/2) G X^(1/2)``, ``G = sum_k Q_k diag(kernel(lam)_k) Q_k.T``.
 
-    ``(lam, Q)`` are the stacked spectra of the whitened ``mats``; returns
-    ``(R, ||X^(-1/2) R X^(-1/2)||_F)``.
+    ``(lam, Q)`` are the stacked spectra of the whitened ``mats``; returns ``(R,
+    ||G||_F, spec)``, the Newton step's data ``spec = (X^(1/2), lam, Q, kernel(lam), G)``.
     """
     rs, _, lam, q = whitened_eigh(x, mats)
-    acc = spectral_sum(q, kernel(lam))
-    return _sym(rs @ acc @ rs), float(np.linalg.norm(acc))
+    phi = kernel(lam)
+    acc = spectral_sum(q, phi)
+    return _sym(rs @ acc @ rs), float(np.linalg.norm(acc)), (rs, lam, q, phi, acc)
 
 
-def _level_residual(x, mu: PMeasure, t: float):
-    """R_t(X) = (T_t(X) - X)/t evaluated directly; t = 0 gives the Karcher residual."""
+def _level_kernels(mu: PMeasure, t: float):
+    """Per-atom kernel of R_t (t = 0: Karcher) and its divided differences.
+
+    Atom k is ``w_k sum_m omega_m (x - 1)/(a_m x + s_m)``, ``s_m = t + s(1 - t)``,
+    ``a_m = 1 - s_m``; each term's divided difference is ``1/((a_m x + s_m)(a_m y + s_m))``.
+    """
+    nodes = [t + nu.nodes * (1.0 - t) for _, _, nu in mu.atoms]
 
     def kernel(lam):
         return np.array([
-            w * (nu.weights @ log_kernel_grid(t + nu.nodes * (1.0 - t), lk))
-            for (w, _, nu), lk in zip(mu.atoms, lam)
+            w * (nu.weights @ log_kernel_grid(s, lk))
+            for (w, _, nu), s, lk in zip(mu.atoms, nodes, lam)
         ])
 
-    return _whitened_residual(x, mu.matrices, kernel)
+    def divdiff(lam):
+        inv = [1.0 / ((1.0 - s)[:, None] * lk + s[:, None]) for s, lk in zip(nodes, lam)]
+        return np.array([w * (nu.weights[:, None] * v).T @ v
+                         for (w, _, nu), v in zip(mu.atoms, inv)])
+
+    return kernel, divdiff
+
+
+def _power_kernels(w, t: float):
+    """Closed-form power kernel ``w_k (x^t - 1)/t`` and its divided differences.
+
+    ``(x^t - y^t)/(t(x - y)) = y^(t-1) expm1(t(u - v))/(t expm1(u - v))`` with
+    ``u, v = log x, log y``, and ``y^(t-1)`` where ``u = v``.
+    """
+    def kernel(lam):
+        return w[:, None] * np.expm1(t * np.log(lam)) / t
+
+    def divdiff(lam):
+        u = np.log(lam)
+        d = u[:, :, None] - u[:, None, :]
+        with np.errstate(invalid="ignore"):
+            ratio = np.where(d == 0.0, 1.0, np.expm1(t * d) / (t * np.expm1(d)))
+        return w[:, None, None] * np.exp((t - 1.0) * u)[:, None, :] * ratio
+
+    return kernel, divdiff
 
 
 def karcher_residual(x, mu: PMeasure) -> np.ndarray:
@@ -144,7 +175,7 @@ def karcher_residual(x, mu: PMeasure) -> np.ndarray:
     """
     if x.shape != (mu.dim, mu.dim):
         raise ShapeError("matrix and measure dimensions differ")
-    return _level_residual(x, mu, 0.0)[0]
+    return _whitened_residual(x, mu.matrices, _level_kernels(mu, 0.0)[0])[0]
 
 
 def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
@@ -158,52 +189,52 @@ def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     if x.shape != (mu.dim, mu.dim):
         raise ShapeError("matrix and measure dimensions differ")
-    r, _ = _level_residual(x, mu, t)
-    return _sym(x + t * r)
+    r = _whitened_residual(x, mu.matrices, _level_kernels(mu, t)[0])[0]
+    return _sym(x + t * r)  # R_t(X) = (T_t(X) - X)/t evaluated directly
 
 
 # ---------------------------------------------------------------------------
-# hybrid Picard / chord-Newton fixed-point engine
+# Picard / whitened-Newton fixed-point engine
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _sym_basis(n):
-    # orthonormal basis of the symmetric matrices: diagonal units, then
-    # (E_ij + E_ji)/sqrt(2) for i < j in row-major order
-    pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
-    basis = np.zeros((len(pairs), n, n))
-    for k, (i, j) in enumerate(pairs):
-        basis[k, i, j] = basis[k, j, i] = 1.0 if i == j else 1.0 / math.sqrt(2.0)
+    # orthonormal basis of the symmetric matrices: E_ii and (E_ij + E_ji)/sqrt(2)
+    i, j = np.triu_indices(n)
+    k = np.arange(len(i))
+    basis = np.zeros((len(i), n, n))
+    basis[k, i, j] = basis[k, j, i] = np.where(i == j, 1.0, math.sqrt(0.5))
     return basis
 
 
-class _Chord:
-    """Finite-difference Jacobian of a residual field, reused across levels."""
+def _whitened_jacobian(spec, divdiff):
+    """Jacobian of G along ``X^(1/2)(I + E)X^(1/2)`` on the symmetric basis.
 
-    def __init__(self, n):
-        self.basis = _sym_basis(n)
-        self.flat = self.basis.reshape(len(self.basis), -1)
-        self.lu = None
-        self.evals = 0
+    Daleckii-Krein: ``dG[E] = sum_k Q_k (Gamma_k o Q_k.T E Q_k) Q_k.T`` with
+    ``Gamma_k,ij = (phi_i + phi_j)/2 - (lam_i + lam_j)/2 * phi^[1](lam_i, lam_j)``.
+    Returns ``(J, B)`` with B the flattened basis and ``J[a, b] = <B_a, dG[B_b]>``.
+    """
+    _, lam, q, phi, _ = spec
+    k, n = lam.shape
+    gamma = 0.5 * (phi[:, :, None] + phi[:, None, :]
+                   - (lam[:, :, None] + lam[:, None, :]) * divdiff(lam))
+    basis = _sym_basis(n)
+    # P_k[a] = Q_k.T B_a Q_k, so that J = sum_k P_k diag(Gamma_k) P_k.T
+    proj = (q.swapaxes(1, 2)[:, None] @ basis @ q[:, None]).reshape(k, len(basis), -1)
+    return spectral_sum(proj, gamma.reshape(k, -1)), basis.reshape(len(basis), -1)
 
-    def assemble(self, residual, x):
-        # central differences with a step relative to X, so that the probes
-        # X +- hE stay in the cone at every scale
-        h = 1e-6 * float(np.linalg.norm(x))
-        diffs = np.empty_like(self.flat)
-        for k, e in enumerate(self.basis):
-            rp, _ = residual(_sym(x + h * e))
-            rm, _ = residual(_sym(x - h * e))
-            self.evals += 2
-            diffs[k] = ((rp - rm) / (2.0 * h)).ravel()
-        try:
-            self.lu = sla.lu_factor(self.flat @ diffs.T)
-        except (ValueError, sla.LinAlgError):
-            self.lu = None
 
-    def step(self, r):
-        delta = sla.lu_solve(self.lu, -(self.flat @ r.ravel()))
-        return (delta @ self.flat).reshape(r.shape)
+def _newton_point(x, spec, divdiff):
+    """Newton trial ``X + X^(1/2) E X^(1/2)``, ``dG[E] = -G``; None if singular or not PD."""
+    rs, acc = spec[0], spec[4]
+    jac, flat = _whitened_jacobian(spec, divdiff)
+    lu = sla.lu_factor(jac, check_finite=False)
+    e = (sla.lu_solve(lu, -(flat @ acc.ravel()), check_finite=False) @ flat).reshape(acc.shape)
+    if not np.all(np.isfinite(e)):
+        return None
+    xn = _sym(x + rs @ e @ rs)
+    return xn if np.linalg.eigvalsh(xn)[0] > 0.0 else None
 
 
 def _thompson_step(x, r, t):
@@ -214,18 +245,19 @@ def _thompson_step(x, r, t):
     return float(np.max(np.abs(np.log(arg))))
 
 
-def _solve_level(residual, t, x0, cfg, chord, iters_used):
-    """Drive ``residual(x) ~ 0`` for the level map ``x -> x + t * residual(x)``.
+def _solve_level(mats, kernels, t, x0, cfg, iters_used):
+    """Drive the residual to zero for the level map ``x -> x + t * R(x)``.
 
-    Returns ``(x, iters, final_step)``.  Convergence requires both the
-    Thompson step of the map and the whitened residual norm to fall below
-    ``cfg.fp_tol``.  Raises NonConvergence on budget exhaustion.
+    Each iteration tries the Newton step and falls back to the exact Picard
+    update if that step fails or its whitened residual misses _NEWTON_DECREASE.
+    Returns ``(x, iters, final_step)`` once the whitened residual is below
+    ``cfg.fp_tol``; raises NonConvergence on stagnation or an exhausted budget.
     """
+    kernel, divdiff = kernels
+    residual = lambda y: _whitened_residual(y, mats, kernel)
     x = x0
-    r, wnorm = residual(x)
+    r, wnorm, spec = residual(x)
     iters = 0
-    picard = 0
-    fresh = False
     best = wnorm
     stall = 0
     while True:
@@ -253,36 +285,12 @@ def _solve_level(residual, t, x0, cfg, chord, iters_used):
                 final_step=_thompson_step(x, r, t),
                 iterations=iters_used + iters,
             )
-        accepted = False
-        if chord.lu is not None:
-            dx = chord.step(r)
-            xn = _sym(x + dx)
-            if np.linalg.eigvalsh(xn)[0] > 0.0:
-                rn, wn = residual(xn)
-                chord.evals += 1
-                if wn <= _NEWTON_DECREASE * wnorm or wn <= cfg.fp_tol:
-                    x, r, wnorm = xn, rn, wn
-                    accepted = True
-                    fresh = False
-            if not accepted:
-                if fresh:
-                    chord.lu = None  # fall back to Picard from this iterate
-                    fresh = False
-                    picard = 0
-                else:
-                    chord.assemble(residual, x)
-                    fresh = True
-                    continue
-        if not accepted:
+        xn = _newton_point(x, spec, divdiff)
+        trial = None if xn is None else (xn, *residual(xn))
+        if trial is None or not trial[2] <= max(_NEWTON_DECREASE * wnorm, cfg.fp_tol):
             xn = _sym(x + t * r)  # exact Picard update of the level map
-            rn, wn = residual(xn)
-            chord.evals += 1
-            x, r, wnorm = xn, rn, wn
-            picard += 1
-            if picard >= _PICARD_BEFORE_NEWTON and chord.lu is None:
-                chord.assemble(residual, x)
-                fresh = True
-                picard = 0
+            trial = (xn, *residual(xn))
+        x, r, wnorm, spec = trial
         iters += 1
     return x, iters, _thompson_step(x, r, t)
 
@@ -299,9 +307,7 @@ def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverRepo
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
     x0 = weighted_arith(mu.matrix_pairs())
-    chord = _Chord(mu.dim)
-    residual = lambda y: _level_residual(y, mu, t)
-    x, iters, final_step = _solve_level(residual, t, x0, cfg, chord, 0)
+    x, iters, final_step = _solve_level(mu.matrices, _level_kernels(mu, t), t, x0, cfg, 0)
     rnorm = float(np.linalg.norm(karcher_residual(x, mu)))
     return SolverReport(
         mean=x,
@@ -323,22 +329,15 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
     sigma = [(float(w), np.asarray(m, dtype=float)) for w, m in sigma]
-    x0 = weighted_arith(sigma)
-    w = np.array([wk for wk, _ in sigma])[:, None]
     mats = np.array([m for _, m in sigma])
-
-    def kernel(lam):
-        return w * np.expm1(t * np.log(lam)) / t  # closed form of (x^t - 1)/t
-
-    chord = _Chord(x0.shape[0])
-    residual = lambda y: _whitened_residual(y, mats, kernel)
-    x, iters, final_step = _solve_level(residual, t, x0, cfg, chord, 0)
-    rnorm = residual(x)[0]
+    kernels = _power_kernels(np.array([w for w, _ in sigma]), t)
+    x, iters, final_step = _solve_level(mats, kernels, t, weighted_arith(sigma), cfg, 0)
+    rnorm = float(np.linalg.norm(_whitened_residual(x, mats, kernels[0])[0]))
     return SolverReport(
         mean=x,
         iterations=iters,
         final_step=final_step,
-        residual_norm=float(np.linalg.norm(rnorm)),
+        residual_norm=rnorm,
         t_trace=[(t, iters)],
     )
 
@@ -355,7 +354,6 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     """
     cfg = cfg or SolverConfig()
     x = weighted_arith(mu.matrix_pairs())
-    chord = _Chord(mu.dim)
     t = cfg.t_start
     prev = None
     trace = []
@@ -363,8 +361,7 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     final_step = 0.0
     rnorm = float("inf")
     for _ in range(200):
-        residual = lambda y: _level_residual(y, mu, t)
-        x, iters, final_step = _solve_level(residual, t, x, cfg, chord, total)
+        x, iters, final_step = _solve_level(mu.matrices, _level_kernels(mu, t), t, x, cfg, total)
         total += iters
         trace.append((t, iters))
         if prev is not None:

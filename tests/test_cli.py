@@ -8,6 +8,7 @@ import pytest
 from conftest import rand_spd
 from spdmeans import (
     SMeasure,
+    cli,
     distance,
     geometric_mean,
     matrix_from_json,
@@ -105,6 +106,15 @@ def test_subcommand_rejects_flags_it_does_not_read(setup_files):
     files, _, _, _ = setup_files
     proc = run_cli("metric", files["a"], files["b"], "--fp-tol", "1e-3")
     assert proc.returncode == 1
+
+
+def test_parser_reused_after_failed_parse(setup_files, capsys):
+    # the parser is built once per process; a rejected flag must leave no state
+    files, a, b, _ = setup_files
+    assert cli.main(["metric", files["a"], files["b"], "--fp-tol", "1e-3"]) == 1
+    capsys.readouterr()
+    assert cli.main(["metric", files["a"], files["b"]]) == 0
+    assert json.loads(capsys.readouterr().out)["d_inf"] == pytest.approx(distance(a, b), abs=1e-12)
 
 
 def test_lambda_and_residual_roundtrip(setup_files):

@@ -25,6 +25,8 @@ from spdmeans import (
     weighted_arith,
     weighted_harm,
 )
+from spdmeans.core import sqrt_pair
+from spdmeans.solver import _level_kernels, _power_kernels, _whitened_jacobian, _whitened_residual
 from spdmeans.verify import random_measure
 
 CFG = SolverConfig()
@@ -206,6 +208,49 @@ def test_induced_mean_monotone_in_measure():
 
 
 # ---------------------------------------------------------------------------
+# closed-form whitened Jacobian
+# ---------------------------------------------------------------------------
+
+
+def jacobian_error(x, mats, kernels, h=1e-5):
+    # relative distance between the closed-form Jacobian and central differences
+    # of the whitened residual along X^(1/2)(I + hE)X^(1/2) on the same basis
+    rs, irs = sqrt_pair(x)
+    jac, flat = _whitened_jacobian(_whitened_residual(x, mats, kernels[0])[2], kernels[1])
+
+    def g(e):
+        return (irs @ _whitened_residual(sym(rs @ (np.eye(len(x)) + e) @ rs), mats, kernels[0])[0]
+                @ irs).ravel()
+
+    fd = np.array([
+        flat @ (g(h * b.reshape(x.shape)) - g(-h * b.reshape(x.shape))) / (2.0 * h) for b in flat
+    ]).T
+    return np.linalg.norm(fd - jac) / np.linalg.norm(jac)
+
+
+def test_whitened_jacobian_matches_central_differences():
+    rng = np.random.default_rng(32)
+    x = rand_spd(rng, 4)
+    mats = [rand_spd(rng, 4) for _ in range(3)]
+    nus = [SMeasure.lebesgue(16), SMeasure.power(0.4, 16), SMeasure.from_atoms([(0.2, 0.5), (0.9, 0.5)])]
+    mixed = PMeasure([(w, m, nu) for w, m, nu in zip((0.2, 0.3, 0.5), mats, nus)])
+    for t in (0.0, 0.3, 1.0):
+        assert jacobian_error(x, mixed.matrices, _level_kernels(mixed, t)) <= 1e-6
+    w = np.array([0.2, 0.3, 0.5])
+    for t in (0.2, 0.8):
+        assert jacobian_error(x, mixed.matrices, _power_kernels(w, t)) <= 1e-6
+    # an atom equal to X: every whitened eigenvalue is 1
+    at_x = PMeasure([(0.4, x, nus[0]), (0.6, mats[0], nus[2])])
+    assert jacobian_error(x, at_x.matrices, _level_kernels(at_x, 0.3)) <= 1e-6
+    assert jacobian_error(x, at_x.matrices, _power_kernels(np.array([0.4, 0.6]), 0.5)) <= 1e-6
+    # commuting atoms with repeated eigenvalues
+    diag = PMeasure([(0.5, np.diag([1.0, 2.0, 2.0]), nus[0]), (0.5, np.diag([3.0, 3.0, 0.5]), nus[1])])
+    x = np.diag([2.0, 2.0, 1.0])
+    assert jacobian_error(x, diag.matrices, _level_kernels(diag, 0.0)) <= 1e-6
+    assert jacobian_error(x, diag.matrices, _power_kernels(np.array([0.5, 0.5]), 0.2)) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
 # power mean
 # ---------------------------------------------------------------------------
 
@@ -283,10 +328,21 @@ def test_lambda_mean_single_atom():
 
 
 def test_lambda_mean_positive_homogeneity_at_small_scale():
-    # L(c mu) = c L(mu); the chord's finite-difference probes must scale with X
+    # L(c mu) = c L(mu); the whitened Newton step is congruence-equivariant,
+    # so nothing in it depends on the scale of X
     mu = random_measure(np.random.default_rng(0), 4, n_atoms=3)
     scaled = PMeasure([(w, 1e-6 * m, nu) for w, m, nu in mu.atoms])
     assert distance(lambda_mean(scaled, CFG).mean, 1e-6 * lambda_mean(mu, CFG).mean) <= 1e-12
+
+
+def test_lambda_mean_newton_levels_take_few_iterations():
+    # the closed-form Newton step settles every warm-started level in a handful
+    # of iterations; a stale or inexact Jacobian shows up here first
+    for seed in range(5):
+        for n in (2, 4, 6):
+            rep = lambda_mean(random_measure(np.random.default_rng(seed), n, n_atoms=3), CFG)
+            assert max(iters for _, iters in rep.t_trace[1:]) <= 6
+            assert rep.iterations <= 3 * len(rep.t_trace)
 
 
 def test_lambda_mean_two_point_geometric():
