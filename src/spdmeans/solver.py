@@ -251,7 +251,8 @@ def _solve_level(mats, kernels, t, x0, cfg, iters_used):
     Each iteration tries the Newton step and falls back to the exact Picard
     update if that step fails or its whitened residual misses _NEWTON_DECREASE.
     Returns ``(x, iters, final_step)`` once the whitened residual is below
-    ``cfg.fp_tol``; raises NonConvergence on stagnation or an exhausted budget.
+    ``cfg.fp_tol``, or once Newton fails at the residual's rounding floor;
+    raises NonConvergence on stagnation or an exhausted budget.
     """
     kernel, divdiff = kernels
     residual = lambda y: _whitened_residual(y, mats, kernel)
@@ -260,25 +261,22 @@ def _solve_level(mats, kernels, t, x0, cfg, iters_used):
     iters = 0
     best = wnorm
     stall = 0
-    while True:
-        if wnorm <= cfg.fp_tol:
-            break
-        # Progress tracking: when the residual has hit its floating-point
-        # floor for this level, accept if the Thompson step criterion holds.
-        if wnorm > 0.995 * best:
-            stall += 1
-            if stall >= 12:
-                if t * wnorm <= cfg.fp_tol and wnorm <= 1e4 * cfg.fp_tol:
-                    break
-                raise NonConvergence(
-                    f"fixed-point solve at t={t:g} stagnated at whitened "
-                    f"residual {wnorm:.3e}",
-                    final_step=_thompson_step(x, r, t),
-                    iterations=iters_used + iters,
-                )
-        else:
-            best = wnorm
-            stall = 0
+    # At the residual's rounding floor the Picard step t * R moves X by less
+    # than fp_tol, so the Thompson step criterion accepts the level: at once
+    # when the Newton step fails there, else after a stall.
+    floor = lambda: t * wnorm <= cfg.fp_tol and wnorm <= 1e4 * cfg.fp_tol
+    while not wnorm <= cfg.fp_tol:
+        stall = stall + 1 if wnorm > 0.995 * best else 0
+        best = best if stall else wnorm
+        if stall >= 12:
+            if floor():
+                break
+            raise NonConvergence(
+                f"fixed-point solve at t={t:g} stagnated at whitened "
+                f"residual {wnorm:.3e}",
+                final_step=_thompson_step(x, r, t),
+                iterations=iters_used + iters,
+            )
         if iters_used + iters >= cfg.max_iters:
             raise NonConvergence(
                 f"fixed-point solve at t={t:g} exhausted {cfg.max_iters} iterations",
@@ -288,6 +286,8 @@ def _solve_level(mats, kernels, t, x0, cfg, iters_used):
         xn = _newton_point(x, spec, divdiff)
         trial = None if xn is None else (xn, *residual(xn))
         if trial is None or not trial[2] <= max(_NEWTON_DECREASE * wnorm, cfg.fp_tol):
+            if floor():
+                break
             xn = _sym(x + t * r)  # exact Picard update of the level map
             trial = (xn, *residual(xn))
         x, r, wnorm, spec = trial

@@ -345,6 +345,21 @@ def test_lambda_mean_newton_levels_take_few_iterations():
             assert rep.iterations <= 3 * len(rep.t_trace)
 
 
+def test_lambda_mean_levels_stop_at_the_rounding_floor():
+    # in [1e-3, 1e3] the whitened residual bottoms out near fp_tol; a failed
+    # Newton step there ends the level, so the cost of a solve does not hinge
+    # on the rounding of its coordinates (waiting out the stall took 14-16
+    # iterations per level and 94-296 per solve over these rotations)
+    rng = np.random.default_rng(100)
+    for seed in (6, 7):
+        mu = random_measure(np.random.default_rng(seed), 4, n_atoms=3, lo=1e-3, hi=1e3)
+        for _ in range(3):
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            rep = lambda_mean(congruence_measure(q, mu), CFG)
+            assert max(iters for _, iters in rep.t_trace[1:]) <= 6
+            assert rep.iterations <= 3 * len(rep.t_trace)
+
+
 def test_lambda_mean_two_point_geometric():
     rng = np.random.default_rng(19)
     for _ in range(5):
