@@ -7,8 +7,9 @@ marginals are out of scope: every construction in the underlying theory
 that we evaluate numerically has finitely many matrix atoms, while the
 [0, 1] marginal may be continuous (handled by quadrature inside SMeasure).
 
-Integration is a deterministic double sum, atom-major then node-major, so
-repeated runs produce bit-identical results.
+The atoms' [0, 1] quadratures are kept as one flat rule over all atoms: a
+kernel is evaluated on every (atom, node) pair in one array pass and summed
+per atom by ``np.add.reduceat`` in a fixed order, so reruns are bit-identical.
 """
 
 import numpy as np
@@ -28,9 +29,15 @@ class PMeasure:
         of one shared dimension.  They are stored once, as the read-only
         (k, n, n) stack ``matrices`` and vector ``weights``; ``atoms`` holds
         views into that stack.
+
+    The flat quadrature is read-only too: over all M nodes of all atoms,
+    ``nodes`` (M,) and ``node_weights`` (M,) hold each atom's ``nu.nodes``
+    and ``w_k * omega_m``, ``owner`` (M,) the atom of each node and ``starts``
+    (k,) each atom's first node, so ``np.add.reduceat(terms, starts)`` sums
+    per-node terms per atom.
     """
 
-    __slots__ = ("atoms", "dim", "matrices", "weights")
+    __slots__ = ("atoms", "dim", "matrices", "weights", "nodes", "node_weights", "owner", "starts")
 
     def __init__(self, atoms):
         atoms = list(atoms)
@@ -51,6 +58,13 @@ class PMeasure:
         self.weights = w
         self.atoms = tuple((float(wk), m, nu) for wk, m, nu in zip(w, self.matrices, nus))
         self.dim = mats[0].shape[0]
+        counts = [len(nu.nodes) for nu in nus]
+        self.nodes = _frozen(np.concatenate([nu.nodes for nu in nus]))
+        self.owner = np.repeat(np.arange(len(nus)), counts)
+        self.node_weights = _frozen(w[self.owner] * np.concatenate([nu.weights for nu in nus]))
+        self.starts = np.cumsum(counts) - counts
+        self.owner.setflags(write=False)
+        self.starts.setflags(write=False)
 
     def __len__(self):
         return len(self.atoms)

@@ -45,7 +45,6 @@ from .core import (
 )
 from .errors import DomainError, MonotonicityViolation, NonConvergence, ShapeError
 from .measures import PMeasure
-from .monotone import log_kernel_grid
 from .thompson import distance
 
 # Fixed points are polished until the whitened residual (the Riemannian
@@ -61,7 +60,8 @@ class SolverConfig:
     fp_tol bounds both the Thompson step and the whitened residual at an
     accepted fixed point; lambda_tol stops the t-schedule when successive
     levels are that close in Thompson metric; residual_tol additionally
-    keeps the schedule going until the Karcher residual is small.
+    keeps the schedule going until the whitened Karcher residual
+    ``||X^(-1/2) R X^(-1/2)||_F`` is small.  No test depends on scale.
     """
 
     fp_tol: float = 1e-12
@@ -131,19 +131,19 @@ def _level_kernels(mu: PMeasure, t: float):
 
     Atom k is ``w_k sum_m omega_m (x - 1)/(a_m x + s_m)``, ``s_m = t + s(1 - t)``,
     ``a_m = 1 - s_m``; each term's divided difference is ``1/((a_m x + s_m)(a_m y + s_m))``.
+    Both are evaluated on the measure's flat quadrature and summed per atom.
     """
-    nodes = [t + nu.nodes * (1.0 - t) for _, _, nu in mu.atoms]
+    s = (t + mu.nodes * (1.0 - t))[:, None]
 
     def kernel(lam):
-        return np.array([
-            w * (nu.weights @ log_kernel_grid(s, lk))
-            for (w, _, nu), s, lk in zip(mu.atoms, nodes, lam)
-        ])
+        x = lam[mu.owner]
+        return np.add.reduceat(mu.node_weights[:, None] * (x - 1.0) / ((1.0 - s) * x + s),
+                               mu.starts)
 
     def divdiff(lam):
-        inv = [1.0 / ((1.0 - s)[:, None] * lk + s[:, None]) for s, lk in zip(nodes, lam)]
-        return np.array([w * (nu.weights[:, None] * v).T @ v
-                         for (w, _, nu), v in zip(mu.atoms, inv)])
+        v = 1.0 / ((1.0 - s) * lam[mu.owner] + s)
+        return np.add.reduceat((mu.node_weights[:, None] * v)[:, :, None] * v[:, None, :],
+                               mu.starts)
 
     return kernel, divdiff
 
@@ -348,13 +348,14 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     Solves the induced mean along the geometric schedule
     ``t_l = t_start * t_factor**l``, warm-starting each level from the
     previous one, and stops once successive levels are within lambda_tol in
-    Thompson metric and the Karcher residual is below residual_tol.  The
-    levels must decrease in the Loewner order (checked at every step; a
+    Thompson metric and the whitened Karcher residual is below residual_tol.
+    The levels must decrease in the Loewner order (checked at every step; a
     violation beyond 1e-9 signals a numerics bug, not a modelling error).
     """
     cfg = cfg or SolverConfig()
     x = weighted_arith(mu.matrix_pairs())
     t = cfg.t_start
+    karcher = _level_kernels(mu, 0.0)[0]
     prev = None
     trace = []
     total = 0
@@ -370,8 +371,9 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
                     f"induced means failed to decrease from t={t / cfg.t_factor:g} to t={t:g}"
                 )
             gap = distance(prev, x)
-            rnorm = float(np.linalg.norm(karcher_residual(x, mu)))
-            if gap <= cfg.lambda_tol and rnorm <= cfg.residual_tol:
+            r, wnorm, _ = _whitened_residual(x, mu.matrices, karcher)
+            rnorm = float(np.linalg.norm(r))
+            if gap <= cfg.lambda_tol and wnorm <= cfg.residual_tol:
                 break
         prev = x
         t *= cfg.t_factor

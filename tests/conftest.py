@@ -4,13 +4,16 @@ Everything random is drawn from an explicit ``numpy.random.default_rng``
 seeded inside each test, so failures reproduce exactly.  Eigenvalue ranges
 are moderate by default: the structural identities under test hold at any
 conditioning, but closed-form comparisons also spend quadrature budget.
-"""
 
-import math
+The SPD, PSD and transform generators are those of :mod:`spdmeans.verify`.
+``rand_smeasure`` and ``thompson_ball_point`` draw differently from their
+``verify`` counterparts, so they stay here and each test keeps its data.
+"""
 
 import numpy as np
 
 from spdmeans import PMeasure, SMeasure
+from spdmeans.verify import _psd_bump, random_spd, random_transform
 
 
 def sym(a):
@@ -18,14 +21,11 @@ def sym(a):
 
 
 def rand_spd(rng, dim, lo=0.1, hi=10.0):
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    d = np.exp(rng.uniform(math.log(lo), math.log(hi), dim))
-    return sym((q * d) @ q.T)
+    return random_spd(rng, dim, lo, hi)
 
 
-def rand_psd(rng, dim, scale=0.3):
-    g = rng.standard_normal((dim, dim))
-    return scale * sym(g @ g.T)
+rand_psd = _psd_bump
+conditioned_transform = random_transform
 
 
 def rand_weights(rng, k):
@@ -54,14 +54,6 @@ def rand_measure(rng, dim, n_atoms=None, nodes=64, lo=0.1, hi=10.0):
     return PMeasure(
         [(w[i], rand_spd(rng, dim, lo, hi), rand_smeasure(rng, nodes)) for i in range(k)]
     )
-
-
-def conditioned_transform(rng, dim, lo=0.5, hi=2.0):
-    """Random invertible matrix with singular values in [lo, hi]."""
-    q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    sv = np.exp(rng.uniform(math.log(lo), math.log(hi), dim))
-    return (q1 * sv) @ q2
 
 
 def thompson_ball_point(rng, anchor, radius):

@@ -16,16 +16,20 @@ from spdmeans import (
     iteration_map,
     karcher_residual,
     lambda_mean,
+    log_kernel,
+    logdet_divergence,
     loewner_leq,
     mean_kernel,
     measure_leq,
+    minimize_divergence,
+    objective,
     power_mean,
     product_measure,
     sandwich_check,
     weighted_arith,
     weighted_harm,
 )
-from spdmeans.core import sqrt_pair
+from spdmeans.core import sqrt_pair, whitened_eigh
 from spdmeans.solver import _level_kernels, _power_kernels, _whitened_jacobian, _whitened_residual
 from spdmeans.verify import random_measure
 
@@ -250,6 +254,32 @@ def test_whitened_jacobian_matches_central_differences():
     assert jacobian_error(x, diag.matrices, _power_kernels(np.array([0.5, 0.5]), 0.2)) <= 1e-6
 
 
+def test_flat_quadrature_matches_per_atom_sums():
+    # every SMeasure kind, one-node atoms first and last and a density that
+    # vanishes on half its nodes, against per-atom sums over each atom's nodes
+    rng = np.random.default_rng(34)
+    nus = [SMeasure.dirac(0.0), SMeasure.from_atoms([(0.2, 0.5), (0.9, 0.5)]),
+           SMeasure.lebesgue(16), SMeasure.power(0.4, 16),
+           SMeasure.custom(lambda s: 2.0 * (s > 0.5), 8), SMeasure.dirac(1.0)]
+    mu = PMeasure([(w, rand_spd(rng, 3), nu) for w, nu in zip(rand_weights(rng, len(nus)), nus)])
+    x = rand_spd(rng, 3)
+    lam = whitened_eigh(x, mu.matrices)[2]
+    for t in (0.0, 0.3):
+        ref_kernel, ref_divdiff = np.zeros_like(lam), np.zeros((len(mu), 3, 3))
+        for k, (w, _, nu) in enumerate(mu.atoms):
+            for s, omega in zip(t + nu.nodes * (1.0 - t), nu.weights):
+                f = np.array([log_kernel(s, y) for y in lam[k]])
+                v = 1.0 - (1.0 - s) * f  # = 1/((1-s) y + s), so v v.T is the divided difference
+                ref_kernel[k] += w * omega * f
+                ref_divdiff[k] += w * omega * np.outer(v, v)
+        kernel, divdiff = _level_kernels(mu, t)
+        assert np.linalg.norm(kernel(lam) - ref_kernel) <= 1e-12 * np.linalg.norm(ref_kernel)
+        assert np.linalg.norm(divdiff(lam) - ref_divdiff) <= 1e-12 * np.linalg.norm(ref_divdiff)
+    ref = sum(w * omega * logdet_divergence(x, a, s)
+              for w, a, nu in mu.atoms for s, omega in zip(nu.nodes, nu.weights))
+    assert abs(objective(x, mu) - ref) <= 1e-12 * ref
+
+
 # ---------------------------------------------------------------------------
 # power mean
 # ---------------------------------------------------------------------------
@@ -333,6 +363,17 @@ def test_lambda_mean_positive_homogeneity_at_small_scale():
     mu = random_measure(np.random.default_rng(0), 4, n_atoms=3)
     scaled = PMeasure([(w, 1e-6 * m, nu) for w, m, nu in mu.atoms])
     assert distance(lambda_mean(scaled, CFG).mean, 1e-6 * lambda_mean(mu, CFG).mean) <= 1e-12
+
+
+def test_solvers_positive_homogeneity_at_extreme_scales():
+    # residual_tol and grad_tol are judged on whitened norms, so neither
+    # solver's stopping test depends on the scale of the measure
+    mu = random_measure(np.random.default_rng(0), 4, n_atoms=3)
+    mean = lambda_mean(mu, CFG).mean
+    for c in (1e-6, 1e8):
+        scaled = PMeasure([(w, c * m, nu) for w, m, nu in mu.atoms])
+        assert distance(lambda_mean(scaled, CFG).mean, c * mean) <= 1e-8
+        assert distance(minimize_divergence(scaled).mean, c * mean) <= 1e-8
 
 
 def test_lambda_mean_newton_levels_take_few_iterations():
