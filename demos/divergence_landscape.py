@@ -1,4 +1,4 @@
-"""The divergence objective: convexity along geodesics and the descent oracle.
+"""The divergence objective: convexity along geodesics and its Newton minimizer.
 
 Run with ``python demos/divergence_landscape.py``.
 """
@@ -47,9 +47,9 @@ print("spot check over 500 random geodesics:",
       "no violations" if geodesic_convexity_check(mu, 500) else "VIOLATION FOUND")
 
 print()
-print("=== Gradient descent reaches the same point as the t-schedule ===")
-# two atoms would converge in a single step (the whitened matrices commute
-# when whitened by the weighted arithmetic mean), so use three
+print("=== Riemannian Newton reaches the same point as the t-schedule ===")
+# two atoms whitened by their weighted arithmetic mean commute, which makes
+# the problem scalar; three atoms do not
 mu3 = product_measure(
     SMeasure.lebesgue(), [(0.3, rand_spd(3)), (0.3, rand_spd(3)), (0.4, rand_spd(3))]
 )
@@ -61,7 +61,7 @@ for i, (f, g) in enumerate(trace[:8], start=1):
 if len(trace) > 8:
     print(f"... {len(trace) - 8} more steps")
 ref = lambda_mean(mu3)
-print(f"d(descent minimizer, net limit) = {distance(rep.mean, ref.mean):.3e}")
+print(f"d(Newton minimizer, net limit) = {distance(rep.mean, ref.mean):.3e}")
 
 print()
 print("=== The gradient is the negated Karcher residual ===")

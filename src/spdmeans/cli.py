@@ -94,7 +94,7 @@ _COMMANDS = (
     ("residual", "Karcher residual at a point", ["measure", "x"], ["nodes"]),
     ("metric", "Thompson distance of two matrices", ["a", "b"], []),
     ("divergence", "integrated divergence at a point", ["measure", "x"], ["nodes"]),
-    ("minimize", "gradient-descent minimizer", ["measure"],
+    ("minimize", "Newton minimizer of the divergence", ["measure"],
      ["grad-tol", "max-iters", "nodes"]),
     ("verify", "seeded invariant suites", [],
      ["suite", "trials", "dim", "seed", "nodes"]),

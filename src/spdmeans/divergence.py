@@ -1,4 +1,4 @@
-"""Log-determinant divergences, their Riemannian gradient, and a descent oracle.
+"""Log-determinant divergences, their Riemannian gradient, and a Newton minimizer.
 
 The one-parameter divergence between SPD matrices is the trace gap between
 the log of the arithmetic path and the log of the geometric path,
@@ -20,8 +20,9 @@ affine-invariant metric is the negated Karcher residual; the gradient code
 path *is* the residual code path, so there is no sign or convention drift
 between the minimizer below and the fixed-point solvers.
 
-The gradient-descent minimizer serves as an independent route to the same
-point the t-schedule computes: the two must agree to solver tolerance.
+The minimizer solves that critical-point equation by the fixed-point
+solvers' whitened Newton step, an independent route to the point the
+t-schedule computes: the two must agree to solver tolerance.
 """
 
 import logging
@@ -30,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _sym, geometric_mean, spectral_sum, sqrt_pair, weighted_arith, whitened_eigh
+from .core import _sym, geometric_mean, sqrt_pair, weighted_arith, whitened_eigh
 from .errors import DomainError, NonConvergence, ShapeError
 from .measures import PMeasure
-from .solver import SolverReport, karcher_residual
+from .solver import (SolverReport, _level_kernels, _newton_step, _trial_point,
+                     _whitened_residual, karcher_residual)
 from .thompson import distance
 
 log = logging.getLogger(__name__)
@@ -45,24 +47,19 @@ _ENDPOINT = 1e-8
 
 @dataclass
 class RgdConfig:
-    """Line-search and termination settings for the descent oracle.
+    """Termination settings for the Newton minimizer.
 
     grad_tol bounds the gradient's scale-invariant norm ``||X^(-1/2) R X^(-1/2)||_F``.
     """
 
-    step0: float = 1.0
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
     grad_tol: float = 1e-9
     max_iters: int = 5000
 
     def __post_init__(self):
-        if self.step0 <= 0.0:
-            raise DomainError("initial step must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise DomainError("backtrack factor must lie in (0, 1)")
-        if self.grad_tol <= 0.0 or self.armijo_c <= 0.0:
+        if self.grad_tol <= 0.0:
             raise DomainError("tolerances must be positive")
+        if self.max_iters < 1:
+            raise DomainError("max_iters must be positive")
 
 
 def _eig_divergence(s, w):
@@ -103,79 +100,48 @@ def riemannian_gradient(x, mu: PMeasure) -> np.ndarray:
 
 
 def minimize_divergence(mu: PMeasure, cfg: RgdConfig = None, on_step=None) -> SolverReport:
-    """Riemannian gradient descent on the integrated divergence.
+    """Damped Riemannian Newton on the integrated divergence.
 
-    Steps along the negated gradient through the exponential retraction
-    ``X -> X^(1/2) exp(eta D) X^(1/2)`` with Armijo backtracking on the
-    objective, starting from the weighted arithmetic mean.  Once the
-    predicted Armijo decrease falls below floating-point resolution of the
-    objective, acceptance switches to a monotone decrease of the gradient
-    norm, which stays resolvable down to the default tolerance.
-
-    Terminates when the metric norm of the gradient drops below
-    ``grad_tol`` (residual_norm reports its Frobenius norm); the result is
-    the unique minimizer, the same point the t-schedule route converges
-    to.  ``on_step(x, f, gnorm)``, when given, is called after every
-    accepted step.
+    Takes the whitened Newton step of the t = 0 (Karcher) equation from the
+    weighted arithmetic mean, halving its length eta until the trial point is
+    SPD and its whitened gradient norm is at most ``1 - 1e-4 eta`` times the
+    current one; along a Newton step that norm falls like ``1 - eta``, so the
+    rule serves down to ``grad_tol``.  Returns the unique minimizer
+    (residual_norm is the gradient's Frobenius norm).  ``on_step(x, f, gnorm)``
+    is called after every step; the objective f is evaluated only for it.
     """
     cfg = cfg or RgdConfig()
+    kernel, divdiff = _level_kernels(mu, 0.0)
     x = weighted_arith(mu.matrix_pairs())
-    f = objective(x, mu)
+    r, gnorm, spec = _whitened_residual(x, mu.matrices, kernel)  # r equals -gradient
     iters = 0
     final_step = 0.0
-    r = karcher_residual(x, mu)  # equals -gradient
-    while True:
-        gnorm = float(np.linalg.norm(r))
-        # whiten the descent direction once; each trial step then only
-        # exponentiates its eigenvalues
-        rs, _, lam, q = whitened_eigh(x, r[None])
-        gsq = float(np.sum(lam * lam))  # metric norm^2 of the gradient
-        if math.sqrt(gsq) <= cfg.grad_tol:
-            break
+    while gnorm > cfg.grad_tol:
         if iters >= cfg.max_iters:
-            raise NonConvergence(
-                f"gradient descent exhausted {cfg.max_iters} iterations "
-                f"(gradient norm {gnorm:.3e})",
-                final_step=final_step,
-                iterations=iters,
-            )
-        armijo_floor = 16.0 * np.finfo(float).eps * (1.0 + abs(f))
-        eta = cfg.step0
-        accepted = False
-        while eta >= 1e-14:
-            xn = _sym(rs @ spectral_sum(q, np.exp(eta * lam)) @ rs)
-            rn = None
-            predicted = cfg.armijo_c * eta * gsq
-            if predicted > armijo_floor:
-                fn = objective(xn, mu)
-                if fn <= f - predicted:
-                    accepted = True
-                    break
-            else:
-                # objective differences are below noise; accept on gradient decrease
-                rn = karcher_residual(xn, mu)
-                if np.linalg.norm(rn) < gnorm:
-                    fn = objective(xn, mu)
-                    accepted = True
-                    break
-            eta *= cfg.backtrack
-        if not accepted:
-            raise NonConvergence(
-                f"line search stalled at gradient norm {gnorm:.3e}",
-                final_step=final_step,
-                iterations=iters,
-            )
+            raise NonConvergence(f"Newton exhausted {cfg.max_iters} iterations at gradient "
+                                 f"norm {gnorm:.3e}", final_step=final_step, iterations=iters)
+        step = _newton_step(spec, divdiff)
+        eta = 1.0
+        # below 1e-10 the demanded decrease nears rounding and X barely moves
+        while step is not None and eta >= 1e-10:
+            xn = _trial_point(x, step, eta)
+            trial = None if xn is None else _whitened_residual(xn, mu.matrices, kernel)
+            if trial is not None and trial[1] <= (1.0 - 1e-4 * eta) * gnorm:
+                break
+            eta *= 0.5
+        else:
+            raise NonConvergence(f"Newton line search stalled at gradient norm {gnorm:.3e}",
+                                 final_step=final_step, iterations=iters)
         final_step = distance(xn, x)
-        x, f = xn, fn
-        r = karcher_residual(x, mu) if rn is None else rn
+        x, (r, gnorm, spec) = xn, trial
         iters += 1
         if on_step is not None:
-            on_step(x, f, float(np.linalg.norm(r)))
+            on_step(x, objective(x, mu), float(np.linalg.norm(r)))
     return SolverReport(
         mean=x,
         iterations=iters,
         final_step=final_step,
-        residual_norm=gnorm,
+        residual_norm=float(np.linalg.norm(r)),
         t_trace=[],
     )
 

@@ -225,15 +225,18 @@ def _whitened_jacobian(spec, divdiff):
     return spectral_sum(proj, gamma.reshape(k, -1)), basis.reshape(len(basis), -1)
 
 
-def _newton_point(x, spec, divdiff):
-    """Newton trial ``X + X^(1/2) E X^(1/2)``, ``dG[E] = -G``; None if singular or not PD."""
+def _newton_step(spec, divdiff):
+    """Newton step ``X^(1/2) E X^(1/2)`` with ``dG[E] = -G``; None if the Jacobian is singular."""
     rs, acc = spec[0], spec[4]
     jac, flat = _whitened_jacobian(spec, divdiff)
     lu = sla.lu_factor(jac, check_finite=False)
     e = (sla.lu_solve(lu, -(flat @ acc.ravel()), check_finite=False) @ flat).reshape(acc.shape)
-    if not np.all(np.isfinite(e)):
-        return None
-    xn = _sym(x + rs @ e @ rs)
+    return rs @ e @ rs if np.all(np.isfinite(e)) else None
+
+
+def _trial_point(x, step, eta=1.0):
+    """``X + eta * step``, or None if that is not positive definite."""
+    xn = _sym(x + eta * step)
     return xn if np.linalg.eigvalsh(xn)[0] > 0.0 else None
 
 
@@ -283,7 +286,8 @@ def _solve_level(mats, kernels, t, x0, cfg, iters_used):
                 final_step=_thompson_step(x, r, t),
                 iterations=iters_used + iters,
             )
-        xn = _newton_point(x, spec, divdiff)
+        step = _newton_step(spec, divdiff)
+        xn = None if step is None else _trial_point(x, step)
         trial = None if xn is None else (xn, *residual(xn))
         if trial is None or not trial[2] <= max(_NEWTON_DECREASE * wnorm, cfg.fp_tol):
             if floor():

@@ -8,8 +8,7 @@ exact.
 
 The contraction factors quantify how fast the affine map ``B -> aA + bB``
 and the two-parameter mean iteration contract Thompson balls of radius
-``r`` around the anchor matrix; they are strictly below one and bound
-the Picard iteration counts of the fixed-point solvers a priori.
+``r`` around the anchor matrix; they are strictly below one.
 """
 
 import math

@@ -56,6 +56,13 @@ def rand_measure(rng, dim, n_atoms=None, nodes=64, lo=0.1, hi=10.0):
     )
 
 
+def dirac_lebesgue_pair(seed):
+    """Two equal-weight 2x2 atoms in [1e-2, 1e2], one under dirac(0), one under Lebesgue."""
+    rng = np.random.default_rng(seed)
+    a, b = random_spd(rng, 2, 1e-2, 1e2), random_spd(rng, 2, 1e-2, 1e2)
+    return PMeasure([(0.5, a, SMeasure.dirac(0.0)), (0.5, b, SMeasure.lebesgue())])
+
+
 def thompson_ball_point(rng, anchor, radius):
     """Random point with Thompson distance at most ``radius`` from the anchor."""
     n = anchor.shape[0]

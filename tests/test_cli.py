@@ -5,12 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import rand_spd
+from conftest import dirac_lebesgue_pair, rand_spd
 from spdmeans import (
     SMeasure,
     cli,
     distance,
     geometric_mean,
+    lambda_mean,
     matrix_from_json,
     matrix_to_json,
     pmeasure_to_json,
@@ -162,6 +163,24 @@ def test_divergence_and_minimize(setup_files):
     assert proc.returncode == 0
     mean = matrix_from_json(json.loads(proc.stdout)["mean"])
     assert distance(mean, geometric_mean(a, b, 0.5)) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", [13, 16, 25])
+def test_minimize_wide_spread_measure(tmp_path, seed):
+    mu = dirac_lebesgue_pair(seed)
+    proc = run_cli("minimize", write_json(tmp_path / "mu.json", pmeasure_to_json(mu)))
+    assert proc.returncode == 0, proc.stderr
+    mean = matrix_from_json(json.loads(proc.stdout)["mean"])
+    assert distance(mean, lambda_mean(mu).mean) <= 1e-6
+
+
+@pytest.mark.parametrize("command", [["minimize"], ["lambda"], ["mean", "--t", "0.5"]],
+                         ids=["minimize", "lambda", "mean"])
+def test_nonpositive_max_iters_exits_1(setup_files, capsys, command):
+    files, _, _, _ = setup_files
+    for bad in ("0", "-3"):
+        assert cli.main([*command, files["measure"], "--max-iters", bad]) == 1
+        assert "max_iters must be positive" in capsys.readouterr().err
 
 
 def test_stdout_byte_identical(setup_files):

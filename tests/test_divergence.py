@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_measure, rand_spd, sym
+import spdmeans.divergence as dvg
+from conftest import dirac_lebesgue_pair, rand_measure, rand_spd, sym
 from spdmeans import (
     RgdConfig,
     SMeasure,
@@ -19,6 +20,7 @@ from spdmeans import (
     riemannian_gradient,
 )
 from spdmeans.divergence import _eig_divergence
+from spdmeans.verify import random_measure
 
 
 def test_divergence_zero_at_equal_arguments():
@@ -162,6 +164,41 @@ def test_minimize_nonconvergence_budget():
     with pytest.raises(NonConvergence) as info:
         minimize_divergence(mu, RgdConfig(max_iters=1))
     assert info.value.iterations == 1
+
+
+@pytest.mark.parametrize("seed", [13, 16, 25])
+def test_minimize_wide_spread_stays_positive_definite(seed):
+    # whitened eigenvalues spread past 1e2, where a full exponential
+    # first-order step leaves the cone
+    mu = dirac_lebesgue_pair(seed)
+    assert distance(minimize_divergence(mu).mean, lambda_mean(mu).mean) <= 1e-6
+
+
+@pytest.mark.parametrize("dim, seed, lo, hi", [
+    (4, 6, 1e-5, 1e5), (4, 8, 1e-5, 1e5), (6, 1007, 1e-3, 1e3), (6, 1019, 1e-3, 1e3),
+])
+def test_minimize_ill_conditioned_converges(dim, seed, lo, hi):
+    mu = random_measure(np.random.default_rng(seed), dim, 3, lo=lo, hi=hi)
+    rep = minimize_divergence(mu)
+    assert rep.iterations <= 10
+    assert distance(rep.mean, lambda_mean(mu).mean) <= 1e-6
+
+
+def test_minimize_newton_step_count_wide_band():
+    for seed in range(12):
+        mu = random_measure(np.random.default_rng(seed), 4, 3, lo=1e-3, hi=1e3)
+        assert minimize_divergence(mu).iterations <= 10
+
+
+def test_minimize_evaluates_objective_only_for_on_step(monkeypatch):
+    calls = []
+    real = dvg.objective
+    monkeypatch.setattr(dvg, "objective", lambda x, mu: calls.append(1) or real(x, mu))
+    mu = rand_measure(np.random.default_rng(16), 3)
+    rep = minimize_divergence(mu)
+    assert calls == []
+    minimize_divergence(mu, on_step=lambda x, f, g: None)
+    assert len(calls) == rep.iterations
 
 
 def test_geodesic_convexity_trivial_and_random():
