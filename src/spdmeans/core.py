@@ -144,12 +144,16 @@ def whitened_eigh(x, mats):
     ascending and ``q[k]`` the matching eigenvectors.
     """
     rs, irs = sqrt_pair(x)
+    return (rs, irs, *whiten(irs, mats))
+
+
+def whiten(irs, mats):
+    """Stacked spectra ``(lam, q)`` of ``irs @ mats @ irs``, irs a known ``X^(-1/2)``."""
     white = irs @ mats @ irs
     try:
-        lam, q = np.linalg.eigh(0.5 * (white + white.swapaxes(1, 2)))
+        return np.linalg.eigh(0.5 * (white + white.swapaxes(1, 2)))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    return rs, irs, lam, q
 
 
 def spectral_sum(q, vals) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 from .core import _sym, geometric_mean, sqrt_pair, weighted_arith, whitened_eigh
 from .errors import DomainError, NonConvergence, ShapeError
 from .measures import PMeasure
-from .solver import (SolverReport, _level_kernels, _newton_step, _trial_point,
+from .solver import (SolverReport, _gap, _level_kernels, _newton_step, _point, _trial_point,
                      _whitened_residual, karcher_residual)
 from .thompson import distance
 
@@ -112,35 +112,35 @@ def minimize_divergence(mu: PMeasure, cfg: RgdConfig = None, on_step=None) -> So
     """
     cfg = cfg or RgdConfig()
     kernel, divdiff = _level_kernels(mu, 0.0)
-    x = weighted_arith(mu.matrix_pairs())
-    r, gnorm, spec = _whitened_residual(x, mu.matrices, kernel)  # r equals -gradient
+    point = _point(weighted_arith(mu.matrix_pairs()), mu.matrices)
+    r, gnorm, spec = _whitened_residual(point[1], kernel)  # r equals -gradient
     iters = 0
-    final_step = 0.0
+    prev = None  # the point before the last accepted step, which final_step() measures
+    final_step = lambda: 0.0 if prev is None else _gap(point[0], prev)
     while gnorm > cfg.grad_tol:
         if iters >= cfg.max_iters:
             raise NonConvergence(f"Newton exhausted {cfg.max_iters} iterations at gradient "
-                                 f"norm {gnorm:.3e}", final_step=final_step, iterations=iters)
+                                 f"norm {gnorm:.3e}", final_step=final_step(), iterations=iters)
         step = _newton_step(spec, divdiff)
         eta = 1.0
         # below 1e-10 the demanded decrease nears rounding and X barely moves
         while step is not None and eta >= 1e-10:
-            xn = _trial_point(x, step, eta)
-            trial = None if xn is None else _whitened_residual(xn, mu.matrices, kernel)
+            pn = _trial_point(point[0], step, mu.matrices, eta)
+            trial = None if pn is None else _whitened_residual(pn[1], kernel)
             if trial is not None and trial[1] <= (1.0 - 1e-4 * eta) * gnorm:
                 break
             eta *= 0.5
         else:
             raise NonConvergence(f"Newton line search stalled at gradient norm {gnorm:.3e}",
-                                 final_step=final_step, iterations=iters)
-        final_step = distance(xn, x)
-        x, (r, gnorm, spec) = xn, trial
+                                 final_step=final_step(), iterations=iters)
+        prev, point, (r, gnorm, spec) = point, pn, trial
         iters += 1
         if on_step is not None:
-            on_step(x, objective(x, mu), float(np.linalg.norm(r)))
+            on_step(point[0], objective(point[0], mu), float(np.linalg.norm(r)))
     return SolverReport(
-        mean=x,
+        mean=point[0],
         iterations=iters,
-        final_step=final_step,
+        final_step=final_step(),
         residual_norm=float(np.linalg.norm(r)),
         t_trace=[],
     )

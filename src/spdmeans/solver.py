@@ -41,11 +41,13 @@ from .core import (
     spectral_sum,
     weighted_arith,
     weighted_harm,
+    whiten,
     whitened_eigh,
 )
-from .errors import DomainError, MonotonicityViolation, NonConvergence, ShapeError
+from .errors import (DomainError, MonotonicityViolation, NonConvergence,
+                     NotPositiveDefinite, ShapeError)
 from .measures import PMeasure
-from .thompson import distance
+from .thompson import whitened_distance
 
 # Fixed points are polished until the whitened residual (the Riemannian
 # gradient norm of the level objective) also drops below fp_tol; a Thompson
@@ -114,13 +116,18 @@ class SolverReport:
 # ---------------------------------------------------------------------------
 
 
-def _whitened_residual(x, mats, kernel):
+def _point(x, mats):
+    """A visited point: X with its :func:`whitened_eigh` against ``mats``, free of t and kernel."""
+    return x, whitened_eigh(x, mats)
+
+
+def _whitened_residual(white, kernel):
     """Residual ``R = X^(1/2) G X^(1/2)``, ``G = sum_k Q_k diag(kernel(lam)_k) Q_k.T``.
 
-    ``(lam, Q)`` are the stacked spectra of the whitened ``mats``; returns ``(R,
+    ``white = (X^(1/2), X^(-1/2), lam, Q)`` is X's whitened spectrum; returns ``(R,
     ||G||_F, spec)``, the Newton step's data ``spec = (X^(1/2), lam, Q, kernel(lam), G)``.
     """
-    rs, _, lam, q = whitened_eigh(x, mats)
+    rs, _, lam, q = white
     phi = kernel(lam)
     acc = spectral_sum(q, phi)
     return _sym(rs @ acc @ rs), float(np.linalg.norm(acc)), (rs, lam, q, phi, acc)
@@ -175,7 +182,7 @@ def karcher_residual(x, mu: PMeasure) -> np.ndarray:
     """
     if x.shape != (mu.dim, mu.dim):
         raise ShapeError("matrix and measure dimensions differ")
-    return _whitened_residual(x, mu.matrices, _level_kernels(mu, 0.0)[0])[0]
+    return _whitened_residual(whitened_eigh(x, mu.matrices), _level_kernels(mu, 0.0)[0])[0]
 
 
 def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
@@ -189,7 +196,7 @@ def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     if x.shape != (mu.dim, mu.dim):
         raise ShapeError("matrix and measure dimensions differ")
-    r = _whitened_residual(x, mu.matrices, _level_kernels(mu, t)[0])[0]
+    r = _whitened_residual(whitened_eigh(x, mu.matrices), _level_kernels(mu, t)[0])[0]
     return _sym(x + t * r)  # R_t(X) = (T_t(X) - X)/t evaluated directly
 
 
@@ -234,33 +241,39 @@ def _newton_step(spec, divdiff):
     return rs @ e @ rs if np.all(np.isfinite(e)) else None
 
 
-def _trial_point(x, step, eta=1.0):
-    """``X + eta * step``, or None if that is not positive definite."""
-    xn = _sym(x + eta * step)
-    return xn if np.linalg.eigvalsh(xn)[0] > 0.0 else None
+def _trial_point(x, step, mats, eta=1.0):
+    """The point ``X + eta * step``, or None if that is not positive definite."""
+    try:
+        return _point(_sym(x + eta * step), mats)
+    except NotPositiveDefinite:
+        return None
 
 
-def _thompson_step(x, r, t):
+def _gap(a, point):
+    """Thompson distance from A to a visited point, as ``distance(A, X)`` computes it."""
+    return 0.0 if np.array_equal(a, point[0]) else whitened_distance(a, point[1][1])
+
+
+def _thompson_step(point, r, t):
     # d(X, X + tR) from the whitened residual spectrum
-    arg = 1.0 + t * whitened_eigh(x, r[None])[2]
+    arg = 1.0 + t * whiten(point[1][1], r[None])[0]
     if np.any(arg <= 0.0):
         return float("inf")
     return float(np.max(np.abs(np.log(arg))))
 
 
-def _solve_level(mats, kernels, t, x0, cfg, iters_used):
+def _solve_level(mats, kernels, t, start, cfg, iters_used):
     """Drive the residual to zero for the level map ``x -> x + t * R(x)``.
 
     Each iteration tries the Newton step and falls back to the exact Picard
     update if that step fails or its whitened residual misses _NEWTON_DECREASE.
-    Returns ``(x, iters, final_step)`` once the whitened residual is below
-    ``cfg.fp_tol``, or once Newton fails at the residual's rounding floor;
-    raises NonConvergence on stagnation or an exhausted budget.
+    From a start :func:`_point`, returns the end point, its residual R and the
+    iterations once the whitened residual is below ``cfg.fp_tol`` or Newton fails
+    at its rounding floor; raises NonConvergence on stagnation or an exhausted budget.
     """
     kernel, divdiff = kernels
-    residual = lambda y: _whitened_residual(y, mats, kernel)
-    x = x0
-    r, wnorm, spec = residual(x)
+    visit = lambda p: None if p is None else (p, *_whitened_residual(p[1], kernel))
+    point, r, wnorm, spec = visit(start)
     iters = 0
     best = wnorm
     stall = 0
@@ -277,26 +290,24 @@ def _solve_level(mats, kernels, t, x0, cfg, iters_used):
             raise NonConvergence(
                 f"fixed-point solve at t={t:g} stagnated at whitened "
                 f"residual {wnorm:.3e}",
-                final_step=_thompson_step(x, r, t),
+                final_step=_thompson_step(point, r, t),
                 iterations=iters_used + iters,
             )
         if iters_used + iters >= cfg.max_iters:
             raise NonConvergence(
                 f"fixed-point solve at t={t:g} exhausted {cfg.max_iters} iterations",
-                final_step=_thompson_step(x, r, t),
+                final_step=_thompson_step(point, r, t),
                 iterations=iters_used + iters,
             )
         step = _newton_step(spec, divdiff)
-        xn = None if step is None else _trial_point(x, step)
-        trial = None if xn is None else (xn, *residual(xn))
+        trial = visit(None if step is None else _trial_point(point[0], step, mats))
         if trial is None or not trial[2] <= max(_NEWTON_DECREASE * wnorm, cfg.fp_tol):
             if floor():
                 break
-            xn = _sym(x + t * r)  # exact Picard update of the level map
-            trial = (xn, *residual(xn))
-        x, r, wnorm, spec = trial
+            trial = visit(_point(_sym(point[0] + t * r), mats))  # exact Picard update
+        point, r, wnorm, spec = trial
         iters += 1
-    return x, iters, _thompson_step(x, r, t)
+    return point, r, iters
 
 
 def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
@@ -310,14 +321,14 @@ def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverRepo
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
-    x0 = weighted_arith(mu.matrix_pairs())
-    x, iters, final_step = _solve_level(mu.matrices, _level_kernels(mu, t), t, x0, cfg, 0)
-    rnorm = float(np.linalg.norm(karcher_residual(x, mu)))
+    start = _point(weighted_arith(mu.matrix_pairs()), mu.matrices)
+    point, r, iters = _solve_level(mu.matrices, _level_kernels(mu, t), t, start, cfg, 0)
+    karcher = _whitened_residual(point[1], _level_kernels(mu, 0.0)[0])[0]
     return SolverReport(
-        mean=x,
+        mean=point[0],
         iterations=iters,
-        final_step=final_step,
-        residual_norm=rnorm,
+        final_step=_thompson_step(point, r, t),
+        residual_norm=float(np.linalg.norm(karcher)),
         t_trace=[(t, iters)],
     )
 
@@ -335,13 +346,12 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
     sigma = [(float(w), np.asarray(m, dtype=float)) for w, m in sigma]
     mats = np.array([m for _, m in sigma])
     kernels = _power_kernels(np.array([w for w, _ in sigma]), t)
-    x, iters, final_step = _solve_level(mats, kernels, t, weighted_arith(sigma), cfg, 0)
-    rnorm = float(np.linalg.norm(_whitened_residual(x, mats, kernels[0])[0]))
+    point, r, iters = _solve_level(mats, kernels, t, _point(weighted_arith(sigma), mats), cfg, 0)
     return SolverReport(
-        mean=x,
+        mean=point[0],
         iterations=iters,
-        final_step=final_step,
-        residual_norm=rnorm,
+        final_step=_thompson_step(point, r, t),
+        residual_norm=float(np.linalg.norm(r)),
         t_trace=[(t, iters)],
     )
 
@@ -357,40 +367,38 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     violation beyond 1e-9 signals a numerics bug, not a modelling error).
     """
     cfg = cfg or SolverConfig()
-    x = weighted_arith(mu.matrix_pairs())
+    point = _point(weighted_arith(mu.matrix_pairs()), mu.matrices)
     t = cfg.t_start
     karcher = _level_kernels(mu, 0.0)[0]
     prev = None
     trace = []
     total = 0
-    final_step = 0.0
-    rnorm = float("inf")
     for _ in range(200):
-        x, iters, final_step = _solve_level(mu.matrices, _level_kernels(mu, t), t, x, cfg, total)
+        point, r, iters = _solve_level(mu.matrices, _level_kernels(mu, t), t, point, cfg, total)
         total += iters
         trace.append((t, iters))
         if prev is not None:
-            if not loewner_leq(x, prev, 1e-9):
+            if not loewner_leq(point[0], prev, 1e-9):
                 raise MonotonicityViolation(
                     f"induced means failed to decrease from t={t / cfg.t_factor:g} to t={t:g}"
                 )
-            gap = distance(prev, x)
-            r, wnorm, _ = _whitened_residual(x, mu.matrices, karcher)
-            rnorm = float(np.linalg.norm(r))
+            gap = _gap(prev, point)
+            rk, wnorm, _ = _whitened_residual(point[1], karcher)
+            rnorm = float(np.linalg.norm(rk))
             if gap <= cfg.lambda_tol and wnorm <= cfg.residual_tol:
                 break
-        prev = x
+        prev = point[0]
         t *= cfg.t_factor
     else:
         raise NonConvergence(
             "t-schedule exhausted 200 levels without meeting lambda_tol",
-            final_step=final_step,
+            final_step=_thompson_step(point, r, trace[-1][0]),  # the last solved level's t
             iterations=total,
         )
     return SolverReport(
-        mean=x,
+        mean=point[0],
         iterations=total,
-        final_step=final_step,
+        final_step=_thompson_step(point, r, t),
         residual_norm=rnorm,
         t_trace=trace,
     )

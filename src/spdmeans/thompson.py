@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import whitened_eigh
+from .core import sqrt_pair, whiten, whitened_eigh
 from .errors import DomainError, ShapeError
 
 
@@ -34,9 +34,12 @@ def distance(a, b) -> float:
     """
     if a.shape != b.shape:
         raise ShapeError("operands must share dimensions")
-    if np.array_equal(a, b):
-        return 0.0
-    w = whitened_eigh(b, a[None])[2]
+    return 0.0 if np.array_equal(a, b) else whitened_distance(a, sqrt_pair(b)[1])
+
+
+def whitened_distance(a, irs) -> float:
+    """``d(A, B)`` from ``irs = B^(-1/2)``, as :func:`distance` computes it for A != B."""
+    w = whiten(irs, a[None])[0]
     # max(log w_max, -log w_min) == max |log w_i| for positive spectra
     return max(0.0, float(np.max(np.abs(np.log(w)))))
 

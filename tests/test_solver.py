@@ -29,6 +29,7 @@ from spdmeans import (
     weighted_arith,
     weighted_harm,
 )
+from spdmeans import core
 from spdmeans.core import sqrt_pair, whitened_eigh
 from spdmeans.solver import _level_kernels, _power_kernels, _whitened_jacobian, _whitened_residual
 from spdmeans.verify import random_measure
@@ -220,11 +221,11 @@ def jacobian_error(x, mats, kernels, h=1e-5):
     # relative distance between the closed-form Jacobian and central differences
     # of the whitened residual along X^(1/2)(I + hE)X^(1/2) on the same basis
     rs, irs = sqrt_pair(x)
-    jac, flat = _whitened_jacobian(_whitened_residual(x, mats, kernels[0])[2], kernels[1])
+    residual = lambda y: _whitened_residual(whitened_eigh(y, mats), kernels[0])
+    jac, flat = _whitened_jacobian(residual(x)[2], kernels[1])
 
     def g(e):
-        return (irs @ _whitened_residual(sym(rs @ (np.eye(len(x)) + e) @ rs), mats, kernels[0])[0]
-                @ irs).ravel()
+        return (irs @ residual(sym(rs @ (np.eye(len(x)) + e) @ rs))[0] @ irs).ravel()
 
     fd = np.array([
         flat @ (g(h * b.reshape(x.shape)) - g(-h * b.reshape(x.shape))) / (2.0 * h) for b in flat
@@ -399,6 +400,29 @@ def test_lambda_mean_levels_stop_at_the_rounding_floor():
             rep = lambda_mean(congruence_measure(q, mu), CFG)
             assert max(iters for _, iters in rep.t_trace[1:]) <= 6
             assert rep.iterations <= 3 * len(rep.t_trace)
+
+
+def test_lambda_mean_whitens_each_visited_point_once(monkeypatch):
+    # a level's end point carries its whitened spectrum to the stopping test,
+    # the Thompson gap and the next level; only the start point and the trial
+    # points of the iterations are whitened
+    calls = []
+    monkeypatch.setattr(core, "sqrt_pair", lambda a: calls.append(1) or sqrt_pair(a))
+    for lo, hi in ((1e-1, 1e1), (1e-3, 1e3)):
+        for seed in range(5):
+            calls.clear()
+            rep = lambda_mean(random_measure(np.random.default_rng(seed), 4, 3, lo=lo, hi=hi), CFG)
+            assert len(calls) <= rep.iterations + len(rep.t_trace) + 2
+
+
+def test_lambda_mean_exhausted_schedule_reports_the_last_level():
+    # a slow schedule runs out of its 200 levels; the error carries the step
+    # of the last level solved, not of a level after it
+    mu = random_measure(np.random.default_rng(0), 2, 3)
+    with pytest.raises(NonConvergence) as exc:
+        lambda_mean(mu, SolverConfig(t_factor=0.95))
+    assert exc.value.iterations == 431
+    assert exc.value.final_step == 0.0
 
 
 def test_lambda_mean_two_point_geometric():
