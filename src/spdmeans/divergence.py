@@ -125,7 +125,7 @@ def minimize_divergence(mu: PMeasure, cfg: RgdConfig = None, on_step=None) -> So
         eta = 1.0
         # below 1e-10 the demanded decrease nears rounding and X barely moves
         while step is not None and eta >= 1e-10:
-            pn = _trial_point(point[0], step, mu.matrices, eta)
+            pn = _trial_point(point[0] + eta * step, mu.matrices)
             trial = None if pn is None else _whitened_residual(pn[1], kernel)
             if trial is not None and trial[1] <= (1.0 - 1e-4 * eta) * gnorm:
                 break

@@ -34,12 +34,11 @@ def distance(a, b) -> float:
     """
     if a.shape != b.shape:
         raise ShapeError("operands must share dimensions")
-    return 0.0 if np.array_equal(a, b) else whitened_distance(a, sqrt_pair(b)[1])
+    return 0.0 if np.array_equal(a, b) else log_spread(whiten(sqrt_pair(b)[1], a[None])[0])
 
 
-def whitened_distance(a, irs) -> float:
-    """``d(A, B)`` from ``irs = B^(-1/2)``, as :func:`distance` computes it for A != B."""
-    w = whiten(irs, a[None])[0]
+def log_spread(w) -> float:
+    """``d(A, B)`` from the spectrum w of ``B^(-1/2) A B^(-1/2)``: ``max |log w_i|``."""
     # max(log w_max, -log w_min) == max |log w_i| for positive spectra
     return max(0.0, float(np.max(np.abs(np.log(w)))))
 

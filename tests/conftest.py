@@ -10,6 +10,9 @@ The SPD, PSD and transform generators are those of :mod:`spdmeans.verify`.
 ``verify`` counterparts, so they stay here and each test keeps its data.
 """
 
+import os
+import pathlib
+
 import numpy as np
 
 from spdmeans import PMeasure, SMeasure
@@ -72,3 +75,11 @@ def thompson_ball_point(rng, anchor, radius):
     lam, u = np.linalg.eigh(g)
     scale = radius * float(rng.uniform(0.3, 1.0)) / max(abs(lam[0]), abs(lam[-1]))
     return sym(rs @ ((u * np.exp(scale * lam)) @ u.T) @ rs)
+
+
+def subprocess_env():
+    """Environment for a Python subprocess that imports ``spdmeans`` from this tree's ``src``."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return env

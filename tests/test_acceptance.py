@@ -18,6 +18,7 @@ from conftest import (
     rand_psd,
     rand_spd,
     rand_weights,
+    subprocess_env,
     sym,
     thompson_ball_point,
 )
@@ -251,8 +252,8 @@ def test_criterion_13_verify_determinism():
         sys.executable, "-m", "spdmeans", "verify",
         "--seed", "42", "--dim", "4", "--trials", "50", "--suite", "all",
     ]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    first = subprocess.run(cmd, capture_output=True, text=True, env=subprocess_env())
+    second = subprocess.run(cmd, capture_output=True, text=True, env=subprocess_env())
     ok = (
         first.returncode == 0
         and second.returncode == 0

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import dirac_lebesgue_pair, rand_spd
+from conftest import dirac_lebesgue_pair, rand_spd, subprocess_env
 from spdmeans import (
     SMeasure,
     cli,
@@ -25,6 +25,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=subprocess_env(),
     )
     return proc
 

@@ -1,11 +1,12 @@
 """Every script under ``demos/`` runs to completion."""
 
-import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from conftest import subprocess_env
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -13,9 +14,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=subprocess_env())
     assert proc.returncode == 0, proc.stderr

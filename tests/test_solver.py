@@ -4,6 +4,7 @@ import pytest
 from conftest import rand_measure, rand_psd, rand_smeasure, rand_spd, rand_weights, sym
 from spdmeans import (
     DomainError,
+    MonotonicityViolation,
     NonConvergence,
     PMeasure,
     SMeasure,
@@ -29,7 +30,7 @@ from spdmeans import (
     weighted_arith,
     weighted_harm,
 )
-from spdmeans import core
+from spdmeans import core, solver
 from spdmeans.core import sqrt_pair, whitened_eigh
 from spdmeans.solver import _level_kernels, _power_kernels, _whitened_jacobian, _whitened_residual
 from spdmeans.verify import random_measure
@@ -387,6 +388,54 @@ def test_lambda_mean_newton_levels_take_few_iterations():
             assert rep.iterations <= 3 * len(rep.t_trace)
 
 
+def test_lambda_mean_predicted_levels_start_near_their_fixed_points():
+    # each level starts from the extrapolation of the levels solved before it,
+    # O(t^3) off its fixed point; from the previous level alone it is O(t) off
+    # and every level took 2-5 Newton steps (1.77-2.13 per level here)
+    for seed in range(5):
+        for n in (2, 4, 6):
+            rep = lambda_mean(random_measure(np.random.default_rng(seed), n, n_atoms=3), CFG)
+            assert rep.iterations <= 1.25 * len(rep.t_trace)
+
+
+def test_lambda_mean_first_level_at_t1_is_the_arithmetic_mean():
+    # L_1 is the weighted arithmetic mean, the start of the first level; it
+    # enters the extrapolation once, not once as the start and once as a level
+    mu = random_measure(np.random.default_rng(3), 4, n_atoms=3)
+    rep = lambda_mean(mu, SolverConfig(t_start=1.0))
+    assert rep.t_trace[0] == (1.0, 0)
+    assert distance(rep.mean, lambda_mean(mu, CFG).mean) <= 1e-8
+
+
+def test_lambda_mean_monotonicity_check_is_scale_invariant():
+    # in [1e-5, 1e5] successive levels at t ~ 1e-12 differ by rounding: the
+    # whitened X^(-1/2) L_prev X^(-1/2) is I to 3e-10, while lambda_min(L_prev - X)
+    # is -2e-9, beyond an absolute 1e-9
+    for seed in (1, 10):
+        mu = random_measure(np.random.default_rng(seed), 6, n_atoms=3, lo=1e-5, hi=1e5)
+        x = lambda_mean(mu, CFG).mean
+        irs = sqrt_pair(x)[1]
+        assert np.linalg.norm(irs @ karcher_residual(x, mu) @ irs) <= CFG.residual_tol
+
+
+def test_lambda_mean_raises_when_a_level_increases(monkeypatch):
+    # a fourth level 1e-7 above the third, far beyond rounding, is a numerics bug
+    solve_level = solver._solve_level
+    solved = []
+
+    def inflated(mats, kernels, t, start, cfg, iters_used):
+        point, r, iters = solve_level(mats, kernels, t, start, cfg, iters_used)
+        if len(solved) == 3:
+            point = solver._point((1.0 + 1e-7) * solved[-1][0], mats)
+        solved.append(point)
+        return point, r, iters
+
+    monkeypatch.setattr(solver, "_solve_level", inflated)
+    with pytest.raises(MonotonicityViolation):
+        lambda_mean(random_measure(np.random.default_rng(0), 4, n_atoms=3), CFG)
+    assert len(solved) == 4
+
+
 def test_lambda_mean_levels_stop_at_the_rounding_floor():
     # in [1e-3, 1e3] the whitened residual bottoms out near fp_tol; a failed
     # Newton step there ends the level, so the cost of a solve does not hinge
@@ -421,7 +470,7 @@ def test_lambda_mean_exhausted_schedule_reports_the_last_level():
     mu = random_measure(np.random.default_rng(0), 2, 3)
     with pytest.raises(NonConvergence) as exc:
         lambda_mean(mu, SolverConfig(t_factor=0.95))
-    assert exc.value.iterations == 431
+    assert exc.value.iterations == 205
     assert exc.value.final_step == 0.0
 
 
