@@ -4,9 +4,8 @@ A numpy/scipy library for generalized operator means: induced means at a
 parameter t in (0, 1], their t -> 0 net limit (the generalized Karcher
 mean), matrix power means, the Thompson part metric with explicit
 contraction factors, operator monotone kernel families with representing
-measures on [0, 1], log-determinant divergences and a Riemannian
-gradient-descent minimizer that independently cross-checks the fixed-point
-route.
+measures on [0, 1], log-determinant divergences and a damped Riemannian
+Newton minimizer that independently cross-checks the fixed-point route.
 """
 
 from .core import (

@@ -20,7 +20,8 @@ import numpy as np
 from . import divergence as dvg
 from . import measures, solver, thompson, verify
 from .core import matrix_from_json, matrix_to_json
-from .errors import NonConvergence, SpdMeansError
+from .errors import MeasureError, NonConvergence, SpdMeansError
+from .monotone import DEFAULT_NODES
 
 
 def _load_json(path):
@@ -36,15 +37,15 @@ def _load_json(path):
 def _load_measure(path, nodes):
     try:
         return measures.pmeasure_from_json(_load_json(path), default_nodes=nodes)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpdMeansError(f"bad measure JSON in {path}: {exc}") from exc
+    except MeasureError as exc:
+        raise MeasureError(f"bad measure JSON in {path}: {exc}") from exc
 
 
 def _load_matrix(path, spd=True):
     try:
         return matrix_from_json(_load_json(path), spd=spd)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpdMeansError(f"bad matrix JSON in {path}: {exc}") from exc
+    except MeasureError as exc:
+        raise MeasureError(f"bad matrix JSON in {path}: {exc}") from exc
 
 
 def _load_sigma(path):
@@ -52,8 +53,8 @@ def _load_sigma(path):
     obj = _load_json(path)
     try:
         return [(a["weight"], matrix_from_json(a["matrix"])) for a in obj["atoms"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpdMeansError(f"bad matrix-list JSON in {path}: {exc}") from exc
+    except (KeyError, TypeError, MeasureError) as exc:
+        raise MeasureError(f"bad matrix-list JSON in {path}: {exc}") from exc
 
 
 def _write(text, path):
@@ -76,7 +77,7 @@ _OPTIONS = {
     "max-iters": dict(type=int, default=10000),
     "lambda-tol": dict(type=float, default=1e-9),
     "grad-tol": dict(type=float, default=1e-9),
-    "nodes": dict(type=int, default=64,
+    "nodes": dict(type=int, default=DEFAULT_NODES,
                   help="default quadrature nodes for measures that omit them"),
     "seed": dict(type=int, default=0),
     "suite": dict(default="all"),

@@ -259,7 +259,10 @@ def matrix_from_json(obj, spd: bool = True) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "data" not in obj:
         raise MeasureError('matrix JSON must have "dim" and "data" fields')
     dim = obj["dim"]
-    data = np.array(obj["data"], dtype=float)
+    try:
+        data = np.array(obj["data"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MeasureError(f'matrix JSON "data" is not numeric: {exc}') from exc
     if data.shape != (dim, dim):
         raise ShapeError(f'"data" must be {dim}x{dim}, got {data.shape}')
     return spd_matrix(data) if spd else sym_matrix(data)

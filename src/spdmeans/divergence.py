@@ -20,9 +20,9 @@ affine-invariant metric is the negated Karcher residual; the gradient code
 path *is* the residual code path, so there is no sign or convention drift
 between the minimizer below and the fixed-point solvers.
 
-The minimizer solves that critical-point equation by the fixed-point
-solvers' whitened Newton step, an independent route to the point the
-t-schedule computes: the two must agree to solver tolerance.
+The minimizer solves that critical-point equation with the fixed-point
+solvers' damped Newton engine at t = 0, an independent route to the point
+the t-schedule computes: the two must agree to solver tolerance.
 """
 
 import logging
@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _sym, geometric_mean, sqrt_pair, weighted_arith, whitened_eigh
-from .errors import DomainError, NonConvergence, ShapeError
+from .errors import DomainError, ShapeError
 from .measures import PMeasure
-from .solver import (SolverReport, _gap, _level_kernels, _newton_step, _point, _trial_point,
-                     _whitened_residual, karcher_residual)
+from .solver import (SolverReport, _final_step, _level_kernels, _point, _solve_level, _visit,
+                     karcher_residual)
 from .thompson import distance
 
 log = logging.getLogger(__name__)
@@ -102,45 +102,26 @@ def riemannian_gradient(x, mu: PMeasure) -> np.ndarray:
 def minimize_divergence(mu: PMeasure, cfg: RgdConfig = None, on_step=None) -> SolverReport:
     """Damped Riemannian Newton on the integrated divergence.
 
-    Takes the whitened Newton step of the t = 0 (Karcher) equation from the
-    weighted arithmetic mean, halving its length eta until the trial point is
-    SPD and its whitened gradient norm is at most ``1 - 1e-4 eta`` times the
-    current one; along a Newton step that norm falls like ``1 - eta``, so the
-    rule serves down to ``grad_tol``.  Returns the unique minimizer
-    (residual_norm is the gradient's Frobenius norm).  ``on_step(x, f, gnorm)``
-    is called after every step; the objective f is evaluated only for it.
+    Runs the fixed-point solvers' Newton engine on the t = 0 (Karcher) equation
+    from the weighted arithmetic mean, halving each step's length eta until the
+    trial point is SPD and its whitened gradient norm is at most ``1 - 1e-4 eta``
+    times the current one; along a Newton step that norm falls like ``1 - eta``, so
+    the rule serves down to ``grad_tol``.  Returns the unique minimizer
+    (residual_norm is the gradient's Frobenius norm, final_step the Thompson length
+    of the last step).  ``on_step(x, f, gnorm)`` is called after every step; the
+    objective f is evaluated only for it.
     """
     cfg = cfg or RgdConfig()
-    kernel, divdiff = _level_kernels(mu, 0.0)
-    point = _point(weighted_arith(mu.matrix_pairs()), mu.matrices)
-    r, gnorm, spec = _whitened_residual(point[1], kernel)  # r equals -gradient
-    iters = 0
-    prev = None  # the point before the last accepted step, which final_step() measures
-    final_step = lambda: 0.0 if prev is None else _gap(point[0], prev)
-    while gnorm > cfg.grad_tol:
-        if iters >= cfg.max_iters:
-            raise NonConvergence(f"Newton exhausted {cfg.max_iters} iterations at gradient "
-                                 f"norm {gnorm:.3e}", final_step=final_step(), iterations=iters)
-        step = _newton_step(spec, divdiff)
-        eta = 1.0
-        # below 1e-10 the demanded decrease nears rounding and X barely moves
-        while step is not None and eta >= 1e-10:
-            pn = _trial_point(point[0] + eta * step, mu.matrices)
-            trial = None if pn is None else _whitened_residual(pn[1], kernel)
-            if trial is not None and trial[1] <= (1.0 - 1e-4 * eta) * gnorm:
-                break
-            eta *= 0.5
-        else:
-            raise NonConvergence(f"Newton line search stalled at gradient norm {gnorm:.3e}",
-                                 final_step=final_step(), iterations=iters)
-        prev, point, (r, gnorm, spec) = point, pn, trial
-        iters += 1
-        if on_step is not None:
-            on_step(point[0], objective(point[0], mu), float(np.linalg.norm(r)))
+    kernels = _level_kernels(mu, 0.0)
+    start = _visit(_point(weighted_arith(mu.matrix_pairs()), mu.matrices), kernels[0])
+    hook = None if on_step is None else (
+        lambda x, r: on_step(x, objective(x, mu), float(np.linalg.norm(r))))
+    point, r, iters, prev = _solve_level(mu.matrices, kernels, 0.0, start, cfg.grad_tol,
+                                         cfg.max_iters, on_step=hook)  # r equals -gradient
     return SolverReport(
         mean=point[0],
         iterations=iters,
-        final_step=final_step(),
+        final_step=_final_step(point, r, 0.0, prev),
         residual_norm=float(np.linalg.norm(r)),
         t_trace=[],
     )

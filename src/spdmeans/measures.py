@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import congruence, loewner_leq, matrix_from_json, matrix_to_json, spd_matrix
 from .errors import Incomparable, MeasureError, ShapeError
-from .monotone import SMeasure, _frozen, smeasure_from_json, smeasure_to_json
+from .monotone import DEFAULT_NODES, SMeasure, _frozen, smeasure_from_json, smeasure_to_json
 
 
 class PMeasure:
@@ -145,17 +145,19 @@ def pmeasure_to_json(mu: PMeasure) -> dict:
     }
 
 
-def pmeasure_from_json(obj, default_nodes: int = 64) -> PMeasure:
+def pmeasure_from_json(obj, default_nodes: int = DEFAULT_NODES) -> PMeasure:
     """Parse the PMeasure JSON schema ``{"atoms": [{"weight", "nu", "matrix"}, ...]}``."""
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise MeasureError('measure JSON must carry an "atoms" list')
-    atoms = []
-    for entry in obj["atoms"]:
-        atoms.append(
+    try:
+        atoms = [
             (
                 entry["weight"],
                 matrix_from_json(entry["matrix"]),
                 smeasure_from_json(entry["nu"], default_nodes=default_nodes),
             )
-        )
+            for entry in obj["atoms"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise MeasureError(f"malformed measure JSON atoms: {exc!r}") from exc
     return PMeasure(atoms)

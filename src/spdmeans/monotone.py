@@ -376,12 +376,15 @@ def smeasure_from_json(obj, default_nodes: int = DEFAULT_NODES) -> SMeasure:
     if not isinstance(obj, dict) or "type" not in obj:
         raise MeasureError('measure JSON must carry a "type" field')
     kind = obj["type"]
-    if kind == "dirac":
-        return SMeasure.dirac(obj["s"])
-    if kind == "atoms":
-        return SMeasure.from_atoms([(p["s"], p["w"]) for p in obj["points"]])
-    if kind == "lebesgue":
-        return SMeasure.lebesgue(int(obj.get("nodes", default_nodes)))
-    if kind == "power":
-        return SMeasure.power(obj["t"], int(obj.get("nodes", default_nodes)))
+    try:
+        if kind == "dirac":
+            return SMeasure.dirac(obj["s"])
+        if kind == "atoms":
+            return SMeasure.from_atoms([(p["s"], p["w"]) for p in obj["points"]])
+        if kind == "lebesgue":
+            return SMeasure.lebesgue(int(obj.get("nodes", default_nodes)))
+        if kind == "power":
+            return SMeasure.power(obj["t"], int(obj.get("nodes", default_nodes)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MeasureError(f"malformed {kind!r} measure JSON: {exc!r}") from exc
     raise MeasureError(f"unknown measure type {kind!r}")

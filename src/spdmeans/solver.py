@@ -15,12 +15,15 @@ Numerically everything leans on the exact algebraic identity
 
 so the update ``T_t(X) - X`` equals ``t * R_t(X)`` with R_t a reparametrized
 residual that we evaluate directly, without the catastrophic cancellation of
-forming ``T_t(X) - X`` at small t.  Every iteration tries an exact Newton
-step in whitened coordinates ``X^(1/2)(I + E)X^(1/2)``, its Jacobian built in
-closed form from the kernels' divided differences (Daleckii-Krein; Higham,
-Functions of Matrices, 2008, 3.2), and falls back to the Picard update.
-Newton keeps the cost bounded as t shrinks (plain iteration needs O(1/t)
-steps, Newton a handful) and, being congruence-equivariant, any scale of X.
+forming ``T_t(X) - X`` at small t.  Every solve, at each level and at t = 0
+(the divergence minimizer), is one damped Newton iteration on the whitened
+residual: an exact Newton step in whitened coordinates ``X^(1/2)(I + E)X^(1/2)``,
+its Jacobian built in closed form from the kernels' divided differences
+(Daleckii-Krein; Higham, Functions of Matrices, 2008, 3.2), halved in length
+until the residual decreases (Absil, Mahony and Sepulchre, Optimization
+Algorithms on Matrix Manifolds, 2008, ch. 6).  Newton keeps the cost bounded
+as t shrinks (plain iteration needs O(1/t) steps, Newton a handful) and, being
+congruence-equivariant, any scale of X.
 
 Along the net each level starts from the Lagrange extrapolation, in t, of
 the last three levels solved (predictor-corrector continuation; Allgower and
@@ -52,9 +55,8 @@ from .errors import (DomainError, MonotonicityViolation, NonConvergence,
 from .measures import PMeasure
 from .thompson import log_spread
 
-# Fixed points are polished until the whitened residual (the Riemannian
-# gradient norm of the level objective) also drops below fp_tol; a Thompson
-# step alone goes blind at small t where the map contracts by only 1 - O(t).
+# Decrease of the whitened residual demanded of a full Newton step at a level's
+# rounding floor, and of a predicted level start over the warm one.
 _NEWTON_DECREASE = 0.7
 
 
@@ -93,7 +95,8 @@ class SolverReport:
 
     mean : converged SPD matrix
     iterations : accepted updates, summed over all levels
-    final_step : Thompson distance d(X, T(X)) at the reported mean
+    final_step : Thompson distance d(X, T(X)) at the reported mean; for
+        minimize_divergence, the Thompson length of its last Newton step (0.0 if none)
     residual_norm : Frobenius norm of the Karcher residual at the mean
     t_trace : [(t, iterations)] per level of the schedule
     """
@@ -204,7 +207,7 @@ def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Picard / whitened-Newton fixed-point engine
+# damped whitened-Newton engine
 # ---------------------------------------------------------------------------
 
 
@@ -267,60 +270,61 @@ def _gap(a, point):
     return log_spread(_ratio_spectrum(a, point))
 
 
-def _thompson_step(point, r, t):
-    # d(X, X + tR) from the whitened residual spectrum
+def _final_step(point, r, t, prev=None):
+    """A report's final_step: ``d(X, X + tR)`` from the whitened residual spectrum.
+
+    At t = 0 that is 0; there it is the Thompson length of the last accepted step,
+    from the visited point ``prev`` it started at (0.0 if no step was taken).
+    """
+    if t == 0.0:
+        return 0.0 if prev is None else _gap(point[0], prev)
     arg = 1.0 + t * whiten(point[1][1], r[None])[0]
     if np.any(arg <= 0.0):
         return float("inf")
     return float(np.max(np.abs(np.log(arg))))
 
 
-def _solve_level(mats, kernels, t, start, cfg, iters_used):
-    """Drive the residual to zero for the level map ``x -> x + t * R(x)``.
+def _solve_level(mats, kernels, t, start, tol, max_iters, iters_used=0, on_step=None):
+    """Damped Newton on ``G = 0`` for the level map ``x -> x + t * R(x)``; t = 0 is Karcher.
 
-    Each iteration tries the Newton step and falls back to the exact Picard
-    update if that step fails or its whitened residual misses _NEWTON_DECREASE.
-    From a start :func:`_visit` under the level's kernel, returns the end point, its
-    residual R and the iterations once the whitened residual is below ``cfg.fp_tol``
-    or Newton fails at its rounding floor; raises NonConvergence on stagnation or
-    an exhausted budget.
+    Each step's length eta is halved until the trial point is SPD and its whitened
+    residual is at most ``max((1 - 1e-4 eta)||G||, tol)``.  At a level's rounding floor
+    (t > 0, ``t||G|| <= tol``, ``||G|| <= 1e4 tol``) a step moves X by less than tol:
+    only the full step is tried, against _NEWTON_DECREASE, and a miss ends the level.
+    From a start :func:`_visit` under the level's kernel, returns the end point, its R,
+    the iterations and the point before the last step; ``on_step(x, R)`` follows each
+    step.  Raises NonConvergence when eta drops below 1e-10, where the demanded decrease
+    nears rounding and X barely moves, or ``iters_used`` plus the iterations reach
+    max_iters.
     """
     kernel, divdiff = kernels
     point, r, wnorm, spec = start
+    prev = None
     iters = 0
-    best = wnorm
-    stall = 0
-    # At the residual's rounding floor the Picard step t * R moves X by less
-    # than fp_tol, so the Thompson step criterion accepts the level: at once
-    # when the Newton step fails there, else after a stall.
-    floor = lambda: t * wnorm <= cfg.fp_tol and wnorm <= 1e4 * cfg.fp_tol
-    while not wnorm <= cfg.fp_tol:
-        stall = stall + 1 if wnorm > 0.995 * best else 0
-        best = best if stall else wnorm
-        if stall >= 12:
-            if floor():
-                break
-            raise NonConvergence(
-                f"fixed-point solve at t={t:g} stagnated at whitened "
-                f"residual {wnorm:.3e}",
-                final_step=_thompson_step(point, r, t),
-                iterations=iters_used + iters,
-            )
-        if iters_used + iters >= cfg.max_iters:
-            raise NonConvergence(
-                f"fixed-point solve at t={t:g} exhausted {cfg.max_iters} iterations",
-                final_step=_thompson_step(point, r, t),
-                iterations=iters_used + iters,
-            )
+    fail = lambda why: NonConvergence(
+        f"Newton solve at t={t:g} {why} at whitened residual {wnorm:.3e}",
+        final_step=_final_step(point, r, t, prev), iterations=iters_used + iters)
+    while not wnorm <= tol:
+        if iters_used + iters >= max_iters:
+            raise fail(f"exhausted {max_iters} iterations")
+        floor = t > 0.0 and t * wnorm <= tol and wnorm <= 1e4 * tol
         step = _newton_step(spec, divdiff)
-        trial = _visit(None if step is None else _trial_point(point[0] + step, mats), kernel)
-        if trial is None or not trial[2] <= max(_NEWTON_DECREASE * wnorm, cfg.fp_tol):
-            if floor():
+        eta = 1.0
+        while step is not None and eta >= (1.0 if floor else 1e-10):
+            trial = _visit(_trial_point(point[0] + eta * step, mats), kernel)
+            decrease = _NEWTON_DECREASE if floor else 1.0 - 1e-4 * eta
+            if trial is not None and trial[2] <= max(decrease * wnorm, tol):
                 break
-            trial = _visit(_point(_sym(point[0] + t * r), mats), kernel)  # exact Picard update
-        point, r, wnorm, spec = trial
+            eta *= 0.5
+        else:
+            if floor:
+                break
+            raise fail("stalled")
+        prev, (point, r, wnorm, spec) = point, trial
         iters += 1
-    return point, r, iters
+        if on_step is not None:
+            on_step(point[0], r)
+    return point, r, iters, prev
 
 
 def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
@@ -336,12 +340,12 @@ def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverRepo
     cfg = cfg or SolverConfig()
     kernels = _level_kernels(mu, t)
     start = _visit(_point(weighted_arith(mu.matrix_pairs()), mu.matrices), kernels[0])
-    point, r, iters = _solve_level(mu.matrices, kernels, t, start, cfg, 0)
+    point, r, iters, _ = _solve_level(mu.matrices, kernels, t, start, cfg.fp_tol, cfg.max_iters)
     karcher = _whitened_residual(point[1], _level_kernels(mu, 0.0)[0])[0]
     return SolverReport(
         mean=point[0],
         iterations=iters,
-        final_step=_thompson_step(point, r, t),
+        final_step=_final_step(point, r, t),
         residual_norm=float(np.linalg.norm(karcher)),
         t_trace=[(t, iters)],
     )
@@ -361,11 +365,11 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
     mats = np.array([m for _, m in sigma])
     kernels = _power_kernels(np.array([w for w, _ in sigma]), t)
     start = _visit(_point(weighted_arith(sigma), mats), kernels[0])
-    point, r, iters = _solve_level(mats, kernels, t, start, cfg, 0)
+    point, r, iters, _ = _solve_level(mats, kernels, t, start, cfg.fp_tol, cfg.max_iters)
     return SolverReport(
         mean=point[0],
         iterations=iters,
-        final_step=_thompson_step(point, r, t),
+        final_step=_final_step(point, r, t),
         residual_norm=float(np.linalg.norm(r)),
         t_trace=[(t, iters)],
     )
@@ -376,8 +380,7 @@ def _predicted_start(history, t, warm, mats, kernel):
 
     ``history`` holds the last (up to three) solved levels ``(t_i, L_{t_i})``; their
     Lagrange extrapolation to t is taken if it is positive definite and its whitened
-    residual at t is at most _NEWTON_DECREASE times that of the warm start, the
-    decrease a Newton trial must achieve.
+    residual at t is at most _NEWTON_DECREASE times that of the warm start.
     """
     start = _visit(warm, kernel)
     if len(history) < 2:
@@ -414,7 +417,8 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     for _ in range(200):
         kernels = _level_kernels(mu, t)
         start = _predicted_start(history, t, point, mats, kernels[0])
-        point, r, iters = _solve_level(mats, kernels, t, start, cfg, total)
+        point, r, iters, _ = _solve_level(mats, kernels, t, start, cfg.fp_tol, cfg.max_iters,
+                                          total)
         total += iters
         trace.append((t, iters))
         history = [h for h in history[-2:] if h[0] != t] + [(t, point[0])]
@@ -433,13 +437,13 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     else:
         raise NonConvergence(
             "t-schedule exhausted 200 levels without meeting lambda_tol",
-            final_step=_thompson_step(point, r, trace[-1][0]),  # the last solved level's t
+            final_step=_final_step(point, r, trace[-1][0]),  # the last solved level's t
             iterations=total,
         )
     return SolverReport(
         mean=point[0],
         iterations=total,
-        final_step=_thompson_step(point, r, t),
+        final_step=_final_step(point, r, t),
         residual_norm=float(np.linalg.norm(rk)),
         t_trace=trace,
     )

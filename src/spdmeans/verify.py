@@ -39,7 +39,7 @@ def random_transform(rng, dim, lo=0.5, hi=2.0):
     return (q1 * sv) @ q2
 
 
-def random_smeasure(rng, nodes=64):
+def random_smeasure(rng, nodes=monotone.DEFAULT_NODES):
     kind = int(rng.integers(0, 4))
     if kind == 0:
         return monotone.SMeasure.dirac(float(rng.uniform(0.0, 1.0)))
@@ -55,7 +55,7 @@ def random_smeasure(rng, nodes=64):
     return monotone.SMeasure.power(float(rng.uniform(0.15, 0.85)), nodes)
 
 
-def random_measure(rng, dim, n_atoms=3, nodes=64, lo=1e-1, hi=1e1):
+def random_measure(rng, dim, n_atoms=3, nodes=monotone.DEFAULT_NODES, lo=1e-1, hi=1e1):
     w = rng.uniform(0.5, 1.5, n_atoms)
     w = w / w.sum()
     w[-1] = 1.0 - w[:-1].sum()
@@ -332,7 +332,7 @@ def _suite_divergence(rng, dim, trials, tally, nodes):
     tally.check("divergence.second_difference", res)
 
 
-def run_suite(suite, seed, dim, trials, nodes=64, out=print):
+def run_suite(suite, seed, dim, trials, nodes=monotone.DEFAULT_NODES, out=print):
     """Run one named suite (or ``all``); returns True when every check passed."""
     if suite not in SUITES:
         raise SpdMeansError(f"unknown suite {suite!r}, expected one of {SUITES}")

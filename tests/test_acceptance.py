@@ -6,6 +6,7 @@ seeded so every run checks the same instances.
 """
 
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -248,20 +249,22 @@ def test_criterion_12_geodesic_convexity():
 
 
 def test_criterion_13_verify_determinism():
+    # the first run must also match the checked-in output of this command
     cmd = [
         sys.executable, "-m", "spdmeans", "verify",
         "--seed", "42", "--dim", "4", "--trials", "50", "--suite", "all",
     ]
+    expected = (pathlib.Path(__file__).parent / "verify_all_seed42_dim4_trials50.txt").read_text()
     first = subprocess.run(cmd, capture_output=True, text=True, env=subprocess_env())
     second = subprocess.run(cmd, capture_output=True, text=True, env=subprocess_env())
     ok = (
         first.returncode == 0
         and second.returncode == 0
-        and first.stdout == second.stdout
-        and len(first.stdout) > 0
+        and first.stdout == second.stdout == expected
     )
     report(
         13, "verify-determinism", ok,
         f"exit {first.returncode}/{second.returncode}, "
-        f"{'byte-identical' if first.stdout == second.stdout else 'OUTPUT DIFFERS'}",
+        f"{'byte-identical' if first.stdout == second.stdout else 'OUTPUT DIFFERS'}, "
+        f"{'matches' if first.stdout == expected else 'DIFFERS FROM'} the checked-in output",
     )

@@ -88,6 +88,19 @@ def test_malformed_json_exits_1(tmp_path):
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("command, obj", [
+    ("lambda", {"atoms": [{}]}),
+    ("metric", {"dim": 2, "data": "x"}),
+    ("power", {"atoms": [{"weight": 1.0}]}),
+])
+def test_malformed_input_error_names_the_file(setup_files, capsys, command, obj):
+    files, _, _, tmp_path = setup_files
+    bad = write_json(tmp_path / "malformed.json", obj)
+    rest = {"lambda": [], "metric": [files["b"]], "power": ["--t", "0.5"]}[command]
+    assert cli.main([command, bad, *rest]) == 1
+    assert bad in capsys.readouterr().err
+
+
 def test_nonconvergence_exits_2(setup_files):
     files, _, _, _ = setup_files
     proc = run_cli("mean", files["measure"], "--t", "0.1", "--max-iters", "2")

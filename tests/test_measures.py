@@ -13,10 +13,12 @@ from spdmeans import (
     integrate,
     loewner_leq,
     log_kernel,
+    matrix_from_json,
     measure_leq,
     pmeasure_from_json,
     pmeasure_to_json,
     product_measure,
+    smeasure_from_json,
 )
 
 
@@ -145,6 +147,21 @@ def test_measure_leq():
         measure_leq(mu, product_measure(SMeasure.dirac(0.5), [(0.5, a), (0.5, b)]))
     with pytest.raises(Incomparable):
         measure_leq(mu, product_measure(nu, [(0.4, a), (0.6, b)]))
+
+
+@pytest.mark.parametrize("parse, obj", [
+    (pmeasure_from_json, {"atoms": [{}]}),
+    (pmeasure_from_json, {"atoms": 3}),
+    (pmeasure_from_json, {"atoms": [{"weight": 1.0, "matrix": {"dim": 1, "data": [[1.0]]},
+                                     "nu": {"type": "lebesgue", "nodes": "many"}}]}),
+    (smeasure_from_json, {"type": "dirac"}),
+    (smeasure_from_json, {"type": "atoms", "points": [{"s": 0.5}]}),
+    (matrix_from_json, {"dim": 2, "data": "x"}),
+    (matrix_from_json, {"dim": 2, "data": [[1.0, 0.0], [0.0]]}),
+])
+def test_json_parsers_raise_measure_error_on_malformed_input(parse, obj):
+    with pytest.raises(MeasureError):
+        parse(obj)
 
 
 def test_pmeasure_json_roundtrip():

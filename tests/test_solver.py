@@ -182,6 +182,15 @@ def test_induced_mean_nonconvergence_budget():
     assert info.value.final_step > 0.0
 
 
+def test_induced_mean_damped_newton_ill_conditioned():
+    # in [1e-5, 1e5] full Newton steps miss the decrease rule; halving their
+    # length converges where plain fixed-point updates crawled (35 iterations)
+    mu = random_measure(np.random.default_rng(8), 6, n_atoms=3, lo=1e-5, hi=1e5)
+    rep = induced_mean(0.3, mu, CFG)
+    assert rep.iterations <= 15
+    assert rep.final_step <= CFG.fp_tol
+
+
 def test_induced_mean_t_monotone():
     rng = np.random.default_rng(11)
     mu = rand_measure(rng, 3)
@@ -423,12 +432,12 @@ def test_lambda_mean_raises_when_a_level_increases(monkeypatch):
     solve_level = solver._solve_level
     solved = []
 
-    def inflated(mats, kernels, t, start, cfg, iters_used):
-        point, r, iters = solve_level(mats, kernels, t, start, cfg, iters_used)
+    def inflated(mats, kernels, t, start, *args):
+        point, r, iters, prev = solve_level(mats, kernels, t, start, *args)
         if len(solved) == 3:
             point = solver._point((1.0 + 1e-7) * solved[-1][0], mats)
         solved.append(point)
-        return point, r, iters
+        return point, r, iters, prev
 
     monkeypatch.setattr(solver, "_solve_level", inflated)
     with pytest.raises(MonotonicityViolation):
