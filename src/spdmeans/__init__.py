@@ -24,7 +24,6 @@ from .core import (
     weighted_harm,
 )
 from .divergence import (
-    RgdConfig,
     geodesic_convexity_check,
     logdet_divergence,
     minimize_divergence,
@@ -47,7 +46,6 @@ from .errors import (
 from .measures import (
     PMeasure,
     congruence_measure,
-    integrate,
     measure_leq,
     pmeasure_from_json,
     pmeasure_to_json,
@@ -65,7 +63,6 @@ from .monotone import (
     mean_kernel_inv,
     smeasure_from_json,
     smeasure_to_json,
-    transpose_measure,
 )
 from .solver import (
     SolverConfig,
@@ -91,17 +88,16 @@ __all__ = [
     "SpectralDecomposition", "apply_scalar_fn", "congruence", "geometric_mean",
     "loewner_leq", "matrix_from_json", "matrix_to_json", "spd_matrix",
     "spd_power", "spectral", "sym_matrix", "weighted_arith", "weighted_harm",
-    "RgdConfig", "geodesic_convexity_check", "logdet_divergence",
-    "minimize_divergence", "objective", "riemannian_gradient",
+    "geodesic_convexity_check", "logdet_divergence", "minimize_divergence",
+    "objective", "riemannian_gradient",
     "DomainError", "EmptyInput", "Incomparable", "MeasureError",
     "MonotonicityViolation", "NonConvergence", "NotPositiveDefinite",
     "NumericalFailure", "ShapeError", "SingularTransform", "SpdMeansError",
-    "PMeasure", "congruence_measure", "integrate", "measure_leq",
-    "pmeasure_from_json", "pmeasure_to_json", "product_measure",
+    "PMeasure", "congruence_measure", "measure_leq", "pmeasure_from_json",
+    "pmeasure_to_json", "product_measure",
     "SMeasure", "check_normalization", "eval_mean", "eval_monotone",
     "harmonic_kernel", "log_kernel", "log_kernel_inv", "mean_kernel",
     "mean_kernel_inv", "smeasure_from_json", "smeasure_to_json",
-    "transpose_measure",
     "SolverConfig", "SolverReport", "induced_mean", "iteration_map",
     "karcher_residual", "lambda_mean", "power_mean", "sandwich_check",
     "contraction_factor_affine", "contraction_factor_mean",

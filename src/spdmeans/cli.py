@@ -21,7 +21,6 @@ from . import divergence as dvg
 from . import measures, solver, thompson, verify
 from .core import matrix_from_json, matrix_to_json
 from .errors import MeasureError, NonConvergence, SpdMeansError
-from .monotone import DEFAULT_NODES
 
 
 def _load_json(path):
@@ -34,9 +33,9 @@ def _load_json(path):
         raise SpdMeansError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _load_measure(path, nodes):
+def _load_measure(path):
     try:
-        return measures.pmeasure_from_json(_load_json(path), default_nodes=nodes)
+        return measures.pmeasure_from_json(_load_json(path))
     except MeasureError as exc:
         raise MeasureError(f"bad measure JSON in {path}: {exc}") from exc
 
@@ -52,8 +51,8 @@ def _load_sigma(path):
     """Matrix-marginal JSON: {"atoms": [{"weight": w, "matrix": {...}}, ...]}."""
     obj = _load_json(path)
     try:
-        return [(a["weight"], matrix_from_json(a["matrix"])) for a in obj["atoms"]]
-    except (KeyError, TypeError, MeasureError) as exc:
+        return [(float(a["weight"]), matrix_from_json(a["matrix"])) for a in obj["atoms"]]
+    except (KeyError, TypeError, ValueError, MeasureError) as exc:
         raise MeasureError(f"bad matrix-list JSON in {path}: {exc}") from exc
 
 
@@ -66,19 +65,19 @@ def _write(text, path):
 
 
 def _solver_config(args):
-    fields = ("fp_tol", "max_iters", "lambda_tol")
+    """SolverConfig of the flags given; every other setting keeps its dataclass default."""
+    fields = ("fp_tol", "max_iters", "lambda_tol", "grad_tol")
     return solver.SolverConfig(**{k: getattr(args, k) for k in fields if k in args})
 
 
-# each subcommand takes only the options it reads, plus --output
+# each subcommand takes only the options it reads, plus --output; solver settings
+# default to SolverConfig's, so an absent flag stays out of the namespace
 _OPTIONS = {
     "t": dict(type=float, required=True),
-    "fp-tol": dict(type=float, default=1e-12),
-    "max-iters": dict(type=int, default=10000),
-    "lambda-tol": dict(type=float, default=1e-9),
-    "grad-tol": dict(type=float, default=1e-9),
-    "nodes": dict(type=int, default=DEFAULT_NODES,
-                  help="default quadrature nodes for measures that omit them"),
+    "fp-tol": dict(type=float, default=argparse.SUPPRESS),
+    "max-iters": dict(type=int, default=argparse.SUPPRESS),
+    "lambda-tol": dict(type=float, default=argparse.SUPPRESS),
+    "grad-tol": dict(type=float, default=argparse.SUPPRESS),
     "seed": dict(type=int, default=0),
     "suite": dict(default="all"),
     "trials": dict(type=int, default=50),
@@ -86,19 +85,16 @@ _OPTIONS = {
 }
 
 _COMMANDS = (
-    ("mean", "induced mean at parameter t", ["measure"],
-     ["t", "fp-tol", "max-iters", "nodes"]),
+    ("mean", "induced mean at parameter t", ["measure"], ["t", "fp-tol", "max-iters"]),
     ("lambda", "Karcher mean (t -> 0 net limit)", ["measure"],
-     ["fp-tol", "max-iters", "lambda-tol", "nodes"]),
+     ["fp-tol", "max-iters", "lambda-tol"]),
     ("power", "matrix power mean of a matrix list", ["sigma"],
      ["t", "fp-tol", "max-iters"]),
-    ("residual", "Karcher residual at a point", ["measure", "x"], ["nodes"]),
+    ("residual", "Karcher residual at a point", ["measure", "x"], []),
     ("metric", "Thompson distance of two matrices", ["a", "b"], []),
-    ("divergence", "integrated divergence at a point", ["measure", "x"], ["nodes"]),
-    ("minimize", "Newton minimizer of the divergence", ["measure"],
-     ["grad-tol", "max-iters", "nodes"]),
-    ("verify", "seeded invariant suites", [],
-     ["suite", "trials", "dim", "seed", "nodes"]),
+    ("divergence", "integrated divergence at a point", ["measure", "x"], []),
+    ("minimize", "Newton minimizer of the divergence", ["measure"], ["grad-tol", "max-iters"]),
+    ("verify", "seeded invariant suites", [], ["suite", "trials", "dim", "seed"]),
 )
 
 
@@ -120,14 +116,11 @@ def _run(args):
     cmd = args.command
     if cmd == "verify":
         lines = []
-        ok = verify.run_suite(
-            args.suite, args.seed, args.dim, args.trials,
-            nodes=args.nodes, out=lines.append,
-        )
+        ok = verify.run_suite(args.suite, args.seed, args.dim, args.trials, out=lines.append)
         _write("\n".join(lines) + "\n", args.output)
         return 0 if ok else 1
     if "measure" in args:
-        mu = _load_measure(args.measure, args.nodes)
+        mu = _load_measure(args.measure)
     if cmd == "mean":
         out = solver.induced_mean(args.t, mu, _solver_config(args)).to_json()
     elif cmd == "lambda":
@@ -142,8 +135,7 @@ def _run(args):
     elif cmd == "divergence":
         out = {"objective": dvg.objective(_load_matrix(args.x), mu)}
     else:
-        cfg = dvg.RgdConfig(grad_tol=args.grad_tol, max_iters=args.max_iters)
-        out = dvg.minimize_divergence(mu, cfg).to_json()
+        out = dvg.minimize_divergence(mu, _solver_config(args)).to_json()
     _write(json.dumps(out) + "\n", args.output)
     return 0
 

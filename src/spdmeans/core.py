@@ -207,14 +207,26 @@ def loewner_leq(a, b, tol: float = LOEWNER_TOL) -> bool:
     return bool(wmin >= -tol * (1.0 + np.linalg.norm(d)))
 
 
+def _probability_weights(w):
+    """``w`` as a float array of finite positive numbers summing to 1 within 1e-12.
+
+    Every weight vector of the package passes here; anything else raises MeasureError.
+    """
+    try:
+        w = np.array(w, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MeasureError(f"weights must be numbers: {exc}") from exc
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise MeasureError("weights must be finite and positive")
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise MeasureError(f"weights must sum to 1, got {w.sum()!r}")
+    return w
+
+
 def _check_weights(pairs):
     if len(pairs) == 0:
         raise EmptyInput("need at least one (weight, matrix) pair")
-    w = np.array([p[0] for p in pairs], dtype=float)
-    if np.any(w <= 0.0):
-        raise MeasureError("weights must be positive")
-    if abs(w.sum() - 1.0) > 1e-12:
-        raise MeasureError(f"weights must sum to 1, got {w.sum()!r}")
+    w = _probability_weights([p[0] for p in pairs])
     dim = pairs[0][1].shape[0]
     for _, m in pairs:
         if m.shape != (dim, dim):

@@ -22,20 +22,19 @@ between the minimizer below and the fixed-point solvers.
 
 The minimizer solves that critical-point equation with the fixed-point
 solvers' damped Newton engine at t = 0, an independent route to the point
-the t-schedule computes: the two must agree to solver tolerance.
+the t-schedule computes: the two must agree to solver tolerance.  It takes
+its settings from the solvers' SolverConfig (grad_tol, max_iters).
 """
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import _sym, geometric_mean, sqrt_pair, weighted_arith, whitened_eigh
 from .errors import DomainError, ShapeError
 from .measures import PMeasure
-from .solver import (SolverReport, _final_step, _level_kernels, _point, _solve_level, _visit,
-                     karcher_residual)
+from .solver import SolverConfig, SolverReport, _level_kernels, _solve, karcher_residual
 from .thompson import distance
 
 log = logging.getLogger(__name__)
@@ -43,23 +42,6 @@ log = logging.getLogger(__name__)
 # 1/(s(1-s)) overflows the useful range below this margin; dispatch to the
 # closed-form endpoint divergences instead.
 _ENDPOINT = 1e-8
-
-
-@dataclass
-class RgdConfig:
-    """Termination settings for the Newton minimizer.
-
-    grad_tol bounds the gradient's scale-invariant norm ``||X^(-1/2) R X^(-1/2)||_F``.
-    """
-
-    grad_tol: float = 1e-9
-    max_iters: int = 5000
-
-    def __post_init__(self):
-        if self.grad_tol <= 0.0:
-            raise DomainError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be positive")
 
 
 def _eig_divergence(s, w):
@@ -99,29 +81,27 @@ def riemannian_gradient(x, mu: PMeasure) -> np.ndarray:
     return -karcher_residual(x, mu)
 
 
-def minimize_divergence(mu: PMeasure, cfg: RgdConfig = None, on_step=None) -> SolverReport:
+def minimize_divergence(mu: PMeasure, cfg: SolverConfig = None, on_step=None) -> SolverReport:
     """Damped Riemannian Newton on the integrated divergence.
 
     Runs the fixed-point solvers' Newton engine on the t = 0 (Karcher) equation
     from the weighted arithmetic mean, halving each step's length eta until the
     trial point is SPD and its whitened gradient norm is at most ``1 - 1e-4 eta``
     times the current one; along a Newton step that norm falls like ``1 - eta``, so
-    the rule serves down to ``grad_tol``.  Returns the unique minimizer
-    (residual_norm is the gradient's Frobenius norm, final_step the Thompson length
-    of the last step).  ``on_step(x, f, gnorm)`` is called after every step; the
-    objective f is evaluated only for it.
+    the rule serves down to ``cfg.grad_tol``, within ``cfg.max_iters`` steps.  Returns
+    the unique minimizer (residual_norm is the gradient's Frobenius norm, final_step
+    the Thompson length of the last step).  ``on_step(x, f, gnorm)`` is called after
+    every step; the objective f is evaluated only for it.
     """
-    cfg = cfg or RgdConfig()
-    kernels = _level_kernels(mu, 0.0)
-    start = _visit(_point(weighted_arith(mu.matrix_pairs()), mu.matrices), kernels[0])
+    cfg = cfg or SolverConfig()
     hook = None if on_step is None else (
         lambda x, r: on_step(x, objective(x, mu), float(np.linalg.norm(r))))
-    point, r, iters, prev = _solve_level(mu.matrices, kernels, 0.0, start, cfg.grad_tol,
-                                         cfg.max_iters, on_step=hook)  # r equals -gradient
+    point, r, iters, step = _solve(mu.matrices, mu.matrix_pairs(), _level_kernels(mu, 0.0), 0.0,
+                                   cfg.grad_tol, cfg.max_iters, on_step=hook)  # r is -gradient
     return SolverReport(
         mean=point[0],
         iterations=iters,
-        final_step=_final_step(point, r, 0.0, prev),
+        final_step=step,
         residual_norm=float(np.linalg.norm(r)),
         t_trace=[],
     )

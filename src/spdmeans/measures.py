@@ -14,9 +14,10 @@ per atom by ``np.add.reduceat`` in a fixed order, so reruns are bit-identical.
 
 import numpy as np
 
-from .core import congruence, loewner_leq, matrix_from_json, matrix_to_json, spd_matrix
-from .errors import Incomparable, MeasureError, ShapeError
-from .monotone import DEFAULT_NODES, SMeasure, _frozen, smeasure_from_json, smeasure_to_json
+from .core import (_probability_weights, congruence, loewner_leq, matrix_from_json, matrix_to_json,
+                   spd_matrix)
+from .errors import Incomparable, MeasureError
+from .monotone import SMeasure, _frozen, smeasure_from_json, smeasure_to_json
 
 
 class PMeasure:
@@ -25,7 +26,7 @@ class PMeasure:
     Parameters
     ----------
     atoms : sequence of (weight, matrix, SMeasure)
-        Positive weights summing to 1 (within 1e-12); matrices all SPD and
+        Finite positive weights summing to 1 (within 1e-12); matrices all SPD and
         of one shared dimension.  They are stored once, as the read-only
         (k, n, n) stack ``matrices`` and vector ``weights``; ``atoms`` holds
         views into that stack.
@@ -49,11 +50,7 @@ class PMeasure:
         nus = [nu for _, _, nu in atoms]
         if not all(isinstance(nu, SMeasure) for nu in nus):
             raise MeasureError("each atom needs an SMeasure on [0, 1]")
-        w = _frozen([w for w, _, _ in atoms])
-        if np.any(w <= 0.0):
-            raise MeasureError("atom weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise MeasureError(f"atom weights must sum to 1, got {w.sum()!r}")
+        w = _frozen(_probability_weights([w for w, _, _ in atoms]))
         self.matrices = _frozen(np.stack(mats))
         self.weights = w
         self.atoms = tuple((float(wk), m, nu) for wk, m, nu in zip(w, self.matrices, nus))
@@ -86,25 +83,6 @@ def product_measure(nu: SMeasure, sigma) -> PMeasure:
     if not sigma:
         raise MeasureError("matrix marginal needs at least one atom")
     return PMeasure([(w, m, nu) for w, m in sigma])
-
-
-def integrate(mu: PMeasure, fn) -> np.ndarray:
-    """Integrate a matrix-valued function against the measure.
-
-    Computes ``sum_k w_k sum_i omega_i fn(s_i, A_k)`` with the atom's
-    quadrature rule, in atom-list then node order.  ``fn(s, A)`` must
-    return a symmetric matrix of the measure's dimension.
-    """
-    acc = np.zeros((mu.dim, mu.dim))
-    for w, m, nu in mu.atoms:
-        inner = np.zeros((mu.dim, mu.dim))
-        for s, omega in zip(nu.nodes, nu.weights):
-            g = np.asarray(fn(float(s), m), dtype=float)
-            if g.shape != (mu.dim, mu.dim):
-                raise ShapeError(f"integrand returned shape {g.shape}")
-            inner += omega * g
-        acc += w * inner
-    return acc
 
 
 def congruence_measure(x, mu: PMeasure) -> PMeasure:
@@ -145,7 +123,7 @@ def pmeasure_to_json(mu: PMeasure) -> dict:
     }
 
 
-def pmeasure_from_json(obj, default_nodes: int = DEFAULT_NODES) -> PMeasure:
+def pmeasure_from_json(obj) -> PMeasure:
     """Parse the PMeasure JSON schema ``{"atoms": [{"weight", "nu", "matrix"}, ...]}``."""
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise MeasureError('measure JSON must carry an "atoms" list')
@@ -154,7 +132,7 @@ def pmeasure_from_json(obj, default_nodes: int = DEFAULT_NODES) -> PMeasure:
             (
                 entry["weight"],
                 matrix_from_json(entry["matrix"]),
-                smeasure_from_json(entry["nu"], default_nodes=default_nodes),
+                smeasure_from_json(entry["nu"]),
             )
             for entry in obj["atoms"]
         ]

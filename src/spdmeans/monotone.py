@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .core import _sym, apply_scalar_fn, spectral_sum, whitened_eigh
+from .core import _probability_weights, _sym, apply_scalar_fn, spectral_sum, whitened_eigh
 from .errors import DomainError, MeasureError
 
 DEFAULT_NODES = 64
@@ -208,13 +208,9 @@ class SMeasure:
         if not pts:
             raise MeasureError("atomic measure needs at least one atom")
         s = np.array([p[0] for p in pts])
-        v = np.array([p[1] for p in pts])
-        if np.any(s < 0.0) or np.any(s > 1.0):
+        if not np.all((s >= 0.0) & (s <= 1.0)):
             raise MeasureError("atom locations must lie in [0, 1]")
-        if np.any(v <= 0.0):
-            raise MeasureError("atom weights must be positive")
-        if abs(v.sum() - 1.0) > 1e-12:
-            raise MeasureError(f"atom weights must sum to 1, got {v.sum()!r}")
+        v = _probability_weights([p[1] for p in pts])
         return cls("atoms", {"points": tuple(pts)}, s, v)
 
     @classmethod
@@ -262,7 +258,10 @@ class SMeasure:
     # -- structure ----------------------------------------------------------
 
     def transpose(self) -> "SMeasure":
-        """Reflected measure ``nu'(s) = nu(1 - s)`` (the transpose of the represented mean)."""
+        """Reflected measure ``nu'(s) = nu(1 - s)``, representing the transposed mean.
+
+        ``eval_mean(nu.transpose(), A, B) = eval_mean(nu, B, A)``.
+        """
         if self.kind == "dirac":
             return SMeasure.dirac(1.0 - self.params["s"])
         if self.kind == "atoms":
@@ -331,11 +330,6 @@ def eval_mean(nu: SMeasure, a, b):
     return _sym(rs @ spectral_sum(q, vals[None]) @ rs)
 
 
-def transpose_measure(nu: SMeasure) -> SMeasure:
-    """Representing measure of the transposed mean: ``eval_mean(nu', A, B) = eval_mean(nu, B, A)``."""
-    return nu.transpose()
-
-
 def check_normalization(rep: SMeasure):
     """Numerically evaluate ``(f(1), f'(1))`` for the represented function.
 
@@ -371,8 +365,8 @@ def smeasure_to_json(nu: SMeasure) -> dict:
     raise MeasureError(f"measure kind {nu.kind!r} has no JSON form")
 
 
-def smeasure_from_json(obj, default_nodes: int = DEFAULT_NODES) -> SMeasure:
-    """Parse the SMeasure JSON schema."""
+def smeasure_from_json(obj) -> SMeasure:
+    """Parse the SMeasure JSON schema; lebesgue and power default to DEFAULT_NODES nodes."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise MeasureError('measure JSON must carry a "type" field')
     kind = obj["type"]
@@ -382,9 +376,9 @@ def smeasure_from_json(obj, default_nodes: int = DEFAULT_NODES) -> SMeasure:
         if kind == "atoms":
             return SMeasure.from_atoms([(p["s"], p["w"]) for p in obj["points"]])
         if kind == "lebesgue":
-            return SMeasure.lebesgue(int(obj.get("nodes", default_nodes)))
+            return SMeasure.lebesgue(int(obj.get("nodes", DEFAULT_NODES)))
         if kind == "power":
-            return SMeasure.power(obj["t"], int(obj.get("nodes", default_nodes)))
+            return SMeasure.power(obj["t"], int(obj.get("nodes", DEFAULT_NODES)))
     except (KeyError, TypeError, ValueError) as exc:
         raise MeasureError(f"malformed {kind!r} measure JSON: {exc!r}") from exc
     raise MeasureError(f"unknown measure type {kind!r}")

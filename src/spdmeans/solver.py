@@ -41,6 +41,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .core import (
+    _check_weights,
     _sym,
     loewner_leq,
     matrix_to_json,
@@ -62,13 +63,16 @@ _NEWTON_DECREASE = 0.7
 
 @dataclass
 class SolverConfig:
-    """Tolerances and schedule for the fixed-point solvers.
+    """Tolerances, budget and schedule for every solver.
 
     fp_tol bounds both the Thompson step and the whitened residual at an
     accepted fixed point; lambda_tol stops the t-schedule when successive
     levels are that close in Thompson metric; residual_tol additionally
     keeps the schedule going until the whitened Karcher residual
-    ``||X^(-1/2) R X^(-1/2)||_F`` is small.  No test depends on scale.
+    ``||X^(-1/2) R X^(-1/2)||_F`` is small; grad_tol bounds that same norm of
+    the gradient at minimize_divergence's minimizer.  max_iters caps the
+    accepted steps of one solve, summed over its levels.  No test depends on
+    scale.
     """
 
     fp_tol: float = 1e-12
@@ -77,9 +81,10 @@ class SolverConfig:
     t_factor: float = 0.5
     lambda_tol: float = 1e-9
     residual_tol: float = 1e-8
+    grad_tol: float = 1e-9
 
     def __post_init__(self):
-        if min(self.fp_tol, self.lambda_tol, self.residual_tol) <= 0.0:
+        if min(self.fp_tol, self.lambda_tol, self.residual_tol, self.grad_tol) <= 0.0:
             raise DomainError("tolerances must be positive")
         if not 0.0 < self.t_factor < 1.0:
             raise DomainError("t-schedule factor must lie in (0, 1)")
@@ -327,6 +332,18 @@ def _solve_level(mats, kernels, t, start, tol, max_iters, iters_used=0, on_step=
     return point, r, iters, prev
 
 
+def _solve(mats, pairs, kernels, t, tol, max_iters, on_step=None):
+    """One solve at t from the weighted arithmetic mean of ``pairs``; t = 0 is Karcher.
+
+    Runs :func:`_solve_level` from that start and returns ``(point, R, iterations,
+    final_step)``, final_step as :func:`_final_step` reports it.
+    """
+    start = _visit(_point(weighted_arith(pairs), mats), kernels[0])
+    point, r, iters, prev = _solve_level(mats, kernels, t, start, tol, max_iters,
+                                         on_step=on_step)
+    return point, r, iters, _final_step(point, r, t, prev)
+
+
 def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     """Solve the induced-mean equation ``X = T_t(X)`` for t in (0, 1].
 
@@ -338,14 +355,13 @@ def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverRepo
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
-    kernels = _level_kernels(mu, t)
-    start = _visit(_point(weighted_arith(mu.matrix_pairs()), mu.matrices), kernels[0])
-    point, r, iters, _ = _solve_level(mu.matrices, kernels, t, start, cfg.fp_tol, cfg.max_iters)
+    point, _, iters, step = _solve(mu.matrices, mu.matrix_pairs(), _level_kernels(mu, t), t,
+                                   cfg.fp_tol, cfg.max_iters)
     karcher = _whitened_residual(point[1], _level_kernels(mu, 0.0)[0])[0]
     return SolverReport(
         mean=point[0],
         iterations=iters,
-        final_step=_final_step(point, r, t),
+        final_step=step,
         residual_norm=float(np.linalg.norm(karcher)),
         t_trace=[(t, iters)],
     )
@@ -361,15 +377,15 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
-    sigma = [(float(w), np.asarray(m, dtype=float)) for w, m in sigma]
+    sigma = [(w, np.asarray(m, dtype=float)) for w, m in sigma]
+    w = _check_weights(sigma)  # weights and one shared shape, before the stack
     mats = np.array([m for _, m in sigma])
-    kernels = _power_kernels(np.array([w for w, _ in sigma]), t)
-    start = _visit(_point(weighted_arith(sigma), mats), kernels[0])
-    point, r, iters, _ = _solve_level(mats, kernels, t, start, cfg.fp_tol, cfg.max_iters)
+    point, r, iters, step = _solve(mats, list(zip(w, mats)), _power_kernels(w, t), t,
+                                   cfg.fp_tol, cfg.max_iters)
     return SolverReport(
         mean=point[0],
         iterations=iters,
-        final_step=_final_step(point, r, t),
+        final_step=step,
         residual_norm=float(np.linalg.norm(r)),
         t_trace=[(t, iters)],
     )

@@ -39,7 +39,15 @@ def random_transform(rng, dim, lo=0.5, hi=2.0):
     return (q1 * sv) @ q2
 
 
-def random_smeasure(rng, nodes=monotone.DEFAULT_NODES):
+def random_weights(rng, k):
+    """Random simplex weights: uniform in [0.5, 1.5], normalized, the last one 1 minus the rest."""
+    w = rng.uniform(0.5, 1.5, k)
+    w = w / w.sum()
+    w[-1] = 1.0 - w[:-1].sum()
+    return w
+
+
+def random_smeasure(rng):
     kind = int(rng.integers(0, 4))
     if kind == 0:
         return monotone.SMeasure.dirac(float(rng.uniform(0.0, 1.0)))
@@ -51,16 +59,14 @@ def random_smeasure(rng, nodes=monotone.DEFAULT_NODES):
         s = rng.uniform(0.0, 1.0, k)
         return monotone.SMeasure.from_atoms(list(zip(s, v)))
     if kind == 2:
-        return monotone.SMeasure.lebesgue(nodes)
-    return monotone.SMeasure.power(float(rng.uniform(0.15, 0.85)), nodes)
+        return monotone.SMeasure.lebesgue()
+    return monotone.SMeasure.power(float(rng.uniform(0.15, 0.85)))
 
 
-def random_measure(rng, dim, n_atoms=3, nodes=monotone.DEFAULT_NODES, lo=1e-1, hi=1e1):
-    w = rng.uniform(0.5, 1.5, n_atoms)
-    w = w / w.sum()
-    w[-1] = 1.0 - w[:-1].sum()
+def random_measure(rng, dim, n_atoms=3, lo=1e-1, hi=1e1):
+    w = random_weights(rng, n_atoms)
     return measures.PMeasure(
-        [(w[i], random_spd(rng, dim, lo, hi), random_smeasure(rng, nodes)) for i in range(n_atoms)]
+        [(w[i], random_spd(rng, dim, lo, hi), random_smeasure(rng)) for i in range(n_atoms)]
     )
 
 
@@ -181,7 +187,7 @@ def _ball_point(rng, anchor, r):
     return core._sym(rs @ ((q * np.exp(scale * w)) @ q.T) @ rs)
 
 
-def _suite_means(rng, dim, trials, tally, nodes):
+def _suite_means(rng, dim, trials, tally):
     heavy = max(1, trials // 10)
     cfg = solver.SolverConfig()
     d = thompson.distance
@@ -189,7 +195,7 @@ def _suite_means(rng, dim, trials, tally, nodes):
     res_fix, res_sand, res_mono_l, res_mono_lam, res_cong, res_tmono = ([] for _ in range(6))
     res_residual = []
     for _ in range(heavy):
-        mu = random_measure(rng, dim, n_atoms=int(rng.integers(2, 5)), nodes=nodes)
+        mu = random_measure(rng, dim, n_atoms=int(rng.integers(2, 5)))
         rep = solver.induced_mean(0.5, mu, cfg)
         res_fix.append(
             d(rep.mean, solver.iteration_map(rep.mean, 0.5, mu)) <= 10.0 * cfg.fp_tol
@@ -233,9 +239,7 @@ def _suite_means(rng, dim, trials, tally, nodes):
     res = []
     for _ in range(heavy):
         a, b = random_spd(rng, dim, 1e-1, 1e1), random_spd(rng, dim, 1e-1, 1e1)
-        mu = measures.product_measure(
-            monotone.SMeasure.lebesgue(nodes), [(0.5, a), (0.5, b)]
-        )
+        mu = measures.product_measure(monotone.SMeasure.lebesgue(), [(0.5, a), (0.5, b)])
         res.append(
             d(solver.lambda_mean(mu, cfg).mean, core.geometric_mean(a, b, 0.5)) <= 1e-6
         )
@@ -245,11 +249,9 @@ def _suite_means(rng, dim, trials, tally, nodes):
     for _ in range(heavy):
         k = int(rng.integers(2, 5))
         vals = np.exp(rng.uniform(-2.0, 2.0, (k, dim)))
-        w = rng.uniform(0.5, 1.5, k)
-        w = w / w.sum()
-        w[-1] = 1.0 - w[:-1].sum()
+        w = random_weights(rng, k)
         mu = measures.product_measure(
-            monotone.SMeasure.lebesgue(nodes),
+            monotone.SMeasure.lebesgue(),
             [(w[i], np.diag(vals[i])) for i in range(k)],
         )
         exact = np.exp(np.sum(w[:, None] * np.log(vals), axis=0))
@@ -260,25 +262,23 @@ def _suite_means(rng, dim, trials, tally, nodes):
     res = []
     for _ in range(heavy):
         k = int(rng.integers(2, 4))
-        w = rng.uniform(0.5, 1.5, k)
-        w = w / w.sum()
-        w[-1] = 1.0 - w[:-1].sum()
+        w = random_weights(rng, k)
         sigma = [(w[i], random_spd(rng, dim, 1e-1, 1e1)) for i in range(k)]
         direct = solver.power_mean(0.5, sigma, cfg)
         routed = solver.lambda_mean(
-            measures.product_measure(monotone.SMeasure.power(0.5, nodes), sigma), cfg
+            measures.product_measure(monotone.SMeasure.power(0.5), sigma), cfg
         )
         res.append(d(direct.mean, routed.mean) <= 1e-6)
     tally.check("means.power_route", res)
 
 
-def _suite_divergence(rng, dim, trials, tally, nodes):
+def _suite_divergence(rng, dim, trials, tally):
     heavy = max(1, trials // 10)
     d = thompson.distance
 
     res_pos, res_id, res_grad = [], [], []
     for _ in range(trials):
-        mu = random_measure(rng, dim, nodes=nodes)
+        mu = random_measure(rng, dim)
         x = random_spd(rng, dim, 1e-1, 1e1)
         res_pos.append(divergence.objective(x, mu) >= 0.0)
         a = random_spd(rng, dim)
@@ -293,7 +293,7 @@ def _suite_divergence(rng, dim, trials, tally, nodes):
     res = []
     h = 1e-5
     for _ in range(trials):
-        mu = random_measure(rng, dim, nodes=nodes)
+        mu = random_measure(rng, dim)
         x = random_spd(rng, dim, 0.5, 2.0)
         v = core._sym(rng.standard_normal((dim, dim)))
         num = (
@@ -308,13 +308,13 @@ def _suite_divergence(rng, dim, trials, tally, nodes):
 
     res = []
     for _ in range(heavy):
-        mu = random_measure(rng, dim, nodes=nodes)
+        mu = random_measure(rng, dim)
         got = divergence.minimize_divergence(mu)
         ref = solver.lambda_mean(mu)
         res.append(d(got.mean, ref.mean) <= 1e-6)
     tally.check("divergence.argmin_equivalence", res)
 
-    mu = random_measure(rng, dim, nodes=nodes)
+    mu = random_measure(rng, dim)
     tally.check(
         "divergence.geodesic_convexity",
         [divergence.geodesic_convexity_check(mu, trials, seed=int(rng.integers(1 << 31)))],
@@ -323,7 +323,7 @@ def _suite_divergence(rng, dim, trials, tally, nodes):
     res = []
     hh = 1e-3
     for _ in range(trials):
-        mu = random_measure(rng, dim, nodes=nodes)
+        mu = random_measure(rng, dim)
         g0 = random_spd(rng, dim, 0.5, 2.0)
         g1 = random_spd(rng, dim, 0.5, 2.0)
         tau = float(rng.uniform(0.2, 0.8))
@@ -332,7 +332,7 @@ def _suite_divergence(rng, dim, trials, tally, nodes):
     tally.check("divergence.second_difference", res)
 
 
-def run_suite(suite, seed, dim, trials, nodes=monotone.DEFAULT_NODES, out=print):
+def run_suite(suite, seed, dim, trials, out=print):
     """Run one named suite (or ``all``); returns True when every check passed."""
     if suite not in SUITES:
         raise SpdMeansError(f"unknown suite {suite!r}, expected one of {SUITES}")
@@ -341,9 +341,9 @@ def run_suite(suite, seed, dim, trials, nodes=monotone.DEFAULT_NODES, out=print)
     if suite in ("thompson", "all"):
         _suite_thompson(rng, dim, trials, tally)
     if suite in ("means", "all"):
-        _suite_means(rng, dim, trials, tally, nodes)
+        _suite_means(rng, dim, trials, tally)
     if suite in ("divergence", "all"):
-        _suite_divergence(rng, dim, trials, tally, nodes)
+        _suite_divergence(rng, dim, trials, tally)
     status = "PASS" if tally.ok() else "FAIL"
     out(f"suite {suite}: {status} ({tally.total_pass}/{tally.total})")
     return tally.ok()

@@ -5,7 +5,7 @@ seeded inside each test, so failures reproduce exactly.  Eigenvalue ranges
 are moderate by default: the structural identities under test hold at any
 conditioning, but closed-form comparisons also spend quadrature budget.
 
-The SPD, PSD and transform generators are those of :mod:`spdmeans.verify`.
+The SPD, PSD, weight and transform generators are those of :mod:`spdmeans.verify`.
 ``rand_smeasure`` and ``thompson_ball_point`` draw differently from their
 ``verify`` counterparts, so they stay here and each test keeps its data.
 """
@@ -16,7 +16,7 @@ import pathlib
 import numpy as np
 
 from spdmeans import PMeasure, SMeasure
-from spdmeans.verify import _psd_bump, random_spd, random_transform
+from spdmeans.verify import _psd_bump, random_spd, random_transform, random_weights
 
 
 def sym(a):
@@ -28,14 +28,8 @@ def rand_spd(rng, dim, lo=0.1, hi=10.0):
 
 
 rand_psd = _psd_bump
+rand_weights = random_weights
 conditioned_transform = random_transform
-
-
-def rand_weights(rng, k):
-    w = rng.uniform(0.5, 1.5, k)
-    w = w / w.sum()
-    w[-1] = 1.0 - w[:-1].sum()
-    return w
 
 
 def rand_smeasure(rng, nodes=64):

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -8,12 +9,15 @@ import pytest
 from conftest import dirac_lebesgue_pair, rand_spd, subprocess_env
 from spdmeans import (
     SMeasure,
+    SolverConfig,
     cli,
     distance,
     geometric_mean,
     lambda_mean,
     matrix_from_json,
     matrix_to_json,
+    minimize_divergence,
+    pmeasure_from_json,
     pmeasure_to_json,
     product_measure,
 )
@@ -99,6 +103,31 @@ def test_malformed_input_error_names_the_file(setup_files, capsys, command, obj)
     rest = {"lambda": [], "metric": [files["b"]], "power": ["--t", "0.5"]}[command]
     assert cli.main([command, bad, *rest]) == 1
     assert bad in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, edit, why", [
+    ("lambda", "measure", lambda o: o["atoms"][0].update(weight=math.nan), "weights"),
+    ("lambda", "measure",
+     lambda o: o["atoms"][0].update(nu={"type": "atoms", "points": [{"s": math.nan, "w": 1.0}]}),
+     "locations"),
+    ("lambda", "measure", lambda o: o["atoms"][0].update(weight="half"), "weights"),
+    ("power", "sigma", lambda o: o["atoms"][0].update(weight=math.nan), "weights"),
+    ("power", "sigma", lambda o: o["atoms"][0].update(weight="half"), "'half'"),
+    ("power", "sigma", lambda o: o["atoms"][0].update(matrix=matrix_to_json(np.eye(2))),
+     "dimensions"),
+], ids=["nan-weight", "nan-location", "text-weight", "sigma-nan-weight", "sigma-text-weight",
+        "sigma-mixed-dimensions"])
+def test_bad_input_values_exit_1(setup_files, capsys, command, key, edit, why):
+    # json accepts NaN; these are input errors, named as such, not solver failures
+    files, _, _, tmp_path = setup_files
+    with open(files[key], encoding="utf-8") as fh:
+        obj = json.load(fh)
+    edit(obj)
+    bad = write_json(tmp_path / "bad.json", obj)
+    rest = ["--t", "0.5"] if command == "power" else []
+    assert cli.main([command, bad, *rest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err
 
 
 def test_nonconvergence_exits_2(setup_files):
@@ -229,3 +258,39 @@ def test_verify_small_run_passes():
     proc = run_cli("verify", "--suite", "thompson", "--trials", "5", "--dim", "3", "--seed", "7")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "suite thompson: PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["lambda", "mu.json"], ["mean", "mu.json", "--t", "0.5"],
+                                  ["minimize", "mu.json"]], ids=["lambda", "mean", "minimize"])
+def test_flagless_solver_config_is_the_dataclass_default(argv):
+    assert cli._solver_config(cli._build_parser().parse_args(argv)) == SolverConfig()
+
+
+def test_minimize_output_is_the_library_report(setup_files, capsys):
+    files, _, _, _ = setup_files
+    assert cli.main(["minimize", files["measure"]]) == 0
+    with open(files["measure"], encoding="utf-8") as fh:
+        mu = pmeasure_from_json(json.load(fh))
+    assert capsys.readouterr().out == json.dumps(minimize_divergence(mu).to_json()) + "\n"
+
+
+@pytest.mark.parametrize("command", ["mean", "lambda", "residual", "divergence", "minimize",
+                                     "verify"])
+def test_nodes_flag_is_rejected(setup_files, command):
+    # the node count belongs to the measure: its factory argument or its JSON "nodes" key
+    files, _, _, _ = setup_files
+    args = {"mean": [files["measure"], "--t", "0.5"], "lambda": [files["measure"]],
+            "residual": [files["measure"], files["a"]],
+            "divergence": [files["measure"], files["a"]], "minimize": [files["measure"]],
+            "verify": ["--suite", "thompson", "--trials", "1"]}[command]
+    assert cli.main([command, *args]) == 0
+    assert cli.main([command, *args, "--nodes", "32"]) == 1
+
+
+def test_measure_json_nodes_key_sets_the_rule(setup_files, capsys):
+    files, a, b, tmp_path = setup_files
+    mu = product_measure(SMeasure.lebesgue(32), [(0.5, a), (0.5, b)])
+    obj = pmeasure_to_json(mu)
+    assert all(atom["nu"] == {"type": "lebesgue", "nodes": 32} for atom in obj["atoms"])
+    assert cli.main(["lambda", write_json(tmp_path / "mu32.json", obj)]) == 0
+    assert json.loads(capsys.readouterr().out)["mean"] == matrix_to_json(lambda_mean(mu).mean)

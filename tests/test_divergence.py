@@ -6,8 +6,8 @@ import pytest
 import spdmeans.divergence as dvg
 from conftest import dirac_lebesgue_pair, rand_measure, rand_spd, sym
 from spdmeans import (
-    RgdConfig,
     SMeasure,
+    SolverConfig,
     distance,
     geodesic_convexity_check,
     geometric_mean,
@@ -139,7 +139,7 @@ def test_minimize_objective_strictly_decreases():
     rng = np.random.default_rng(11)
     mu = rand_measure(rng, 3)
     history = []
-    minimize_divergence(mu, RgdConfig(grad_tol=1e-6), on_step=lambda x, f, g: history.append(f))
+    minimize_divergence(mu, SolverConfig(grad_tol=1e-6), on_step=lambda x, f, g: history.append(f))
     assert len(history) >= 2
     assert all(b < a for a, b in zip(history, history[1:]))
     f0 = objective(sum(w * m for w, m in mu.matrix_pairs()), mu)
@@ -162,7 +162,7 @@ def test_minimize_nonconvergence_budget():
     rng = np.random.default_rng(15)
     mu = rand_measure(rng, 3, n_atoms=3)
     with pytest.raises(NonConvergence) as info:
-        minimize_divergence(mu, RgdConfig(max_iters=1))
+        minimize_divergence(mu, SolverConfig(max_iters=1))
     assert info.value.iterations == 1
 
 

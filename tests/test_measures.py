@@ -3,22 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_psd, rand_spd, rand_weights
+from conftest import rand_spd
 from spdmeans import (
     Incomparable,
     MeasureError,
     PMeasure,
     SMeasure,
+    ShapeError,
     congruence_measure,
-    integrate,
-    loewner_leq,
-    log_kernel,
     matrix_from_json,
     measure_leq,
     pmeasure_from_json,
     pmeasure_to_json,
+    power_mean,
     product_measure,
     smeasure_from_json,
+    weighted_arith,
 )
 
 
@@ -31,6 +31,31 @@ def test_pmeasure_validation():
         PMeasure([(0.6, a, SMeasure.dirac(0.5)), (0.6, a, SMeasure.dirac(0.5))])
     with pytest.raises(MeasureError):
         PMeasure([(0.5, a, SMeasure.dirac(0.5)), (0.5, rand_spd(rng, 4), SMeasure.dirac(0.5))])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "half"])
+def test_weights_must_be_finite_positive_numbers(bad):
+    # NaN fails both ``w <= 0`` and ``|sum - 1| > 1e-12``; the one weight rule tests finiteness
+    a = rand_spd(np.random.default_rng(11), 3)
+    with pytest.raises(MeasureError):
+        PMeasure([(bad, a, SMeasure.dirac(0.5)), (0.5, a, SMeasure.dirac(0.5))])
+    with pytest.raises(MeasureError):
+        weighted_arith([(bad, a), (0.5, a)])
+    with pytest.raises(MeasureError):
+        power_mean(0.5, [(bad, a), (0.5, a)])
+
+
+@pytest.mark.parametrize("s, v", [(0.3, math.nan), (0.3, math.inf), (math.nan, 0.5),
+                                  (math.inf, 0.5), (-0.5, 0.5), (1.5, 0.5)])
+def test_atomic_measure_rejects_bad_weights_and_locations(s, v):
+    with pytest.raises(MeasureError):
+        SMeasure.from_atoms([(s, v), (0.6, 0.5)])
+
+
+def test_power_mean_rejects_mixed_dimensions_as_shape_error():
+    rng = np.random.default_rng(12)
+    with pytest.raises(ShapeError):
+        power_mean(0.5, [(0.5, rand_spd(rng, 2)), (0.5, rand_spd(rng, 3))])
 
 
 def test_product_measure():
@@ -46,54 +71,6 @@ def test_product_measure():
     assert two.matrices.shape == (2, 3, 3) and not two.matrices.flags.writeable
     assert np.array_equal(two.weights, [0.3, 0.7])
     assert all(np.shares_memory(m, two.matrices) for _, m, _ in two.atoms)
-
-
-def test_integrate_basics():
-    rng = np.random.default_rng(3)
-    a, b = rand_spd(rng, 3), rand_spd(rng, 3)
-    mu = product_measure(SMeasure.lebesgue(16), [(0.4, a), (0.6, b)])
-    zero = integrate(mu, lambda s, m: np.zeros((3, 3)))
-    assert np.linalg.norm(zero) == 0.0
-    avg = integrate(mu, lambda s, m: m)
-    assert np.linalg.norm(avg - (0.4 * a + 0.6 * b)) <= 1e-12
-
-
-def test_integrate_log_kernel_recovers_log():
-    mu = product_measure(SMeasure.lebesgue(64), [(1.0, np.diag([math.e]))])
-    got = integrate(mu, log_kernel)
-    assert abs(got[0, 0] - 1.0) <= 1e-8
-
-
-def test_integrate_linear_and_monotone():
-    rng = np.random.default_rng(4)
-    mu = product_measure(SMeasure.from_atoms([(0.3, 0.5), (0.8, 0.5)]),
-                         [(0.5, rand_spd(rng, 3)), (0.5, rand_spd(rng, 3))])
-    f = lambda s, m: s * m
-    g = lambda s, m: np.eye(3) * (1 + s)
-    lhs = integrate(mu, lambda s, m: 2.0 * f(s, m) + g(s, m))
-    rhs = 2.0 * integrate(mu, f) + integrate(mu, g)
-    assert np.linalg.norm(lhs - rhs) <= 1e-12
-    # pointwise order of integrands carries to the integrals
-    bump = rand_psd(rng, 3)
-    assert loewner_leq(integrate(mu, f), integrate(mu, lambda s, m: f(s, m) + bump), 1e-12)
-
-
-def test_integration_order_fubini():
-    rng = np.random.default_rng(5)
-    mats = [rand_spd(rng, 3) for _ in range(3)]
-    w = rand_weights(rng, 3)
-    nu = SMeasure.lebesgue(32)
-    mu = product_measure(nu, list(zip(w, mats)))
-    fn = lambda s, m: log_kernel(s, m)
-    atom_major = integrate(mu, fn)
-    # node-major: integrate over the matrix marginal first
-    node_major = np.zeros((3, 3))
-    for s, omega in zip(nu.nodes, nu.weights):
-        inner = np.zeros((3, 3))
-        for wk, m in zip(w, mats):
-            inner += wk * fn(float(s), m)
-        node_major += omega * inner
-    assert np.linalg.norm(atom_major - node_major) <= 1e-13 * (1 + np.linalg.norm(atom_major))
 
 
 def test_congruence_measure():

@@ -19,7 +19,6 @@ from spdmeans import (
     mean_kernel_inv,
     smeasure_from_json,
     smeasure_to_json,
-    transpose_measure,
 )
 
 ALL_REPS = [
@@ -182,18 +181,18 @@ def test_positive_map_compression_inequality():
 
 
 def test_transpose_measure():
-    assert transpose_measure(SMeasure.dirac(0.3)).params["s"] == 0.7
+    assert SMeasure.dirac(0.3).transpose().params["s"] == 0.7
     leb = SMeasure.lebesgue(64)
-    assert transpose_measure(leb).same_structure(leb)
+    assert leb.transpose().same_structure(leb)
     rng = np.random.default_rng(10)
     for rep in ALL_REPS:
         a, b = rand_spd(rng, 3), rand_spd(rng, 3)
-        lhs = eval_mean(transpose_measure(rep), a, b)
+        lhs = eval_mean(rep.transpose(), a, b)
         rhs = eval_mean(rep, b, a)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
     # double transpose restores the original evaluation
     for rep in ALL_REPS:
-        back = transpose_measure(transpose_measure(rep))
+        back = rep.transpose().transpose()
         assert abs(eval_monotone(back, 3.0) - eval_monotone(rep, 3.0)) <= 1e-12
 
 
