@@ -71,7 +71,7 @@ print(f"  diag(Lambda)      = {got}")
 print(f"  exp(mean(log a))  = {exact}")
 
 print()
-print("=== Config knobs: loosening the schedule tolerance ===")
+print("=== Config knobs: loosening the tolerance on successive t = 0 extrapolations ===")
 mu = product_measure(SMeasure.lebesgue(), [(0.5, a), (0.5, b)])
 for tol in (1e-6, 1e-9):
     rep = lambda_mean(mu, SolverConfig(lambda_tol=tol))

@@ -60,7 +60,6 @@ from .monotone import (
     log_kernel,
     log_kernel_inv,
     mean_kernel,
-    mean_kernel_inv,
     smeasure_from_json,
     smeasure_to_json,
 )
@@ -97,7 +96,7 @@ __all__ = [
     "pmeasure_to_json", "product_measure",
     "SMeasure", "check_normalization", "eval_mean", "eval_monotone",
     "harmonic_kernel", "log_kernel", "log_kernel_inv", "mean_kernel",
-    "mean_kernel_inv", "smeasure_from_json", "smeasure_to_json",
+    "smeasure_from_json", "smeasure_to_json",
     "SolverConfig", "SolverReport", "induced_mean", "iteration_map",
     "karcher_residual", "lambda_mean", "power_mean", "sandwich_check",
     "contraction_factor_affine", "contraction_factor_mean",

@@ -80,6 +80,26 @@ def spd_matrix(entries) -> np.ndarray:
     return a
 
 
+def spd_stack(mats) -> np.ndarray:
+    """:func:`spd_matrix` for k same-shape square matrices, as a (k, n, n) stack.
+
+    One stacked ``eigvalsh`` checks them all.
+    """
+    a = np.array(mats, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix entries must be finite")
+    a = 0.5 * (a + a.swapaxes(1, 2))
+    w = np.linalg.eigvalsh(a)
+    lo, hi = w[:, 0], w[:, -1]
+    bad = (hi <= 0.0) | (lo <= a.shape[1] * PD_FLOOR * hi)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NotPositiveDefinite(
+            f"matrix {k} is not positive definite (min eig {lo[k]:.3e}, max eig {hi[k]:.3e})"
+        )
+    return a
+
+
 class SpectralDecomposition(NamedTuple):
     """Eigendecomposition ``A = Q diag(eigenvalues) Q.T`` with ascending eigenvalues."""
 
@@ -224,31 +244,39 @@ def _probability_weights(w):
 
 
 def _check_weights(pairs):
+    """Weights and float matrices of ``[(weight, matrix), ...]``.
+
+    Matrices may be nested lists; they must be numeric, square and of one shape
+    (ShapeError).  Weights go through :func:`_probability_weights`.
+    """
     if len(pairs) == 0:
         raise EmptyInput("need at least one (weight, matrix) pair")
     w = _probability_weights([p[0] for p in pairs])
-    dim = pairs[0][1].shape[0]
-    for _, m in pairs:
-        if m.shape != (dim, dim):
-            raise ShapeError("all matrices must share dimensions")
-    return w
+    try:
+        mats = [np.asarray(p[1], dtype=float) for p in pairs]
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"matrices must be numeric arrays: {exc}") from exc
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in mats):
+        raise ShapeError("all matrices must be square and share dimensions")
+    return w, mats
 
 
 def weighted_arith(pairs) -> np.ndarray:
     """Weighted arithmetic mean ``sum_k w_k A_k`` of SPD matrices."""
-    _check_weights(pairs)
-    acc = np.zeros_like(pairs[0][1])
-    for w, m in pairs:
-        acc = acc + w * m
+    w, mats = _check_weights(pairs)
+    acc = np.zeros_like(mats[0])
+    for wk, m in zip(w, mats):
+        acc = acc + wk * m
     return _sym(acc)
 
 
 def weighted_harm(pairs) -> np.ndarray:
     """Weighted harmonic mean ``(sum_k w_k A_k^-1)^-1``; below the arithmetic mean."""
-    _check_weights(pairs)
-    acc = np.zeros_like(pairs[0][1])
-    for w, m in pairs:
-        acc = acc + w * spd_power(m, -1.0)
+    w, mats = _check_weights(pairs)
+    acc = np.zeros_like(mats[0])
+    for wk, m in zip(w, mats):
+        acc = acc + wk * spd_power(m, -1.0)
     return spd_power(_sym(acc), -1.0)
 
 

@@ -134,23 +134,6 @@ def mean_kernel(s, t, x):
     return float((alpha * x + beta) / (gamma * x + delta))
 
 
-def mean_kernel_inv(s, t, y) -> float:
-    """Inverse of ``mean_kernel(s, t, .)`` on its range; DomainError outside.
-
-    Computed as the Moebius inverse ``(delta y - beta) / (alpha - gamma y)``
-    of the kernel's coefficient matrix.
-    """
-    _check_st(s, t)
-    alpha, beta, gamma, delta = _mean_coeffs(s, t)
-    den = alpha - gamma * y
-    if den <= 0.0:
-        raise DomainError(f"y = {y} outside the range of the mean kernel")
-    x = (delta * y - beta) / den
-    if x <= 0.0:
-        raise DomainError(f"y = {y} outside the range of the mean kernel")
-    return float(x)
-
-
 # ---------------------------------------------------------------------------
 # representing measures on [0, 1]
 # ---------------------------------------------------------------------------

@@ -27,10 +27,13 @@ congruence-equivariant, any scale of X.
 
 Along the net each level starts from the Lagrange extrapolation, in t, of
 the last three levels solved (predictor-corrector continuation; Allgower and
-Georg, Introduction to Numerical Continuation Methods, 2003, ch. 2).  The
-extrapolation only chooses where a level starts: each reported level is a
-genuine fixed point, the decreasing-net property is checked at every step,
-and the limit is taken plainly.
+Georg, Introduction to Numerical Continuation Methods, 2003, ch. 2).  The same
+extrapolation to t = 0 takes the limit: L_t is smooth in t, so Richardson
+extrapolation of the solved levels (Brezinski and Redivo-Zaglia, Extrapolation
+Methods, 1991) reaches it after far fewer levels than waiting for successive
+levels, which close in only like t, to meet.  Each level is still a genuine
+fixed point, the decreasing-net property is checked at every level, and the
+answer comes from the levels alone, independent of the t = 0 Newton route.
 """
 
 import math
@@ -45,6 +48,7 @@ from .core import (
     _sym,
     loewner_leq,
     matrix_to_json,
+    spd_stack,
     spectral_sum,
     weighted_arith,
     weighted_harm,
@@ -66,9 +70,10 @@ class SolverConfig:
     """Tolerances, budget and schedule for every solver.
 
     fp_tol bounds both the Thompson step and the whitened residual at an
-    accepted fixed point; lambda_tol stops the t-schedule when successive
-    levels are that close in Thompson metric; residual_tol additionally
-    keeps the schedule going until the whitened Karcher residual
+    accepted fixed point; lambda_tol stops the t-schedule when a certified
+    bound on the Thompson gap between successive extrapolations of the levels
+    to t = 0 is that small; residual_tol additionally keeps the schedule going
+    until the latest extrapolation's whitened Karcher residual
     ``||X^(-1/2) R X^(-1/2)||_F`` is small; grad_tol bounds that same norm of
     the gradient at minimize_divergence's minimizer.  max_iters caps the
     accepted steps of one solve, summed over its levels.  No test depends on
@@ -100,8 +105,9 @@ class SolverReport:
 
     mean : converged SPD matrix
     iterations : accepted updates, summed over all levels
-    final_step : Thompson distance d(X, T(X)) at the reported mean; for
-        minimize_divergence, the Thompson length of its last Newton step (0.0 if none)
+    final_step : Thompson distance d(X, T(X)) at the reported mean; for lambda_mean,
+        that of the last solved level's fixed point; for minimize_divergence, the
+        Thompson length of its last Newton step (0.0 if none)
     residual_norm : Frobenius norm of the Karcher residual at the mean
     t_trace : [(t, iterations)] per level of the schedule
     """
@@ -377,9 +383,8 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
-    sigma = [(w, np.asarray(m, dtype=float)) for w, m in sigma]
-    w = _check_weights(sigma)  # weights and one shared shape, before the stack
-    mats = np.array([m for _, m in sigma])
+    w, mats = _check_weights(sigma)
+    mats = spd_stack(mats)
     point, r, iters, step = _solve(mats, list(zip(w, mats)), _power_kernels(w, t), t,
                                    cfg.fp_tol, cfg.max_iters)
     return SolverReport(
@@ -389,6 +394,13 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
         residual_norm=float(np.linalg.norm(r)),
         t_trace=[(t, iters)],
     )
+
+
+def _lagrange(history, t):
+    """Lagrange interpolant at t of the solved levels ``history = [(t_i, L_{t_i})]``."""
+    ts = [ti for ti, _ in history]
+    return sum(x * math.prod((t - tj) / (ts[i] - tj) for j, tj in enumerate(ts) if j != i)
+               for i, (_, x) in enumerate(history))
 
 
 def _predicted_start(history, t, warm, mats, kernel):
@@ -401,25 +413,36 @@ def _predicted_start(history, t, warm, mats, kernel):
     start = _visit(warm, kernel)
     if len(history) < 2:
         return start
-    ts = [ti for ti, _ in history]
-    guess = sum(x * math.prod((t - tj) / (ts[i] - tj) for j, tj in enumerate(ts) if j != i)
-                for i, (_, x) in enumerate(history))
-    trial = _visit(_trial_point(guess, mats), kernel)
+    trial = _visit(_trial_point(_lagrange(history, t), mats), kernel)
     return trial if trial is not None and trial[2] <= _NEWTON_DECREASE * start[2] else start
+
+
+def _extrapolation_gap(point, e, e_prev):
+    """Certified bound on ``d(E_prev, E)``, in the frame of a visited point X; inf if unproven.
+
+    With ``m = min spec(X^(-1/2) E X^(-1/2))`` and delta the spectral radius of
+    ``X^(-1/2) (E - E_prev) X^(-1/2)``, both are positive definite and
+    ``d(E_prev, E) <= -log(1 - delta/m)`` whenever ``delta < m``.
+    """
+    lam = whiten(point[1][1], np.stack([e, e - e_prev]))[0]
+    m, delta = lam[0, 0], np.max(np.abs(lam[1]))
+    return -math.log1p(-delta / m) if delta < m else math.inf
 
 
 def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     """Karcher mean of the measure: the t -> 0 limit of the induced means.
 
     Solves the induced mean along the geometric schedule
-    ``t_l = t_start * t_factor**l`` and stops once successive levels are within
-    lambda_tol in Thompson metric and the whitened Karcher residual is below
-    residual_tol.  Each level starts from the quadratic extrapolation in t of the
-    last three levels solved, ``L_1`` being the weighted arithmetic mean, unless
-    that start is no better than the previous level (see :func:`_predicted_start`).
-    The levels must decrease in the Loewner order, checked at every step on the
-    whitened ``X^(-1/2) L_prev X^(-1/2) >= I``: an eigenvalue below ``1 - 1e-9``
-    signals a numerics bug, not a modelling error.
+    ``t_l = t_start * t_factor**l``.  After each level it extrapolates the last
+    three levels solved to t = 0 (:func:`_lagrange`) and stops once two successive
+    extrapolations are provably positive definite and within lambda_tol in Thompson
+    metric (:func:`_extrapolation_gap`) and the latest one's whitened Karcher residual
+    is below residual_tol; that extrapolation is the reported mean.  Each level starts
+    from the quadratic extrapolation in t of the last three levels solved, ``L_1``
+    being the weighted arithmetic mean, unless that start is no better than the
+    previous level (see :func:`_predicted_start`).  The levels must decrease in the
+    Loewner order, checked at every level on the whitened ``X^(-1/2) L_prev X^(-1/2) >= I``:
+    an eigenvalue below ``1 - 1e-9`` signals a numerics bug, not a modelling error.
     """
     cfg = cfg or SolverConfig()
     mats = mu.matrices
@@ -427,7 +450,7 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     history = [(1.0, point[0])]  # L_1 is the weighted arithmetic mean
     t = cfg.t_start
     karcher = _level_kernels(mu, 0.0)[0]
-    prev = None
+    prev = e_prev = None
     trace = []
     total = 0
     for _ in range(200):
@@ -438,16 +461,17 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
         total += iters
         trace.append((t, iters))
         history = [h for h in history[-2:] if h[0] != t] + [(t, point[0])]
-        if prev is not None:
-            w = _ratio_spectrum(prev, point)
-            if np.min(w) < 1.0 - 1e-9:
-                raise MonotonicityViolation(
-                    f"induced means failed to decrease from t={t / cfg.t_factor:g} to t={t:g}"
-                )
-            if log_spread(w) <= cfg.lambda_tol:
-                rk, wnorm, _ = _whitened_residual(point[1], karcher)
-                if wnorm <= cfg.residual_tol:
+        if prev is not None and np.min(_ratio_spectrum(prev, point)) < 1.0 - 1e-9:
+            raise MonotonicityViolation(
+                f"induced means failed to decrease from t={t / cfg.t_factor:g} to t={t:g}"
+            )
+        if len(history) == 3:
+            e = _lagrange(history, 0.0)  # Richardson extrapolation of the levels to t = 0
+            if e_prev is not None and _extrapolation_gap(point, e, e_prev) <= cfg.lambda_tol:
+                mean = _visit(_trial_point(e, mats), karcher)
+                if mean is not None and mean[2] <= cfg.residual_tol:
                     break
+            e_prev = e
         prev = point[0]
         t *= cfg.t_factor
     else:
@@ -457,10 +481,10 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
             iterations=total,
         )
     return SolverReport(
-        mean=point[0],
+        mean=mean[0][0],
         iterations=total,
-        final_step=_final_step(point, r, t),
-        residual_norm=float(np.linalg.norm(rk)),
+        final_step=_final_step(point, r, t),  # the last solved level's step
+        residual_norm=float(np.linalg.norm(mean[1])),
         t_trace=trace,
     )
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .core import sqrt_pair, whiten, whitened_eigh
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NotPositiveDefinite, ShapeError
 
 
 def min_scaling(a, b) -> float:
@@ -29,8 +29,9 @@ def min_scaling(a, b) -> float:
 def distance(a, b) -> float:
     """Thompson part metric between two SPD matrices.
 
-    Zero only for (numerically) equal matrices; tiny negative logs from
-    rounding are clamped so the metric stays nonnegative.
+    Zero only for (numerically) equal matrices; raises NotPositiveDefinite
+    when B is not, or when ``B^(-1/2) A B^(-1/2)`` has a non-positive or
+    non-finite eigenvalue.
     """
     if a.shape != b.shape:
         raise ShapeError("operands must share dimensions")
@@ -38,9 +39,15 @@ def distance(a, b) -> float:
 
 
 def log_spread(w) -> float:
-    """``d(A, B)`` from the spectrum w of ``B^(-1/2) A B^(-1/2)``: ``max |log w_i|``."""
+    """``d(A, B)`` from the spectrum w of ``B^(-1/2) A B^(-1/2)``: ``max |log w_i|``.
+
+    Raises NotPositiveDefinite unless every w_i is positive and finite.
+    """
+    w = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise NotPositiveDefinite(f"spectrum {w} is not positive and finite")
     # max(log w_max, -log w_min) == max |log w_i| for positive spectra
-    return max(0.0, float(np.max(np.abs(np.log(w)))))
+    return float(np.max(np.abs(np.log(w))))
 
 
 def contraction_factor_affine(a: float, b: float, r: float) -> float:

@@ -11,7 +11,7 @@ def test_star_import_binds_every_exported_name():
 
 def test_removed_names_stay_removed():
     # SolverConfig carries grad_tol, a measure's own integrals run on its flat
-    # rule, and SMeasure.transpose reflects a measure
-    for name in ("RgdConfig", "integrate", "transpose_measure"):
+    # rule, SMeasure.transpose reflects a measure, and nothing inverts mean_kernel
+    for name in ("RgdConfig", "integrate", "transpose_measure", "mean_kernel_inv"):
         assert name not in spdmeans.__all__
         assert not hasattr(spdmeans, name)

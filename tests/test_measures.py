@@ -5,8 +5,10 @@ import pytest
 
 from conftest import rand_spd
 from spdmeans import (
+    DomainError,
     Incomparable,
     MeasureError,
+    NotPositiveDefinite,
     PMeasure,
     SMeasure,
     ShapeError,
@@ -19,6 +21,7 @@ from spdmeans import (
     product_measure,
     smeasure_from_json,
     weighted_arith,
+    weighted_harm,
 )
 
 
@@ -56,6 +59,28 @@ def test_power_mean_rejects_mixed_dimensions_as_shape_error():
     rng = np.random.default_rng(12)
     with pytest.raises(ShapeError):
         power_mean(0.5, [(0.5, rand_spd(rng, 2)), (0.5, rand_spd(rng, 3))])
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.diag([1.0, -0.5]), NotPositiveDefinite),         # indefinite
+    (np.array([[1.0, 2.0], [0.0, 1.0]]), NotPositiveDefinite),  # symmetric part singular
+    (np.array([[1.0, math.nan], [math.nan, 1.0]]), DomainError),
+    (np.ones((2, 3)), ShapeError),
+    ([[1.0, 0.0], [0.0]], ShapeError),                    # ragged nested list
+])
+def test_power_mean_validates_its_atoms(bad, error):
+    with pytest.raises(error):
+        power_mean(0.5, [(0.5, bad), (0.5, 2.0 * np.eye(2))])
+
+
+def test_weighted_means_take_nested_lists():
+    pairs = [(0.5, [[1.0, 0.0], [0.0, 1.0]]), (0.5, 2.0 * np.eye(2))]
+    assert np.array_equal(weighted_arith(pairs), 1.5 * np.eye(2))
+    assert np.allclose(weighted_harm(pairs), np.eye(2) / 0.75)
+    assert np.array_equal(power_mean(0.5, pairs).mean,
+                          power_mean(0.5, [(0.5, np.eye(2)), (0.5, 2.0 * np.eye(2))]).mean)
+    with pytest.raises(ShapeError):
+        weighted_arith([(0.5, [[1.0, 0.0], [0.0]]), (0.5, np.eye(2))])
 
 
 def test_product_measure():

@@ -16,7 +16,6 @@ from spdmeans import (
     log_kernel,
     log_kernel_inv,
     mean_kernel,
-    mean_kernel_inv,
     smeasure_from_json,
     smeasure_to_json,
 )
@@ -89,22 +88,6 @@ def test_mean_kernel_sandwich():
         hi = (1.0 - t) + t * x
         v = mean_kernel(s, t, x)
         assert lo - 1e-12 <= v <= hi + 1e-12
-
-
-def test_mean_kernel_inverse():
-    rng = np.random.default_rng(4)
-    assert abs(mean_kernel_inv(0.3, 0.6, 1.0) - 1.0) <= 1e-14
-    for _ in range(1000):
-        s, t = rng.uniform(0.05, 0.95, 2)
-        x = float(rng.uniform(0.05, 20.0))
-        y = mean_kernel(s, t, x)
-        x_back = mean_kernel_inv(s, t, y)
-        assert abs(mean_kernel(s, t, x_back) - y) <= 1e-11 * (1 + abs(y))
-    # affine case s = 1: kernel is 1 + t(x-1), inverse is (x-1)/t + 1
-    for t in (0.25, 0.5, 0.9):
-        assert abs(mean_kernel_inv(1.0, t, 2.0) - ((2.0 - 1.0) / t + 1.0)) <= 1e-13
-    with pytest.raises(DomainError):
-        mean_kernel_inv(0.5, 0.5, 100.0)  # beyond the kernel's range
 
 
 def test_eval_monotone_examples():

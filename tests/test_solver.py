@@ -400,12 +400,13 @@ def test_lambda_mean_newton_levels_take_few_iterations():
 
 def test_lambda_mean_predicted_levels_start_near_their_fixed_points():
     # each level starts from the extrapolation of the levels solved before it,
-    # O(t^3) off its fixed point; from the previous level alone it is O(t) off
-    # and every level took 2-5 Newton steps (1.77-2.13 per level here)
+    # O(t^3) off its fixed point; from the previous level alone it is O(t) off,
+    # and the levels at t <= 1/16 took 2.33-2.90 Newton steps each (1.38-1.70 here)
     for seed in range(5):
         for n in (2, 4, 6):
             rep = lambda_mean(random_measure(np.random.default_rng(seed), n, n_atoms=3), CFG)
-            assert rep.iterations <= 1.25 * len(rep.t_trace)
+            small = [iters for t, iters in rep.t_trace if t <= 2.0**-4]
+            assert sum(small) <= 2 * len(small)
 
 
 def test_lambda_mean_first_level_at_t1_is_the_arithmetic_mean():
@@ -420,10 +421,12 @@ def test_lambda_mean_first_level_at_t1_is_the_arithmetic_mean():
 def test_lambda_mean_monotonicity_check_is_scale_invariant():
     # in [1e-5, 1e5] successive levels at t ~ 1e-12 differ by rounding: the
     # whitened X^(-1/2) L_prev X^(-1/2) is I to 3e-10, while lambda_min(L_prev - X)
-    # is -2e-9, beyond an absolute 1e-9
+    # is -2e-9, beyond an absolute 1e-9; the net stops well above such t, so
+    # the schedule starts there
+    cfg = SolverConfig(t_start=2.0**-36)
     for seed in (1, 10):
         mu = random_measure(np.random.default_rng(seed), 6, n_atoms=3, lo=1e-5, hi=1e5)
-        x = lambda_mean(mu, CFG).mean
+        x = lambda_mean(mu, cfg).mean
         irs = sqrt_pair(x)[1]
         assert np.linalg.norm(irs @ karcher_residual(x, mu) @ irs) <= CFG.residual_tol
 
@@ -450,7 +453,8 @@ def test_lambda_mean_levels_stop_at_the_rounding_floor():
     # in [1e-3, 1e3] the whitened residual bottoms out near fp_tol; a failed
     # Newton step there ends the level, so the cost of a solve does not hinge
     # on the rounding of its coordinates (waiting out the stall took 14-16
-    # iterations per level and 94-296 per solve over these rotations)
+    # iterations per level and 94-296 per solve over these rotations; the
+    # floor exit takes 41-51)
     rng = np.random.default_rng(100)
     for seed in (6, 7):
         mu = random_measure(np.random.default_rng(seed), 4, n_atoms=3, lo=1e-3, hi=1e3)
@@ -458,7 +462,7 @@ def test_lambda_mean_levels_stop_at_the_rounding_floor():
             q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
             rep = lambda_mean(congruence_measure(q, mu), CFG)
             assert max(iters for _, iters in rep.t_trace[1:]) <= 6
-            assert rep.iterations <= 3 * len(rep.t_trace)
+            assert rep.iterations <= 90
 
 
 def test_lambda_mean_whitens_each_visited_point_once(monkeypatch):
@@ -479,8 +483,8 @@ def test_lambda_mean_exhausted_schedule_reports_the_last_level():
     # of the last level solved, not of a level after it
     mu = random_measure(np.random.default_rng(0), 2, 3)
     with pytest.raises(NonConvergence) as exc:
-        lambda_mean(mu, SolverConfig(t_factor=0.95))
-    assert exc.value.iterations == 205
+        lambda_mean(mu, SolverConfig(t_factor=0.98))
+    assert exc.value.iterations == 204
     assert exc.value.final_step == 0.0
 
 
@@ -583,6 +587,42 @@ def test_lambda_mean_unique_across_schedules():
     m3 = lambda_mean(mu, SolverConfig(t_start=0.5, t_factor=0.25)).mean
     assert distance(m1, m2) <= 1e-7
     assert distance(m1, m3) <= 1e-7
+
+
+def test_lambda_mean_extrapolated_limit_agrees_with_newton():
+    # the net stops on successive Richardson extrapolations of its levels to
+    # t = 0: at most 1.4e-10 from the t = 0 Newton minimizer after a median of
+    # 14 levels, where the level gap d(L_t, L_2t) <= lambda_tol stopped up to
+    # 9.9e-10 away after a median of 32
+    levels = []
+    for lo, hi in ((1e-1, 1e1), (1e-3, 1e3)):
+        for n in (4, 8):
+            for seed in range(12):
+                mu = random_measure(np.random.default_rng(seed), n, 3, lo=lo, hi=hi)
+                rep = lambda_mean(mu, CFG)
+                newton = minimize_divergence(mu, SolverConfig(grad_tol=1e-12)).mean
+                assert distance(rep.mean, newton) <= 2e-10
+                irs = sqrt_pair(rep.mean)[1]
+                assert np.linalg.norm(irs @ karcher_residual(rep.mean, mu) @ irs) <= CFG.residual_tol
+                levels.append(len(rep.t_trace))
+    assert np.median(levels) <= 16
+
+
+def test_extrapolation_gap_is_a_certified_bound():
+    # an upper bound on d(E_prev, E) whenever it is finite, and infinite unless
+    # both extrapolations are positive definite
+    rng = np.random.default_rng(40)
+    x = rand_spd(rng, 4)
+    point = solver._point(x, x[None])
+    for scale in (1e-10, 1e-6, 1e-3):
+        e = rand_spd(rng, 4)
+        e_prev = e + scale * sym(rng.standard_normal((4, 4)))
+        bound = solver._extrapolation_gap(point, e, e_prev)
+        assert bound < np.inf and distance(e_prev, e) <= bound * (1 + 1e-12) + 1e-15
+    e = np.diag([1.0, 1.0, 1.0, -1e-3])
+    assert solver._extrapolation_gap(point, e, e) == np.inf
+    assert solver._extrapolation_gap(point, e, np.eye(4)) == np.inf
+    assert solver._extrapolation_gap(point, np.eye(4), e) == np.inf
 
 
 def test_lambda_mean_two_variable_mean_properties():

@@ -6,6 +6,7 @@ import pytest
 from conftest import conditioned_transform, rand_spd, sym, thompson_ball_point
 from spdmeans import (
     DomainError,
+    NotPositiveDefinite,
     SMeasure,
     contraction_factor_affine,
     contraction_factor_mean,
@@ -16,6 +17,7 @@ from spdmeans import (
     min_scaling,
     product_measure,
 )
+from spdmeans.thompson import log_spread
 
 
 def test_min_scaling_cases():
@@ -25,6 +27,19 @@ def test_min_scaling_cases():
     assert abs(min_scaling(2 * np.eye(3), np.eye(3)) - 2.0) <= 1e-12
     # diagonal ratios 1/2 and 4; the larger wins
     assert abs(min_scaling(np.diag([1.0, 4.0]), np.diag([2.0, 1.0])) - 4.0) <= 1e-12
+
+
+@pytest.mark.parametrize("w", [[4.0, -1.0], [0.0, 2.0], [math.nan, 2.0], [math.inf, 2.0]])
+def test_log_spread_rejects_spectra_that_are_not_positive(w):
+    with pytest.raises(NotPositiveDefinite):
+        log_spread(w)
+
+
+def test_distance_rejects_an_indefinite_operand():
+    with pytest.raises(NotPositiveDefinite):
+        distance(np.diag([4.0, -1.0]), np.eye(2))
+    with pytest.raises(NotPositiveDefinite):
+        distance(np.eye(2), np.diag([4.0, -1.0]))
 
 
 def test_shape_mismatch_raises():
