@@ -9,7 +9,6 @@ Newton minimizer that independently cross-checks the fixed-point route.
 """
 
 from .core import (
-    SpectralDecomposition,
     apply_scalar_fn,
     congruence,
     geometric_mean,
@@ -17,8 +16,6 @@ from .core import (
     matrix_from_json,
     matrix_to_json,
     spd_matrix,
-    spd_power,
-    spectral,
     sym_matrix,
     weighted_arith,
     weighted_harm,
@@ -84,9 +81,9 @@ from .thompson import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SpectralDecomposition", "apply_scalar_fn", "congruence", "geometric_mean",
-    "loewner_leq", "matrix_from_json", "matrix_to_json", "spd_matrix",
-    "spd_power", "spectral", "sym_matrix", "weighted_arith", "weighted_harm",
+    "apply_scalar_fn", "congruence", "geometric_mean", "loewner_leq",
+    "matrix_from_json", "matrix_to_json", "spd_matrix", "sym_matrix",
+    "weighted_arith", "weighted_harm",
     "geodesic_convexity_check", "logdet_divergence", "minimize_divergence",
     "objective", "riemannian_gradient",
     "DomainError", "EmptyInput", "Incomparable", "MeasureError",

@@ -1,17 +1,24 @@
-"""Dense SPD/symmetric matrix primitives.
+"""Dense SPD/symmetric matrix primitives and the package's one spectral layer.
 
 Everything here operates on plain ``numpy.ndarray`` values.  Matrices enter
-the library through :func:`spd_matrix` / :func:`sym_matrix` (or the JSON
-loaders), which symmetrize and validate; the remaining operations assume
-validated input and stay allocation-light so they can sit inside solver
-loops.
+the library through :func:`spd_stack` (the one SPD gate; :func:`spd_matrix`
+is its k = 1 case) or :func:`sym_matrix` (or the JSON loaders), which
+symmetrize and validate; the remaining operations assume validated input and
+stay allocation-light so they can sit inside solver loops.
 
-All matrix functions go through a full symmetric eigendecomposition rather
-than Pade or scaling-and-squaring: dimensions stay small and the spectral
-route handles every scalar function we need with one kernel.
+All matrix functions take the spectral route rather than Pade or
+scaling-and-squaring: dimensions stay small, and one kernel handles every
+scalar function we need.  It has three pieces, and no other module calls
+``eigh`` or ``eigvalsh``:
+
+* :func:`_eigh`, the one ``eigh`` call, on a matrix or a (k, n, n) stack; a
+  LAPACK failure becomes :class:`NumericalFailure`;
+* :func:`whitened_eigh` / :func:`whiten`, the stacked spectra of
+  ``X^(-1/2) A_k X^(-1/2)``;
+* :func:`spectral_sum`, the one reassembly ``rs (sum_k Q_k diag(v_k) Q_k.T) rs``.
 """
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -59,33 +66,27 @@ def sym_matrix(entries) -> np.ndarray:
 
 
 def spd_matrix(entries) -> np.ndarray:
-    """Validate, symmetrize and positivity-check a matrix.
-
-    The smallest eigenvalue must exceed ``dim * 1e-14 * lambda_max`` so that
-    floating-point drift neither rejects valid input nor admits indefinite
-    matrices.
+    """Validate, symmetrize and positivity-check a matrix: the k = 1 case of :func:`spd_stack`.
 
     Returns
     -------
     ndarray
         Symmetric positive definite float64 copy.
     """
-    a = sym_matrix(entries)
-    w = np.linalg.eigvalsh(a)
-    lo, hi = w[0], w[-1]
-    if hi <= 0.0 or lo <= a.shape[0] * PD_FLOOR * hi:
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite (min eig {lo:.3e}, max eig {hi:.3e})"
-        )
-    return a
+    return spd_stack(sym_matrix(entries)[None])[0]
 
 
 def spd_stack(mats) -> np.ndarray:
-    """:func:`spd_matrix` for k same-shape square matrices, as a (k, n, n) stack.
+    """Validate, symmetrize and positivity-check k square matrices of one shape.
 
-    One stacked ``eigvalsh`` checks them all.
+    The one SPD gate of the package: a (k, n, n) stack, checked by one stacked
+    ``eigvalsh``.  Each smallest eigenvalue must exceed ``n * 1e-14 *
+    lambda_max``, so that floating-point drift neither rejects valid input nor
+    admits indefinite matrices; the first failing matrix is named by its index.
     """
     a = np.array(mats, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise ShapeError(f"expected a stack of square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
     a = 0.5 * (a + a.swapaxes(1, 2))
@@ -100,20 +101,12 @@ def spd_stack(mats) -> np.ndarray:
     return a
 
 
-class SpectralDecomposition(NamedTuple):
-    """Eigendecomposition ``A = Q diag(eigenvalues) Q.T`` with ascending eigenvalues."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def spectral(a) -> SpectralDecomposition:
-    """Symmetric eigendecomposition with ascending eigenvalues."""
+def _eigh(a):
+    """Ascending ``eigh`` of a symmetric matrix or (k, n, n) stack; the package's one entry."""
     try:
-        w, q = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    return SpectralDecomposition(w, q)
 
 
 def apply_scalar_fn(a, fn: Callable) -> np.ndarray:
@@ -129,28 +122,21 @@ def apply_scalar_fn(a, fn: Callable) -> np.ndarray:
     Returns
     -------
     ndarray
-        ``Q diag(fn(w)) Q.T`` where ``(w, Q) = spectral(a)``.
+        ``spectral_sum(Q, fn(w))`` for the one-matrix stack ``(w, Q) = eigh(A)``,
+        that is ``Q diag(fn(w)) Q.T``.
     """
-    w, q = spectral(a)
+    w, q = _eigh(a)
     with np.errstate(all="ignore"):
         fw = np.asarray(fn(w), dtype=float)
     if fw.shape != w.shape or not np.all(np.isfinite(fw)):
         raise DomainError("scalar function undefined on part of the spectrum")
-    return _sym((q * fw) @ q.T)
-
-
-def spd_power(a, p: float) -> np.ndarray:
-    """Matrix power ``A**p`` of an SPD matrix via the spectral route."""
-    w, q = spectral(a)
-    if np.any(w <= 0.0):
-        raise NotPositiveDefinite("matrix power of a non-positive matrix")
-    return _sym((q * w**p) @ q.T)
+    return spectral_sum(q[None], fw[None])
 
 
 def sqrt_pair(a):
     """Return ``(A**0.5, A**-0.5)`` from a single eigendecomposition."""
-    w, q = spectral(a)
-    if np.any(w <= 0.0):
+    w, q = _eigh(a)
+    if not np.all(w > 0.0):
         raise NotPositiveDefinite("square root of a non-positive matrix")
     r = np.sqrt(w)
     return _sym((q * r) @ q.T), _sym((q / r) @ q.T)
@@ -170,16 +156,18 @@ def whitened_eigh(x, mats):
 def whiten(irs, mats):
     """Stacked spectra ``(lam, q)`` of ``irs @ mats @ irs``, irs a known ``X^(-1/2)``."""
     white = irs @ mats @ irs
-    try:
-        return np.linalg.eigh(0.5 * (white + white.swapaxes(1, 2)))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
+    return _eigh(0.5 * (white + white.swapaxes(1, 2)))
 
 
-def spectral_sum(q, vals) -> np.ndarray:
-    """``sum_k Q_k diag(vals_k) Q_k.T`` for q (k, n, n) and vals (k, n), as one product."""
+def spectral_sum(q, vals, rs=None) -> np.ndarray:
+    """``rs (sum_k Q_k diag(vals_k) Q_k.T) rs`` for q (k, n, n) and vals (k, n), as one product.
+
+    Without ``rs`` the bare sum; with ``rs = X^(1/2)`` the sum is taken back out of
+    X's whitened frame.
+    """
     cols = q.transpose(1, 0, 2).reshape(q.shape[1], -1)
-    return _sym((cols * np.ravel(vals)) @ cols.T)
+    acc = _sym((cols * np.ravel(vals)) @ cols.T)
+    return acc if rs is None else _sym(rs @ acc @ rs)
 
 
 def congruence(c, a) -> np.ndarray:
@@ -210,9 +198,9 @@ def geometric_mean(a, b, t: float) -> np.ndarray:
     if a.shape != b.shape:
         raise ShapeError("operands must share dimensions")
     rs, _, lam, q = whitened_eigh(a, b[None])
-    if np.any(lam <= 0.0):
+    if not np.all(lam > 0.0):
         raise NotPositiveDefinite("matrix power of a non-positive matrix")
-    return _sym(rs @ spectral_sum(q, lam**t) @ rs)
+    return spectral_sum(q, lam**t, rs)
 
 
 def loewner_leq(a, b, tol: float = LOEWNER_TOL) -> bool:
@@ -274,10 +262,8 @@ def weighted_arith(pairs) -> np.ndarray:
 def weighted_harm(pairs) -> np.ndarray:
     """Weighted harmonic mean ``(sum_k w_k A_k^-1)^-1``; below the arithmetic mean."""
     w, mats = _check_weights(pairs)
-    acc = np.zeros_like(mats[0])
-    for wk, m in zip(w, mats):
-        acc = acc + wk * spd_power(m, -1.0)
-    return spd_power(_sym(acc), -1.0)
+    lam, q = _eigh(spd_stack(mats))
+    return _sym(np.linalg.inv(spectral_sum(q, w[:, None] / lam)))
 
 
 def matrix_to_json(a) -> dict:

@@ -31,8 +31,8 @@ import math
 
 import numpy as np
 
-from .core import _sym, geometric_mean, sqrt_pair, weighted_arith, whitened_eigh
-from .errors import DomainError, ShapeError
+from .core import geometric_mean, spectral_sum, sqrt_pair, weighted_arith, whitened_eigh
+from .errors import DomainError, NotPositiveDefinite, ShapeError
 from .measures import PMeasure
 from .solver import SolverConfig, SolverReport, _level_kernels, _solve, karcher_residual
 from .thompson import distance
@@ -45,7 +45,12 @@ _ENDPOINT = 1e-8
 
 
 def _eig_divergence(s, w):
-    """Divergence terms at nodes s (m,) and eigenvalues w, (n,) or one row (m, n) per node."""
+    """Divergence terms at nodes s (m,) and eigenvalues w, (n,) or one row (m, n) per node.
+
+    Raises NotPositiveDefinite unless every w is positive (a NaN is not).
+    """
+    if not np.all(w > 0.0):
+        raise NotPositiveDefinite("divergence of a non-positive matrix")
     s = np.asarray(s, dtype=float)[:, None]
     logw = np.log(w)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -123,7 +128,7 @@ def geodesic_convexity_check(mu: PMeasure, trials: int, seed: int = 0) -> bool:
     def sample():
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         d = np.exp(rng.uniform(math.log(0.25), math.log(4.0), n))
-        return _sym(rc @ ((q * d) @ q.T) @ rc)
+        return spectral_sum(q[None], d[None], rc)
 
     for trial in range(trials):
         g0, g1 = sample(), sample()

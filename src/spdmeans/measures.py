@@ -15,7 +15,7 @@ per atom by ``np.add.reduceat`` in a fixed order, so reruns are bit-identical.
 import numpy as np
 
 from .core import (_probability_weights, congruence, loewner_leq, matrix_from_json, matrix_to_json,
-                   spd_matrix)
+                   spd_stack)
 from .errors import Incomparable, MeasureError
 from .monotone import SMeasure, _frozen, smeasure_from_json, smeasure_to_json
 
@@ -44,17 +44,18 @@ class PMeasure:
         atoms = list(atoms)
         if not atoms:
             raise MeasureError("measure needs at least one atom")
-        mats = [spd_matrix(m) for _, m, _ in atoms]
+        mats = [np.asarray(m, dtype=float) for _, m, _ in atoms]
         if len({m.shape for m in mats}) > 1:
             raise MeasureError("all atom matrices must share one dimension")
+        mats = spd_stack(mats)
         nus = [nu for _, _, nu in atoms]
         if not all(isinstance(nu, SMeasure) for nu in nus):
             raise MeasureError("each atom needs an SMeasure on [0, 1]")
         w = _frozen(_probability_weights([w for w, _, _ in atoms]))
-        self.matrices = _frozen(np.stack(mats))
+        self.matrices = _frozen(mats)
         self.weights = w
         self.atoms = tuple((float(wk), m, nu) for wk, m, nu in zip(w, self.matrices, nus))
-        self.dim = mats[0].shape[0]
+        self.dim = mats.shape[1]
         counts = [len(nu.nodes) for nu in nus]
         self.nodes = _frozen(np.concatenate([nu.nodes for nu in nus]))
         self.owner = np.repeat(np.arange(len(nus)), counts)
@@ -131,7 +132,7 @@ def pmeasure_from_json(obj) -> PMeasure:
         atoms = [
             (
                 entry["weight"],
-                matrix_from_json(entry["matrix"]),
+                matrix_from_json(entry["matrix"], spd=False),
                 smeasure_from_json(entry["nu"]),
             )
             for entry in obj["atoms"]

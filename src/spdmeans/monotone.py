@@ -24,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .core import _probability_weights, _sym, apply_scalar_fn, spectral_sum, whitened_eigh
-from .errors import DomainError, MeasureError
+from .core import _probability_weights, apply_scalar_fn, spectral_sum, whitened_eigh
+from .errors import DomainError, MeasureError, NotPositiveDefinite
 
 DEFAULT_NODES = 64
 
@@ -35,17 +35,19 @@ DEFAULT_NODES = 64
 # ---------------------------------------------------------------------------
 
 
-def _is_matrix(x):
-    return isinstance(x, np.ndarray) and x.ndim == 2
+def _apply(x, fn):
+    """Vectorized ``fn`` of a positive scalar, or of an SPD matrix (2-d ndarray) spectrally."""
+    if not (isinstance(x, np.ndarray) and x.ndim == 2):
+        if not x > 0.0:
+            raise DomainError("scalar argument must be positive")
+        return float(fn(np.array([x], dtype=float))[0])
 
-
-def _spectral_apply(x, scalar_fn):
-    def fn(w):
-        if np.any(w <= 0.0):
+    def positive(w):
+        if not np.all(w > 0.0):
             raise DomainError("matrix argument must be positive definite")
-        return scalar_fn(w)
+        return fn(w)
 
-    return apply_scalar_fn(x, fn)
+    return apply_scalar_fn(x, positive)
 
 
 def _check_s(s):
@@ -68,11 +70,7 @@ def log_kernel(s, x):
     between ``1 - 1/x`` and ``x - 1``.
     """
     _check_s(s)
-    if _is_matrix(x):
-        return _spectral_apply(x, lambda w: log_kernel_grid(np.asarray([s]), w)[0])
-    if x <= 0.0:
-        raise DomainError("scalar argument must be positive")
-    return float((x - 1.0) / ((1.0 - s) * x + s))
+    return _apply(x, lambda w: log_kernel_grid(np.asarray([s]), w)[0])
 
 
 def log_kernel_grid(s, x):
@@ -96,11 +94,7 @@ def log_kernel_inv(s, y) -> float:
 def harmonic_kernel(s, x):
     """Kernel ``((1 - s) + s/x)^-1``; s = 0 is the left trivial mean, s = 1 the right."""
     _check_s(s)
-    if _is_matrix(x):
-        return _spectral_apply(x, lambda w: x_over_affine(s, w))
-    if x <= 0.0:
-        raise DomainError("scalar argument must be positive")
-    return float(x / ((1.0 - s) * x + s))
+    return _apply(x, lambda w: x_over_affine(s, w))
 
 
 def x_over_affine(s, w):
@@ -127,11 +121,7 @@ def mean_kernel(s, t, x):
     """
     _check_st(s, t)
     alpha, beta, gamma, delta = _mean_coeffs(s, t)
-    if _is_matrix(x):
-        return _spectral_apply(x, lambda w: (alpha * w + beta) / (gamma * w + delta))
-    if x <= 0.0:
-        raise DomainError("scalar argument must be positive")
-    return float((alpha * x + beta) / (gamma * x + delta))
+    return _apply(x, lambda w: (alpha * w + beta) / (gamma * w + delta))
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +278,7 @@ def eval_monotone(rep: SMeasure, x):
     measure this is ``log x``, for the power measure ``(x^t - 1)/t``.
     Accepts a positive scalar or an SPD matrix.
     """
-    if _is_matrix(x):
-        return _spectral_apply(
-            x, lambda w: rep.weights @ log_kernel_grid(rep.nodes, w)
-        )
-    if x <= 0.0:
-        raise DomainError("scalar argument must be positive")
-    return float(rep.weights @ log_kernel_grid(rep.nodes, [x])[:, 0])
+    return _apply(x, lambda w: rep.weights @ log_kernel_grid(rep.nodes, w))
 
 
 def eval_mean(nu: SMeasure, a, b):
@@ -307,10 +291,9 @@ def eval_mean(nu: SMeasure, a, b):
     if a.shape != b.shape:
         raise MeasureError("mean operands must share dimensions")
     rs, _, lam, q = whitened_eigh(a, b[None])
-    if np.any(lam <= 0.0):
-        raise DomainError("mean operands must be positive definite")
-    vals = nu.weights @ x_over_affine(nu.nodes[:, None], lam)
-    return _sym(rs @ spectral_sum(q, vals[None]) @ rs)
+    if not np.all(lam > 0.0):
+        raise NotPositiveDefinite("mean operands must be positive definite")
+    return spectral_sum(q, nu.weights @ x_over_affine(nu.nodes[:, None], lam), rs)
 
 
 def check_normalization(rep: SMeasure):

@@ -180,11 +180,9 @@ def _suite_thompson(rng, dim, trials, tally):
 def _ball_point(rng, anchor, r):
     """Random point of the closed Thompson ball of radius r around the anchor."""
     n = anchor.shape[0]
-    rs, _ = core.sqrt_pair(anchor)
-    g = core._sym(rng.standard_normal((n, n)))
-    w, q = np.linalg.eigh(g)
+    w, q = core._eigh(core._sym(rng.standard_normal((n, n))))
     scale = r * float(rng.uniform(0.2, 1.0)) / max(abs(w[0]), abs(w[-1]))
-    return core._sym(rs @ ((q * np.exp(scale * w)) @ q.T) @ rs)
+    return core.spectral_sum(q[None], np.exp(scale * w)[None], core.sqrt_pair(anchor)[0])
 
 
 def _suite_means(rng, dim, trials, tally):

@@ -16,6 +16,7 @@ import pathlib
 import numpy as np
 
 from spdmeans import PMeasure, SMeasure
+from spdmeans.core import spectral_sum, sqrt_pair
 from spdmeans.verify import _psd_bump, random_spd, random_transform, random_weights
 
 
@@ -63,12 +64,9 @@ def dirac_lebesgue_pair(seed):
 def thompson_ball_point(rng, anchor, radius):
     """Random point with Thompson distance at most ``radius`` from the anchor."""
     n = anchor.shape[0]
-    w, q = np.linalg.eigh(anchor)
-    rs = (q * np.sqrt(w)) @ q.T
-    g = sym(rng.standard_normal((n, n)))
-    lam, u = np.linalg.eigh(g)
+    lam, u = np.linalg.eigh(sym(rng.standard_normal((n, n))))
     scale = radius * float(rng.uniform(0.3, 1.0)) / max(abs(lam[0]), abs(lam[-1]))
-    return sym(rs @ ((u * np.exp(scale * lam)) @ u.T) @ rs)
+    return spectral_sum(u[None], np.exp(scale * lam)[None], sqrt_pair(anchor)[0])
 
 
 def subprocess_env():

@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import rand_spd, sym
+from conftest import rand_spd
 from spdmeans import (
+    DomainError,
     EmptyInput,
     NotPositiveDefinite,
+    NumericalFailure,
     ShapeError,
+    SMeasure,
     apply_scalar_fn,
     congruence,
+    eval_mean,
     geometric_mean,
+    karcher_residual,
+    logdet_divergence,
     loewner_leq,
     matrix_from_json,
     matrix_to_json,
+    product_measure,
     spd_matrix,
-    spectral,
     sym_matrix,
     weighted_arith,
     weighted_harm,
@@ -35,24 +41,6 @@ def test_spd_matrix_symmetrizes_and_checks():
     # sym_matrix symmetrizes without the positivity check
     s = sym_matrix([[0.0, 1.0], [3.0, -2.0]])
     assert np.allclose(s, [[0.0, 2.0], [2.0, -2.0]])
-
-
-def test_spectral_identity_and_diagonal():
-    w, q = spectral(np.eye(3))
-    assert np.allclose(w, 1.0)
-    assert np.linalg.norm(q.T @ q - np.eye(3)) <= 1e-12 * 3
-    w, _ = spectral(np.diag([4.0, 1.0]))
-    assert np.allclose(w, [1.0, 4.0])
-
-
-def test_spectral_reconstruction_random():
-    rng = np.random.default_rng(7)
-    a = sym(rng.standard_normal((5, 5)))
-    w, q = spectral(a)
-    assert np.all(np.diff(w) >= 0)
-    err = np.linalg.norm((q * w) @ q.T - a)
-    assert err <= 1e-10 * np.linalg.norm(a)
-    assert np.linalg.norm(q.T @ q - np.eye(5)) <= 1e-12 * 5
 
 
 def test_apply_scalar_fn_log_and_identity():
@@ -101,6 +89,10 @@ def test_whitened_eigh_and_spectral_sum_on_a_stack():
     assert np.allclose(
         spectral_sum(q, w[:, None] * lam), sum(wk * m for wk, m in zip(w, white)), atol=1e-10
     )
+    # with rs = X^(1/2) the sum leaves the whitened frame: sum_k w_k A_k
+    back = spectral_sum(q, w[:, None] * lam, rs)
+    assert np.array_equal(back, back.T)
+    assert np.allclose(back, sum(wk * a for wk, a in zip(w, mats)), rtol=1e-10, atol=1e-10)
 
 
 def test_congruence_basics_and_roundtrip():
@@ -139,6 +131,39 @@ def test_geometric_mean_symmetry_and_equivariance():
         lhs = congruence(c, g1)
         rhs = geometric_mean(congruence(c, a), congruence(c, b), t)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * (1 + np.linalg.norm(lhs))
+
+
+_SPD = np.array([[2.0, 0.5], [0.5, 1.0]])
+_INDEFINITE = np.diag([1.0, -0.5])
+_NAN = np.array([[1.0, math.nan], [math.nan, 1.0]])
+_HALF = SMeasure.dirac(0.5)
+# a NaN spectrum passes ``w <= 0`` tests; LAPACK may also refuse a NaN matrix outright
+_BAD_SPECTRUM = (NotPositiveDefinite, NumericalFailure)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad, error", [(_INDEFINITE, NotPositiveDefinite), (_NAN, _BAD_SPECTRUM)],
+                         ids=["indefinite", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda m: geometric_mean(m, _SPD, 0.5),
+    lambda m: geometric_mean(_SPD, m, 0.5),
+    lambda m: eval_mean(_HALF, m, _SPD),
+    lambda m: eval_mean(_HALF, _SPD, m),
+    lambda m: logdet_divergence(m, _SPD, 0.5),
+    lambda m: logdet_divergence(_SPD, m, 0.5),
+    lambda m: karcher_residual(m, product_measure(_HALF, [(1.0, _SPD)])),
+], ids=["geo-first", "geo-second", "mean-first", "mean-second", "ld-first", "ld-second",
+        "residual-point"])
+def test_spectral_layer_rejects_non_positive_operands(call, bad, error):
+    with pytest.raises(error):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad, error", [(_INDEFINITE, NotPositiveDefinite), (_NAN, DomainError)],
+                         ids=["indefinite", "nan"])
+def test_weighted_harm_checks_its_atoms_once(bad, error):
+    with pytest.raises(error, match="matrix 1 is" if error is NotPositiveDefinite else "finite"):
+        weighted_harm([(0.5, _SPD), (0.5, bad)])
 
 
 def test_loewner_order():

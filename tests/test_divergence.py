@@ -6,6 +6,7 @@ import pytest
 import spdmeans.divergence as dvg
 from conftest import dirac_lebesgue_pair, rand_measure, rand_spd, sym
 from spdmeans import (
+    NotPositiveDefinite,
     SMeasure,
     SolverConfig,
     distance,
@@ -241,3 +242,13 @@ def test_eig_divergence_endpoint_dispatch():
     assert np.allclose(lo, 1.0 / w - 1.0 + np.log(w))
     hi = _eig_divergence([1.0], w)[0]
     assert np.allclose(hi, w - 1.0 - np.log(w))
+
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w", [[-1e-12, 2.0], [0.0, 2.0], [math.nan, 2.0]])
+def test_eig_divergence_rejects_a_non_positive_spectrum(w):
+    # rounding can leave a valid but near-singular pair's whitened spectrum off the
+    # cone (one 1e-5..1e5 random_measure does at its own atom); that raises, not nan
+    with pytest.raises(NotPositiveDefinite):
+        _eig_divergence([0.0, 0.3, 1.0], np.array(w))

@@ -14,12 +14,14 @@ from spdmeans import (
     ShapeError,
     congruence_measure,
     matrix_from_json,
+    matrix_to_json,
     measure_leq,
     pmeasure_from_json,
     pmeasure_to_json,
     power_mean,
     product_measure,
     smeasure_from_json,
+    smeasure_to_json,
     weighted_arith,
     weighted_harm,
 )
@@ -34,6 +36,8 @@ def test_pmeasure_validation():
         PMeasure([(0.6, a, SMeasure.dirac(0.5)), (0.6, a, SMeasure.dirac(0.5))])
     with pytest.raises(MeasureError):
         PMeasure([(0.5, a, SMeasure.dirac(0.5)), (0.5, rand_spd(rng, 4), SMeasure.dirac(0.5))])
+    with pytest.raises(ShapeError):
+        PMeasure([(1.0, np.ones((2, 3)), SMeasure.dirac(0.5))])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "half"])
@@ -181,3 +185,19 @@ def test_pmeasure_json_roundtrip():
         assert w1 == w2
         assert np.array_equal(m1, m2)
         assert n1.same_structure(n2)
+
+
+@pytest.mark.parametrize("bad, error, match", [
+    (np.diag([1.0, -0.5]), NotPositiveDefinite, "matrix 1 is not positive definite"),
+    (np.array([[1.0, 2.0], [0.0, 1.0]]), NotPositiveDefinite, "matrix 1 is not positive definite"),
+    (np.array([[1.0, math.nan], [math.nan, 1.0]]), DomainError, "finite"),
+])
+def test_pmeasure_checks_its_atoms_in_one_stack(bad, error, match):
+    # one spd_stack names the failing atom; the JSON loader leaves the check to it
+    nu = SMeasure.lebesgue()
+    with pytest.raises(error, match=match):
+        PMeasure([(0.5, 2.0 * np.eye(2), nu), (0.5, bad, nu)])
+    obj = {"atoms": [{"weight": 0.5, "nu": smeasure_to_json(nu), "matrix": matrix_to_json(m)}
+                     for m in (2.0 * np.eye(2), bad)]}
+    with pytest.raises(error, match=match):
+        pmeasure_from_json(obj)

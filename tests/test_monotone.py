@@ -42,6 +42,21 @@ def test_log_kernel_values():
         log_kernel(0.5, -1.0)
 
 
+
+@pytest.mark.parametrize("x", [-1.0, 0.0, math.nan, np.diag([1.0, -1.0]), np.diag([1.0, math.nan])],
+                         ids=["negative", "zero", "nan", "indefinite", "nan-matrix"])
+@pytest.mark.parametrize("kernel", [
+    lambda x: log_kernel(0.5, x),
+    lambda x: harmonic_kernel(0.5, x),
+    lambda x: mean_kernel(0.5, 0.5, x),
+    lambda x: eval_monotone(SMeasure.lebesgue(), x),
+], ids=["log", "harmonic", "mean", "monotone"])
+def test_kernels_take_only_positive_arguments(kernel, x):
+    # NaN passes an ``x <= 0`` test; the one positivity test is ``x > 0``
+    with pytest.raises(DomainError):
+        kernel(x)
+
+
 def test_log_kernel_inverse():
     rng = np.random.default_rng(1)
     assert log_kernel_inv(0.3, 0.0) == 1.0
