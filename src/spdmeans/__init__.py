@@ -50,7 +50,6 @@ from .measures import (
 )
 from .monotone import (
     SMeasure,
-    check_normalization,
     eval_mean,
     eval_monotone,
     harmonic_kernel,
@@ -91,7 +90,7 @@ __all__ = [
     "NumericalFailure", "ShapeError", "SingularTransform", "SpdMeansError",
     "PMeasure", "congruence_measure", "measure_leq", "pmeasure_from_json",
     "pmeasure_to_json", "product_measure",
-    "SMeasure", "check_normalization", "eval_mean", "eval_monotone",
+    "SMeasure", "eval_mean", "eval_monotone",
     "harmonic_kernel", "log_kernel", "log_kernel_inv", "mean_kernel",
     "smeasure_from_json", "smeasure_to_json",
     "SolverConfig", "SolverReport", "induced_mean", "iteration_map",

@@ -11,6 +11,7 @@ flag), 2 solver non-convergence.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from functools import lru_cache
@@ -40,9 +41,9 @@ def _load_measure(path):
         raise MeasureError(f"bad measure JSON in {path}: {exc}") from exc
 
 
-def _load_matrix(path, spd=True):
+def _load_matrix(path):
     try:
-        return matrix_from_json(_load_json(path), spd=spd)
+        return matrix_from_json(_load_json(path))
     except MeasureError as exc:
         raise MeasureError(f"bad matrix JSON in {path}: {exc}") from exc
 
@@ -66,7 +67,7 @@ def _write(text, path):
 
 def _solver_config(args):
     """SolverConfig of the flags given; every other setting keeps its dataclass default."""
-    fields = ("fp_tol", "max_iters", "lambda_tol", "grad_tol")
+    fields = (f.name for f in dataclasses.fields(solver.SolverConfig))
     return solver.SolverConfig(**{k: getattr(args, k) for k in fields if k in args})
 
 

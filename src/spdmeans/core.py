@@ -44,6 +44,14 @@ def _sym(a):
     return 0.5 * (a + a.T)
 
 
+def _float_array(a) -> np.ndarray:
+    """``a`` as a float ndarray, not copied if it is one; ShapeError if ragged or not numeric."""
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"matrices must be numeric arrays: {exc}") from exc
+
+
 def sym_matrix(entries) -> np.ndarray:
     """Validate and symmetrize a square real matrix.
 
@@ -57,7 +65,7 @@ def sym_matrix(entries) -> np.ndarray:
     ndarray
         Symmetric float64 copy.
     """
-    a = np.array(entries, dtype=float)
+    a = _float_array(entries)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -84,7 +92,7 @@ def spd_stack(mats) -> np.ndarray:
     lambda_max``, so that floating-point drift neither rejects valid input nor
     admits indefinite matrices; the first failing matrix is named by its index.
     """
-    a = np.array(mats, dtype=float)
+    a = _float_array(mats)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
         raise ShapeError(f"expected a stack of square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -176,7 +184,7 @@ def congruence(c, a) -> np.ndarray:
     Raises :class:`SingularTransform` when ``C`` is numerically singular
     (condition estimate above 1e14 or non-finite).
     """
-    c = np.asarray(c, dtype=float)
+    c = _float_array(c)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ShapeError(f"transform must be square, got {c.shape}")
     if c.shape[0] != a.shape[0]:
@@ -195,6 +203,7 @@ def geometric_mean(a, b, t: float) -> np.ndarray:
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"geometric mean weight must lie in [0, 1], got {t}")
+    a, b = _float_array(a), _float_array(b)
     if a.shape != b.shape:
         raise ShapeError("operands must share dimensions")
     rs, _, lam, q = whitened_eigh(a, b[None])
@@ -240,10 +249,7 @@ def _check_weights(pairs):
     if len(pairs) == 0:
         raise EmptyInput("need at least one (weight, matrix) pair")
     w = _probability_weights([p[0] for p in pairs])
-    try:
-        mats = [np.asarray(p[1], dtype=float) for p in pairs]
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"matrices must be numeric arrays: {exc}") from exc
+    mats = [_float_array(p[1]) for p in pairs]
     shape = mats[0].shape
     if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in mats):
         raise ShapeError("all matrices must be square and share dimensions")

@@ -31,7 +31,8 @@ import math
 
 import numpy as np
 
-from .core import geometric_mean, spectral_sum, sqrt_pair, weighted_arith, whitened_eigh
+from .core import (_float_array, geometric_mean, spectral_sum, sqrt_pair, weighted_arith,
+                   whitened_eigh)
 from .errors import DomainError, NotPositiveDefinite, ShapeError
 from .measures import PMeasure
 from .solver import SolverConfig, SolverReport, _level_kernels, _solve, karcher_residual
@@ -61,6 +62,7 @@ def _eig_divergence(s, w):
 
 def logdet_divergence(x, a, s: float) -> float:
     """Divergence ``LD_s(X, A)`` for s in [0, 1]; nonnegative, zero iff X = A."""
+    x, a = _float_array(x), _float_array(a)
     if x.shape != a.shape:
         raise ShapeError("operands must share dimensions")
     if not 0.0 <= s <= 1.0:

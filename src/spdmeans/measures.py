@@ -14,8 +14,8 @@ per atom by ``np.add.reduceat`` in a fixed order, so reruns are bit-identical.
 
 import numpy as np
 
-from .core import (_probability_weights, congruence, loewner_leq, matrix_from_json, matrix_to_json,
-                   spd_stack)
+from .core import (_float_array, _probability_weights, congruence, loewner_leq, matrix_from_json,
+                   matrix_to_json, spd_stack)
 from .errors import Incomparable, MeasureError
 from .monotone import SMeasure, _frozen, smeasure_from_json, smeasure_to_json
 
@@ -27,9 +27,10 @@ class PMeasure:
     ----------
     atoms : sequence of (weight, matrix, SMeasure)
         Finite positive weights summing to 1 (within 1e-12); matrices all SPD and
-        of one shared dimension.  They are stored once, as the read-only
-        (k, n, n) stack ``matrices`` and vector ``weights``; ``atoms`` holds
-        views into that stack.
+        of one shared dimension (a ragged or non-numeric matrix raises ShapeError,
+        well-formed ones of different dimensions MeasureError).  They are stored
+        once, as the read-only (k, n, n) stack ``matrices`` and vector
+        ``weights``; ``atoms`` holds views into that stack.
 
     The flat quadrature is read-only too: over all M nodes of all atoms,
     ``nodes`` (M,) and ``node_weights`` (M,) hold each atom's ``nu.nodes``
@@ -44,7 +45,7 @@ class PMeasure:
         atoms = list(atoms)
         if not atoms:
             raise MeasureError("measure needs at least one atom")
-        mats = [np.asarray(m, dtype=float) for _, m, _ in atoms]
+        mats = [_float_array(m) for _, m, _ in atoms]
         if len({m.shape for m in mats}) > 1:
             raise MeasureError("all atom matrices must share one dimension")
         mats = spd_stack(mats)
@@ -91,13 +92,14 @@ def congruence_measure(x, mu: PMeasure) -> PMeasure:
     return PMeasure([(w, congruence(x, m), nu) for w, m, nu in mu.atoms])
 
 
-def measure_leq(mu1: PMeasure, mu2: PMeasure, tol: float = 1e-10) -> bool:
+def measure_leq(mu1: PMeasure, mu2: PMeasure) -> bool:
     """Partial order on structurally matched measures.
 
     Atoms are matched by list position and must have equal weights (within
     1e-12) and structurally identical [0, 1]-measures; then the order holds
-    iff every matched matrix pair is Loewner ordered.  Structural mismatch
-    raises :class:`Incomparable`.
+    iff every matched matrix pair is Loewner ordered (:func:`loewner_leq` at its
+    default scaled tolerance, 1e-10).  Structural mismatch raises
+    :class:`Incomparable`.
     """
     if len(mu1) != len(mu2):
         raise Incomparable("measures have different atom counts")
@@ -109,7 +111,7 @@ def measure_leq(mu1: PMeasure, mu2: PMeasure, tol: float = 1e-10) -> bool:
         if not n1.same_structure(n2):
             raise Incomparable("matched atoms carry different [0, 1]-measures")
     return all(
-        loewner_leq(a1, a2, tol)
+        loewner_leq(a1, a2)
         for (_, a1, _), (_, a2, _) in zip(mu1.atoms, mu2.atoms)
     )
 

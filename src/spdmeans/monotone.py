@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .core import _probability_weights, apply_scalar_fn, spectral_sum, whitened_eigh
+from .core import _float_array, _probability_weights, apply_scalar_fn, spectral_sum, whitened_eigh
 from .errors import DomainError, MeasureError, NotPositiveDefinite
 
 DEFAULT_NODES = 64
@@ -248,15 +248,15 @@ class SMeasure:
             params["reflected"] = not params["reflected"]
         return SMeasure(self.kind, params, 1.0 - self.nodes, self.weights)
 
-    def same_structure(self, other: "SMeasure", tol: float = 1e-12) -> bool:
-        """True when both measures have the same kind and parameters."""
+    def same_structure(self, other: "SMeasure") -> bool:
+        """True when both measures have the same kind and their nodes and weights agree to 1e-12."""
         if self.kind != other.kind:
             return False
         if self.nodes.shape != other.nodes.shape:
             return False
         return bool(
-            np.all(np.abs(self.nodes - other.nodes) <= tol)
-            and np.all(np.abs(self.weights - other.weights) <= tol)
+            np.all(np.abs(self.nodes - other.nodes) <= 1e-12)
+            and np.all(np.abs(self.weights - other.weights) <= 1e-12)
         )
 
     def __repr__(self):
@@ -288,26 +288,13 @@ def eval_mean(nu: SMeasure, a, b):
     ``(A+B)/2`` for ``(dirac(0)+dirac(1))/2`` and the harmonic mean for
     ``dirac(1/2)``.  Fixes ``M(A, A) = A`` and is monotone in both slots.
     """
+    a, b = _float_array(a), _float_array(b)
     if a.shape != b.shape:
         raise MeasureError("mean operands must share dimensions")
     rs, _, lam, q = whitened_eigh(a, b[None])
     if not np.all(lam > 0.0):
         raise NotPositiveDefinite("mean operands must be positive definite")
     return spectral_sum(q, nu.weights @ x_over_affine(nu.nodes[:, None], lam), rs)
-
-
-def check_normalization(rep: SMeasure):
-    """Numerically evaluate ``(f(1), f'(1))`` for the represented function.
-
-    ``f(1)`` is exactly zero for any probability measure; ``f'(1)`` equals
-    the total quadrature mass and is estimated by 5-point centered
-    differences at width 1e-4, accurate to ~1e-10 for analytic f.
-    """
-    h = 1e-4
-    f = lambda x: eval_monotone(rep, x)
-    f1 = f(1.0)
-    fp = (f(1.0 - 2 * h) - 8.0 * f(1.0 - h) + 8.0 * f(1.0 + h) - f(1.0 + 2 * h)) / (12.0 * h)
-    return f1, fp
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ The induced mean at parameter t solves ``X = T_t(X)`` where
 
     T_t(X) = integral X^(1/2) mean_kernel(s, t, X^(-1/2) A X^(-1/2)) X^(1/2) dmu
 
-and the Karcher mean is the decreasing-net limit of those solutions along a
-geometric schedule t -> 0, characterized by a vanishing residual
+and the Karcher mean is the decreasing-net limit of those solutions along the
+dyadic schedule t = 2^-l -> 0, characterized by a vanishing residual
 
     R(X) = integral X^(1/2) log_kernel(s, X^(-1/2) A X^(-1/2)) X^(1/2) dmu.
 
@@ -64,37 +64,33 @@ from .thompson import log_spread
 # rounding floor, and of a predicted level start over the warm one.
 _NEWTON_DECREASE = 0.7
 
+# Bound on the whitened Karcher residual ``||X^(-1/2) R X^(-1/2)||_F`` that the
+# net's extrapolated limit must meet before lambda_mean stops.
+RESIDUAL_TOL = 1e-8
+
 
 @dataclass
 class SolverConfig:
-    """Tolerances, budget and schedule for every solver.
+    """Tolerances and budget for every solver.
 
     fp_tol bounds both the Thompson step and the whitened residual at an
-    accepted fixed point; lambda_tol stops the t-schedule when a certified
+    accepted fixed point; lambda_tol stops the dyadic t-net when a certified
     bound on the Thompson gap between successive extrapolations of the levels
-    to t = 0 is that small; residual_tol additionally keeps the schedule going
-    until the latest extrapolation's whitened Karcher residual
-    ``||X^(-1/2) R X^(-1/2)||_F`` is small; grad_tol bounds that same norm of
-    the gradient at minimize_divergence's minimizer.  max_iters caps the
+    to t = 0 is that small (the latest extrapolation must also meet
+    RESIDUAL_TOL); grad_tol bounds the whitened norm ``||X^(-1/2) R X^(-1/2)||_F``
+    of the gradient at minimize_divergence's minimizer.  max_iters caps the
     accepted steps of one solve, summed over its levels.  No test depends on
     scale.
     """
 
     fp_tol: float = 1e-12
     max_iters: int = 10000
-    t_start: float = 0.5
-    t_factor: float = 0.5
     lambda_tol: float = 1e-9
-    residual_tol: float = 1e-8
     grad_tol: float = 1e-9
 
     def __post_init__(self):
-        if min(self.fp_tol, self.lambda_tol, self.residual_tol, self.grad_tol) <= 0.0:
+        if min(self.fp_tol, self.lambda_tol, self.grad_tol) <= 0.0:
             raise DomainError("tolerances must be positive")
-        if not 0.0 < self.t_factor < 1.0:
-            raise DomainError("t-schedule factor must lie in (0, 1)")
-        if not 0.0 < self.t_start <= 1.0:
-            raise DomainError("t_start must lie in (0, 1]")
         if self.max_iters < 1:
             raise DomainError("max_iters must be positive")
 
@@ -432,12 +428,12 @@ def _extrapolation_gap(point, e, e_prev):
 def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     """Karcher mean of the measure: the t -> 0 limit of the induced means.
 
-    Solves the induced mean along the geometric schedule
-    ``t_l = t_start * t_factor**l``.  After each level it extrapolates the last
-    three levels solved to t = 0 (:func:`_lagrange`) and stops once two successive
-    extrapolations are provably positive definite and within lambda_tol in Thompson
-    metric (:func:`_extrapolation_gap`) and the latest one's whitened Karcher residual
-    is below residual_tol; that extrapolation is the reported mean.  Each level starts
+    Solves the induced mean along the dyadic schedule ``t_l = 2**-l``, l = 1, 2, ...
+    (at most 200 levels).  After each level it extrapolates the last three levels
+    solved to t = 0 (:func:`_lagrange`) and stops once two successive extrapolations
+    are provably positive definite and within lambda_tol in Thompson metric
+    (:func:`_extrapolation_gap`) and the latest one's whitened Karcher residual is at
+    most RESIDUAL_TOL; that extrapolation is the reported mean.  Each level starts
     from the quadratic extrapolation in t of the last three levels solved, ``L_1``
     being the weighted arithmetic mean, unless that start is no better than the
     previous level (see :func:`_predicted_start`).  The levels must decrease in the
@@ -448,7 +444,7 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     mats = mu.matrices
     point = _point(weighted_arith(mu.matrix_pairs()), mats)
     history = [(1.0, point[0])]  # L_1 is the weighted arithmetic mean
-    t = cfg.t_start
+    t = 0.5
     karcher = _level_kernels(mu, 0.0)[0]
     prev = e_prev = None
     trace = []
@@ -460,20 +456,20 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
                                           total)
         total += iters
         trace.append((t, iters))
-        history = [h for h in history[-2:] if h[0] != t] + [(t, point[0])]
+        history = history[-2:] + [(t, point[0])]
         if prev is not None and np.min(_ratio_spectrum(prev, point)) < 1.0 - 1e-9:
             raise MonotonicityViolation(
-                f"induced means failed to decrease from t={t / cfg.t_factor:g} to t={t:g}"
+                f"induced means failed to decrease from t={2 * t:g} to t={t:g}"
             )
         if len(history) == 3:
             e = _lagrange(history, 0.0)  # Richardson extrapolation of the levels to t = 0
             if e_prev is not None and _extrapolation_gap(point, e, e_prev) <= cfg.lambda_tol:
                 mean = _visit(_trial_point(e, mats), karcher)
-                if mean is not None and mean[2] <= cfg.residual_tol:
+                if mean is not None and mean[2] <= RESIDUAL_TOL:
                     break
             e_prev = e
         prev = point[0]
-        t *= cfg.t_factor
+        t *= 0.5
     else:
         raise NonConvergence(
             "t-schedule exhausted 200 levels without meeting lambda_tol",
@@ -489,11 +485,11 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     )
 
 
-def sandwich_check(x, mu: PMeasure, tol: float = 1e-9) -> bool:
-    """True iff harmonic mean <= X <= arithmetic mean of the atoms (Loewner, scaled tol)."""
+def sandwich_check(x, mu: PMeasure) -> bool:
+    """True iff harmonic mean <= X <= arithmetic mean of the atoms (Loewner, scaled tol 1e-9)."""
     if x.shape != (mu.dim, mu.dim):
         raise ShapeError("matrix and measure dimensions differ")
     pairs = mu.matrix_pairs()
-    return loewner_leq(weighted_harm(pairs), x, tol) and loewner_leq(
-        x, weighted_arith(pairs), tol
+    return loewner_leq(weighted_harm(pairs), x, 1e-9) and loewner_leq(
+        x, weighted_arith(pairs), 1e-9
     )

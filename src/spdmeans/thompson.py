@@ -15,12 +15,13 @@ import math
 
 import numpy as np
 
-from .core import sqrt_pair, whiten, whitened_eigh
+from .core import _float_array, sqrt_pair, whiten, whitened_eigh
 from .errors import DomainError, NotPositiveDefinite, ShapeError
 
 
 def min_scaling(a, b) -> float:
     """Smallest ``alpha`` with ``A <= alpha B``: the top eigenvalue of ``B^(-1/2) A B^(-1/2)``."""
+    a, b = _float_array(a), _float_array(b)
     if a.shape != b.shape:
         raise ShapeError("operands must share dimensions")
     return float(whitened_eigh(b, a[None])[2][0, -1])
@@ -33,6 +34,7 @@ def distance(a, b) -> float:
     when B is not, or when ``B^(-1/2) A B^(-1/2)`` has a non-positive or
     non-finite eigenvalue.
     """
+    a, b = _float_array(a), _float_array(b)
     if a.shape != b.shape:
         raise ShapeError("operands must share dimensions")
     return 0.0 if np.array_equal(a, b) else log_spread(whiten(sqrt_pair(b)[1], a[None])[0])

@@ -48,6 +48,7 @@ def random_weights(rng, k):
 
 
 def random_smeasure(rng):
+    """Random [0, 1]-measure: Dirac, atomic, Lebesgue or power, each kind equally likely."""
     kind = int(rng.integers(0, 4))
     if kind == 0:
         return monotone.SMeasure.dirac(float(rng.uniform(0.0, 1.0)))
@@ -202,7 +203,7 @@ def _suite_means(rng, dim, trials, tally):
 
         lam = solver.lambda_mean(mu, cfg)
         res_sand.append(solver.sandwich_check(lam.mean, mu))
-        res_residual.append(lam.residual_norm <= cfg.residual_tol)
+        res_residual.append(lam.residual_norm <= solver.RESIDUAL_TOL)
 
         bumped = measures.PMeasure(
             [(w, core._sym(m + _psd_bump(rng, dim)), nu) for w, m, nu in mu.atoms]

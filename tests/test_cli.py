@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -150,6 +151,20 @@ def test_subcommand_rejects_flags_it_does_not_read(setup_files):
     files, _, _, _ = setup_files
     proc = run_cli("metric", files["a"], files["b"], "--fp-tol", "1e-3")
     assert proc.returncode == 1
+
+
+def test_solver_config_holds_exactly_the_settings_the_cli_offers():
+    # a setting no caller can reach is not kept; "t" is a mean's parameter and
+    # verify's options are not solver settings
+    flags = {opt.replace("-", "_") for name, _, _, opts in cli._COMMANDS if name != "verify"
+             for opt in opts} - {"t"}
+    assert {f.name for f in dataclasses.fields(SolverConfig)} == flags
+    parser = cli._build_parser()
+    for name, _, positionals, opts in cli._COMMANDS:
+        argv = [name, *positionals, *(arg for opt in opts for arg in (f"--{opt}", "7"))]
+        cfg = cli._solver_config(parser.parse_args(argv))
+        assert all(getattr(cfg, opt.replace("-", "_")) == 7
+                   for opt in opts if opt.replace("-", "_") in flags)
 
 
 def test_parser_reused_after_failed_parse(setup_files, capsys):

@@ -13,7 +13,9 @@ from spdmeans import (
     ShapeError,
     SMeasure,
     apply_scalar_fn,
+    PMeasure,
     congruence,
+    distance,
     eval_mean,
     geometric_mean,
     karcher_residual,
@@ -21,13 +23,14 @@ from spdmeans import (
     loewner_leq,
     matrix_from_json,
     matrix_to_json,
+    min_scaling,
     product_measure,
     spd_matrix,
     sym_matrix,
     weighted_arith,
     weighted_harm,
 )
-from spdmeans.core import spectral_sum, whitened_eigh
+from spdmeans.core import spd_stack, spectral_sum, whitened_eigh
 from spdmeans.errors import SingularTransform
 
 
@@ -157,6 +160,36 @@ _BAD_SPECTRUM = (NotPositiveDefinite, NumericalFailure)
 def test_spectral_layer_rejects_non_positive_operands(call, bad, error):
     with pytest.raises(error):
         call(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b: geometric_mean(a, b, 0.3),
+    lambda a, b: eval_mean(_HALF, a, b),
+    lambda a, b: logdet_divergence(a, b, 0.3),
+    lambda a, b: min_scaling(a, b),
+    lambda a, b: distance(a, b),
+], ids=["geometric_mean", "eval_mean", "logdet_divergence", "min_scaling", "distance"])
+def test_two_operand_functions_take_nested_lists(call):
+    # a nested-list operand in either slot gives the bytes of its array
+    b = np.array([[1.5, -0.25], [-0.25, 0.75]])
+    want = np.asarray(call(_SPD, b)).tobytes()
+    assert np.asarray(call(_SPD.tolist(), b)).tobytes() == want
+    assert np.asarray(call(_SPD, b.tolist())).tobytes() == want
+
+
+_RAGGED = [[1.0, 0.0], [0.0]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spd_matrix(_RAGGED),
+    lambda: sym_matrix(_RAGGED),
+    lambda: spd_stack([np.eye(2), np.eye(3)]),
+    lambda: PMeasure([(1.0, _RAGGED, _HALF)]),
+    lambda: geometric_mean(_RAGGED, _SPD, 0.5),
+], ids=["spd_matrix", "sym_matrix", "spd_stack", "PMeasure", "geometric_mean"])
+def test_ragged_matrices_raise_shape_error(call):
+    with pytest.raises(ShapeError):
+        call()
 
 
 @pytest.mark.parametrize("bad, error", [(_INDEFINITE, NotPositiveDefinite), (_NAN, DomainError)],

@@ -14,10 +14,11 @@ def test_star_import_binds_every_exported_name():
 
 def test_removed_names_stay_removed():
     # SolverConfig carries grad_tol, a measure's own integrals run on its flat
-    # rule, SMeasure.transpose reflects a measure, nothing inverts mean_kernel, and
-    # the one spectral route is core's whitened eigh and spectral_sum
+    # rule, SMeasure.transpose reflects a measure, nothing inverts mean_kernel,
+    # the one spectral route is core's whitened eigh and spectral_sum, and only
+    # a test differentiates a represented function at 1
     for name in ("RgdConfig", "integrate", "transpose_measure", "mean_kernel_inv",
-                 "SpectralDecomposition", "spectral", "spd_power"):
+                 "SpectralDecomposition", "spectral", "spd_power", "check_normalization"):
         assert name not in spdmeans.__all__
         assert not hasattr(spdmeans, name)
 

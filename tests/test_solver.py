@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,8 @@ from spdmeans import (
 )
 from spdmeans import core, solver
 from spdmeans.core import sqrt_pair, whitened_eigh
-from spdmeans.solver import _level_kernels, _power_kernels, _whitened_jacobian, _whitened_residual
+from spdmeans.solver import (RESIDUAL_TOL, _level_kernels, _power_kernels, _whitened_jacobian,
+                             _whitened_residual)
 from spdmeans.verify import random_measure
 
 CFG = SolverConfig()
@@ -378,7 +381,7 @@ def test_lambda_mean_positive_homogeneity_at_small_scale():
 
 
 def test_solvers_positive_homogeneity_at_extreme_scales():
-    # residual_tol and grad_tol are judged on whitened norms, so neither
+    # RESIDUAL_TOL and grad_tol are judged on whitened norms, so neither
     # solver's stopping test depends on the scale of the measure
     mu = random_measure(np.random.default_rng(0), 4, n_atoms=3)
     mean = lambda_mean(mu, CFG).mean
@@ -409,26 +412,19 @@ def test_lambda_mean_predicted_levels_start_near_their_fixed_points():
             assert sum(small) <= 2 * len(small)
 
 
-def test_lambda_mean_first_level_at_t1_is_the_arithmetic_mean():
-    # L_1 is the weighted arithmetic mean, the start of the first level; it
-    # enters the extrapolation once, not once as the start and once as a level
-    mu = random_measure(np.random.default_rng(3), 4, n_atoms=3)
-    rep = lambda_mean(mu, SolverConfig(t_start=1.0))
-    assert rep.t_trace[0] == (1.0, 0)
-    assert distance(rep.mean, lambda_mean(mu, CFG).mean) <= 1e-8
-
-
 def test_lambda_mean_monotonicity_check_is_scale_invariant():
     # in [1e-5, 1e5] successive levels at t ~ 1e-12 differ by rounding: the
     # whitened X^(-1/2) L_prev X^(-1/2) is I to 3e-10, while lambda_min(L_prev - X)
-    # is -2e-9, beyond an absolute 1e-9; the net stops well above such t, so
-    # the schedule starts there
-    cfg = SolverConfig(t_start=2.0**-36)
+    # is -2e-9, beyond an absolute 1e-9; the net stops well above such t, so a
+    # lambda_tol of 1e-300 runs it on until two extrapolations agree exactly
+    # (t = 2^-44 on both inputs)
+    cfg = SolverConfig(lambda_tol=1e-300)
     for seed in (1, 10):
         mu = random_measure(np.random.default_rng(seed), 6, n_atoms=3, lo=1e-5, hi=1e5)
-        x = lambda_mean(mu, cfg).mean
-        irs = sqrt_pair(x)[1]
-        assert np.linalg.norm(irs @ karcher_residual(x, mu) @ irs) <= CFG.residual_tol
+        rep = lambda_mean(mu, cfg)
+        assert rep.t_trace[-1][0] <= 1e-12
+        irs = sqrt_pair(rep.mean)[1]
+        assert np.linalg.norm(irs @ karcher_residual(rep.mean, mu) @ irs) <= RESIDUAL_TOL
 
 
 def test_lambda_mean_raises_when_a_level_increases(monkeypatch):
@@ -478,13 +474,14 @@ def test_lambda_mean_whitens_each_visited_point_once(monkeypatch):
             assert len(calls) <= rep.iterations + len(rep.t_trace) + 2
 
 
-def test_lambda_mean_exhausted_schedule_reports_the_last_level():
-    # a slow schedule runs out of its 200 levels; the error carries the step
-    # of the last level solved, not of a level after it
+def test_lambda_mean_exhausted_schedule_reports_the_last_level(monkeypatch):
+    # a net whose extrapolations never meet runs out of its 200 levels; the error
+    # carries the step of the last level solved, not of a level after it
+    monkeypatch.setattr(solver, "_extrapolation_gap", lambda *args: math.inf)
     mu = random_measure(np.random.default_rng(0), 2, 3)
-    with pytest.raises(NonConvergence) as exc:
-        lambda_mean(mu, SolverConfig(t_factor=0.98))
-    assert exc.value.iterations == 204
+    with pytest.raises(NonConvergence, match="t-schedule exhausted 200 levels") as exc:
+        lambda_mean(mu, CFG)
+    assert exc.value.iterations == 28
     assert exc.value.final_step == 0.0
 
 
@@ -496,7 +493,7 @@ def test_lambda_mean_two_point_geometric():
         mu = product_measure(SMeasure.lebesgue(64), [(0.5, a), (0.5, b)])
         rep = lambda_mean(mu, CFG)
         assert distance(rep.mean, geometric_mean(a, b, 0.5)) <= 1e-8
-        assert rep.residual_norm <= CFG.residual_tol
+        assert rep.residual_norm <= RESIDUAL_TOL
         assert rep.final_step <= CFG.fp_tol
         assert len(rep.t_trace) >= 2
 
@@ -579,16 +576,6 @@ def test_lambda_mean_positive_map_compression():
     assert loewner_leq(lam[:2, :2], lam_c, 1e-9)
 
 
-def test_lambda_mean_unique_across_schedules():
-    rng = np.random.default_rng(26)
-    mu = rand_measure(rng, 3)
-    m1 = lambda_mean(mu, SolverConfig(t_start=0.5)).mean
-    m2 = lambda_mean(mu, SolverConfig(t_start=0.75)).mean
-    m3 = lambda_mean(mu, SolverConfig(t_start=0.5, t_factor=0.25)).mean
-    assert distance(m1, m2) <= 1e-7
-    assert distance(m1, m3) <= 1e-7
-
-
 def test_lambda_mean_extrapolated_limit_agrees_with_newton():
     # the net stops on successive Richardson extrapolations of its levels to
     # t = 0: at most 1.4e-10 from the t = 0 Newton minimizer after a median of
@@ -603,7 +590,7 @@ def test_lambda_mean_extrapolated_limit_agrees_with_newton():
                 newton = minimize_divergence(mu, SolverConfig(grad_tol=1e-12)).mean
                 assert distance(rep.mean, newton) <= 2e-10
                 irs = sqrt_pair(rep.mean)[1]
-                assert np.linalg.norm(irs @ karcher_residual(rep.mean, mu) @ irs) <= CFG.residual_tol
+                assert np.linalg.norm(irs @ karcher_residual(rep.mean, mu) @ irs) <= RESIDUAL_TOL
                 levels.append(len(rep.t_trace))
     assert np.median(levels) <= 16
 
@@ -669,9 +656,14 @@ def test_solver_config_validation():
     with pytest.raises(DomainError):
         SolverConfig(fp_tol=0.0)
     with pytest.raises(DomainError):
-        SolverConfig(t_factor=1.0)
-    with pytest.raises(DomainError):
         SolverConfig(grad_tol=0.0)
+
+
+@pytest.mark.parametrize("name", ["t_start", "t_factor", "residual_tol"])
+def test_solver_config_has_no_schedule_or_residual_setting(name):
+    # the net's schedule is t = 2^-l and its residual bound RESIDUAL_TOL
+    with pytest.raises(TypeError):
+        SolverConfig(**{name: 0.5})
 
 
 def test_report_json_schema():
