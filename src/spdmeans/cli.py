@@ -52,7 +52,7 @@ def _load_sigma(path):
     """Matrix-marginal JSON: {"atoms": [{"weight": w, "matrix": {...}}, ...]}."""
     obj = _load_json(path)
     try:
-        return [(float(a["weight"]), matrix_from_json(a["matrix"], spd=False)) for a in obj["atoms"]]
+        return [(float(a["weight"]), matrix_from_json(a["matrix"])) for a in obj["atoms"]]
     except (KeyError, TypeError, ValueError, MeasureError) as exc:
         raise MeasureError(f"bad matrix-list JSON in {path}: {exc}") from exc
 

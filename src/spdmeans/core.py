@@ -1,10 +1,11 @@
 """Dense SPD/symmetric matrix primitives and the package's one spectral layer.
 
-Everything here operates on plain ``numpy.ndarray`` values.  Matrices enter
-the library through :func:`spd_stack` (the one SPD gate; :func:`spd_matrix`
-is its k = 1 case) or :func:`sym_matrix` (or the JSON loaders), which
-symmetrize and validate; the remaining operations assume validated input and
-stay allocation-light so they can sit inside solver loops.
+Everything here operates on plain ``numpy.ndarray`` values.  A caller's matrix
+is checked once, by the public function that takes it: :func:`spd_stack` (the
+one SPD gate; :func:`spd_matrix` is its k = 1 case) or :func:`sym_matrix`
+converts, shape-checks and symmetrizes it as ``(A + A.T) / 2``.  Nothing behind
+that gate checks again; the remaining operations stay allocation-light so they
+can sit inside solver loops.
 
 All matrix functions take the spectral route rather than Pade or
 scaling-and-squaring: dimensions stay small, and one kernel handles every
@@ -122,8 +123,8 @@ def apply_scalar_fn(a, fn: Callable) -> np.ndarray:
 
     Parameters
     ----------
-    a : ndarray
-        Symmetric (typically SPD) matrix.
+    a : array_like, shape (n, n)
+        Symmetric (typically SPD) matrix; passes :func:`sym_matrix`.
     fn : callable
         Scalar function, vectorized over an eigenvalue array.
 
@@ -133,7 +134,7 @@ def apply_scalar_fn(a, fn: Callable) -> np.ndarray:
         ``spectral_sum(Q, fn(w))`` for the one-matrix stack ``(w, Q) = eigh(A)``,
         that is ``Q diag(fn(w)) Q.T``.
     """
-    w, q = _eigh(a)
+    w, q = _eigh(sym_matrix(a))
     with np.errstate(all="ignore"):
         fw = np.asarray(fn(w), dtype=float)
     if fw.shape != w.shape or not np.all(np.isfinite(fw)):
@@ -184,7 +185,7 @@ def congruence(c, a) -> np.ndarray:
     Raises :class:`SingularTransform` when ``C`` is numerically singular
     (condition estimate above 1e14 or non-finite).
     """
-    c = _float_array(c)
+    c, a = _float_array(c), sym_matrix(a)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ShapeError(f"transform must be square, got {c.shape}")
     if c.shape[0] != a.shape[0]:
@@ -203,9 +204,7 @@ def geometric_mean(a, b, t: float) -> np.ndarray:
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"geometric mean weight must lie in [0, 1], got {t}")
-    a, b = _float_array(a), _float_array(b)
-    if a.shape != b.shape:
-        raise ShapeError("operands must share dimensions")
+    a, b = spd_stack([a, b])
     rs, _, lam, q = whitened_eigh(a, b[None])
     if not np.all(lam > 0.0):
         raise NotPositiveDefinite("matrix power of a non-positive matrix")
@@ -215,12 +214,14 @@ def geometric_mean(a, b, t: float) -> np.ndarray:
 def loewner_leq(a, b, tol: float = LOEWNER_TOL) -> bool:
     """Test ``A <= B`` in the Loewner (positive semidefinite) order.
 
-    True iff ``lambda_min(B - A) >= -tol * (1 + ||B - A||_F)``.
+    True iff ``lambda_min(B - A) >= -tol * (1 + ||B - A||_F)``; A and B pass
+    :func:`sym_matrix`.
     """
+    a, b = sym_matrix(a), sym_matrix(b)
     if a.shape != b.shape:
         raise ShapeError("operands must share dimensions")
     d = b - a
-    wmin = np.linalg.eigvalsh(_sym(d))[0]
+    wmin = np.linalg.eigvalsh(d)[0]
     return bool(wmin >= -tol * (1.0 + np.linalg.norm(d)))
 
 
@@ -241,35 +242,37 @@ def _probability_weights(w):
 
 
 def _check_weights(pairs):
-    """Weights and float matrices of ``[(weight, matrix), ...]``.
+    """Weights and gated (k, n, n) stack of ``[(weight, matrix), ...]``.
 
-    Matrices may be nested lists; they must be numeric, square and of one shape
-    (ShapeError).  Weights go through :func:`_probability_weights`.
+    Weights go through :func:`_probability_weights`, matrices through :func:`spd_stack`.
     """
     if len(pairs) == 0:
         raise EmptyInput("need at least one (weight, matrix) pair")
-    w = _probability_weights([p[0] for p in pairs])
-    mats = [_float_array(p[1]) for p in pairs]
-    shape = mats[0].shape
-    if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in mats):
-        raise ShapeError("all matrices must be square and share dimensions")
-    return w, mats
+    return _probability_weights([p[0] for p in pairs]), spd_stack([p[1] for p in pairs])
 
 
-def weighted_arith(pairs) -> np.ndarray:
-    """Weighted arithmetic mean ``sum_k w_k A_k`` of SPD matrices."""
-    w, mats = _check_weights(pairs)
+def _arith(w, mats):
+    """``sym(sum_k w_k A_k)``, summed in atom order, of gated weights and matrices."""
     acc = np.zeros_like(mats[0])
     for wk, m in zip(w, mats):
         acc = acc + wk * m
     return _sym(acc)
 
 
+def _harm(w, mats):
+    """``(sum_k w_k A_k^-1)^-1`` of gated weights and matrices, from one stacked eigh."""
+    lam, q = _eigh(mats)
+    return _sym(np.linalg.inv(spectral_sum(q, w[:, None] / lam)))
+
+
+def weighted_arith(pairs) -> np.ndarray:
+    """Weighted arithmetic mean ``sum_k w_k A_k`` of SPD matrices."""
+    return _arith(*_check_weights(pairs))
+
+
 def weighted_harm(pairs) -> np.ndarray:
     """Weighted harmonic mean ``(sum_k w_k A_k^-1)^-1``; below the arithmetic mean."""
-    w, mats = _check_weights(pairs)
-    lam, q = _eigh(spd_stack(mats))
-    return _sym(np.linalg.inv(spectral_sum(q, w[:, None] / lam)))
+    return _harm(*_check_weights(pairs))
 
 
 def matrix_to_json(a) -> dict:
@@ -278,15 +281,11 @@ def matrix_to_json(a) -> dict:
     return {"dim": int(a.shape[0]), "data": [[float(v) for v in row] for row in a]}
 
 
-def matrix_from_json(obj, spd: bool = True) -> np.ndarray:
-    """Parse the matrix JSON schema; symmetrizes and validates.
+def matrix_from_json(obj) -> np.ndarray:
+    """Parse ``{"dim": n, "data": [[row0...], ...]}`` (row-major floats) and symmetrize.
 
-    Parameters
-    ----------
-    obj : dict
-        ``{"dim": n, "data": [[row0...], ...]}`` with row-major 64-bit floats.
-    spd : bool
-        When true (default) the matrix must be positive definite.
+    Only :func:`sym_matrix` runs here: the function the matrix is passed to checks
+    positive definiteness, so each matrix is gated once.
     """
     if not isinstance(obj, dict) or "dim" not in obj or "data" not in obj:
         raise MeasureError('matrix JSON must have "dim" and "data" fields')
@@ -297,4 +296,4 @@ def matrix_from_json(obj, spd: bool = True) -> np.ndarray:
         raise MeasureError(f'matrix JSON "data" is not numeric: {exc}') from exc
     if data.shape != (dim, dim):
         raise ShapeError(f'"data" must be {dim}x{dim}, got {data.shape}')
-    return spd_matrix(data) if spd else sym_matrix(data)
+    return sym_matrix(data)

@@ -31,11 +31,11 @@ import math
 
 import numpy as np
 
-from .core import (_float_array, geometric_mean, spectral_sum, sqrt_pair, weighted_arith,
-                   whitened_eigh)
-from .errors import DomainError, NotPositiveDefinite, ShapeError
+from .core import _arith, geometric_mean, spd_stack, spectral_sum, sqrt_pair, whitened_eigh
+from .errors import DomainError, NotPositiveDefinite
 from .measures import PMeasure
-from .solver import SolverConfig, SolverReport, _level_kernels, _solve, karcher_residual
+from .solver import (SolverConfig, SolverReport, _gate_point, _level_kernels, _solve,
+                     karcher_residual)
 from .thompson import distance
 
 log = logging.getLogger(__name__)
@@ -62,9 +62,7 @@ def _eig_divergence(s, w):
 
 def logdet_divergence(x, a, s: float) -> float:
     """Divergence ``LD_s(X, A)`` for s in [0, 1]; nonnegative, zero iff X = A."""
-    x, a = _float_array(x), _float_array(a)
-    if x.shape != a.shape:
-        raise ShapeError("operands must share dimensions")
+    x, a = spd_stack([x, a])
     if not 0.0 <= s <= 1.0:
         raise DomainError(f"divergence parameter must lie in [0, 1], got {s}")
     return float(np.sum(_eig_divergence([s], whitened_eigh(x, a[None])[2][0])))
@@ -72,9 +70,7 @@ def logdet_divergence(x, a, s: float) -> float:
 
 def objective(x, mu: PMeasure) -> float:
     """Integrated divergence ``sum_k w_k int LD_s(X, A_k) d nu_k(s)``; nonnegative."""
-    if x.shape != (mu.dim, mu.dim):
-        raise ShapeError("matrix and measure dimensions differ")
-    lam = whitened_eigh(x, mu.matrices)[2]
+    lam = whitened_eigh(_gate_point(x, mu), mu.matrices)[2]
     return float(mu.node_weights @ np.sum(_eig_divergence(mu.nodes, lam[mu.owner]), axis=1))
 
 
@@ -103,7 +99,7 @@ def minimize_divergence(mu: PMeasure, cfg: SolverConfig = None, on_step=None) ->
     cfg = cfg or SolverConfig()
     hook = None if on_step is None else (
         lambda x, r: on_step(x, objective(x, mu), float(np.linalg.norm(r))))
-    point, r, iters, step = _solve(mu.matrices, mu.matrix_pairs(), _level_kernels(mu, 0.0), 0.0,
+    point, r, iters, step = _solve(mu.weights, mu.matrices, _level_kernels(mu, 0.0), 0.0,
                                    cfg.grad_tol, cfg.max_iters, on_step=hook)  # r is -gradient
     return SolverReport(
         mean=point[0],
@@ -124,7 +120,7 @@ def geodesic_convexity_check(mu: PMeasure, trials: int, seed: int = 0) -> bool:
     """
     rng = np.random.default_rng(seed)
     n = mu.dim
-    center = weighted_arith(mu.matrix_pairs())
+    center = _arith(mu.weights, mu.matrices)
     rc, _ = sqrt_pair(center)
 
     def sample():

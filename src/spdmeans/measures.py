@@ -134,7 +134,7 @@ def pmeasure_from_json(obj) -> PMeasure:
         atoms = [
             (
                 entry["weight"],
-                matrix_from_json(entry["matrix"], spd=False),
+                matrix_from_json(entry["matrix"]),
                 smeasure_from_json(entry["nu"]),
             )
             for entry in obj["atoms"]

@@ -20,11 +20,13 @@ spectrally accurate for the kernels).
 """
 
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .core import _float_array, _probability_weights, apply_scalar_fn, spectral_sum, whitened_eigh
+from .core import (_float_array, _probability_weights, apply_scalar_fn, spd_stack, spectral_sum,
+                   whitened_eigh)
 from .errors import DomainError, MeasureError, NotPositiveDefinite
 
 DEFAULT_NODES = 64
@@ -36,11 +38,12 @@ DEFAULT_NODES = 64
 
 
 def _apply(x, fn):
-    """Vectorized ``fn`` of a positive scalar, or of an SPD matrix (2-d ndarray) spectrally."""
-    if not (isinstance(x, np.ndarray) and x.ndim == 2):
+    """``fn`` of a positive scalar (0-d), or of an SPD matrix through :func:`apply_scalar_fn`."""
+    x = _float_array(x)
+    if x.ndim == 0:
         if not x > 0.0:
             raise DomainError("scalar argument must be positive")
-        return float(fn(np.array([x], dtype=float))[0])
+        return float(fn(x[None])[0])
 
     def positive(w):
         if not np.all(w > 0.0):
@@ -142,6 +145,13 @@ def _jacobi_01(n, t):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _node_count(nodes) -> int:
+    """``nodes`` as an int; MeasureError unless it is a positive whole number (NaN is not)."""
+    if not (isinstance(nodes, Real) and nodes >= 1 and float(nodes).is_integer()):
+        raise MeasureError(f"node count must be a positive whole number, got {nodes!r}")
+    return int(nodes)
+
+
 def _frozen(a):
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -189,10 +199,9 @@ class SMeasure:
     @classmethod
     def lebesgue(cls, nodes: int = DEFAULT_NODES) -> "SMeasure":
         """Uniform measure ds; the represented monotone function is ``log``."""
-        if nodes < 1:
-            raise MeasureError("node count must be positive")
-        x, w = _legendre_01(int(nodes))
-        return cls("lebesgue", {"nodes": int(nodes)}, x, w)
+        nodes = _node_count(nodes)
+        x, w = _legendre_01(nodes)
+        return cls("lebesgue", {"nodes": nodes}, x, w)
 
     @classmethod
     def power(cls, t: float, nodes: int = DEFAULT_NODES) -> "SMeasure":
@@ -204,12 +213,11 @@ class SMeasure:
         """
         if not 0.0 < t < 1.0:
             raise MeasureError(f"power parameter must lie in (0, 1), got {t}")
-        if nodes < 1:
-            raise MeasureError("node count must be positive")
-        x, w = _jacobi_01(int(nodes), float(t))
+        nodes = _node_count(nodes)
+        x, w = _jacobi_01(nodes, float(t))
         scale = np.sin(t * np.pi) / (t * np.pi)
         return cls(
-            "power", {"t": float(t), "nodes": int(nodes), "reflected": False},
+            "power", {"t": float(t), "nodes": nodes, "reflected": False},
             x, scale * w,
         )
 
@@ -220,13 +228,12 @@ class SMeasure:
         The node count is fixed at construction (no adaptivity) so results
         are reproducible; the caller owns the accuracy of the density.
         """
-        if nodes < 1:
-            raise MeasureError("node count must be positive")
-        x, w = _legendre_01(int(nodes))
+        nodes = _node_count(nodes)
+        x, w = _legendre_01(nodes)
         d = np.asarray([float(density(s)) for s in x])
         if np.any(d < 0.0) or not np.all(np.isfinite(d)):
             raise MeasureError("density must be finite and nonnegative on the nodes")
-        return cls("custom", {"nodes": int(nodes)}, x, w * d)
+        return cls("custom", {"nodes": nodes}, x, w * d)
 
     # -- structure ----------------------------------------------------------
 
@@ -288,9 +295,7 @@ def eval_mean(nu: SMeasure, a, b):
     ``(A+B)/2`` for ``(dirac(0)+dirac(1))/2`` and the harmonic mean for
     ``dirac(1/2)``.  Fixes ``M(A, A) = A`` and is monotone in both slots.
     """
-    a, b = _float_array(a), _float_array(b)
-    if a.shape != b.shape:
-        raise MeasureError("mean operands must share dimensions")
+    a, b = spd_stack([a, b])
     rs, _, lam, q = whitened_eigh(a, b[None])
     if not np.all(lam > 0.0):
         raise NotPositiveDefinite("mean operands must be positive definite")
@@ -329,9 +334,9 @@ def smeasure_from_json(obj) -> SMeasure:
         if kind == "atoms":
             return SMeasure.from_atoms([(p["s"], p["w"]) for p in obj["points"]])
         if kind == "lebesgue":
-            return SMeasure.lebesgue(int(obj.get("nodes", DEFAULT_NODES)))
+            return SMeasure.lebesgue(obj.get("nodes", DEFAULT_NODES))
         if kind == "power":
-            return SMeasure.power(obj["t"], int(obj.get("nodes", DEFAULT_NODES)))
+            return SMeasure.power(obj["t"], obj.get("nodes", DEFAULT_NODES))
     except (KeyError, TypeError, ValueError) as exc:
         raise MeasureError(f"malformed {kind!r} measure JSON: {exc!r}") from exc
     raise MeasureError(f"unknown measure type {kind!r}")

@@ -44,14 +44,14 @@ import numpy as np
 import scipy.linalg as sla
 
 from .core import (
+    _arith,
     _check_weights,
+    _harm,
     _sym,
     loewner_leq,
     matrix_to_json,
-    spd_stack,
+    spd_matrix,
     spectral_sum,
-    weighted_arith,
-    weighted_harm,
     whiten,
     whitened_eigh,
 )
@@ -89,9 +89,9 @@ class SolverConfig:
     grad_tol: float = 1e-9
 
     def __post_init__(self):
-        if min(self.fp_tol, self.lambda_tol, self.grad_tol) <= 0.0:
+        if not all(tol > 0.0 for tol in (self.fp_tol, self.lambda_tol, self.grad_tol)):
             raise DomainError("tolerances must be positive")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise DomainError("max_iters must be positive")
 
 
@@ -187,14 +187,21 @@ def _power_kernels(w, t: float):
     return kernel, divdiff
 
 
+def _gate_point(x, mu: PMeasure) -> np.ndarray:
+    """A caller's point X through :func:`spd_matrix`, of the measure's dimension."""
+    x = spd_matrix(x)
+    if x.shape != (mu.dim, mu.dim):
+        raise ShapeError("matrix and measure dimensions differ")
+    return x
+
+
 def karcher_residual(x, mu: PMeasure) -> np.ndarray:
     """Left-hand side of the Karcher equation at X.
 
     ``integral X^(1/2) log_kernel(s, X^(-1/2) A X^(-1/2)) X^(1/2) dmu``;
     symmetric, and zero exactly at the Karcher mean of the measure.
     """
-    if x.shape != (mu.dim, mu.dim):
-        raise ShapeError("matrix and measure dimensions differ")
+    x = _gate_point(x, mu)
     return _whitened_residual(whitened_eigh(x, mu.matrices), _level_kernels(mu, 0.0)[0])[0]
 
 
@@ -207,8 +214,7 @@ def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
     """
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
-    if x.shape != (mu.dim, mu.dim):
-        raise ShapeError("matrix and measure dimensions differ")
+    x = _gate_point(x, mu)
     r = _whitened_residual(whitened_eigh(x, mu.matrices), _level_kernels(mu, t)[0])[0]
     return _sym(x + t * r)  # R_t(X) = (T_t(X) - X)/t evaluated directly
 
@@ -334,13 +340,13 @@ def _solve_level(mats, kernels, t, start, tol, max_iters, iters_used=0, on_step=
     return point, r, iters, prev
 
 
-def _solve(mats, pairs, kernels, t, tol, max_iters, on_step=None):
-    """One solve at t from the weighted arithmetic mean of ``pairs``; t = 0 is Karcher.
+def _solve(w, mats, kernels, t, tol, max_iters, on_step=None):
+    """One solve at t from the weighted arithmetic mean of gated ``w``, ``mats``; t = 0 is Karcher.
 
     Runs :func:`_solve_level` from that start and returns ``(point, R, iterations,
     final_step)``, final_step as :func:`_final_step` reports it.
     """
-    start = _visit(_point(weighted_arith(pairs), mats), kernels[0])
+    start = _visit(_point(_arith(w, mats), mats), kernels[0])
     point, r, iters, prev = _solve_level(mats, kernels, t, start, tol, max_iters,
                                          on_step=on_step)
     return point, r, iters, _final_step(point, r, t, prev)
@@ -357,7 +363,7 @@ def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverRepo
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
-    point, _, iters, step = _solve(mu.matrices, mu.matrix_pairs(), _level_kernels(mu, t), t,
+    point, _, iters, step = _solve(mu.weights, mu.matrices, _level_kernels(mu, t), t,
                                    cfg.fp_tol, cfg.max_iters)
     karcher = _whitened_residual(point[1], _level_kernels(mu, 0.0)[0])[0]
     return SolverReport(
@@ -380,9 +386,7 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
     w, mats = _check_weights(sigma)
-    mats = spd_stack(mats)
-    point, r, iters, step = _solve(mats, list(zip(w, mats)), _power_kernels(w, t), t,
-                                   cfg.fp_tol, cfg.max_iters)
+    point, r, iters, step = _solve(w, mats, _power_kernels(w, t), t, cfg.fp_tol, cfg.max_iters)
     return SolverReport(
         mean=point[0],
         iterations=iters,
@@ -442,7 +446,7 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     """
     cfg = cfg or SolverConfig()
     mats = mu.matrices
-    point = _point(weighted_arith(mu.matrix_pairs()), mats)
+    point = _point(_arith(mu.weights, mats), mats)
     history = [(1.0, point[0])]  # L_1 is the weighted arithmetic mean
     t = 0.5
     karcher = _level_kernels(mu, 0.0)[0]
@@ -487,9 +491,6 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
 
 def sandwich_check(x, mu: PMeasure) -> bool:
     """True iff harmonic mean <= X <= arithmetic mean of the atoms (Loewner, scaled tol 1e-9)."""
-    if x.shape != (mu.dim, mu.dim):
-        raise ShapeError("matrix and measure dimensions differ")
-    pairs = mu.matrix_pairs()
-    return loewner_leq(weighted_harm(pairs), x, 1e-9) and loewner_leq(
-        x, weighted_arith(pairs), 1e-9
-    )
+    x = _gate_point(x, mu)
+    return (loewner_leq(_harm(mu.weights, mu.matrices), x, 1e-9)
+            and loewner_leq(x, _arith(mu.weights, mu.matrices), 1e-9))

@@ -15,15 +15,13 @@ import math
 
 import numpy as np
 
-from .core import _float_array, sqrt_pair, whiten, whitened_eigh
-from .errors import DomainError, NotPositiveDefinite, ShapeError
+from .core import spd_stack, whitened_eigh
+from .errors import DomainError, NotPositiveDefinite
 
 
 def min_scaling(a, b) -> float:
     """Smallest ``alpha`` with ``A <= alpha B``: the top eigenvalue of ``B^(-1/2) A B^(-1/2)``."""
-    a, b = _float_array(a), _float_array(b)
-    if a.shape != b.shape:
-        raise ShapeError("operands must share dimensions")
+    a, b = spd_stack([a, b])
     return float(whitened_eigh(b, a[None])[2][0, -1])
 
 
@@ -31,13 +29,11 @@ def distance(a, b) -> float:
     """Thompson part metric between two SPD matrices.
 
     Zero only for (numerically) equal matrices; raises NotPositiveDefinite
-    when B is not, or when ``B^(-1/2) A B^(-1/2)`` has a non-positive or
+    when A or B is not, or when ``B^(-1/2) A B^(-1/2)`` has a non-positive or
     non-finite eigenvalue.
     """
-    a, b = _float_array(a), _float_array(b)
-    if a.shape != b.shape:
-        raise ShapeError("operands must share dimensions")
-    return 0.0 if np.array_equal(a, b) else log_spread(whiten(sqrt_pair(b)[1], a[None])[0])
+    a, b = spd_stack([a, b])
+    return 0.0 if np.array_equal(a, b) else log_spread(whitened_eigh(b, a[None])[2][0])
 
 
 def log_spread(w) -> float:
@@ -58,7 +54,7 @@ def contraction_factor_affine(a: float, b: float, r: float) -> float:
     Returns ``log((b e^{3r} + a) / (b e^r + a)) / (2r)``, strictly below 1
     for positive ``a``; tends to 0 as ``b -> 0`` (pure translation).
     """
-    if a <= 0.0 or b <= 0.0 or r <= 0.0:
+    if not (a > 0.0 and b > 0.0 and r > 0.0):
         raise DomainError("affine contraction factor needs positive a, b, r")
     rho = math.log((b * math.exp(3.0 * r) + a) / (b * math.exp(r) + a)) / (2.0 * r)
     return min(rho, 1.0)
@@ -81,7 +77,7 @@ def contraction_factor_mean(s: float, t: float, r: float) -> float:
         raise DomainError(f"s must lie in [0, 1], got {s}")
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t} (no contraction at t = 0)")
-    if r <= 0.0:
+    if not r > 0.0:
         raise DomainError("ball radius must be positive")
     rho1 = _rho1(t, r)
     den = t + s * (1.0 - t)
@@ -98,7 +94,7 @@ def contraction_factor_uniform(t: float, r: float) -> float:
     """Upper bound on :func:`contraction_factor_mean` over all s in [0, 1]; strictly below 1."""
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
-    if r <= 0.0:
+    if not r > 0.0:
         raise DomainError("ball radius must be positive")
     rho1 = _rho1(t, r)
     rho = rho1 + math.log(

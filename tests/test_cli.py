@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import subprocess
@@ -167,6 +168,19 @@ def test_solver_config_holds_exactly_the_settings_the_cli_offers():
                    for opt in opts if opt.replace("-", "_") in flags)
 
 
+def test_matrix_from_json_has_no_spd_flag_and_each_consumer_gates(setup_files):
+    # the loader only parses and symmetrizes; the function a matrix is passed to checks it
+    assert list(inspect.signature(matrix_from_json).parameters) == ["obj"]
+    files, _, _, tmp_path = setup_files
+    bad = write_json(tmp_path / "bad.json", {"dim": 3, "data": np.diag([1.0, -1.0, 2.0]).tolist()})
+    assert matrix_from_json(json.loads(open(bad).read()))[1, 1] == -1.0
+    for argv in (["metric", bad, files["a"]], ["metric", files["a"], bad],
+                 ["residual", files["measure"], bad], ["divergence", files["measure"], bad]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1, argv
+        assert "not positive definite" in proc.stderr
+
+
 def test_parser_reused_after_failed_parse(setup_files, capsys):
     # the parser is built once per process; a rejected flag must leave no state
     files, a, b, _ = setup_files
@@ -232,13 +246,26 @@ def test_minimize_wide_spread_measure(tmp_path, seed):
     assert distance(mean, lambda_mean(mu).mean) <= 1e-6
 
 
-@pytest.mark.parametrize("command", [["minimize"], ["lambda"], ["mean", "--t", "0.5"]],
-                         ids=["minimize", "lambda", "mean"])
-def test_nonpositive_max_iters_exits_1(setup_files, capsys, command):
+_MAX_ITERS = ("--max-iters", ("0", "-3"), "max_iters must be positive")
+_NAN_TOL = ("nan",), "tolerances must be positive"
+
+
+@pytest.mark.parametrize("command, flag, bads, message", [
+    (["minimize"], *_MAX_ITERS),
+    (["lambda"], *_MAX_ITERS),
+    (["mean", "--t", "0.5"], *_MAX_ITERS),
+    (["lambda"], "--fp-tol", *_NAN_TOL),
+    (["mean", "--t", "0.5"], "--fp-tol", *_NAN_TOL),
+    (["lambda"], "--lambda-tol", *_NAN_TOL),
+    (["minimize"], "--grad-tol", *_NAN_TOL),
+], ids=["minimize", "lambda", "mean", "lambda-fp-tol-nan", "mean-fp-tol-nan", "lambda-tol-nan",
+        "grad-tol-nan"])
+def test_nonpositive_max_iters_exits_1(setup_files, capsys, command, flag, bads, message):
+    # a bad setting is an input error (1), never a solver failure (2); NaN included
     files, _, _, _ = setup_files
-    for bad in ("0", "-3"):
-        assert cli.main([*command, files["measure"], "--max-iters", bad]) == 1
-        assert "max_iters must be positive" in capsys.readouterr().err
+    for bad in bads:
+        assert cli.main([*command, files["measure"], flag, bad]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_stdout_byte_identical(setup_files):

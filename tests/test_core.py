@@ -9,7 +9,6 @@ from spdmeans import (
     DomainError,
     EmptyInput,
     NotPositiveDefinite,
-    NumericalFailure,
     ShapeError,
     SMeasure,
     apply_scalar_fn,
@@ -18,13 +17,18 @@ from spdmeans import (
     distance,
     eval_mean,
     geometric_mean,
+    iteration_map,
     karcher_residual,
     logdet_divergence,
     loewner_leq,
     matrix_from_json,
     matrix_to_json,
     min_scaling,
+    objective,
+    power_mean,
     product_measure,
+    riemannian_gradient,
+    sandwich_check,
     spd_matrix,
     sym_matrix,
     weighted_arith,
@@ -137,29 +141,65 @@ def test_geometric_mean_symmetry_and_equivariance():
 
 
 _SPD = np.array([[2.0, 0.5], [0.5, 1.0]])
+_B = np.array([[1.5, -0.25], [-0.25, 0.75]])
 _INDEFINITE = np.diag([1.0, -0.5])
 _NAN = np.array([[1.0, math.nan], [math.nan, 1.0]])
 _HALF = SMeasure.dirac(0.5)
-# a NaN spectrum passes ``w <= 0`` tests; LAPACK may also refuse a NaN matrix outright
-_BAD_SPECTRUM = (NotPositiveDefinite, NumericalFailure)
+_MU = product_measure(_HALF, [(1.0, _SPD)])
+
+# every SPD slot of a public function: the slot takes m, every other operand is valid
+_SPD_SLOTS = [
+    pytest.param(lambda m: geometric_mean(m, _SPD, 0.5), id="geo-first"),
+    pytest.param(lambda m: geometric_mean(_SPD, m, 0.5), id="geo-second"),
+    pytest.param(lambda m: eval_mean(_HALF, m, _SPD), id="mean-first"),
+    pytest.param(lambda m: eval_mean(_HALF, _SPD, m), id="mean-second"),
+    pytest.param(lambda m: logdet_divergence(m, _SPD, 0.5), id="ld-first"),
+    pytest.param(lambda m: logdet_divergence(_SPD, m, 0.5), id="ld-second"),
+    pytest.param(lambda m: min_scaling(m, _SPD), id="min-scaling-first"),
+    pytest.param(lambda m: min_scaling(_SPD, m), id="min-scaling-second"),
+    pytest.param(lambda m: distance(m, _SPD), id="distance-first"),
+    pytest.param(lambda m: distance(_SPD, m), id="distance-second"),
+    pytest.param(lambda m: karcher_residual(m, _MU), id="residual-point"),
+    pytest.param(lambda m: iteration_map(m, 0.5, _MU), id="iteration-map-point"),
+    pytest.param(lambda m: objective(m, _MU), id="objective-point"),
+    pytest.param(lambda m: riemannian_gradient(m, _MU), id="gradient-point"),
+    pytest.param(lambda m: sandwich_check(m, _MU), id="sandwich-point"),
+    pytest.param(lambda m: weighted_arith([(0.5, m), (0.5, _SPD)]), id="arith-first"),
+    pytest.param(lambda m: weighted_arith([(0.5, _SPD), (0.5, m)]), id="arith-second"),
+    pytest.param(lambda m: weighted_harm([(0.5, m), (0.5, _SPD)]), id="harm-first"),
+    pytest.param(lambda m: weighted_harm([(0.5, _SPD), (0.5, m)]), id="harm-second"),
+    pytest.param(lambda m: power_mean(0.5, [(0.5, m), (0.5, _SPD)]), id="power-first"),
+    pytest.param(lambda m: power_mean(0.5, [(0.5, _SPD), (0.5, m)]), id="power-second"),
+]
+
+# slots that take any symmetric matrix, definite or not
+_SYM_SLOTS = [
+    pytest.param(lambda m: loewner_leq(m, _SPD), id="loewner-first"),
+    pytest.param(lambda m: loewner_leq(_SPD, m), id="loewner-second"),
+    pytest.param(lambda m: congruence(_SPD, m), id="congruence-matrix"),
+    pytest.param(lambda m: apply_scalar_fn(m, np.exp), id="apply-scalar-fn"),
+]
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad, error", [(_INDEFINITE, NotPositiveDefinite), (_NAN, _BAD_SPECTRUM)],
-                         ids=["indefinite", "nan"])
-@pytest.mark.parametrize("call", [
-    lambda m: geometric_mean(m, _SPD, 0.5),
-    lambda m: geometric_mean(_SPD, m, 0.5),
-    lambda m: eval_mean(_HALF, m, _SPD),
-    lambda m: eval_mean(_HALF, _SPD, m),
-    lambda m: logdet_divergence(m, _SPD, 0.5),
-    lambda m: logdet_divergence(_SPD, m, 0.5),
-    lambda m: karcher_residual(m, product_measure(_HALF, [(1.0, _SPD)])),
-], ids=["geo-first", "geo-second", "mean-first", "mean-second", "ld-first", "ld-second",
-        "residual-point"])
+@pytest.mark.parametrize("bad, error", [(_INDEFINITE, NotPositiveDefinite), (_NAN, DomainError),
+                                        (np.eye(3), ShapeError)],
+                         ids=["indefinite", "nan", "wrong-dim"])
+@pytest.mark.parametrize("call", _SPD_SLOTS)
 def test_spectral_layer_rejects_non_positive_operands(call, bad, error):
+    # the one gate, core.spd_stack, raises before any spectrum is taken
     with pytest.raises(error):
         call(bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", _SYM_SLOTS)
+def test_symmetric_slots_take_indefinite_but_not_nan_or_non_square(call):
+    call(_INDEFINITE)
+    with pytest.raises(DomainError):
+        call(_NAN)
+    with pytest.raises(ShapeError):
+        call(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("call", [
@@ -168,13 +208,26 @@ def test_spectral_layer_rejects_non_positive_operands(call, bad, error):
     lambda a, b: logdet_divergence(a, b, 0.3),
     lambda a, b: min_scaling(a, b),
     lambda a, b: distance(a, b),
-], ids=["geometric_mean", "eval_mean", "logdet_divergence", "min_scaling", "distance"])
+    lambda a, b: karcher_residual(a, product_measure(_HALF, [(1.0, b)])),
+    lambda a, b: iteration_map(a, 0.5, product_measure(_HALF, [(1.0, b)])),
+    lambda a, b: objective(a, product_measure(_HALF, [(1.0, b)])),
+    lambda a, b: riemannian_gradient(a, product_measure(_HALF, [(1.0, b)])),
+    lambda a, b: sandwich_check(a, product_measure(_HALF, [(0.5, a), (0.5, b)])),
+    lambda a, b: weighted_arith([(0.5, a), (0.5, b)]),
+    lambda a, b: weighted_harm([(0.5, a), (0.5, b)]),
+    lambda a, b: power_mean(0.5, [(0.5, a), (0.5, b)]).mean,
+    lambda a, b: loewner_leq(a, b),
+    lambda a, b: congruence(a, b),
+    lambda a, b: (apply_scalar_fn(a, np.log), apply_scalar_fn(b, np.sqrt)),
+], ids=["geometric_mean", "eval_mean", "logdet_divergence", "min_scaling", "distance",
+        "karcher_residual", "iteration_map", "objective", "riemannian_gradient",
+        "sandwich_check", "weighted_arith", "weighted_harm", "power_mean", "loewner_leq",
+        "congruence", "apply_scalar_fn"])
 def test_two_operand_functions_take_nested_lists(call):
     # a nested-list operand in either slot gives the bytes of its array
-    b = np.array([[1.5, -0.25], [-0.25, 0.75]])
-    want = np.asarray(call(_SPD, b)).tobytes()
-    assert np.asarray(call(_SPD.tolist(), b)).tobytes() == want
-    assert np.asarray(call(_SPD, b.tolist())).tobytes() == want
+    want = np.asarray(call(_SPD, _B)).tobytes()
+    assert np.asarray(call(_SPD.tolist(), _B)).tobytes() == want
+    assert np.asarray(call(_SPD, _B.tolist())).tobytes() == want
 
 
 _RAGGED = [[1.0, 0.0], [0.0]]

@@ -8,6 +8,7 @@ from spdmeans import (
     DomainError,
     MeasureError,
     SMeasure,
+    ShapeError,
     eval_mean,
     eval_monotone,
     harmonic_kernel,
@@ -41,19 +42,33 @@ def test_log_kernel_values():
         log_kernel(0.5, -1.0)
 
 
-
-@pytest.mark.parametrize("x", [-1.0, 0.0, math.nan, np.diag([1.0, -1.0]), np.diag([1.0, math.nan])],
-                         ids=["negative", "zero", "nan", "indefinite", "nan-matrix"])
-@pytest.mark.parametrize("kernel", [
+_KERNELS = [
     lambda x: log_kernel(0.5, x),
     lambda x: harmonic_kernel(0.5, x),
     lambda x: mean_kernel(0.5, 0.5, x),
     lambda x: eval_monotone(SMeasure.lebesgue(), x),
-], ids=["log", "harmonic", "mean", "monotone"])
+]
+_KERNEL_IDS = ["log", "harmonic", "mean", "monotone"]
+
+
+@pytest.mark.parametrize("x", [-1.0, 0.0, math.nan, np.diag([1.0, -1.0]), np.diag([1.0, math.nan])],
+                         ids=["negative", "zero", "nan", "indefinite", "nan-matrix"])
+@pytest.mark.parametrize("kernel", _KERNELS, ids=_KERNEL_IDS)
 def test_kernels_take_only_positive_arguments(kernel, x):
     # NaN passes an ``x <= 0`` test; the one positivity test is ``x > 0``
     with pytest.raises(DomainError):
         kernel(x)
+
+
+@pytest.mark.parametrize("kernel", _KERNELS, ids=_KERNEL_IDS)
+def test_kernels_take_nested_lists_and_reject_other_shapes(kernel):
+    # dispatch on ndim: 0 is a scalar, 2 a matrix, anything else ShapeError
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert kernel(a.tolist()).tobytes() == kernel(a).tobytes()
+    assert kernel(np.float64(2.0)) == kernel(2.0) == kernel(np.array(2.0))
+    for bad in (np.ones(2), np.ones((2, 3)), np.ones((1, 2, 2)), [[1.0, 0.0], [0.0]]):
+        with pytest.raises(ShapeError):
+            kernel(bad)
 
 
 def test_log_kernel_inverse():
@@ -233,6 +248,21 @@ def test_smeasure_validation():
         SMeasure.from_atoms([(0.5, 0.4), (0.6, 0.4)])
     with pytest.raises(MeasureError):
         SMeasure.power(1.0)
+
+
+@pytest.mark.parametrize("nodes", [2.7, 0, -3, math.nan, math.inf, "8"])
+@pytest.mark.parametrize("build", [
+    lambda n: SMeasure.lebesgue(n),
+    lambda n: SMeasure.power(0.5, n),
+    lambda n: SMeasure.custom(lambda s: 1.0, n),
+    lambda n: smeasure_from_json({"type": "lebesgue", "nodes": n}),
+    lambda n: smeasure_from_json({"type": "power", "t": 0.5, "nodes": n}),
+], ids=["lebesgue", "power", "custom", "json-lebesgue", "json-power"])
+def test_node_counts_must_be_positive_whole_numbers(build, nodes):
+    # no silent truncation: 2.7 nodes is an error, not a 2-node rule
+    with pytest.raises(MeasureError):
+        build(nodes)
+    assert build(3.0).params["nodes"] == build(np.int64(3)).params["nodes"] == 3
 
 
 def test_smeasure_json_roundtrip():

@@ -659,6 +659,13 @@ def test_solver_config_validation():
         SolverConfig(grad_tol=0.0)
 
 
+@pytest.mark.parametrize("name", ["fp_tol", "lambda_tol", "grad_tol", "max_iters"])
+def test_solver_config_rejects_nan(name):
+    # NaN fails every comparison, so each guard is written ``not x > 0``
+    with pytest.raises(DomainError):
+        SolverConfig(**{name: math.nan})
+
+
 @pytest.mark.parametrize("name", ["t_start", "t_factor", "residual_tol"])
 def test_solver_config_has_no_schedule_or_residual_setting(name):
     # the net's schedule is t = 2^-l and its residual bound RESIDUAL_TOL

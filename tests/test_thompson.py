@@ -126,6 +126,18 @@ def test_contraction_factor_affine_values():
         contraction_factor_affine(-1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: contraction_factor_affine(math.nan, 1.0, 1.0),
+    lambda: contraction_factor_affine(1.0, math.nan, 1.0),
+    lambda: contraction_factor_affine(1.0, 1.0, math.nan),
+    lambda: contraction_factor_mean(0.5, 0.5, math.nan),
+    lambda: contraction_factor_uniform(0.5, math.nan),
+], ids=["affine-a", "affine-b", "affine-r", "mean-r", "uniform-r"])
+def test_contraction_factors_reject_nan(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_contraction_factor_affine_below_one():
     rng = np.random.default_rng(13)
     a = np.exp(rng.uniform(-3, 3, 10000))
