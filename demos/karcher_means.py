@@ -40,7 +40,7 @@ for t in (1.0, 0.5, 0.25, 0.125):
 rep = lambda_mean(mu)
 print(f"net limit: {len(rep.t_trace)} levels, {rep.iterations} total iterations")
 print(f"  d(Lambda, A#B)        = {distance(rep.mean, geometric_mean(a, b, 0.5)):.3e}")
-print(f"  Karcher residual norm = {rep.residual_norm:.3e}")
+print(f"  whitened residual     = {rep.residual_norm:.3e}")
 
 print()
 print("=== Dirac endpoints recover the arithmetic and harmonic means ===")

@@ -70,7 +70,11 @@ def logdet_divergence(x, a, s: float) -> float:
 
 def objective(x, mu: PMeasure) -> float:
     """Integrated divergence ``sum_k w_k int LD_s(X, A_k) d nu_k(s)``; nonnegative."""
-    lam = whitened_eigh(_gate_point(x, mu), mu.matrices)[2]
+    return _objective(whitened_eigh(_gate_point(x, mu), mu.matrices)[2], mu)
+
+
+def _objective(lam, mu: PMeasure) -> float:
+    """:func:`objective` from the whitened spectra ``lam`` (k, n) of the atoms at X."""
     return float(mu.node_weights @ np.sum(_eig_divergence(mu.nodes, lam[mu.owner]), axis=1))
 
 
@@ -92,22 +96,17 @@ def minimize_divergence(mu: PMeasure, cfg: SolverConfig = None, on_step=None) ->
     trial point is SPD and its whitened gradient norm is at most ``1 - 1e-4 eta``
     times the current one; along a Newton step that norm falls like ``1 - eta``, so
     the rule serves down to ``cfg.grad_tol``, within ``cfg.max_iters`` steps.  Returns
-    the unique minimizer (residual_norm is the gradient's Frobenius norm, final_step
-    the Thompson length of the last step).  ``on_step(x, f, gnorm)`` is called after
-    every step; the objective f is evaluated only for it.
+    the unique minimizer; residual_norm is the whitened gradient norm
+    ``||X^(-1/2) R X^(-1/2)||_F`` that grad_tol bounds, final_step the Thompson length
+    of the last step.  ``on_step(x, f, gnorm)`` is called after every step with that
+    whitened norm; the objective f is evaluated only for it, from the step's cached
+    whitened spectra.
     """
     cfg = cfg or SolverConfig()
     hook = None if on_step is None else (
-        lambda x, r: on_step(x, objective(x, mu), float(np.linalg.norm(r))))
-    point, r, iters, step = _solve(mu.weights, mu.matrices, _level_kernels(mu, 0.0), 0.0,
-                                   cfg.grad_tol, cfg.max_iters, on_step=hook)  # r is -gradient
-    return SolverReport(
-        mean=point[0],
-        iterations=iters,
-        final_step=step,
-        residual_norm=float(np.linalg.norm(r)),
-        t_trace=[],
-    )
+        lambda visit: on_step(visit[0][0], _objective(visit[0][1][2], mu), visit[1]))
+    return _solve(mu.weights, mu.matrices, _level_kernels(mu, 0.0), 0.0, cfg.grad_tol,
+                  cfg.max_iters, on_step=hook)
 
 
 def geodesic_convexity_check(mu: PMeasure, trials: int, seed: int = 0) -> bool:

@@ -86,10 +86,10 @@ def log_kernel_grid(s, x):
 def log_kernel_inv(s, y) -> float:
     """Inverse of ``log_kernel(s, .)``: ``1 + y / (1 - (1 - s) y)``.
 
-    Defined for ``y < 1/(1 - s)`` when s < 1; for s = 1 any y maps to y + 1.
+    Defined for ``y < 1/(1 - s)`` when s < 1; for s = 1 any finite y maps to y + 1.
     """
     _check_s(s)
-    if s < 1.0 and y >= 1.0 / (1.0 - s):
+    if not -np.inf < y < (1.0 / (1.0 - s) if s < 1.0 else np.inf):  # NaN fails at every s
         raise DomainError(f"y = {y} outside the range of the kernel at s = {s}")
     return float(1.0 + y / (1.0 - (1.0 - s) * y))
 

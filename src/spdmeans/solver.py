@@ -25,6 +25,11 @@ Algorithms on Matrix Manifolds, 2008, ch. 6).  Newton keeps the cost bounded
 as t shrinks (plain iteration needs O(1/t) steps, Newton a handful) and, being
 congruence-equivariant, any scale of X.
 
+The engine carries only the whitened residual ``G = X^(-1/2) R X^(-1/2)``, in one
+record per visited point (:func:`_visit`); stop tests, steps and reports read G, so
+none depends on scale.  R is formed only where it is returned, by
+:func:`karcher_residual` and :func:`iteration_map`.
+
 Along the net each level starts from the Lagrange extrapolation, in t, of
 the last three levels solved (predictor-corrector continuation; Allgower and
 Georg, Introduction to Numerical Continuation Methods, 2003, ch. 2).  The same
@@ -46,6 +51,7 @@ import scipy.linalg as sla
 from .core import (
     _arith,
     _check_weights,
+    _eigh,
     _harm,
     _sym,
     loewner_leq,
@@ -104,7 +110,10 @@ class SolverReport:
     final_step : Thompson distance d(X, T(X)) at the reported mean; for lambda_mean,
         that of the last solved level's fixed point; for minimize_divergence, the
         Thompson length of its last Newton step (0.0 if none)
-    residual_norm : Frobenius norm of the Karcher residual at the mean
+    residual_norm : whitened Frobenius norm ``||X^(-1/2) R X^(-1/2)||_F`` of the
+        residual of the equation solved, the number the stop tests bound: the Karcher
+        equation for lambda_mean and minimize_divergence, the level equation for
+        induced_mean, the power equation for power_mean
     t_trace : [(t, iterations)] per level of the schedule
     """
 
@@ -134,16 +143,17 @@ def _point(x, mats):
     return x, whitened_eigh(x, mats)
 
 
-def _whitened_residual(white, kernel):
-    """Residual ``R = X^(1/2) G X^(1/2)``, ``G = sum_k Q_k diag(kernel(lam)_k) Q_k.T``.
+def _visit(point, kernel):
+    """A visited point with its whitened residual, ``(point, ||G||_F, phi, G)``; None for None.
 
-    ``white = (X^(1/2), X^(-1/2), lam, Q)`` is X's whitened spectrum; returns ``(R,
-    ||G||_F, spec)``, the Newton step's data ``spec = (X^(1/2), lam, Q, kernel(lam), G)``.
+    ``G = X^(-1/2) R X^(-1/2) = sum_k Q_k diag(phi_k) Q_k.T`` with ``phi = kernel(lam)`` on
+    the point's whitened spectrum; every stop test and Newton step reads G, never R.
     """
-    rs, _, lam, q = white
-    phi = kernel(lam)
-    acc = spectral_sum(q, phi)
-    return _sym(rs @ acc @ rs), float(np.linalg.norm(acc)), (rs, lam, q, phi, acc)
+    if point is None:
+        return None
+    phi = kernel(point[1][2])
+    g = spectral_sum(point[1][3], phi)
+    return point, float(np.linalg.norm(g)), phi, g
 
 
 def _level_kernels(mu: PMeasure, t: float):
@@ -201,8 +211,8 @@ def karcher_residual(x, mu: PMeasure) -> np.ndarray:
     ``integral X^(1/2) log_kernel(s, X^(-1/2) A X^(-1/2)) X^(1/2) dmu``;
     symmetric, and zero exactly at the Karcher mean of the measure.
     """
-    x = _gate_point(x, mu)
-    return _whitened_residual(whitened_eigh(x, mu.matrices), _level_kernels(mu, 0.0)[0])[0]
+    rs, _, lam, q = whitened_eigh(_gate_point(x, mu), mu.matrices)
+    return spectral_sum(q, _level_kernels(mu, 0.0)[0](lam), rs)
 
 
 def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
@@ -215,7 +225,8 @@ def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     x = _gate_point(x, mu)
-    r = _whitened_residual(whitened_eigh(x, mu.matrices), _level_kernels(mu, t)[0])[0]
+    rs, _, lam, q = whitened_eigh(x, mu.matrices)
+    r = spectral_sum(q, _level_kernels(mu, t)[0](lam), rs)
     return _sym(x + t * r)  # R_t(X) = (T_t(X) - X)/t evaluated directly
 
 
@@ -234,14 +245,14 @@ def _sym_basis(n):
     return basis
 
 
-def _whitened_jacobian(spec, divdiff):
-    """Jacobian of G along ``X^(1/2)(I + E)X^(1/2)`` on the symmetric basis.
+def _whitened_jacobian(visit, divdiff):
+    """Jacobian of G along ``X^(1/2)(I + E)X^(1/2)`` on the symmetric basis, at a :func:`_visit`.
 
     Daleckii-Krein: ``dG[E] = sum_k Q_k (Gamma_k o Q_k.T E Q_k) Q_k.T`` with
     ``Gamma_k,ij = (phi_i + phi_j)/2 - (lam_i + lam_j)/2 * phi^[1](lam_i, lam_j)``.
     Returns ``(J, B)`` with B the flattened basis and ``J[a, b] = <B_a, dG[B_b]>``.
     """
-    _, lam, q, phi, _ = spec
+    (_, (_, _, lam, q)), _, phi, _ = visit
     k, n = lam.shape
     gamma = 0.5 * (phi[:, :, None] + phi[:, None, :]
                    - (lam[:, :, None] + lam[:, None, :]) * divdiff(lam))
@@ -251,12 +262,12 @@ def _whitened_jacobian(spec, divdiff):
     return spectral_sum(proj, gamma.reshape(k, -1)), basis.reshape(len(basis), -1)
 
 
-def _newton_step(spec, divdiff):
+def _newton_step(visit, divdiff):
     """Newton step ``X^(1/2) E X^(1/2)`` with ``dG[E] = -G``; None if the Jacobian is singular."""
-    rs, acc = spec[0], spec[4]
-    jac, flat = _whitened_jacobian(spec, divdiff)
+    rs, g = visit[0][1][0], visit[3]
+    jac, flat = _whitened_jacobian(visit, divdiff)
     lu = sla.lu_factor(jac, check_finite=False)
-    e = (sla.lu_solve(lu, -(flat @ acc.ravel()), check_finite=False) @ flat).reshape(acc.shape)
+    e = (sla.lu_solve(lu, -(flat @ g.ravel()), check_finite=False) @ flat).reshape(g.shape)
     return rs @ e @ rs if np.all(np.isfinite(e)) else None
 
 
@@ -266,11 +277,6 @@ def _trial_point(x, mats):
         return _point(_sym(x), mats)
     except NotPositiveDefinite:
         return None
-
-
-def _visit(point, kernel):
-    """A visited point with its residual, ``(point, R, ||G||_F, spec)``; None for None."""
-    return None if point is None else (point, *_whitened_residual(point[1], kernel))
 
 
 def _ratio_spectrum(a, point):
@@ -283,73 +289,79 @@ def _gap(a, point):
     return log_spread(_ratio_spectrum(a, point))
 
 
-def _final_step(point, r, t, prev=None):
-    """A report's final_step: ``d(X, X + tR)`` from the whitened residual spectrum.
+def _final_step(visit, t, prev=None):
+    """A report's final_step: ``d(X, X + tR) = max |log(1 + t spec(G))|`` at a :func:`_visit`.
 
     At t = 0 that is 0; there it is the Thompson length of the last accepted step,
     from the visited point ``prev`` it started at (0.0 if no step was taken).
     """
     if t == 0.0:
-        return 0.0 if prev is None else _gap(point[0], prev)
-    arg = 1.0 + t * whiten(point[1][1], r[None])[0]
+        return 0.0 if prev is None else _gap(visit[0][0], prev)
+    arg = 1.0 + t * _eigh(visit[3])[0]
     if np.any(arg <= 0.0):
         return float("inf")
     return float(np.max(np.abs(np.log(arg))))
 
 
-def _solve_level(mats, kernels, t, start, tol, max_iters, iters_used=0, on_step=None):
+def _solve_level(mats, kernels, t, visit, tol, max_iters, iters_used=0, on_step=None):
     """Damped Newton on ``G = 0`` for the level map ``x -> x + t * R(x)``; t = 0 is Karcher.
 
     Each step's length eta is halved until the trial point is SPD and its whitened
     residual is at most ``max((1 - 1e-4 eta)||G||, tol)``.  At a level's rounding floor
     (t > 0, ``t||G|| <= tol``, ``||G|| <= 1e4 tol``) a step moves X by less than tol:
     only the full step is tried, against _NEWTON_DECREASE, and a miss ends the level.
-    From a start :func:`_visit` under the level's kernel, returns the end point, its R,
-    the iterations and the point before the last step; ``on_step(x, R)`` follows each
-    step.  Raises NonConvergence when eta drops below 1e-10, where the demanded decrease
-    nears rounding and X barely moves, or ``iters_used`` plus the iterations reach
-    max_iters.
+    From a start ``visit`` (:func:`_visit`, the level's kernel), returns ``(visit,
+    iterations, prev)``: the end point's visit and the visited point before the last
+    step (None if none was taken).  ``on_step(visit)`` follows each step.  Raises
+    NonConvergence when eta drops below 1e-10, where the demanded decrease nears
+    rounding and X barely moves, or ``iters_used`` plus the iterations reach max_iters.
     """
     kernel, divdiff = kernels
-    point, r, wnorm, spec = start
     prev = None
     iters = 0
     fail = lambda why: NonConvergence(
-        f"Newton solve at t={t:g} {why} at whitened residual {wnorm:.3e}",
-        final_step=_final_step(point, r, t, prev), iterations=iters_used + iters)
-    while not wnorm <= tol:
+        f"Newton solve at t={t:g} {why} at whitened residual {visit[1]:.3e}",
+        final_step=_final_step(visit, t, prev), iterations=iters_used + iters)
+    while not visit[1] <= tol:
         if iters_used + iters >= max_iters:
             raise fail(f"exhausted {max_iters} iterations")
+        wnorm = visit[1]
         floor = t > 0.0 and t * wnorm <= tol and wnorm <= 1e4 * tol
-        step = _newton_step(spec, divdiff)
+        step = _newton_step(visit, divdiff)
         eta = 1.0
         while step is not None and eta >= (1.0 if floor else 1e-10):
-            trial = _visit(_trial_point(point[0] + eta * step, mats), kernel)
+            trial = _visit(_trial_point(visit[0][0] + eta * step, mats), kernel)
             decrease = _NEWTON_DECREASE if floor else 1.0 - 1e-4 * eta
-            if trial is not None and trial[2] <= max(decrease * wnorm, tol):
+            if trial is not None and trial[1] <= max(decrease * wnorm, tol):
                 break
             eta *= 0.5
         else:
             if floor:
                 break
             raise fail("stalled")
-        prev, (point, r, wnorm, spec) = point, trial
+        prev, visit = visit[0], trial
         iters += 1
         if on_step is not None:
-            on_step(point[0], r)
-    return point, r, iters, prev
+            on_step(visit)
+    return visit, iters, prev
 
 
-def _solve(w, mats, kernels, t, tol, max_iters, on_step=None):
+def _solve(w, mats, kernels, t, tol, max_iters, on_step=None) -> SolverReport:
     """One solve at t from the weighted arithmetic mean of gated ``w``, ``mats``; t = 0 is Karcher.
 
-    Runs :func:`_solve_level` from that start and returns ``(point, R, iterations,
-    final_step)``, final_step as :func:`_final_step` reports it.
+    Runs :func:`_solve_level` from that start and reports its end point: residual_norm
+    is the whitened ``||G||_F`` of the equation solved, final_step as :func:`_final_step`
+    gives it, and t_trace ``[(t, iterations)]``, empty at t = 0 where there is no schedule.
     """
     start = _visit(_point(_arith(w, mats), mats), kernels[0])
-    point, r, iters, prev = _solve_level(mats, kernels, t, start, tol, max_iters,
-                                         on_step=on_step)
-    return point, r, iters, _final_step(point, r, t, prev)
+    visit, iters, prev = _solve_level(mats, kernels, t, start, tol, max_iters, on_step=on_step)
+    return SolverReport(
+        mean=visit[0][0],
+        iterations=iters,
+        final_step=_final_step(visit, t, prev),
+        residual_norm=visit[1],
+        t_trace=[(t, iters)] if t > 0.0 else [],
+    )
 
 
 def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
@@ -358,42 +370,27 @@ def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverRepo
     Starts from the weighted arithmetic mean of the atoms, which lies in
     the invariant order interval of the iteration, and converges to the
     unique fixed point.  The reported mean satisfies
-    ``distance(X, iteration_map(X, t, mu)) <= 10 * fp_tol``.
+    ``distance(X, iteration_map(X, t, mu)) <= 10 * fp_tol``; residual_norm is
+    the whitened norm of the level residual ``R_t`` there.
     """
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
-    point, _, iters, step = _solve(mu.weights, mu.matrices, _level_kernels(mu, t), t,
-                                   cfg.fp_tol, cfg.max_iters)
-    karcher = _whitened_residual(point[1], _level_kernels(mu, 0.0)[0])[0]
-    return SolverReport(
-        mean=point[0],
-        iterations=iters,
-        final_step=step,
-        residual_norm=float(np.linalg.norm(karcher)),
-        t_trace=[(t, iters)],
-    )
+    return _solve(mu.weights, mu.matrices, _level_kernels(mu, t), t, cfg.fp_tol, cfg.max_iters)
 
 
 def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
     """Solve the power-mean equation ``X = sum_i w_i X #_t A_i`` for t in (0, 1].
 
-    ``t = 1`` gives the weighted arithmetic mean.  The reported
-    residual_norm is the Frobenius norm of the generalized residual
-    ``sum_i w_i X^(1/2) ((W_i^t - I)/t) X^(1/2)`` at the solution.
+    ``t = 1`` gives the weighted arithmetic mean.  The reported residual_norm
+    is the whitened Frobenius norm ``||sum_i w_i (W_i^t - I)/t||_F`` of the
+    generalized residual at the solution, ``W_i = X^(-1/2) A_i X^(-1/2)``.
     """
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
     w, mats = _check_weights(sigma)
-    point, r, iters, step = _solve(w, mats, _power_kernels(w, t), t, cfg.fp_tol, cfg.max_iters)
-    return SolverReport(
-        mean=point[0],
-        iterations=iters,
-        final_step=step,
-        residual_norm=float(np.linalg.norm(r)),
-        t_trace=[(t, iters)],
-    )
+    return _solve(w, mats, _power_kernels(w, t), t, cfg.fp_tol, cfg.max_iters)
 
 
 def _lagrange(history, t):
@@ -404,7 +401,7 @@ def _lagrange(history, t):
 
 
 def _predicted_start(history, t, warm, mats, kernel):
-    """Start of level t, with its residual: extrapolated from the solved levels, else warm.
+    """The :func:`_visit` starting level t: extrapolated from the solved levels, else warm.
 
     ``history`` holds the last (up to three) solved levels ``(t_i, L_{t_i})``; their
     Lagrange extrapolation to t is taken if it is positive definite and its whitened
@@ -414,7 +411,7 @@ def _predicted_start(history, t, warm, mats, kernel):
     if len(history) < 2:
         return start
     trial = _visit(_trial_point(_lagrange(history, t), mats), kernel)
-    return trial if trial is not None and trial[2] <= _NEWTON_DECREASE * start[2] else start
+    return trial if trial is not None and trial[1] <= _NEWTON_DECREASE * start[1] else start
 
 
 def _extrapolation_gap(point, e, e_prev):
@@ -456,8 +453,8 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     for _ in range(200):
         kernels = _level_kernels(mu, t)
         start = _predicted_start(history, t, point, mats, kernels[0])
-        point, r, iters, _ = _solve_level(mats, kernels, t, start, cfg.fp_tol, cfg.max_iters,
-                                          total)
+        level, iters, _ = _solve_level(mats, kernels, t, start, cfg.fp_tol, cfg.max_iters, total)
+        point = level[0]
         total += iters
         trace.append((t, iters))
         history = history[-2:] + [(t, point[0])]
@@ -469,7 +466,7 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
             e = _lagrange(history, 0.0)  # Richardson extrapolation of the levels to t = 0
             if e_prev is not None and _extrapolation_gap(point, e, e_prev) <= cfg.lambda_tol:
                 mean = _visit(_trial_point(e, mats), karcher)
-                if mean is not None and mean[2] <= RESIDUAL_TOL:
+                if mean is not None and mean[1] <= RESIDUAL_TOL:
                     break
             e_prev = e
         prev = point[0]
@@ -477,14 +474,14 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     else:
         raise NonConvergence(
             "t-schedule exhausted 200 levels without meeting lambda_tol",
-            final_step=_final_step(point, r, trace[-1][0]),  # the last solved level's t
+            final_step=_final_step(level, trace[-1][0]),  # the last solved level's t
             iterations=total,
         )
     return SolverReport(
         mean=mean[0][0],
         iterations=total,
-        final_step=_final_step(point, r, t),  # the last solved level's step
-        residual_norm=float(np.linalg.norm(mean[1])),
+        final_step=_final_step(level, t),  # the last solved level's step
+        residual_norm=mean[1],
         t_trace=trace,
     )
 

@@ -56,14 +56,12 @@ def contraction_factor_affine(a: float, b: float, r: float) -> float:
     """
     if not (a > 0.0 and b > 0.0 and r > 0.0):
         raise DomainError("affine contraction factor needs positive a, b, r")
-    rho = math.log((b * math.exp(3.0 * r) + a) / (b * math.exp(r) + a)) / (2.0 * r)
-    return min(rho, 1.0)
+    return min(_affine(a, b, r), 1.0)
 
 
-def _rho1(t, r):
-    return math.log(
-        (math.exp(3.0 * r) * (1.0 - t) + t) / (math.exp(r) * (1.0 - t) + t)
-    ) / (2.0 * r)
+def _affine(a, b, r):
+    # contraction_factor_affine's formula, unclamped
+    return math.log((b * math.exp(3.0 * r) + a) / (b * math.exp(r) + a)) / (2.0 * r)
 
 
 def contraction_factor_mean(s: float, t: float, r: float) -> float:
@@ -79,7 +77,7 @@ def contraction_factor_mean(s: float, t: float, r: float) -> float:
         raise DomainError(f"t must lie in (0, 1], got {t} (no contraction at t = 0)")
     if not r > 0.0:
         raise DomainError("ball radius must be positive")
-    rho1 = _rho1(t, r)
+    rho1 = _affine(t, 1.0 - t, r)
     den = t + s * (1.0 - t)
     a = s * (1.0 - t) / den
     b = t / den
@@ -91,14 +89,12 @@ def contraction_factor_mean(s: float, t: float, r: float) -> float:
 
 
 def contraction_factor_uniform(t: float, r: float) -> float:
-    """Upper bound on :func:`contraction_factor_mean` over all s in [0, 1]; strictly below 1."""
+    """Upper bound on :func:`contraction_factor_mean` over all s in [0, 1]; strictly below 1.
+
+    The bound is the factor at s = 1.
+    """
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     if not r > 0.0:
         raise DomainError("ball radius must be positive")
-    rho1 = _rho1(t, r)
-    rho = rho1 + math.log(
-        (t * math.exp(-r) + (1.0 - t) * math.exp(2.0 * r * (1.0 - rho1)))
-        / (t * math.exp(-r) + (1.0 - t))
-    ) / (2.0 * r)
-    return min(rho, 1.0)
+    return contraction_factor_mean(1.0, t, r)

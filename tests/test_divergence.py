@@ -20,6 +20,7 @@ from spdmeans import (
     product_measure,
     riemannian_gradient,
 )
+from spdmeans import core
 from spdmeans.divergence import _eig_divergence
 from spdmeans.verify import random_measure
 
@@ -192,14 +193,32 @@ def test_minimize_newton_step_count_wide_band():
 
 
 def test_minimize_evaluates_objective_only_for_on_step(monkeypatch):
-    calls = []
-    real = dvg.objective
-    monkeypatch.setattr(dvg, "objective", lambda x, mu: calls.append(1) or real(x, mu))
+    # the hook reads each step's cached whitened spectra: one _objective call per
+    # step, no further gate or whitening, and f exactly as objective(x, mu) gives it
+    calls = {"_objective": 0, "spd_stack": 0, "sqrt_pair": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(dvg, "_objective")
+    counted(core, "spd_stack")
+    counted(core, "sqrt_pair")
     mu = rand_measure(np.random.default_rng(16), 3)
     rep = minimize_divergence(mu)
-    assert calls == []
-    minimize_divergence(mu, on_step=lambda x, f, g: None)
-    assert len(calls) == rep.iterations
+    plain = dict(calls)
+    assert plain["_objective"] == 0
+    steps = []
+    minimize_divergence(mu, on_step=lambda x, f, g: steps.append((x, f)))
+    assert calls["_objective"] == len(steps) == rep.iterations
+    assert calls["spd_stack"] == 2 * plain["spd_stack"]
+    assert calls["sqrt_pair"] == 2 * plain["sqrt_pair"]
+    monkeypatch.undo()
+    assert all(f == objective(x, mu) for x, f in steps)
 
 
 def test_geodesic_convexity_trivial_and_random():

@@ -82,6 +82,10 @@ def test_log_kernel_inverse():
         assert abs(log_kernel(s, log_kernel_inv(s, y)) - y) <= 1e-12 * (1 + abs(y))
     with pytest.raises(DomainError):
         log_kernel_inv(0.5, 2.1)  # range of the s=1/2 kernel tops out at 2
+    for s in (0.0, 0.5, 1.0):  # NaN and infinities lie in no range, s = 1 included
+        for y in (math.nan, -math.inf, math.inf):
+            with pytest.raises(DomainError):
+                log_kernel_inv(s, y)
 
 
 def test_harmonic_kernel_values():

@@ -33,8 +33,8 @@ from spdmeans import (
 )
 from spdmeans import core, solver
 from spdmeans.core import sqrt_pair, whitened_eigh
-from spdmeans.solver import (RESIDUAL_TOL, _level_kernels, _power_kernels, _whitened_jacobian,
-                             _whitened_residual)
+from spdmeans.solver import (RESIDUAL_TOL, _level_kernels, _point, _power_kernels, _visit,
+                             _whitened_jacobian)
 from spdmeans.verify import random_measure
 
 CFG = SolverConfig()
@@ -235,11 +235,12 @@ def jacobian_error(x, mats, kernels, h=1e-5):
     # relative distance between the closed-form Jacobian and central differences
     # of the whitened residual along X^(1/2)(I + hE)X^(1/2) on the same basis
     rs, irs = sqrt_pair(x)
-    residual = lambda y: _whitened_residual(whitened_eigh(y, mats), kernels[0])
-    jac, flat = _whitened_jacobian(residual(x)[2], kernels[1])
+    visit = lambda y: _visit(_point(y, mats), kernels[0])
+    jac, flat = _whitened_jacobian(visit(x), kernels[1])
 
     def g(e):
-        return (irs @ residual(sym(rs @ (np.eye(len(x)) + e) @ rs))[0] @ irs).ravel()
+        (_, (ry, *_)), _, _, gy = visit(sym(rs @ (np.eye(len(x)) + e) @ rs))
+        return (irs @ sym(ry @ gy @ ry) @ irs).ravel()  # R = Y^(1/2) G Y^(1/2), whitened by X
 
     fd = np.array([
         flat @ (g(h * b.reshape(x.shape)) - g(-h * b.reshape(x.shape))) / (2.0 * h) for b in flat
@@ -391,6 +392,20 @@ def test_solvers_positive_homogeneity_at_extreme_scales():
         assert distance(minimize_divergence(scaled).mean, c * mean) <= 1e-8
 
 
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_reported_residual_norm_is_the_whitened_one_each_stop_test_bounds(c):
+    # residual_norm is the whitened ||G||_F of the equation each route solved, so
+    # it meets that route's stop bound at every scale of the measure; the levels
+    # of induced_mean and power_mean may end at the rounding floor, 1e4 * fp_tol
+    mu = random_measure(np.random.default_rng(0), 4, n_atoms=3)
+    scaled = PMeasure([(w, c * m, nu) for w, m, nu in mu.atoms])
+    floor = 1e4 * CFG.fp_tol
+    assert lambda_mean(scaled, CFG).residual_norm <= RESIDUAL_TOL
+    assert minimize_divergence(scaled, CFG).residual_norm <= CFG.grad_tol
+    assert induced_mean(0.5, scaled, CFG).residual_norm <= floor
+    assert power_mean(0.3, scaled.matrix_pairs(), CFG).residual_norm <= floor
+
+
 def test_lambda_mean_newton_levels_take_few_iterations():
     # the closed-form Newton step settles every warm-started level in a handful
     # of iterations; a stale or inexact Jacobian shows up here first
@@ -433,11 +448,11 @@ def test_lambda_mean_raises_when_a_level_increases(monkeypatch):
     solved = []
 
     def inflated(mats, kernels, t, start, *args):
-        point, r, iters, prev = solve_level(mats, kernels, t, start, *args)
+        visit, iters, prev = solve_level(mats, kernels, t, start, *args)
         if len(solved) == 3:
-            point = solver._point((1.0 + 1e-7) * solved[-1][0], mats)
-        solved.append(point)
-        return point, r, iters, prev
+            visit = _visit(_point((1.0 + 1e-7) * solved[-1][0][0], mats), kernels[0])
+        solved.append(visit)
+        return visit, iters, prev
 
     monkeypatch.setattr(solver, "_solve_level", inflated)
     with pytest.raises(MonotonicityViolation):
