@@ -9,14 +9,12 @@ Newton minimizer that independently cross-checks the fixed-point route.
 """
 
 from .core import (
-    apply_scalar_fn,
     congruence,
     geometric_mean,
     loewner_leq,
     matrix_from_json,
     matrix_to_json,
     spd_matrix,
-    sym_matrix,
     weighted_arith,
     weighted_harm,
 )
@@ -45,20 +43,9 @@ from .measures import (
     congruence_measure,
     measure_leq,
     pmeasure_from_json,
-    pmeasure_to_json,
     product_measure,
 )
-from .monotone import (
-    SMeasure,
-    eval_mean,
-    eval_monotone,
-    harmonic_kernel,
-    log_kernel,
-    log_kernel_inv,
-    mean_kernel,
-    smeasure_from_json,
-    smeasure_to_json,
-)
+from .monotone import SMeasure, eval_mean, eval_monotone
 from .solver import (
     SolverConfig,
     SolverReport,
@@ -80,19 +67,16 @@ from .thompson import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "apply_scalar_fn", "congruence", "geometric_mean", "loewner_leq",
-    "matrix_from_json", "matrix_to_json", "spd_matrix", "sym_matrix",
-    "weighted_arith", "weighted_harm",
+    "congruence", "geometric_mean", "loewner_leq", "matrix_from_json", "matrix_to_json",
+    "spd_matrix", "weighted_arith", "weighted_harm",
     "geodesic_convexity_check", "logdet_divergence", "minimize_divergence",
     "objective", "riemannian_gradient",
     "DomainError", "EmptyInput", "Incomparable", "MeasureError",
     "MonotonicityViolation", "NonConvergence", "NotPositiveDefinite",
     "NumericalFailure", "ShapeError", "SingularTransform", "SpdMeansError",
     "PMeasure", "congruence_measure", "measure_leq", "pmeasure_from_json",
-    "pmeasure_to_json", "product_measure",
+    "product_measure",
     "SMeasure", "eval_mean", "eval_monotone",
-    "harmonic_kernel", "log_kernel", "log_kernel_inv", "mean_kernel",
-    "smeasure_from_json", "smeasure_to_json",
     "SolverConfig", "SolverReport", "induced_mean", "iteration_map",
     "karcher_residual", "lambda_mean", "power_mean", "sandwich_check",
     "contraction_factor_affine", "contraction_factor_mean",

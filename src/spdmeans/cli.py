@@ -150,9 +150,7 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except NonConvergence as exc:
-        sys.stderr.write(
-            f"error: {exc} (final_step={exc.final_step!r}, iterations={exc.iterations})\n"
-        )
+        sys.stderr.write(f"error: {exc} (iterations={exc.iterations})\n")
         return 2
     except SpdMeansError as exc:
         sys.stderr.write(f"error: {exc}\n")

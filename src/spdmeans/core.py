@@ -19,7 +19,7 @@ scalar function we need.  It has three pieces, and no other module calls
 * :func:`spectral_sum`, the one reassembly ``rs (sum_k Q_k diag(v_k) Q_k.T) rs``.
 """
 
-from typing import Callable
+from numbers import Real
 
 import numpy as np
 
@@ -43,6 +43,11 @@ LOEWNER_TOL = 1e-10
 
 def _sym(a):
     return 0.5 * (a + a.T)
+
+
+def _is_count(n) -> bool:
+    """True iff n is a whole number of at least 1; NaN, infinities and non-numbers are not."""
+    return isinstance(n, Real) and n >= 1 and float(n).is_integer()
 
 
 def _float_array(a) -> np.ndarray:
@@ -118,30 +123,6 @@ def _eigh(a):
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
 
 
-def apply_scalar_fn(a, fn: Callable) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix spectrally.
-
-    Parameters
-    ----------
-    a : array_like, shape (n, n)
-        Symmetric (typically SPD) matrix; passes :func:`sym_matrix`.
-    fn : callable
-        Scalar function, vectorized over an eigenvalue array.
-
-    Returns
-    -------
-    ndarray
-        ``spectral_sum(Q, fn(w))`` for the one-matrix stack ``(w, Q) = eigh(A)``,
-        that is ``Q diag(fn(w)) Q.T``.
-    """
-    w, q = _eigh(sym_matrix(a))
-    with np.errstate(all="ignore"):
-        fw = np.asarray(fn(w), dtype=float)
-    if fw.shape != w.shape or not np.all(np.isfinite(fw)):
-        raise DomainError("scalar function undefined on part of the spectrum")
-    return spectral_sum(q[None], fw[None])
-
-
 def sqrt_pair(a):
     """Return ``(A**0.5, A**-0.5)`` from a single eigendecomposition."""
     w, q = _eigh(a)
@@ -182,16 +163,19 @@ def spectral_sum(q, vals, rs=None) -> np.ndarray:
 def congruence(c, a) -> np.ndarray:
     """Congruence transform ``C A C.T``.
 
-    Raises :class:`SingularTransform` when ``C`` is numerically singular
-    (condition estimate above 1e14 or non-finite).
+    Raises :class:`DomainError` for a non-finite entry of ``C`` and
+    :class:`SingularTransform` when ``C`` is numerically singular (condition
+    estimate above 1e14 or infinite).
     """
     c, a = _float_array(c), sym_matrix(a)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ShapeError(f"transform must be square, got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise DomainError("transform entries must be finite")
     if c.shape[0] != a.shape[0]:
         raise ShapeError("transform and matrix dimensions differ")
     cond = np.linalg.cond(c)
-    if not np.isfinite(cond) or cond > 1e14:
+    if not cond <= 1e14:
         raise SingularTransform(f"transform is numerically singular (cond {cond:.3e})")
     return _sym(c @ a @ c.T)
 

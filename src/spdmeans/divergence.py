@@ -97,10 +97,9 @@ def minimize_divergence(mu: PMeasure, cfg: SolverConfig = None, on_step=None) ->
     times the current one; along a Newton step that norm falls like ``1 - eta``, so
     the rule serves down to ``cfg.grad_tol``, within ``cfg.max_iters`` steps.  Returns
     the unique minimizer; residual_norm is the whitened gradient norm
-    ``||X^(-1/2) R X^(-1/2)||_F`` that grad_tol bounds, final_step the Thompson length
-    of the last step.  ``on_step(x, f, gnorm)`` is called after every step with that
-    whitened norm; the objective f is evaluated only for it, from the step's cached
-    whitened spectra.
+    ``||X^(-1/2) R X^(-1/2)||_F`` that grad_tol bounds.  ``on_step(x, f, gnorm)`` is
+    called after every step with that whitened norm; the objective f is evaluated
+    only for it, from the step's cached whitened spectra.
     """
     cfg = cfg or SolverConfig()
     hook = None if on_step is None else (
@@ -115,8 +114,11 @@ def geodesic_convexity_check(mu: PMeasure, trials: int, seed: int = 0) -> bool:
     Draws random SPD endpoint pairs scaled around the measure's arithmetic
     mean and verifies the chord inequality at tau in {1/4, 1/2, 3/4} with a
     1e-12 relative slack (strictly below the chord for distinct endpoints).
-    Returns False and logs the first counterexample found.
+    Returns False and logs the first counterexample found; DomainError for
+    ``trials < 1``, which would check nothing.
     """
+    if not trials >= 1:
+        raise DomainError(f"convexity check needs at least one trial, got {trials!r}")
     rng = np.random.default_rng(seed)
     n = mu.dim
     center = _arith(mu.weights, mu.matrices)

@@ -46,13 +46,10 @@ class NonConvergence(SpdMeansError):
 
     Attributes
     ----------
-    final_step : float
-        Size of the last step taken (Thompson metric) before giving up.
     iterations : int
         Number of iterations performed.
     """
 
-    def __init__(self, message, final_step=float("nan"), iterations=0):
+    def __init__(self, message, iterations=0):
         super().__init__(message)
-        self.final_step = final_step
         self.iterations = iterations

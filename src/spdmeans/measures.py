@@ -15,9 +15,9 @@ per atom by ``np.add.reduceat`` in a fixed order, so reruns are bit-identical.
 import numpy as np
 
 from .core import (_float_array, _probability_weights, congruence, loewner_leq, matrix_from_json,
-                   matrix_to_json, spd_stack)
+                   spd_stack)
 from .errors import Incomparable, MeasureError
-from .monotone import SMeasure, _frozen, smeasure_from_json, smeasure_to_json
+from .monotone import SMeasure, _frozen, smeasure_from_json
 
 
 class PMeasure:
@@ -114,16 +114,6 @@ def measure_leq(mu1: PMeasure, mu2: PMeasure) -> bool:
         loewner_leq(a1, a2)
         for (_, a1, _), (_, a2, _) in zip(mu1.atoms, mu2.atoms)
     )
-
-
-def pmeasure_to_json(mu: PMeasure) -> dict:
-    """Serialize to the PMeasure JSON schema."""
-    return {
-        "atoms": [
-            {"weight": w, "nu": smeasure_to_json(nu), "matrix": matrix_to_json(m)}
-            for w, m, nu in mu.atoms
-        ]
-    }
 
 
 def pmeasure_from_json(obj) -> PMeasure:

@@ -1,14 +1,14 @@
 """Operator monotone function families and their representing measures.
 
 Every normalized operator monotone function used by the solvers is a
-probability mixture of the rational kernels
+probability mixture over s in [0, 1] of the rational kernels
 
-    log_kernel(s, x)      = (x - 1) / ((1 - s) x + s)          on s in [0, 1]
-    harmonic_kernel(s, x) = ((1 - s) + s / x)^-1
+    (x - 1) / ((1 - s) x + s),
 
-so a measure on [0, 1] *is* the function: Dirac measures give single
-kernels, Lebesgue measure gives ``log``, and the power density
-``s^t (1-s)^(-t) sin(t pi)/(t pi)`` gives ``(x^t - 1)/t``.  An
+each vanishing at 1 with unit derivative there, pinched between ``1 - 1/x``
+(s = 0) and ``x - 1`` (s = 1).  So a measure on [0, 1] *is* the function:
+Dirac measures give single kernels, Lebesgue measure gives ``log``, and the
+power density ``s^t (1-s)^(-t) sin(t pi)/(t pi)`` gives ``(x^t - 1)/t``.  An
 :class:`SMeasure` stores the measure as a quadrature rule (nodes, weights),
 which makes every downstream integral a weighted sum over nodes.
 
@@ -20,13 +20,12 @@ spectrally accurate for the kernels).
 """
 
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .core import (_float_array, _probability_weights, apply_scalar_fn, spd_stack, spectral_sum,
-                   whitened_eigh)
+from .core import (_eigh, _float_array, _is_count, _probability_weights, spd_stack, spectral_sum,
+                   sym_matrix, whitened_eigh)
 from .errors import DomainError, MeasureError, NotPositiveDefinite
 
 DEFAULT_NODES = 64
@@ -38,93 +37,36 @@ DEFAULT_NODES = 64
 
 
 def _apply(x, fn):
-    """``fn`` of a positive scalar (0-d), or of an SPD matrix through :func:`apply_scalar_fn`."""
+    """``fn`` of a positive scalar (0-d), or spectrally of an SPD matrix: ``Q diag(fn(w)) Q.T``.
+
+    A matrix passes :func:`sym_matrix`; DomainError unless its spectrum w is positive
+    and ``fn(w)`` finite.
+    """
     x = _float_array(x)
     if x.ndim == 0:
         if not x > 0.0:
             raise DomainError("scalar argument must be positive")
         return float(fn(x[None])[0])
-
-    def positive(w):
-        if not np.all(w > 0.0):
-            raise DomainError("matrix argument must be positive definite")
-        return fn(w)
-
-    return apply_scalar_fn(x, positive)
-
-
-def _check_s(s):
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"kernel parameter s must lie in [0, 1], got {s}")
-
-
-def _check_st(s, t):
-    _check_s(s)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"kernel parameter t must lie in [0, 1], got {t}")
-
-
-def log_kernel(s, x):
-    """Kernel ``(x - 1)/((1 - s) x + s)``; s = 0 gives ``1 - 1/x``, s = 1 gives ``x - 1``.
-
-    Accepts a positive scalar or an SPD matrix (applied spectrally).
-    Mixtures of these kernels over s in [0, 1] are exactly the operator
-    monotone functions vanishing at 1 with unit derivative there, pinched
-    between ``1 - 1/x`` and ``x - 1``.
-    """
-    _check_s(s)
-    return _apply(x, lambda w: log_kernel_grid(np.asarray([s]), w)[0])
+    w, q = _eigh(sym_matrix(x))
+    if not np.all(w > 0.0):
+        raise DomainError("matrix argument must be positive definite")
+    with np.errstate(all="ignore"):
+        fw = fn(w)
+    if not np.all(np.isfinite(fw)):
+        raise DomainError("scalar function undefined on part of the spectrum")
+    return spectral_sum(q[None], fw[None])
 
 
 def log_kernel_grid(s, x):
-    """Vectorized ``log_kernel`` on an outer grid: s of shape (m,), x of shape (k,)."""
+    """The kernels ``(x - 1)/((1 - s) x + s)`` on an outer grid: s (m,) by x (k,)."""
     s = np.asarray(s, dtype=float)[:, None]
     x = np.asarray(x, dtype=float)[None, :]
     return (x - 1.0) / ((1.0 - s) * x + s)
 
 
-def log_kernel_inv(s, y) -> float:
-    """Inverse of ``log_kernel(s, .)``: ``1 + y / (1 - (1 - s) y)``.
-
-    Defined for ``y < 1/(1 - s)`` when s < 1; for s = 1 any finite y maps to y + 1.
-    """
-    _check_s(s)
-    if not -np.inf < y < (1.0 / (1.0 - s) if s < 1.0 else np.inf):  # NaN fails at every s
-        raise DomainError(f"y = {y} outside the range of the kernel at s = {s}")
-    return float(1.0 + y / (1.0 - (1.0 - s) * y))
-
-
-def harmonic_kernel(s, x):
-    """Kernel ``((1 - s) + s/x)^-1``; s = 0 is the left trivial mean, s = 1 the right."""
-    _check_s(s)
-    return _apply(x, lambda w: x_over_affine(s, w))
-
-
 def x_over_affine(s, w):
-    """Elementwise ``harmonic_kernel`` on an eigenvalue array."""
+    """Elementwise ``w / ((1 - s) w + s) = ((1 - s) + s/w)^-1`` on an eigenvalue array."""
     return w / ((1.0 - s) * w + s)
-
-
-def _mean_coeffs(s, t):
-    # Moebius coefficients of the two-parameter mean kernel
-    alpha = (1.0 - t) * (1.0 - s) + t
-    beta = s * (1.0 - t)
-    gamma = (1.0 - t) * (1.0 - s)
-    delta = t + s * (1.0 - t)
-    return alpha, beta, gamma, delta
-
-
-def mean_kernel(s, t, x):
-    """Two-parameter operator mean kernel.
-
-    ``mean_kernel(s, t, x) = ([(1-t)(1-s)+t] x + s(1-t)) / ((1-t)(1-s) x + t + s(1-t))``,
-    equal to ``log_kernel_inv(s, t * log_kernel(s, x))``.  Endpoints:
-    ``t = 0`` maps everything to 1, ``t = 1`` is the identity.  The family
-    is a semigroup in t: composing t1 and t2 gives ``t1 * t2``.
-    """
-    _check_st(s, t)
-    alpha, beta, gamma, delta = _mean_coeffs(s, t)
-    return _apply(x, lambda w: (alpha * w + beta) / (gamma * w + delta))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +89,7 @@ def _jacobi_01(n, t):
 
 def _node_count(nodes) -> int:
     """``nodes`` as an int; MeasureError unless it is a positive whole number (NaN is not)."""
-    if not (isinstance(nodes, Real) and nodes >= 1 and float(nodes).is_integer()):
+    if not _is_count(nodes):
         raise MeasureError(f"node count must be a positive whole number, got {nodes!r}")
     return int(nodes)
 
@@ -216,10 +158,7 @@ class SMeasure:
         nodes = _node_count(nodes)
         x, w = _jacobi_01(nodes, float(t))
         scale = np.sin(t * np.pi) / (t * np.pi)
-        return cls(
-            "power", {"t": float(t), "nodes": nodes, "reflected": False},
-            x, scale * w,
-        )
+        return cls("power", {"t": float(t), "nodes": nodes}, x, scale * w)
 
     @classmethod
     def custom(cls, density, nodes: int = DEFAULT_NODES) -> "SMeasure":
@@ -250,10 +189,7 @@ class SMeasure:
             )
         if self.kind == "lebesgue":
             return SMeasure.lebesgue(self.params["nodes"])
-        params = dict(self.params)
-        if self.kind == "power":
-            params["reflected"] = not params["reflected"]
-        return SMeasure(self.kind, params, 1.0 - self.nodes, self.weights)
+        return SMeasure(self.kind, dict(self.params), 1.0 - self.nodes, self.weights)
 
     def same_structure(self, other: "SMeasure") -> bool:
         """True when both measures have the same kind and their nodes and weights agree to 1e-12."""
@@ -281,7 +217,7 @@ class SMeasure:
 def eval_monotone(rep: SMeasure, x):
     """Evaluate the operator monotone function represented by ``rep``.
 
-    ``f(x) = integral log_kernel(s, x) d rep(s)``.  For the Lebesgue
+    ``f(x) = integral (x - 1)/((1 - s) x + s) d rep(s)``.  For the Lebesgue
     measure this is ``log x``, for the power measure ``(x^t - 1)/t``.
     Accepts a positive scalar or an SPD matrix.
     """
@@ -305,22 +241,6 @@ def eval_mean(nu: SMeasure, a, b):
 # ---------------------------------------------------------------------------
 # JSON schema
 # ---------------------------------------------------------------------------
-
-
-def smeasure_to_json(nu: SMeasure) -> dict:
-    """Serialize to the SMeasure JSON schema (dirac/atoms/lebesgue/power only)."""
-    if nu.kind == "dirac":
-        return {"type": "dirac", "s": nu.params["s"]}
-    if nu.kind == "atoms":
-        return {
-            "type": "atoms",
-            "points": [{"s": s, "w": v} for s, v in nu.params["points"]],
-        }
-    if nu.kind == "lebesgue":
-        return {"type": "lebesgue", "nodes": nu.params["nodes"]}
-    if nu.kind == "power" and not nu.params["reflected"]:
-        return {"type": "power", "t": nu.params["t"], "nodes": nu.params["nodes"]}
-    raise MeasureError(f"measure kind {nu.kind!r} has no JSON form")
 
 
 def smeasure_from_json(obj) -> SMeasure:

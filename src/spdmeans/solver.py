@@ -2,16 +2,18 @@
 
 The induced mean at parameter t solves ``X = T_t(X)`` where
 
-    T_t(X) = integral X^(1/2) mean_kernel(s, t, X^(-1/2) A X^(-1/2)) X^(1/2) dmu
+    T_t(X) = integral X^(1/2) m_(s,t)(X^(-1/2) A X^(-1/2)) X^(1/2) dmu,
+    m_(s,t)(x) = ([(1-t)(1-s) + t] x + s(1-t)) / ((1-t)(1-s) x + t + s(1-t)),
 
 and the Karcher mean is the decreasing-net limit of those solutions along the
 dyadic schedule t = 2^-l -> 0, characterized by a vanishing residual
 
-    R(X) = integral X^(1/2) log_kernel(s, X^(-1/2) A X^(-1/2)) X^(1/2) dmu.
+    R(X) = integral X^(1/2) l_s(X^(-1/2) A X^(-1/2)) X^(1/2) dmu,
+    l_s(x) = (x - 1) / ((1 - s) x + s).
 
 Numerically everything leans on the exact algebraic identity
 
-    mean_kernel(s, t, x) = 1 + t * log_kernel(t + s(1 - t), x),
+    m_(s,t)(x) = 1 + t * l_(t + s(1 - t))(x),
 
 so the update ``T_t(X) - X`` equals ``t * R_t(X)`` with R_t a reparametrized
 residual that we evaluate directly, without the catastrophic cancellation of
@@ -51,8 +53,8 @@ import scipy.linalg as sla
 from .core import (
     _arith,
     _check_weights,
-    _eigh,
     _harm,
+    _is_count,
     _sym,
     loewner_leq,
     matrix_to_json,
@@ -64,7 +66,6 @@ from .core import (
 from .errors import (DomainError, MonotonicityViolation, NonConvergence,
                      NotPositiveDefinite, ShapeError)
 from .measures import PMeasure
-from .thompson import log_spread
 
 # Decrease of the whitened residual demanded of a full Newton step at a level's
 # rounding floor, and of a predicted level start over the warm one.
@@ -86,7 +87,7 @@ class SolverConfig:
     RESIDUAL_TOL); grad_tol bounds the whitened norm ``||X^(-1/2) R X^(-1/2)||_F``
     of the gradient at minimize_divergence's minimizer.  max_iters caps the
     accepted steps of one solve, summed over its levels.  No test depends on
-    scale.
+    scale.  Tolerances must be finite and positive, max_iters a whole number >= 1.
     """
 
     fp_tol: float = 1e-12
@@ -95,10 +96,10 @@ class SolverConfig:
     grad_tol: float = 1e-9
 
     def __post_init__(self):
-        if not all(tol > 0.0 for tol in (self.fp_tol, self.lambda_tol, self.grad_tol)):
-            raise DomainError("tolerances must be positive")
-        if not self.max_iters >= 1:
-            raise DomainError("max_iters must be positive")
+        if not all(0.0 < tol < math.inf for tol in (self.fp_tol, self.lambda_tol, self.grad_tol)):
+            raise DomainError("tolerances must be positive and finite")
+        if not _is_count(self.max_iters):
+            raise DomainError(f"max_iters must be positive and whole, got {self.max_iters!r}")
 
 
 @dataclass
@@ -107,9 +108,6 @@ class SolverReport:
 
     mean : converged SPD matrix
     iterations : accepted updates, summed over all levels
-    final_step : Thompson distance d(X, T(X)) at the reported mean; for lambda_mean,
-        that of the last solved level's fixed point; for minimize_divergence, the
-        Thompson length of its last Newton step (0.0 if none)
     residual_norm : whitened Frobenius norm ``||X^(-1/2) R X^(-1/2)||_F`` of the
         residual of the equation solved, the number the stop tests bound: the Karcher
         equation for lambda_mean and minimize_divergence, the level equation for
@@ -119,7 +117,6 @@ class SolverReport:
 
     mean: np.ndarray
     iterations: int
-    final_step: float
     residual_norm: float
     t_trace: list = field(default_factory=list)
 
@@ -127,7 +124,6 @@ class SolverReport:
         return {
             "mean": matrix_to_json(self.mean),
             "iterations": int(self.iterations),
-            "final_step": float(self.final_step),
             "residual_norm": float(self.residual_norm),
             "t_trace": [[float(t), int(n)] for t, n in self.t_trace],
         }
@@ -208,7 +204,8 @@ def _gate_point(x, mu: PMeasure) -> np.ndarray:
 def karcher_residual(x, mu: PMeasure) -> np.ndarray:
     """Left-hand side of the Karcher equation at X.
 
-    ``integral X^(1/2) log_kernel(s, X^(-1/2) A X^(-1/2)) X^(1/2) dmu``;
+    ``integral X^(1/2) l_s(X^(-1/2) A X^(-1/2)) X^(1/2) dmu`` with
+    ``l_s(x) = (x - 1)/((1 - s) x + s)``;
     symmetric, and zero exactly at the Karcher mean of the measure.
     """
     rs, _, lam, q = whitened_eigh(_gate_point(x, mu), mu.matrices)
@@ -218,9 +215,10 @@ def karcher_residual(x, mu: PMeasure) -> np.ndarray:
 def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
     """One step of the induced-mean iteration.
 
-    ``T_t(X) = integral X^(1/2) mean_kernel(s, t, X^(-1/2) A X^(-1/2)) X^(1/2) dmu``,
-    SPD and monotone in X.  ``t = 1`` collapses to the weighted arithmetic
-    mean of the atoms regardless of X.
+    ``T_t(X) = integral X^(1/2) m_(s,t)(X^(-1/2) A X^(-1/2)) X^(1/2) dmu``, with the
+    two-parameter mean kernel ``m_(s,t)`` of the module docstring; SPD and monotone
+    in X.  ``t = 1`` collapses to the weighted arithmetic mean of the atoms
+    regardless of X.
     """
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
@@ -284,25 +282,6 @@ def _ratio_spectrum(a, point):
     return np.ones(len(a)) if np.array_equal(a, point[0]) else whiten(point[1][1], a[None])[0][0]
 
 
-def _gap(a, point):
-    """Thompson distance from A to a visited point, as ``distance(A, X)`` computes it."""
-    return log_spread(_ratio_spectrum(a, point))
-
-
-def _final_step(visit, t, prev=None):
-    """A report's final_step: ``d(X, X + tR) = max |log(1 + t spec(G))|`` at a :func:`_visit`.
-
-    At t = 0 that is 0; there it is the Thompson length of the last accepted step,
-    from the visited point ``prev`` it started at (0.0 if no step was taken).
-    """
-    if t == 0.0:
-        return 0.0 if prev is None else _gap(visit[0][0], prev)
-    arg = 1.0 + t * _eigh(visit[3])[0]
-    if np.any(arg <= 0.0):
-        return float("inf")
-    return float(np.max(np.abs(np.log(arg))))
-
-
 def _solve_level(mats, kernels, t, visit, tol, max_iters, iters_used=0, on_step=None):
     """Damped Newton on ``G = 0`` for the level map ``x -> x + t * R(x)``; t = 0 is Karcher.
 
@@ -311,17 +290,15 @@ def _solve_level(mats, kernels, t, visit, tol, max_iters, iters_used=0, on_step=
     (t > 0, ``t||G|| <= tol``, ``||G|| <= 1e4 tol``) a step moves X by less than tol:
     only the full step is tried, against _NEWTON_DECREASE, and a miss ends the level.
     From a start ``visit`` (:func:`_visit`, the level's kernel), returns ``(visit,
-    iterations, prev)``: the end point's visit and the visited point before the last
-    step (None if none was taken).  ``on_step(visit)`` follows each step.  Raises
-    NonConvergence when eta drops below 1e-10, where the demanded decrease nears
+    iterations)`` with the end point's visit.  ``on_step(visit)`` follows each step.
+    Raises NonConvergence when eta drops below 1e-10, where the demanded decrease nears
     rounding and X barely moves, or ``iters_used`` plus the iterations reach max_iters.
     """
     kernel, divdiff = kernels
-    prev = None
     iters = 0
     fail = lambda why: NonConvergence(
         f"Newton solve at t={t:g} {why} at whitened residual {visit[1]:.3e}",
-        final_step=_final_step(visit, t, prev), iterations=iters_used + iters)
+        iterations=iters_used + iters)
     while not visit[1] <= tol:
         if iters_used + iters >= max_iters:
             raise fail(f"exhausted {max_iters} iterations")
@@ -339,26 +316,25 @@ def _solve_level(mats, kernels, t, visit, tol, max_iters, iters_used=0, on_step=
             if floor:
                 break
             raise fail("stalled")
-        prev, visit = visit[0], trial
+        visit = trial
         iters += 1
         if on_step is not None:
             on_step(visit)
-    return visit, iters, prev
+    return visit, iters
 
 
 def _solve(w, mats, kernels, t, tol, max_iters, on_step=None) -> SolverReport:
     """One solve at t from the weighted arithmetic mean of gated ``w``, ``mats``; t = 0 is Karcher.
 
     Runs :func:`_solve_level` from that start and reports its end point: residual_norm
-    is the whitened ``||G||_F`` of the equation solved, final_step as :func:`_final_step`
-    gives it, and t_trace ``[(t, iterations)]``, empty at t = 0 where there is no schedule.
+    is the whitened ``||G||_F`` of the equation solved, and t_trace ``[(t, iterations)]``,
+    empty at t = 0 where there is no schedule.
     """
     start = _visit(_point(_arith(w, mats), mats), kernels[0])
-    visit, iters, prev = _solve_level(mats, kernels, t, start, tol, max_iters, on_step=on_step)
+    visit, iters = _solve_level(mats, kernels, t, start, tol, max_iters, on_step=on_step)
     return SolverReport(
         mean=visit[0][0],
         iterations=iters,
-        final_step=_final_step(visit, t, prev),
         residual_norm=visit[1],
         t_trace=[(t, iters)] if t > 0.0 else [],
     )
@@ -453,7 +429,7 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     for _ in range(200):
         kernels = _level_kernels(mu, t)
         start = _predicted_start(history, t, point, mats, kernels[0])
-        level, iters, _ = _solve_level(mats, kernels, t, start, cfg.fp_tol, cfg.max_iters, total)
+        level, iters = _solve_level(mats, kernels, t, start, cfg.fp_tol, cfg.max_iters, total)
         point = level[0]
         total += iters
         trace.append((t, iters))
@@ -472,18 +448,9 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
         prev = point[0]
         t *= 0.5
     else:
-        raise NonConvergence(
-            "t-schedule exhausted 200 levels without meeting lambda_tol",
-            final_step=_final_step(level, trace[-1][0]),  # the last solved level's t
-            iterations=total,
-        )
-    return SolverReport(
-        mean=mean[0][0],
-        iterations=total,
-        final_step=_final_step(level, t),  # the last solved level's step
-        residual_norm=mean[1],
-        t_trace=trace,
-    )
+        raise NonConvergence("t-schedule exhausted 200 levels without meeting lambda_tol",
+                             iterations=total)
+    return SolverReport(mean=mean[0][0], iterations=total, residual_norm=mean[1], t_trace=trace)
 
 
 def sandwich_check(x, mu: PMeasure) -> bool:

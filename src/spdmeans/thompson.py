@@ -54,8 +54,8 @@ def contraction_factor_affine(a: float, b: float, r: float) -> float:
     Returns ``log((b e^{3r} + a) / (b e^r + a)) / (2r)``, strictly below 1
     for positive ``a``; tends to 0 as ``b -> 0`` (pure translation).
     """
-    if not (a > 0.0 and b > 0.0 and r > 0.0):
-        raise DomainError("affine contraction factor needs positive a, b, r")
+    if not all(0.0 < v < math.inf for v in (a, b, r)):
+        raise DomainError("affine contraction factor needs finite positive a, b, r")
     return min(_affine(a, b, r), 1.0)
 
 
@@ -75,8 +75,8 @@ def contraction_factor_mean(s: float, t: float, r: float) -> float:
         raise DomainError(f"s must lie in [0, 1], got {s}")
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t} (no contraction at t = 0)")
-    if not r > 0.0:
-        raise DomainError("ball radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise DomainError("ball radius must be finite and positive")
     rho1 = _affine(t, 1.0 - t, r)
     den = t + s * (1.0 - t)
     a = s * (1.0 - t) / den
@@ -93,8 +93,4 @@ def contraction_factor_uniform(t: float, r: float) -> float:
 
     The bound is the factor at s = 1.
     """
-    if not 0.0 < t <= 1.0:
-        raise DomainError(f"t must lie in (0, 1], got {t}")
-    if not r > 0.0:
-        raise DomainError("ball radius must be positive")
     return contraction_factor_mean(1.0, t, r)

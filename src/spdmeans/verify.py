@@ -332,9 +332,16 @@ def _suite_divergence(rng, dim, trials, tally):
 
 
 def run_suite(suite, seed, dim, trials, out=print):
-    """Run one named suite (or ``all``); returns True when every check passed."""
+    """Run one named suite (or ``all``); returns True when every check passed.
+
+    Raises SpdMeansError for an unknown suite, for ``trials < 1`` or ``dim < 1``, where
+    a run would check nothing, and for a negative seed, which numpy rejects.
+    """
     if suite not in SUITES:
         raise SpdMeansError(f"unknown suite {suite!r}, expected one of {SUITES}")
+    if not (trials >= 1 and dim >= 1 and seed >= 0):
+        raise SpdMeansError("verify needs trials >= 1, dim >= 1 and seed >= 0, "
+                            f"got {trials}, {dim} and {seed}")
     rng = np.random.default_rng(seed)
     tally = _Tally(out)
     if suite in ("thompson", "all"):

@@ -14,7 +14,7 @@ import pathlib
 
 import numpy as np
 
-from spdmeans import PMeasure, SMeasure
+from spdmeans import PMeasure, SMeasure, matrix_to_json
 from spdmeans.verify import (_ball_point, _psd_bump, random_smeasure, random_spd, random_transform,
                              random_weights)
 
@@ -47,6 +47,17 @@ def dirac_lebesgue_pair(seed):
     rng = np.random.default_rng(seed)
     a, b = random_spd(rng, 2, 1e-2, 1e2), random_spd(rng, 2, 1e-2, 1e2)
     return PMeasure([(0.5, a, SMeasure.dirac(0.0)), (0.5, b, SMeasure.lebesgue())])
+
+
+def measure_json(mu):
+    """The PMeasure JSON of ``mu``, whose [0, 1]-measures are dirac, atoms, lebesgue or power."""
+    def nu_json(nu):
+        if nu.kind == "atoms":
+            return {"type": "atoms", "points": [{"s": s, "w": v} for s, v in nu.params["points"]]}
+        return {"type": nu.kind, **nu.params}
+
+    return {"atoms": [{"weight": w, "nu": nu_json(nu), "matrix": matrix_to_json(m)}
+                      for w, m, nu in mu.atoms]}
 
 
 def subprocess_env():

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import dirac_lebesgue_pair, rand_spd, subprocess_env
+from conftest import dirac_lebesgue_pair, measure_json, rand_spd, subprocess_env
 from spdmeans import (
     SMeasure,
     SolverConfig,
@@ -20,7 +20,6 @@ from spdmeans import (
     matrix_to_json,
     minimize_divergence,
     pmeasure_from_json,
-    pmeasure_to_json,
     product_measure,
 )
 
@@ -49,7 +48,7 @@ def setup_files(tmp_path):
     files = {
         "a": write_json(tmp_path / "a.json", matrix_to_json(a)),
         "b": write_json(tmp_path / "b.json", matrix_to_json(b)),
-        "measure": write_json(tmp_path / "mu.json", pmeasure_to_json(mu)),
+        "measure": write_json(tmp_path / "mu.json", measure_json(mu)),
         "sigma": write_json(
             tmp_path / "sigma.json",
             {"atoms": [
@@ -65,7 +64,7 @@ def test_mean_single_atom(tmp_path):
     rng = np.random.default_rng(5)
     a = rand_spd(rng, 3)
     mu = product_measure(SMeasure.dirac(0.5), [(1.0, a)])
-    path = write_json(tmp_path / "mu.json", pmeasure_to_json(mu))
+    path = write_json(tmp_path / "mu.json", measure_json(mu))
     proc = run_cli("mean", path, "--t", "0.5")
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
@@ -136,7 +135,7 @@ def test_nonconvergence_exits_2(setup_files):
     files, _, _, _ = setup_files
     proc = run_cli("mean", files["measure"], "--t", "0.1", "--max-iters", "2")
     assert proc.returncode == 2
-    assert "final_step" in proc.stderr
+    assert proc.stderr.startswith("error: ") and "iterations=2" in proc.stderr
 
 
 def test_metric_command(setup_files):
@@ -220,7 +219,7 @@ def test_power_matches_lambda_route(setup_files):
     assert proc.returncode == 0
     p = matrix_from_json(json.loads(proc.stdout)["mean"])
     mu = product_measure(SMeasure.power(0.5), [(0.5, a), (0.5, b)])
-    path = write_json(tmp / "mu_pow.json", pmeasure_to_json(mu))
+    path = write_json(tmp / "mu_pow.json", measure_json(mu))
     proc = run_cli("lambda", path)
     lam = matrix_from_json(json.loads(proc.stdout)["mean"])
     assert distance(p, lam) <= 1e-6
@@ -240,24 +239,24 @@ def test_divergence_and_minimize(setup_files):
 @pytest.mark.parametrize("seed", [13, 16, 25])
 def test_minimize_wide_spread_measure(tmp_path, seed):
     mu = dirac_lebesgue_pair(seed)
-    proc = run_cli("minimize", write_json(tmp_path / "mu.json", pmeasure_to_json(mu)))
+    proc = run_cli("minimize", write_json(tmp_path / "mu.json", measure_json(mu)))
     assert proc.returncode == 0, proc.stderr
     mean = matrix_from_json(json.loads(proc.stdout)["mean"])
     assert distance(mean, lambda_mean(mu).mean) <= 1e-6
 
 
 _MAX_ITERS = ("--max-iters", ("0", "-3"), "max_iters must be positive")
-_NAN_TOL = ("nan",), "tolerances must be positive"
+_BAD_TOL = ("nan", "inf"), "tolerances must be positive"
 
 
 @pytest.mark.parametrize("command, flag, bads, message", [
     (["minimize"], *_MAX_ITERS),
     (["lambda"], *_MAX_ITERS),
     (["mean", "--t", "0.5"], *_MAX_ITERS),
-    (["lambda"], "--fp-tol", *_NAN_TOL),
-    (["mean", "--t", "0.5"], "--fp-tol", *_NAN_TOL),
-    (["lambda"], "--lambda-tol", *_NAN_TOL),
-    (["minimize"], "--grad-tol", *_NAN_TOL),
+    (["lambda"], "--fp-tol", *_BAD_TOL),
+    (["mean", "--t", "0.5"], "--fp-tol", *_BAD_TOL),
+    (["lambda"], "--lambda-tol", *_BAD_TOL),
+    (["minimize"], "--grad-tol", *_BAD_TOL),
 ], ids=["minimize", "lambda", "mean", "lambda-fp-tol-nan", "mean-fp-tol-nan", "lambda-tol-nan",
         "grad-tol-nan"])
 def test_nonpositive_max_iters_exits_1(setup_files, capsys, command, flag, bads, message):
@@ -296,6 +295,16 @@ def test_verify_unknown_suite_exits_1():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"), ("--dim", "0"),
+                                         ("--dim", "-1"), ("--seed", "-1")])
+def test_verify_rejects_a_run_that_checks_nothing(capsys, flag, value):
+    # a run over no trials or no dimensions would print PASS (0/0); numpy takes no
+    # negative seed, and every bad value is an input error line, not a traceback
+    assert cli.main(["verify", "--suite", "thompson", "--trials", "2", "--dim", "2",
+                     flag, value]) == 1
+    assert capsys.readouterr().err.startswith("error: verify needs trials >= 1, dim >= 1")
+
+
 def test_verify_small_run_passes():
     proc = run_cli("verify", "--suite", "thompson", "--trials", "5", "--dim", "3", "--seed", "7")
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -332,7 +341,7 @@ def test_nodes_flag_is_rejected(setup_files, command):
 def test_measure_json_nodes_key_sets_the_rule(setup_files, capsys):
     files, a, b, tmp_path = setup_files
     mu = product_measure(SMeasure.lebesgue(32), [(0.5, a), (0.5, b)])
-    obj = pmeasure_to_json(mu)
+    obj = measure_json(mu)
     assert all(atom["nu"] == {"type": "lebesgue", "nodes": 32} for atom in obj["atoms"])
     assert cli.main(["lambda", write_json(tmp_path / "mu32.json", obj)]) == 0
     assert json.loads(capsys.readouterr().out)["mean"] == matrix_to_json(lambda_mean(mu).mean)

@@ -11,7 +11,6 @@ from spdmeans import (
     NotPositiveDefinite,
     ShapeError,
     SMeasure,
-    apply_scalar_fn,
     PMeasure,
     congruence,
     distance,
@@ -30,12 +29,12 @@ from spdmeans import (
     riemannian_gradient,
     sandwich_check,
     spd_matrix,
-    sym_matrix,
     weighted_arith,
     weighted_harm,
 )
-from spdmeans.core import spd_stack, spectral_sum, whitened_eigh
+from spdmeans.core import spd_stack, spectral_sum, sym_matrix, whitened_eigh
 from spdmeans.errors import SingularTransform
+from spdmeans.monotone import _apply
 
 
 def test_spd_matrix_symmetrizes_and_checks():
@@ -50,33 +49,37 @@ def test_spd_matrix_symmetrizes_and_checks():
     assert np.allclose(s, [[0.0, 2.0], [2.0, -2.0]])
 
 
+# apply_scalar_fn's spectral route, folded into monotone._apply: fn on the spectrum
+# of an SPD matrix, reassembled as Q diag(fn(w)) Q.T
+
+
 def test_apply_scalar_fn_log_and_identity():
     a = np.diag([math.e, math.e**2])
-    assert np.allclose(apply_scalar_fn(a, np.log), np.diag([1.0, 2.0]), atol=1e-12)
+    assert np.allclose(_apply(a, np.log), np.diag([1.0, 2.0]), atol=1e-12)
     rng = np.random.default_rng(3)
     b = rand_spd(rng, 4)
-    assert np.allclose(apply_scalar_fn(b, lambda x: x), b, atol=1e-12)
+    assert np.allclose(_apply(b, lambda x: x), b, atol=1e-12)
 
 
 def test_apply_scalar_fn_sqrt_involution():
     rng = np.random.default_rng(11)
     for _ in range(10):
         a = rand_spd(rng, 5)
-        r = apply_scalar_fn(a, np.sqrt)
+        r = _apply(a, np.sqrt)
         assert np.linalg.norm(r @ r - a) <= 1e-10 * np.linalg.norm(a)
 
 
 def test_apply_scalar_fn_domain_error():
-    indefinite = np.diag([1.0, -2.0])
-    with pytest.raises(Exception) as info:
-        apply_scalar_fn(indefinite, np.log)
-    assert "undefined" in str(info.value)
+    with pytest.raises(DomainError, match="undefined"):
+        _apply(np.diag([1.0, 2.0]), lambda w: np.log(w - 1.5))
+    with pytest.raises(DomainError, match="positive definite"):
+        _apply(np.diag([1.0, -2.0]), np.log)
 
 
 def test_apply_scalar_fn_inverse_consistency():
     rng = np.random.default_rng(5)
     a = rand_spd(rng, 4)
-    inv = apply_scalar_fn(a, lambda x: 1.0 / x)
+    inv = _apply(a, lambda x: 1.0 / x)
     assert np.linalg.norm(inv - np.linalg.inv(a)) <= 1e-10 * np.linalg.norm(inv)
 
 
@@ -172,12 +175,13 @@ _SPD_SLOTS = [
     pytest.param(lambda m: power_mean(0.5, [(0.5, _SPD), (0.5, m)]), id="power-second"),
 ]
 
-# slots that take any symmetric matrix, definite or not
+# slots that take any symmetric matrix, definite or not, and congruence's transform,
+# which need only be finite, square and nonsingular
 _SYM_SLOTS = [
     pytest.param(lambda m: loewner_leq(m, _SPD), id="loewner-first"),
     pytest.param(lambda m: loewner_leq(_SPD, m), id="loewner-second"),
     pytest.param(lambda m: congruence(_SPD, m), id="congruence-matrix"),
-    pytest.param(lambda m: apply_scalar_fn(m, np.exp), id="apply-scalar-fn"),
+    pytest.param(lambda m: congruence(m, _SPD), id="congruence-transform"),
 ]
 
 
@@ -218,7 +222,7 @@ def test_symmetric_slots_take_indefinite_but_not_nan_or_non_square(call):
     lambda a, b: power_mean(0.5, [(0.5, a), (0.5, b)]).mean,
     lambda a, b: loewner_leq(a, b),
     lambda a, b: congruence(a, b),
-    lambda a, b: (apply_scalar_fn(a, np.log), apply_scalar_fn(b, np.sqrt)),
+    lambda a, b: (_apply(a, np.log), _apply(b, np.sqrt)),
 ], ids=["geometric_mean", "eval_mean", "logdet_divergence", "min_scaling", "distance",
         "karcher_residual", "iteration_map", "objective", "riemannian_gradient",
         "sandwich_check", "weighted_arith", "weighted_harm", "power_mean", "loewner_leq",

@@ -6,6 +6,7 @@ import pytest
 import spdmeans.divergence as dvg
 from conftest import dirac_lebesgue_pair, rand_measure, rand_spd, sym
 from spdmeans import (
+    DomainError,
     NotPositiveDefinite,
     SMeasure,
     SolverConfig,
@@ -230,6 +231,9 @@ def test_geodesic_convexity_trivial_and_random():
         fm = objective(geometric_mean(g0, g0, tau), mu)
         assert abs(fm - f0) <= 1e-10 * (1 + abs(f0))
     assert geodesic_convexity_check(mu, 1000, seed=42)
+    for trials in (0, -3):  # no trial checks nothing, and must not report convexity
+        with pytest.raises(DomainError, match="at least one trial"):
+            geodesic_convexity_check(mu, trials)
 
 
 def test_geodesic_convexity_scalar_case():

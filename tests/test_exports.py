@@ -16,11 +16,38 @@ def test_removed_names_stay_removed():
     # SolverConfig carries grad_tol, a measure's own integrals run on its flat
     # rule, SMeasure.transpose reflects a measure, nothing inverts mean_kernel,
     # the one spectral route is core's whitened eigh and spectral_sum, and only
-    # a test differentiates a represented function at 1
+    # a test differentiates a represented function at 1; the scalar kernels are
+    # eval_monotone of a Dirac measure, no command writes measure JSON, a matrix
+    # function is monotone._apply, and sym_matrix and smeasure_from_json are
+    # module functions behind spd_matrix and pmeasure_from_json
     for name in ("RgdConfig", "integrate", "transpose_measure", "mean_kernel_inv",
-                 "SpectralDecomposition", "spectral", "spd_power", "check_normalization"):
+                 "SpectralDecomposition", "spectral", "spd_power", "check_normalization",
+                 "log_kernel", "log_kernel_inv", "harmonic_kernel", "mean_kernel",
+                 "smeasure_to_json", "pmeasure_to_json", "apply_scalar_fn", "sym_matrix",
+                 "smeasure_from_json"):
         assert name not in spdmeans.__all__
         assert not hasattr(spdmeans, name)
+
+
+def _used_names(path):
+    """Every name a file reads, as a bare name or an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # an export is used by another module of the package, a demo or the benchmark
+    src = pathlib.Path(spdmeans.__file__).parent
+    repo = src.parents[1]
+    used = {path: _used_names(path)
+            for path in [*src.glob("*.py"), *(repo / "demos").glob("*.py"),
+                         *(repo / "bench").glob("*.py")]}
+    exempt = {"eval_monotone", "eval_mean"}  # until ROADMAP item 2
+    for name in sorted(set(spdmeans.__all__) - exempt):
+        own = {src / f"{getattr(spdmeans, name).__module__.split('.')[-1]}.py", src / "__init__.py"}
+        callers = [path for path, names in used.items() if name in names and path not in own]
+        assert callers, f"{name} is exported but only its own module and the tests use it"
 
 
 def test_only_core_calls_eigh():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_psd, rand_spd, sym
+from conftest import measure_json, rand_psd, rand_spd, sym
 from spdmeans import (
     DomainError,
     MeasureError,
@@ -11,14 +11,11 @@ from spdmeans import (
     ShapeError,
     eval_mean,
     eval_monotone,
-    harmonic_kernel,
+    iteration_map,
     loewner_leq,
-    log_kernel,
-    log_kernel_inv,
-    mean_kernel,
-    smeasure_from_json,
-    smeasure_to_json,
+    product_measure,
 )
+from spdmeans.monotone import _apply, log_kernel_grid, smeasure_from_json, x_over_affine
 
 ALL_REPS = [
     SMeasure.dirac(0.0),
@@ -33,6 +30,8 @@ ALL_REPS = [
 
 
 def test_log_kernel_values():
+    # dirac(s) represents the single kernel (x - 1)/((1 - s) x + s)
+    log_kernel = lambda s, x: eval_monotone(SMeasure.dirac(s), x)
     for s in (0.0, 0.25, 0.5, 1.0):
         assert log_kernel(s, 1.0) == 0.0
     assert log_kernel(1.0, 3.0) == 2.0
@@ -42,10 +41,14 @@ def test_log_kernel_values():
         log_kernel(0.5, -1.0)
 
 
+# the kernels as functions of a positive scalar or SPD matrix, through the one
+# dispatch monotone._apply: the single kernel at s = 1/2 (dirac(1/2)'s function),
+# the harmonic kernel that eval_mean integrates, the mean kernel at s = t = 1/2 as
+# the level map forms it (1 + t * kernel at t + s(1 - t)), and a represented function
 _KERNELS = [
-    lambda x: log_kernel(0.5, x),
-    lambda x: harmonic_kernel(0.5, x),
-    lambda x: mean_kernel(0.5, 0.5, x),
+    lambda x: eval_monotone(SMeasure.dirac(0.5), x),
+    lambda x: _apply(x, lambda w: x_over_affine(0.5, w)),
+    lambda x: _apply(x, lambda w: 1.0 + 0.5 * log_kernel_grid([0.75], w)[0]),
     lambda x: eval_monotone(SMeasure.lebesgue(), x),
 ]
 _KERNEL_IDS = ["log", "harmonic", "mean", "monotone"]
@@ -71,45 +74,37 @@ def test_kernels_take_nested_lists_and_reject_other_shapes(kernel):
             kernel(bad)
 
 
-def test_log_kernel_inverse():
-    rng = np.random.default_rng(1)
-    assert log_kernel_inv(0.3, 0.0) == 1.0
-    assert log_kernel_inv(1.0, 5.5) == 6.5
-    for _ in range(1000):
-        s = float(rng.uniform(0.0, 1.0))
-        x = float(rng.uniform(0.01, 50.0))
-        y = log_kernel(s, x)
-        assert abs(log_kernel(s, log_kernel_inv(s, y)) - y) <= 1e-12 * (1 + abs(y))
-    with pytest.raises(DomainError):
-        log_kernel_inv(0.5, 2.1)  # range of the s=1/2 kernel tops out at 2
-    for s in (0.0, 0.5, 1.0):  # NaN and infinities lie in no range, s = 1 included
-        for y in (math.nan, -math.inf, math.inf):
-            with pytest.raises(DomainError):
-                log_kernel_inv(s, y)
-
-
 def test_harmonic_kernel_values():
+    # dirac(s) as a two-variable mean: ((1 - s) + s/x)^-1 for A = 1, B = x
+    harmonic_kernel = lambda s, x: eval_mean(SMeasure.dirac(s), [[1.0]], [[x]])[0, 0]
     assert harmonic_kernel(0.0, 7.0) == 1.0
     assert harmonic_kernel(1.0, 7.0) == 7.0
     assert abs(harmonic_kernel(0.5, 3.0) - 1.5) <= 1e-15
 
 
+def mean_kernel(s, t, x):
+    """The two-parameter mean kernel at a scalar x: the level map at X = 1 of dirac(s) at x.
+
+    ``iteration_map`` forms it as ``1 + t * l_(t + s(1-t))(x)``, never from the kernel's
+    Moebius form, so these tests check that identity.
+    """
+    return iteration_map([[1.0]], t, product_measure(SMeasure.dirac(s), [(1.0, [[x]])]))[0, 0]
+
+
 def test_mean_kernel_endpoints_and_semigroup():
+    # t = 1 is the identity, and composing t1 and t2 gives t1 * t2
     rng = np.random.default_rng(2)
     for _ in range(50):
         s = float(rng.uniform(0.0, 1.0))
         x = float(rng.uniform(0.05, 20.0))
-        assert abs(mean_kernel(s, 0.0, x) - 1.0) <= 1e-15
         assert abs(mean_kernel(s, 1.0, x) - x) <= 1e-14 * (1 + x)
         t1, t2 = rng.uniform(0.0, 1.0, 2)
         lhs = mean_kernel(s, t1, mean_kernel(s, t2, x))
         rhs = mean_kernel(s, t1 * t2, x)
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
-        # agrees with the kernel-composition form
-        t = float(rng.uniform(0.0, 1.0))
-        if s < 1.0 or True:
-            composed = log_kernel_inv(s, t * log_kernel(s, x))
-            assert abs(mean_kernel(s, t, x) - composed) <= 1e-12 * (1 + x)
+        num = ((1 - t1) * (1 - s) + t1) * x + s * (1 - t1)
+        den = (1 - t1) * (1 - s) * x + t1 + s * (1 - t1)
+        assert abs(mean_kernel(s, t1, x) - num / den) <= 1e-12 * (1 + x)
 
 
 def test_mean_kernel_sandwich():
@@ -179,7 +174,7 @@ def test_kubo_order_harmonic_below_arithmetic():
     arith_rep = SMeasure.from_atoms([(0.0, 0.5), (1.0, 0.5)])
     # representing functions are pointwise ordered on a scalar grid
     for x in np.logspace(-2, 2, 17):
-        fh = harmonic_kernel(0.5, float(x))  # 2x/(x+1)
+        fh = 2.0 * x / (x + 1.0)  # the harmonic kernel at s = 1/2
         fa = 0.5 + 0.5 * x
         assert fh <= fa + 1e-12
     for _ in range(10):
@@ -270,8 +265,10 @@ def test_node_counts_must_be_positive_whole_numbers(build, nodes):
 
 
 def test_smeasure_json_roundtrip():
+    # through the schema as the tests' writer emits it
     for rep in ALL_REPS:
-        again = smeasure_from_json(smeasure_to_json(rep))
+        again = smeasure_from_json(measure_json(product_measure(rep, [(1.0, [[1.0]])]))
+                                   ["atoms"][0]["nu"])
         assert again.same_structure(rep)
     assert smeasure_from_json({"type": "lebesgue"}).params["nodes"] == 64
     with pytest.raises(MeasureError):

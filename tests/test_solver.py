@@ -18,10 +18,8 @@ from spdmeans import (
     iteration_map,
     karcher_residual,
     lambda_mean,
-    log_kernel,
     logdet_divergence,
     loewner_leq,
-    mean_kernel,
     measure_leq,
     minimize_divergence,
     objective,
@@ -155,7 +153,7 @@ def test_induced_mean_fixed_point_contract():
         t = float(rng.uniform(0.1, 1.0))
         rep = induced_mean(t, mu, CFG)
         assert distance(rep.mean, iteration_map(rep.mean, t, mu)) <= 10.0 * CFG.fp_tol
-        assert rep.final_step <= CFG.fp_tol
+        assert t * rep.residual_norm <= CFG.fp_tol  # the step X -> X + t R_t(X) left
         assert sandwich_check(rep.mean, mu)
 
 
@@ -168,6 +166,13 @@ def test_induced_mean_reparametrized_residual_vanishes():
     x = induced_mean(t, mu, CFG).mean
     w, q = np.linalg.eigh(x)
     irs = (q / np.sqrt(w)) @ q.T
+
+    def mean_kernel(s, t, w):
+        # the two-parameter mean kernel's Moebius form, applied spectrally
+        lam, q = np.linalg.eigh(w)
+        m = ((((1 - t) * (1 - s) + t) * lam + s * (1 - t))
+             / ((1 - t) * (1 - s) * lam + t + s * (1 - t)))
+        return (q * m) @ q.T
 
     def g(s, a):
         return (mean_kernel(s, t, sym(irs @ a @ irs)) - np.eye(3)) / t
@@ -183,7 +188,7 @@ def test_induced_mean_nonconvergence_budget():
     with pytest.raises(NonConvergence) as info:
         induced_mean(0.1, mu, SolverConfig(max_iters=2))
     assert info.value.iterations <= 2
-    assert info.value.final_step > 0.0
+    assert not hasattr(info.value, "final_step")
 
 
 def test_induced_mean_damped_newton_ill_conditioned():
@@ -192,7 +197,7 @@ def test_induced_mean_damped_newton_ill_conditioned():
     mu = random_measure(np.random.default_rng(8), 6, n_atoms=3, lo=1e-5, hi=1e5)
     rep = induced_mean(0.3, mu, CFG)
     assert rep.iterations <= 15
-    assert rep.final_step <= CFG.fp_tol
+    assert 0.3 * rep.residual_norm <= CFG.fp_tol
 
 
 def test_induced_mean_t_monotone():
@@ -284,7 +289,7 @@ def test_flat_quadrature_matches_per_atom_sums():
         ref_kernel, ref_divdiff = np.zeros_like(lam), np.zeros((len(mu), 3, 3))
         for k, (w, _, nu) in enumerate(mu.atoms):
             for s, omega in zip(t + nu.nodes * (1.0 - t), nu.weights):
-                f = np.array([log_kernel(s, y) for y in lam[k]])
+                f = (lam[k] - 1.0) / ((1.0 - s) * lam[k] + s)
                 v = 1.0 - (1.0 - s) * f  # = 1/((1-s) y + s), so v v.T is the divided difference
                 ref_kernel[k] += w * omega * f
                 ref_divdiff[k] += w * omega * np.outer(v, v)
@@ -448,11 +453,11 @@ def test_lambda_mean_raises_when_a_level_increases(monkeypatch):
     solved = []
 
     def inflated(mats, kernels, t, start, *args):
-        visit, iters, prev = solve_level(mats, kernels, t, start, *args)
+        visit, iters = solve_level(mats, kernels, t, start, *args)
         if len(solved) == 3:
             visit = _visit(_point((1.0 + 1e-7) * solved[-1][0][0], mats), kernels[0])
         solved.append(visit)
-        return visit, iters, prev
+        return visit, iters
 
     monkeypatch.setattr(solver, "_solve_level", inflated)
     with pytest.raises(MonotonicityViolation):
@@ -491,13 +496,12 @@ def test_lambda_mean_whitens_each_visited_point_once(monkeypatch):
 
 def test_lambda_mean_exhausted_schedule_reports_the_last_level(monkeypatch):
     # a net whose extrapolations never meet runs out of its 200 levels; the error
-    # carries the step of the last level solved, not of a level after it
+    # carries the iterations of every level solved
     monkeypatch.setattr(solver, "_extrapolation_gap", lambda *args: math.inf)
     mu = random_measure(np.random.default_rng(0), 2, 3)
     with pytest.raises(NonConvergence, match="t-schedule exhausted 200 levels") as exc:
         lambda_mean(mu, CFG)
     assert exc.value.iterations == 28
-    assert exc.value.final_step == 0.0
 
 
 def test_lambda_mean_two_point_geometric():
@@ -509,7 +513,6 @@ def test_lambda_mean_two_point_geometric():
         rep = lambda_mean(mu, CFG)
         assert distance(rep.mean, geometric_mean(a, b, 0.5)) <= 1e-8
         assert rep.residual_norm <= RESIDUAL_TOL
-        assert rep.final_step <= CFG.fp_tol
         assert len(rep.t_trace) >= 2
 
 
@@ -672,13 +675,19 @@ def test_solver_config_validation():
         SolverConfig(fp_tol=0.0)
     with pytest.raises(DomainError):
         SolverConfig(grad_tol=0.0)
+    # a budget is a whole number of iterations, as a node count is a whole number of nodes
+    with pytest.raises(DomainError, match="max_iters must be positive and whole, got 2.5"):
+        SolverConfig(max_iters=2.5)
+    assert SolverConfig(max_iters=3.0).max_iters == 3
 
 
 @pytest.mark.parametrize("name", ["fp_tol", "lambda_tol", "grad_tol", "max_iters"])
 def test_solver_config_rejects_nan(name):
-    # NaN fails every comparison, so each guard is written ``not x > 0``
-    with pytest.raises(DomainError):
-        SolverConfig(**{name: math.nan})
+    # NaN fails every comparison, so each guard is written ``not ...``; an infinite
+    # tolerance would accept any point (0 iterations) and an infinite budget never ends
+    for value in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            SolverConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["t_start", "t_factor", "residual_tol"])
@@ -694,7 +703,7 @@ def test_report_json_schema():
     rep = lambda_mean(mu, CFG)
     obj = rep.to_json()
     assert set(obj) == {
-        "mean", "iterations", "final_step", "residual_norm", "t_trace",
+        "mean", "iterations", "residual_norm", "t_trace",
     }
     assert obj["mean"]["dim"] == 2
     assert all(len(pair) == 2 for pair in obj["t_trace"])

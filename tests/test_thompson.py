@@ -132,8 +132,15 @@ def test_contraction_factor_affine_values():
     lambda: contraction_factor_affine(1.0, 1.0, math.nan),
     lambda: contraction_factor_mean(0.5, 0.5, math.nan),
     lambda: contraction_factor_uniform(0.5, math.nan),
-], ids=["affine-a", "affine-b", "affine-r", "mean-r", "uniform-r"])
+    lambda: contraction_factor_affine(math.inf, 1.0, 1.0),
+    lambda: contraction_factor_affine(1.0, math.inf, 1.0),
+    lambda: contraction_factor_affine(1.0, 1.0, math.inf),
+    lambda: contraction_factor_mean(0.5, 0.5, math.inf),
+    lambda: contraction_factor_uniform(0.5, math.inf),
+], ids=["affine-a", "affine-b", "affine-r", "mean-r", "uniform-r", "affine-a-inf", "affine-b-inf",
+        "affine-r-inf", "mean-r-inf", "uniform-r-inf"])
 def test_contraction_factors_reject_nan(call):
+    # NaN and infinite arguments would give a NaN factor, documented as below 1
     with pytest.raises(DomainError):
         call()
 
