@@ -33,7 +33,7 @@ none depends on scale.  R is formed only where it is returned, by
 :func:`karcher_residual` and :func:`iteration_map`.
 
 Along the net each level starts from the Lagrange extrapolation, in t, of
-the last three levels solved (predictor-corrector continuation; Allgower and
+the last five levels solved (predictor-corrector continuation; Allgower and
 Georg, Introduction to Numerical Continuation Methods, 2003, ch. 2).  The same
 extrapolation to t = 0 takes the limit: L_t is smooth in t, so Richardson
 extrapolation of the solved levels (Brezinski and Redivo-Zaglia, Extrapolation
@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
 from .core import (
     _arith,
@@ -70,6 +69,9 @@ from .measures import PMeasure
 # Decrease of the whitened residual demanded of a full Newton step at a level's
 # rounding floor, and of a predicted level start over the warm one.
 _NEWTON_DECREASE = 0.7
+
+# Solved levels in the Lagrange interpolant of the net's level starts and its t = 0 limit.
+_LEVELS = 5
 
 # Bound on the whitened Karcher residual ``||X^(-1/2) R X^(-1/2)||_F`` that the
 # net's extrapolated limit must meet before lambda_mean stops.
@@ -264,8 +266,10 @@ def _newton_step(visit, divdiff):
     """Newton step ``X^(1/2) E X^(1/2)`` with ``dG[E] = -G``; None if the Jacobian is singular."""
     rs, g = visit[0][1][0], visit[3]
     jac, flat = _whitened_jacobian(visit, divdiff)
-    lu = sla.lu_factor(jac, check_finite=False)
-    e = (sla.lu_solve(lu, -(flat @ g.ravel()), check_finite=False) @ flat).reshape(g.shape)
+    try:
+        e = (np.linalg.solve(jac, -(flat @ g.ravel())) @ flat).reshape(g.shape)
+    except np.linalg.LinAlgError:
+        return None
     return rs @ e @ rs if np.all(np.isfinite(e)) else None
 
 
@@ -275,11 +279,6 @@ def _trial_point(x, mats):
         return _point(_sym(x), mats)
     except NotPositiveDefinite:
         return None
-
-
-def _ratio_spectrum(a, point):
-    """Eigenvalues of ``X^(-1/2) A X^(-1/2)`` at a visited point X; ones if A is X."""
-    return np.ones(len(a)) if np.array_equal(a, point[0]) else whiten(point[1][1], a[None])[0][0]
 
 
 def _solve_level(mats, kernels, t, visit, tol, max_iters, iters_used=0, on_step=None):
@@ -379,7 +378,7 @@ def _lagrange(history, t):
 def _predicted_start(history, t, warm, mats, kernel):
     """The :func:`_visit` starting level t: extrapolated from the solved levels, else warm.
 
-    ``history`` holds the last (up to three) solved levels ``(t_i, L_{t_i})``; their
+    ``history`` holds the last (up to _LEVELS) solved levels ``(t_i, L_{t_i})``; their
     Lagrange extrapolation to t is taken if it is positive definite and its whitened
     residual at t is at most _NEWTON_DECREASE times that of the warm start.
     """
@@ -390,15 +389,15 @@ def _predicted_start(history, t, warm, mats, kernel):
     return trial if trial is not None and trial[1] <= _NEWTON_DECREASE * start[1] else start
 
 
-def _extrapolation_gap(point, e, e_prev):
-    """Certified bound on ``d(E_prev, E)``, in the frame of a visited point X; inf if unproven.
+def _extrapolation_gap(lam):
+    """Certified bound on ``d(E_prev, E)`` from whitened spectra; inf if unproven.
 
-    With ``m = min spec(X^(-1/2) E X^(-1/2))`` and delta the spectral radius of
-    ``X^(-1/2) (E - E_prev) X^(-1/2)``, both are positive definite and
+    ``lam`` holds the ascending spectra of ``X^(-1/2) E X^(-1/2)`` and of
+    ``X^(-1/2) (E - E_prev) X^(-1/2)`` for any SPD X.  With m the least of the first
+    and delta the spectral radius of the second, both are positive definite and
     ``d(E_prev, E) <= -log(1 - delta/m)`` whenever ``delta < m``.
     """
-    lam = whiten(point[1][1], np.stack([e, e - e_prev]))[0]
-    m, delta = lam[0, 0], np.max(np.abs(lam[1]))
+    m, delta = lam[0][0], np.max(np.abs(lam[1]))
     return -math.log1p(-delta / m) if delta < m else math.inf
 
 
@@ -406,16 +405,16 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     """Karcher mean of the measure: the t -> 0 limit of the induced means.
 
     Solves the induced mean along the dyadic schedule ``t_l = 2**-l``, l = 1, 2, ...
-    (at most 200 levels).  After each level it extrapolates the last three levels
-    solved to t = 0 (:func:`_lagrange`) and stops once two successive extrapolations
-    are provably positive definite and within lambda_tol in Thompson metric
+    (at most 200 levels).  Once _LEVELS levels are solved, ``L_1`` (the weighted
+    arithmetic mean) among them, it extrapolates the last _LEVELS to t = 0 after each
+    level (:func:`_lagrange`) and stops once two successive extrapolations are
+    provably positive definite and within lambda_tol in Thompson metric
     (:func:`_extrapolation_gap`) and the latest one's whitened Karcher residual is at
     most RESIDUAL_TOL; that extrapolation is the reported mean.  Each level starts
-    from the quadratic extrapolation in t of the last three levels solved, ``L_1``
-    being the weighted arithmetic mean, unless that start is no better than the
-    previous level (see :func:`_predicted_start`).  The levels must decrease in the
-    Loewner order, checked at every level on the whitened ``X^(-1/2) L_prev X^(-1/2) >= I``:
-    an eigenvalue below ``1 - 1e-9`` signals a numerics bug, not a modelling error.
+    from :func:`_predicted_start`.  The levels must decrease in the Loewner order,
+    checked at every level on the whitened ``X^(-1/2) L_prev X^(-1/2) >= I``: an
+    eigenvalue below ``1 - 1e-9`` signals a numerics bug, not a modelling error.  One
+    stacked whiten of ``[L_prev, E, E - E_prev]`` in the level's frame X serves both.
     """
     cfg = cfg or SolverConfig()
     mats = mu.matrices
@@ -433,19 +432,21 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
         point = level[0]
         total += iters
         trace.append((t, iters))
-        history = history[-2:] + [(t, point[0])]
-        if prev is not None and np.min(_ratio_spectrum(prev, point)) < 1.0 - 1e-9:
-            raise MonotonicityViolation(
-                f"induced means failed to decrease from t={2 * t:g} to t={t:g}"
-            )
-        if len(history) == 3:
-            e = _lagrange(history, 0.0)  # Richardson extrapolation of the levels to t = 0
-            if e_prev is not None and _extrapolation_gap(point, e, e_prev) <= cfg.lambda_tol:
+        history = history[1 - _LEVELS:] + [(t, point[0])]
+        # Richardson extrapolation of the levels to t = 0
+        e = _lagrange(history, 0.0) if len(history) == _LEVELS else None
+        if prev is not None:
+            pair = [] if e_prev is None else [e, e - e_prev]
+            lam = whiten(point[1][1], np.stack([prev, *pair]))[0]
+            if not np.array_equal(prev, point[0]) and lam[0, 0] < 1.0 - 1e-9:
+                raise MonotonicityViolation(
+                    f"induced means failed to decrease from t={2 * t:g} to t={t:g}"
+                )
+            if pair and _extrapolation_gap(lam[1:]) <= cfg.lambda_tol:
                 mean = _visit(_trial_point(e, mats), karcher)
                 if mean is not None and mean[1] <= RESIDUAL_TOL:
                     break
-            e_prev = e
-        prev = point[0]
+        prev, e_prev = point[0], e
         t *= 0.5
     else:
         raise NonConvergence("t-schedule exhausted 200 levels without meeting lambda_tol",

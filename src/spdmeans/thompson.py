@@ -8,7 +8,7 @@ exact.
 
 The contraction factors quantify how fast the affine map ``B -> aA + bB``
 and the two-parameter mean iteration contract Thompson balls of radius
-``r`` around the anchor matrix; they are strictly below one.
+``r`` around the anchor matrix; below one, they round to 1.0 at large ``r``.
 """
 
 import math
@@ -51,17 +51,30 @@ def log_spread(w) -> float:
 def contraction_factor_affine(a: float, b: float, r: float) -> float:
     """Contraction factor of ``X -> aA + bX`` on a Thompson ball of radius r.
 
-    Returns ``log((b e^{3r} + a) / (b e^r + a)) / (2r)``, strictly below 1
-    for positive ``a``; tends to 0 as ``b -> 0`` (pure translation).
+    Returns ``log((b e^{3r} + a) / (b e^r + a)) / (2r)``, which depends on a and b
+    only through ``b/a``: below 1 for positive ``a``, though in floats it rounds to
+    1.0 at large r or ``b/a``; tends to 0 as ``b -> 0`` (pure translation).
     """
     if not all(0.0 < v < math.inf for v in (a, b, r)):
         raise DomainError("affine contraction factor needs finite positive a, b, r")
     return min(_affine(a, b, r), 1.0)
 
 
+def _log(v):
+    # math.log with log 0 = -inf
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def _log1p_frac(log_p, c):
+    # log(1 + p (e^c - 1)) for p in [0, 1] given as log p, in log-sum-exp form: accurate to
+    # rounding relative to its value, with no overflow at any finite c (0 for c <= 0)
+    return float(np.logaddexp(0.0, log_p + c + _log(-math.expm1(-c))))
+
+
 def _affine(a, b, r):
-    # contraction_factor_affine's formula, unclamped
-    return math.log((b * math.exp(3.0 * r) + a) / (b * math.exp(r) + a)) / (2.0 * r)
+    # contraction_factor_affine's formula, unclamped, for a > 0 <= b:
+    # log(1 + p (e^(2r) - 1))/(2r) with p = b e^r/(b e^r + a)
+    return _log1p_frac(-np.logaddexp(0.0, math.log(a) - _log(b) - r), 2.0 * r) / (2.0 * r)
 
 
 def contraction_factor_mean(s: float, t: float, r: float) -> float:
@@ -78,18 +91,14 @@ def contraction_factor_mean(s: float, t: float, r: float) -> float:
     if not 0.0 < r < math.inf:
         raise DomainError("ball radius must be finite and positive")
     rho1 = _affine(t, 1.0 - t, r)
-    den = t + s * (1.0 - t)
-    a = s * (1.0 - t) / den
-    b = t / den
-    rho = rho1 + math.log(
-        (b * math.exp(-r) + a * math.exp(2.0 * r * (1.0 - rho1)))
-        / (b * math.exp(-r) + a)
-    ) / (2.0 * r)
-    return min(rho, 1.0)
+    # the convex-split correction log((b e^-r + a e^c)/(b e^-r + a)), c = 2r(1 - rho1), for
+    # a : b = s(1 - t) : t, is log(1 + q (e^c - 1)) with q = a/(b e^-r + a), 0 at s = 0
+    log_q = -np.logaddexp(0.0, math.log(t) - _log(s * (1.0 - t)) - r)
+    return min(rho1 + _log1p_frac(log_q, 2.0 * r * (1.0 - rho1)) / (2.0 * r), 1.0)
 
 
 def contraction_factor_uniform(t: float, r: float) -> float:
-    """Upper bound on :func:`contraction_factor_mean` over all s in [0, 1]; strictly below 1.
+    """Upper bound on :func:`contraction_factor_mean` over all s in [0, 1]; at most 1.
 
     The bound is the factor at s = 1.
     """

@@ -422,14 +422,17 @@ def test_lambda_mean_newton_levels_take_few_iterations():
 
 
 def test_lambda_mean_predicted_levels_start_near_their_fixed_points():
-    # each level starts from the extrapolation of the levels solved before it,
-    # O(t^3) off its fixed point; from the previous level alone it is O(t) off,
-    # and the levels at t <= 1/16 took 2.33-2.90 Newton steps each (1.38-1.70 here)
+    # each level starts from the extrapolation of the (up to five) levels solved
+    # before it, O(t^5) off its fixed point; from the previous level alone it is
+    # O(t) off, and the levels at t <= 1/16 took 2.33-2.90 Newton steps each
+    # (1.17-1.71 here); the five-level limit stops every solve within 10 levels,
+    # where three levels took up to 13
     for seed in range(5):
         for n in (2, 4, 6):
             rep = lambda_mean(random_measure(np.random.default_rng(seed), n, n_atoms=3), CFG)
             small = [iters for t, iters in rep.t_trace if t <= 2.0**-4]
             assert sum(small) <= 2 * len(small)
+            assert len(rep.t_trace) <= 10
 
 
 def test_lambda_mean_monotonicity_check_is_scale_invariant():
@@ -484,24 +487,56 @@ def test_lambda_mean_levels_stop_at_the_rounding_floor():
 def test_lambda_mean_whitens_each_visited_point_once(monkeypatch):
     # a level's end point carries its whitened spectrum to the stopping test,
     # the Thompson gap and the next level; only the start point and the trial
-    # points of the iterations are whitened
-    calls = []
-    monkeypatch.setattr(core, "sqrt_pair", lambda a: calls.append(1) or sqrt_pair(a))
+    # points of the iterations are whitened.  Each costs two eigh calls (its
+    # sqrt_pair and its whitened atoms); past the first level, the monotonicity
+    # check and the extrapolation gap share one more
+    calls = {"eigh": 0, "sqrt_pair": 0}
+
+    def counted(name, fn):
+        return lambda a: calls.__setitem__(name, calls[name] + 1) or fn(a)
+
+    monkeypatch.setattr(core, "_eigh", counted("eigh", core._eigh))
+    monkeypatch.setattr(core, "sqrt_pair", counted("sqrt_pair", sqrt_pair))
     for lo, hi in ((1e-1, 1e1), (1e-3, 1e3)):
         for seed in range(5):
-            calls.clear()
+            calls.update(eigh=0, sqrt_pair=0)
             rep = lambda_mean(random_measure(np.random.default_rng(seed), 4, 3, lo=lo, hi=hi), CFG)
-            assert len(calls) <= rep.iterations + len(rep.t_trace) + 2
+            assert calls["sqrt_pair"] <= rep.iterations + len(rep.t_trace) + 2
+            assert calls["eigh"] <= 2 * calls["sqrt_pair"] + len(rep.t_trace) - 1
 
 
 def test_lambda_mean_exhausted_schedule_reports_the_last_level(monkeypatch):
     # a net whose extrapolations never meet runs out of its 200 levels; the error
     # carries the iterations of every level solved
+    solve_level = solver._solve_level
+    solved = []
+
+    def counted(*args):
+        visit, iters = solve_level(*args)
+        solved.append(iters)
+        return visit, iters
+
+    monkeypatch.setattr(solver, "_solve_level", counted)
     monkeypatch.setattr(solver, "_extrapolation_gap", lambda *args: math.inf)
     mu = random_measure(np.random.default_rng(0), 2, 3)
     with pytest.raises(NonConvergence, match="t-schedule exhausted 200 levels") as exc:
         lambda_mean(mu, CFG)
-    assert exc.value.iterations == 28
+    assert len(solved) == 200
+    assert exc.value.iterations == sum(solved)
+
+
+def test_newton_step_on_a_singular_jacobian_stalls():
+    # a zero kernel and divided difference give a zero Jacobian: the step is None,
+    # not a LinAlgError; the kernel x with divided difference 1 zeroes the Jacobian
+    # too, at a nonzero residual, and the level solve reports the stall
+    mats = rand_spd(np.random.default_rng(41), 3)[None]
+    point = _point(np.eye(3), mats)
+    zero = lambda lam: np.zeros(lam.shape + lam.shape[-1:])
+    assert solver._newton_step(_visit(point, np.zeros_like), zero) is None
+    linear = (lambda lam: lam, lambda lam: np.ones(lam.shape + lam.shape[-1:]))
+    assert solver._newton_step(_visit(point, linear[0]), linear[1]) is None
+    with pytest.raises(NonConvergence, match="stalled"):
+        solver._solve_level(mats, linear, 0.5, _visit(point, linear[0]), 1e-12, 100)
 
 
 def test_lambda_mean_two_point_geometric():
@@ -595,10 +630,10 @@ def test_lambda_mean_positive_map_compression():
 
 
 def test_lambda_mean_extrapolated_limit_agrees_with_newton():
-    # the net stops on successive Richardson extrapolations of its levels to
-    # t = 0: at most 1.4e-10 from the t = 0 Newton minimizer after a median of
-    # 14 levels, where the level gap d(L_t, L_2t) <= lambda_tol stopped up to
-    # 9.9e-10 away after a median of 32
+    # the net stops on successive Richardson extrapolations of its last five
+    # levels to t = 0: at most 5.4e-11 from the t = 0 Newton minimizer after a
+    # median of 11 levels (three levels: 1.4e-10 after 14), where the level gap
+    # d(L_t, L_2t) <= lambda_tol stopped up to 9.9e-10 away after a median of 32
     levels = []
     for lo, hi in ((1e-1, 1e1), (1e-3, 1e3)):
         for n in (4, 8):
@@ -610,24 +645,27 @@ def test_lambda_mean_extrapolated_limit_agrees_with_newton():
                 irs = sqrt_pair(rep.mean)[1]
                 assert np.linalg.norm(irs @ karcher_residual(rep.mean, mu) @ irs) <= RESIDUAL_TOL
                 levels.append(len(rep.t_trace))
-    assert np.median(levels) <= 16
+    assert np.median(levels) <= 12
 
 
 def test_extrapolation_gap_is_a_certified_bound():
     # an upper bound on d(E_prev, E) whenever it is finite, and infinite unless
     # both extrapolations are positive definite
     rng = np.random.default_rng(40)
-    x = rand_spd(rng, 4)
-    point = solver._point(x, x[None])
+    irs = sqrt_pair(rand_spd(rng, 4))[1]
+
+    def gap(e, e_prev):
+        return solver._extrapolation_gap(core.whiten(irs, np.stack([e, e - e_prev]))[0])
+
     for scale in (1e-10, 1e-6, 1e-3):
         e = rand_spd(rng, 4)
         e_prev = e + scale * sym(rng.standard_normal((4, 4)))
-        bound = solver._extrapolation_gap(point, e, e_prev)
+        bound = gap(e, e_prev)
         assert bound < np.inf and distance(e_prev, e) <= bound * (1 + 1e-12) + 1e-15
     e = np.diag([1.0, 1.0, 1.0, -1e-3])
-    assert solver._extrapolation_gap(point, e, e) == np.inf
-    assert solver._extrapolation_gap(point, e, np.eye(4)) == np.inf
-    assert solver._extrapolation_gap(point, np.eye(4), e) == np.inf
+    assert gap(e, e) == np.inf
+    assert gap(e, np.eye(4)) == np.inf
+    assert gap(np.eye(4), e) == np.inf
 
 
 def test_lambda_mean_two_variable_mean_properties():

@@ -145,6 +145,27 @@ def test_contraction_factors_reject_nan(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: contraction_factor_affine(1.0, 1.0, 300.0),
+    lambda: contraction_factor_mean(0.5, 0.5, 300.0),
+    lambda: contraction_factor_uniform(0.5, 400.0),
+    lambda: contraction_factor_affine(1e308, 1e308, 1.0),
+], ids=["affine-r300", "mean-r300", "uniform-r400", "affine-a-b-1e308"])
+def test_contraction_factors_at_extreme_radius_and_scale(call):
+    # e^(3r) overflowed past r ~ 236, and b e^(3r) + a past a, b ~ 1e308; the
+    # log-sum-exp form stays finite, rounding to 1.0 at large r
+    assert 0.0 < call() <= 1.0
+
+
+def test_contraction_factor_affine_depends_on_the_ratio_only():
+    rng = np.random.default_rng(14)
+    for c in (1e-300, 1e-8, 1e8, 1e300):
+        a, b = np.exp(rng.uniform(-3, 3, 2))
+        r = float(np.exp(rng.uniform(-2, 2)))
+        assert contraction_factor_affine(c * a, c * b, r) == pytest.approx(
+            contraction_factor_affine(a, b, r), rel=1e-12)
+
+
 def test_contraction_factor_affine_below_one():
     rng = np.random.default_rng(13)
     a = np.exp(rng.uniform(-3, 3, 10000))
