@@ -46,8 +46,8 @@ def _sym(a):
 
 
 def _is_count(n) -> bool:
-    """True iff n is a whole number of at least 1; NaN, infinities and non-numbers are not."""
-    return isinstance(n, Real) and n >= 1 and float(n).is_integer()
+    """True iff n is a whole number >= 1; NaN, infinities, bools and non-numbers are not."""
+    return isinstance(n, Real) and not isinstance(n, bool) and n >= 1 and float(n).is_integer()
 
 
 def _float_array(a) -> np.ndarray:

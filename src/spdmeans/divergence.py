@@ -31,7 +31,8 @@ import math
 
 import numpy as np
 
-from .core import _arith, geometric_mean, spd_stack, spectral_sum, sqrt_pair, whitened_eigh
+from .core import (_arith, _is_count, geometric_mean, spd_stack, spectral_sum, sqrt_pair,
+                   whitened_eigh)
 from .errors import DomainError, NotPositiveDefinite
 from .measures import PMeasure
 from .solver import (SolverConfig, SolverReport, _gate_point, _level_kernels, _solve,
@@ -114,10 +115,10 @@ def geodesic_convexity_check(mu: PMeasure, trials: int, seed: int = 0) -> bool:
     Draws random SPD endpoint pairs scaled around the measure's arithmetic
     mean and verifies the chord inequality at tau in {1/4, 1/2, 3/4} with a
     1e-12 relative slack (strictly below the chord for distinct endpoints).
-    Returns False and logs the first counterexample found; DomainError for
-    ``trials < 1``, which would check nothing.
+    Returns False and logs the first counterexample found; DomainError unless
+    ``trials`` is a whole number of at least 1 (zero trials would check nothing).
     """
-    if not trials >= 1:
+    if not _is_count(trials):
         raise DomainError(f"convexity check needs at least one trial, got {trials!r}")
     rng = np.random.default_rng(seed)
     n = mu.dim
@@ -129,7 +130,7 @@ def geodesic_convexity_check(mu: PMeasure, trials: int, seed: int = 0) -> bool:
         d = np.exp(rng.uniform(math.log(0.25), math.log(4.0), n))
         return spectral_sum(q[None], d[None], rc)
 
-    for trial in range(trials):
+    for trial in range(int(trials)):
         g0, g1 = sample(), sample()
         f0, f1 = objective(g0, mu), objective(g1, mu)
         distinct = distance(g0, g1) > 1e-8

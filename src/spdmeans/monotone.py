@@ -39,22 +39,18 @@ DEFAULT_NODES = 64
 def _apply(x, fn):
     """``fn`` of a positive scalar (0-d), or spectrally of an SPD matrix: ``Q diag(fn(w)) Q.T``.
 
-    A matrix passes :func:`sym_matrix`; DomainError unless its spectrum w is positive
-    and ``fn(w)`` finite.
+    A matrix passes :func:`sym_matrix`; DomainError unless the scalar, or the matrix's
+    spectrum w, is positive and finite and ``fn(w)`` finite.
     """
     x = _float_array(x)
-    if x.ndim == 0:
-        if not x > 0.0:
-            raise DomainError("scalar argument must be positive")
-        return float(fn(x[None])[0])
-    w, q = _eigh(sym_matrix(x))
-    if not np.all(w > 0.0):
-        raise DomainError("matrix argument must be positive definite")
+    w, q = (x[None], None) if x.ndim == 0 else _eigh(sym_matrix(x))
+    if not np.all((w > 0.0) & (w < np.inf)):
+        raise DomainError("argument must be a finite positive scalar or positive definite matrix")
     with np.errstate(all="ignore"):
         fw = fn(w)
     if not np.all(np.isfinite(fw)):
         raise DomainError("scalar function undefined on part of the spectrum")
-    return spectral_sum(q[None], fw[None])
+    return float(fw[0]) if q is None else spectral_sum(q[None], fw[None])
 
 
 def log_kernel_grid(s, x):

@@ -18,6 +18,8 @@ import numpy as np
 from .core import spd_stack, whitened_eigh
 from .errors import DomainError, NotPositiveDefinite
 
+_R_MAX = 1e300  # radii clamp here: 2r stays finite, and each factor is at its limit from r ~ 1e4
+
 
 def min_scaling(a, b) -> float:
     """Smallest ``alpha`` with ``A <= alpha B``: the top eigenvalue of ``B^(-1/2) A B^(-1/2)``."""
@@ -57,7 +59,7 @@ def contraction_factor_affine(a: float, b: float, r: float) -> float:
     """
     if not all(0.0 < v < math.inf for v in (a, b, r)):
         raise DomainError("affine contraction factor needs finite positive a, b, r")
-    return min(_affine(a, b, r), 1.0)
+    return min(_affine(a, b, min(r, _R_MAX)), 1.0)
 
 
 def _log(v):
@@ -90,6 +92,7 @@ def contraction_factor_mean(s: float, t: float, r: float) -> float:
         raise DomainError(f"t must lie in (0, 1], got {t} (no contraction at t = 0)")
     if not 0.0 < r < math.inf:
         raise DomainError("ball radius must be finite and positive")
+    r = min(r, _R_MAX)
     rho1 = _affine(t, 1.0 - t, r)
     # the convex-split correction log((b e^-r + a e^c)/(b e^-r + a)), c = 2r(1 - rho1), for
     # a : b = s(1 - t) : t, is log(1 + q (e^c - 1)) with q = a/(b e^-r + a), 0 at s = 0

@@ -1,17 +1,19 @@
-"""Seeded, reproducible invariant suites behind ``spdmeans verify``.
+"""Seeded, reproducible invariant checks behind ``spdmeans verify``.
 
-Each suite draws its data from one ``numpy.random.default_rng(seed)``
-stream and prints one ``name: passed/total`` line per check, so two runs
-with the same flags emit byte-identical output.  Random SPD matrices are
-built as ``Q D Q.T`` with Q from the QR factorization of a seeded Gaussian
-matrix and D log-uniform, which keeps conditioning controlled and
-documented.
+:data:`CHECKS` is one ordered table of rows ``(name, draws, check)``.  ``check(rng,
+dim)`` draws one case from the generators below and returns one bool per assertion,
+or an empty list when the draw does not apply (ball points closer than 1e-8, a bumped
+measure that ``measure_leq`` does not order).  ``draws`` is how many cases a run
+draws: ``"trials"``, ``"heavy"`` (``max(1, trials // 10)``, for checks that solve for
+means) or ``"once"``.  :func:`run_suite` runs a suite's rows in table order on one
+``default_rng(seed)`` stream and prints one ``name: passed/total`` line per row, so
+two runs with the same flags emit byte-identical output.
 
-Checks that compare against closed forms (geometric mean, scalar means,
-power means) draw from a narrower eigenvalue range than the structural
-checks: the structural identities hold exactly for the discretized
-measures at any conditioning, while closed-form agreement also spends the
-quadrature error budget.
+Random SPD matrices are ``Q D Q.T``, Q from the QR factorization of a seeded Gaussian
+matrix and D log-uniform, which keeps conditioning controlled.  Checks against closed
+forms (geometric, scalar and power means) draw from a narrower eigenvalue range than
+the structural checks: their identities hold for the discretized measures at any
+conditioning, while closed-form agreement also spends the quadrature error budget.
 """
 
 import math
@@ -66,116 +68,13 @@ def random_smeasure(rng):
 
 def random_measure(rng, dim, n_atoms=3, lo=1e-1, hi=1e1):
     w = random_weights(rng, n_atoms)
-    return measures.PMeasure(
-        [(w[i], random_spd(rng, dim, lo, hi), random_smeasure(rng)) for i in range(n_atoms)]
-    )
+    return measures.PMeasure([(w[i], random_spd(rng, dim, lo, hi), random_smeasure(rng))
+                              for i in range(n_atoms)])
 
 
 def _psd_bump(rng, dim, scale=0.3):
     g = rng.standard_normal((dim, dim))
     return scale * core._sym(g @ g.T)
-
-
-class _Tally:
-    def __init__(self, out):
-        self.out = out
-        self.total_pass = 0
-        self.total = 0
-
-    def check(self, name, results):
-        good = sum(1 for r in results if r)
-        self.total_pass += good
-        self.total += len(results)
-        self.out(f"{name}: {good}/{len(results)}")
-
-    def ok(self):
-        return self.total_pass == self.total
-
-
-def _suite_thompson(rng, dim, trials, tally):
-    tol = 1e-10
-    d = thompson.distance
-
-    # narrower spread than the generic generator: identity checks at 1e-10
-    # need the conditioning headroom
-    def trial_case():
-        return random_spd(rng, dim, 0.05, 20.0), random_spd(rng, dim, 0.05, 20.0)
-
-    tally.check(
-        "thompson.identity",
-        [d(a, a) <= 1e-12 for a, _ in (trial_case() for _ in range(trials))],
-    )
-    res_sym, res_tri, res_scale, res_inv, res_cong, res_exp = ([] for _ in range(6))
-    for _ in range(trials):
-        a, b = trial_case()
-        c = random_spd(rng, dim)
-        dab = d(a, b)
-        res_sym.append(abs(dab - d(b, a)) <= tol)
-        res_tri.append(d(a, c) <= dab + d(b, c) + tol)
-        r = float(rng.uniform(0.1, 10.0))
-        res_scale.append(abs(d(r * a, r * b) - dab) <= tol)
-        res_inv.append(abs(d(np.linalg.inv(a), np.linalg.inv(b)) - dab) <= tol)
-        m = random_transform(rng, dim)
-        res_cong.append(abs(d(core._sym(m @ a @ m.T), core._sym(m @ b @ m.T)) - dab) <= tol)
-        e = math.exp(dab)
-        res_exp.append(
-            core.loewner_leq(a / e, b, tol) and core.loewner_leq(b, e * a, tol)
-        )
-    tally.check("thompson.symmetry", res_sym)
-    tally.check("thompson.triangle", res_tri)
-    tally.check("thompson.scaling", res_scale)
-    tally.check("thompson.inversion", res_inv)
-    tally.check("thompson.congruence", res_cong)
-    tally.check("thompson.order_bounds", res_exp)
-
-    # convexity property: d(sum t_i A_i, sum t_i B_i) <= max_i d(A_i, B_i)
-    res = []
-    for _ in range(trials):
-        mats_a = [random_spd(rng, dim) for _ in range(3)]
-        mats_b = [random_spd(rng, dim) for _ in range(3)]
-        ts = rng.uniform(0.2, 2.0, 3)
-        lhs = d(sum(t * m for t, m in zip(ts, mats_a)), sum(t * m for t, m in zip(ts, mats_b)))
-        res.append(lhs <= max(d(x, y) for x, y in zip(mats_a, mats_b)) + tol)
-    tally.check("thompson.convex_combination", res)
-
-    # weighted two-term bound
-    res = []
-    for _ in range(trials):
-        a1, b1 = trial_case()
-        a2, b2 = trial_case()
-        if d(a1, b1) < d(a2, b2):
-            a1, b1, a2, b2 = a2, b2, a1, b1
-        c1, c2 = rng.uniform(0.2, 2.0, 2)
-        d1, d2 = d(a1, b1), d(a2, b2)
-        wa = math.exp(-d(a1, a2))
-        wb = math.exp(-d(b1, b2))
-        bound = max(
-            (c1 * math.exp(d1) + c2 * wa * math.exp(d2)) / (c1 + c2 * wa),
-            (c1 * math.exp(d1) + c2 * wb * math.exp(d2)) / (c1 + c2 * wb),
-        )
-        lhs = math.exp(d(c1 * a1 + c2 * a2, c1 * b1 + c2 * b2))
-        res.append(lhs <= bound + tol)
-    tally.check("thompson.weighted_bound", res)
-
-    # contraction factor formulas and an empirical contraction ratio
-    res_formula, res_emp = [], []
-    for _ in range(trials):
-        aa, bb, r = rng.uniform(0.1, 3.0, 3)
-        res_formula.append(0.0 < thompson.contraction_factor_affine(aa, bb, r) < 1.0)
-        s = float(rng.uniform(0.1, 0.9))
-        t = float(rng.uniform(0.1, 0.9))
-        r = float(rng.uniform(0.5, 2.0))
-        rho = thompson.contraction_factor_mean(s, t, r)
-        res_formula.append(rho <= thompson.contraction_factor_uniform(t, r) + 1e-12)
-        anchor = random_spd(rng, dim, 0.5, 2.0)
-        mu = measures.product_measure(monotone.SMeasure.dirac(s), [(1.0, anchor)])
-        x, y = (_ball_point(rng, anchor, r) for _ in range(2))
-        dxy = d(x, y)
-        if dxy > 1e-8:
-            ratio = d(solver.iteration_map(x, t, mu), solver.iteration_map(y, t, mu)) / dxy
-            res_emp.append(ratio <= rho + 1e-9)
-    tally.check("thompson.contraction_formulas", res_formula)
-    tally.check("thompson.contraction_empirical", res_emp)
 
 
 def _ball_point(rng, anchor, r):
@@ -186,149 +85,250 @@ def _ball_point(rng, anchor, r):
     return core.spectral_sum(q[None], np.exp(scale * w)[None], core.sqrt_pair(anchor)[0])
 
 
-def _suite_means(rng, dim, trials, tally):
-    heavy = max(1, trials // 10)
-    cfg = solver.SolverConfig()
-    d = thompson.distance
+_TOL = 1e-10  # the Thompson identities
+d = thompson.distance  # the metric d(A, B) the checks are written in
 
-    res_fix, res_sand, res_mono_l, res_mono_lam, res_cong, res_tmono = ([] for _ in range(6))
-    res_residual = []
-    for _ in range(heavy):
-        mu = random_measure(rng, dim, n_atoms=int(rng.integers(2, 5)))
-        rep = solver.induced_mean(0.5, mu, cfg)
-        res_fix.append(
-            d(rep.mean, solver.iteration_map(rep.mean, 0.5, mu)) <= 10.0 * cfg.fp_tol
-        )
-        res_sand.append(solver.sandwich_check(rep.mean, mu))
 
-        lam = solver.lambda_mean(mu, cfg)
-        res_sand.append(solver.sandwich_check(lam.mean, mu))
-        res_residual.append(lam.residual_norm <= solver.RESIDUAL_TOL)
+def _pair(rng, dim):
+    # narrower spread than random_spd's default: identities at 1e-10 need the headroom
+    return random_spd(rng, dim, 0.05, 20.0), random_spd(rng, dim, 0.05, 20.0)
 
+
+def _on_pair(pred, extra=lambda rng, dim: None):
+    """The check ``[pred(A, B, x)]`` on a fresh :func:`_pair` (A, B) and ``x = extra(rng, dim)``."""
+    return lambda rng, dim: [pred(*_pair(rng, dim), extra(rng, dim))]
+
+
+def _on_measure(pred, extra=lambda rng, dim: None):
+    """The check ``[pred(mu, x)]`` on a fresh :func:`random_measure` and ``x = extra(rng, dim)``."""
+    return lambda rng, dim: [pred(random_measure(rng, dim), extra(rng, dim))]
+
+
+def _order_bounds(a, b, _):
+    # e^-d A <= B <= e^d A and e^-d B <= A <= e^d B at d = d(A, B)
+    e = math.exp(d(a, b))
+    return all(core.loewner_leq(lo, hi, _TOL)
+               for lo, hi in ((a / e, b), (b, e * a), (b / e, a), (a, e * b)))
+
+
+def _convex_combination(rng, dim):
+    # d(sum t_i A_i, sum t_i B_i) <= max_i d(A_i, B_i), and <= d(A_1, B_1) when A_2 = B_2
+    mats_a = [random_spd(rng, dim) for _ in range(3)]
+    mats_b = [random_spd(rng, dim) for _ in range(3)]
+    ts = rng.uniform(0.2, 2.0, 3)
+    lhs = d(sum(t * m for t, m in zip(ts, mats_a)), sum(t * m for t, m in zip(ts, mats_b)))
+    (a1, a2, _), b1 = mats_a, mats_b[0]
+    shared = d(ts[0] * a1 + ts[1] * a2, ts[0] * b1 + ts[1] * a2)
+    return [lhs <= max(d(x, y) for x, y in zip(mats_a, mats_b)) + _TOL
+            and shared <= d(a1, b1) + _TOL]
+
+
+def _weighted_bound(rng, dim):
+    # the pair (A_1, B_1) is the one further apart
+    (a1, b1), (a2, b2) = sorted((_pair(rng, dim), _pair(rng, dim)), key=lambda p: -d(*p))
+    c1, c2 = rng.uniform(0.2, 2.0, 2)
+    d1, d2 = d(a1, b1), d(a2, b2)
+    bound = max((c1 * math.exp(d1) + c2 * w * math.exp(d2)) / (c1 + c2 * w)
+                for w in (math.exp(-d(a1, a2)), math.exp(-d(b1, b2))))
+    return [math.exp(d(c1 * a1 + c2 * a2, c1 * b1 + c2 * b2)) <= bound + _TOL]
+
+
+def _contraction_formulas(rng, dim):
+    # 0 < affine factor < 1; mean factor <= uniform bound < 1
+    a, b = np.exp(rng.uniform(-3.0, 3.0, 2))
+    r = math.exp(rng.uniform(-2.0, 2.0))
+    s, t, r2 = rng.uniform(0.0, 1.0), rng.uniform(0.05, 1.0), rng.uniform(0.1, 5.0)
+    uniform = thompson.contraction_factor_uniform(t, r2)
+    return [0.0 < thompson.contraction_factor_affine(a, b, r) < 1.0,
+            thompson.contraction_factor_mean(s, t, r2) <= uniform + 1e-12 and uniform < 1.0]
+
+
+def _contraction_empirical(rng, dim):
+    # the iteration map of dirac(s) x {A} contracts a ball around A by the mean factor
+    s, t, r = (float(v) for v in rng.uniform((0.1, 0.1, 0.5), (0.9, 0.9, 2.0)))
+    anchor = random_spd(rng, dim, 0.5, 2.0)
+    mu = measures.product_measure(monotone.SMeasure.dirac(s), [(1.0, anchor)])
+    x, y = (_ball_point(rng, anchor, r) for _ in range(2))
+    dxy = d(x, y)
+    if dxy <= 1e-8:
+        return []
+    ratio = d(solver.iteration_map(x, t, mu), solver.iteration_map(y, t, mu)) / dxy
+    return [ratio <= thompson.contraction_factor_mean(s, t, r) + 1e-9]
+
+
+def _means_case(rng, dim):
+    return random_measure(rng, dim, n_atoms=int(rng.integers(2, 6)))
+
+
+def _lambda(mu):
+    return solver.lambda_mean(mu).mean
+
+
+def _induced(t):
+    return lambda mu: solver.induced_mean(t, mu).mean
+
+
+def _fixed_point(rng, dim):
+    # L_t is a fixed point of the iteration map, and the last step t R_t met fp_tol
+    mu, t = _means_case(rng, dim), float(rng.uniform(0.1, 1.0))
+    rep, tol = solver.induced_mean(t, mu), solver.SolverConfig().fp_tol
+    return [d(rep.mean, solver.iteration_map(rep.mean, t, mu)) <= 10.0 * tol
+            and t * rep.residual_norm <= tol]
+
+
+def _sandwich(rng, dim):
+    mu, t = _means_case(rng, dim), float(rng.uniform(0.1, 1.0))
+    return [solver.sandwich_check(_induced(t)(mu), mu), solver.sandwich_check(_lambda(mu), mu)]
+
+
+def _karcher_residual(rng, dim):
+    mu = _means_case(rng, dim)
+    lam = solver.lambda_mean(mu)
+    return [lam.residual_norm <= solver.RESIDUAL_TOL
+            and np.linalg.norm(solver.karcher_residual(lam.mean, mu)) <= 1e-8]
+
+
+def _monotone(*solves):
+    """The check that each solve(mu) <= solve(bumped), bumped lifting every atom by a PSD matrix."""
+    def check(rng, dim):
+        mu = _means_case(rng, dim)
         bumped = measures.PMeasure(
-            [(w, core._sym(m + _psd_bump(rng, dim)), nu) for w, m, nu in mu.atoms]
-        )
-        if measures.measure_leq(mu, bumped):
-            rep2 = solver.induced_mean(0.5, bumped, cfg)
-            res_mono_l.append(core.loewner_leq(rep.mean, rep2.mean, 1e-8))
-            lam2 = solver.lambda_mean(bumped, cfg)
-            res_mono_lam.append(core.loewner_leq(lam.mean, lam2.mean, 1e-8))
-
-        m = random_transform(rng, dim)
-        lam3 = solver.lambda_mean(measures.congruence_measure(m, mu), cfg)
-        target = core._sym(m @ lam.mean @ m.T)
-        res_cong.append(
-            np.linalg.norm(lam3.mean - target) <= 1e-8 * (1.0 + np.linalg.norm(target))
-        )
-
-        l14 = solver.induced_mean(0.25, mu, cfg).mean
-        l12 = rep.mean
-        l1 = solver.induced_mean(1.0, mu, cfg).mean
-        res_tmono.append(core.loewner_leq(lam.mean, l14, 1e-9))
-        res_tmono.append(core.loewner_leq(l14, l12, 1e-9))
-        res_tmono.append(core.loewner_leq(l12, l1, 1e-9))
-    tally.check("means.fixed_point", res_fix)
-    tally.check("means.sandwich", res_sand)
-    tally.check("means.karcher_residual", res_residual)
-    tally.check("means.monotone_induced", res_mono_l)
-    tally.check("means.monotone_lambda", res_mono_lam)
-    tally.check("means.congruence", res_cong)
-    tally.check("means.t_monotone", res_tmono)
-
-    res = []
-    for _ in range(heavy):
-        a, b = random_spd(rng, dim, 1e-1, 1e1), random_spd(rng, dim, 1e-1, 1e1)
-        mu = measures.product_measure(monotone.SMeasure.lebesgue(), [(0.5, a), (0.5, b)])
-        res.append(
-            d(solver.lambda_mean(mu, cfg).mean, core.geometric_mean(a, b, 0.5)) <= 1e-6
-        )
-    tally.check("means.two_point_oracle", res)
-
-    res = []
-    for _ in range(heavy):
-        k = int(rng.integers(2, 5))
-        vals = np.exp(rng.uniform(-2.0, 2.0, (k, dim)))
-        w = random_weights(rng, k)
-        mu = measures.product_measure(
-            monotone.SMeasure.lebesgue(),
-            [(w[i], np.diag(vals[i])) for i in range(k)],
-        )
-        exact = np.exp(np.sum(w[:, None] * np.log(vals), axis=0))
-        got = np.diag(solver.lambda_mean(mu, cfg).mean)
-        res.append(np.max(np.abs(got - exact) / exact) <= 1e-8)
-    tally.check("means.scalar_karcher", res)
-
-    res = []
-    for _ in range(heavy):
-        k = int(rng.integers(2, 4))
-        w = random_weights(rng, k)
-        sigma = [(w[i], random_spd(rng, dim, 1e-1, 1e1)) for i in range(k)]
-        direct = solver.power_mean(0.5, sigma, cfg)
-        routed = solver.lambda_mean(
-            measures.product_measure(monotone.SMeasure.power(0.5), sigma), cfg
-        )
-        res.append(d(direct.mean, routed.mean) <= 1e-6)
-    tally.check("means.power_route", res)
+            [(w, core._sym(m + _psd_bump(rng, dim)), nu) for w, m, nu in mu.atoms])
+        if not measures.measure_leq(mu, bumped):
+            return []
+        return [all(core.loewner_leq(solve(mu), solve(bumped), 1e-8) for solve in solves)]
+    return check
 
 
-def _suite_divergence(rng, dim, trials, tally):
-    heavy = max(1, trials // 10)
-    d = thompson.distance
+def _means_congruence(rng, dim):
+    # Lambda(M mu M^T) = M Lambda(mu) M^T, and the same for L_t at t = 0.3 and 0.8
+    mu = _means_case(rng, dim)
+    m = random_transform(rng, dim)
+    moved = measures.congruence_measure(m, mu)
+    pairs = [(core._sym(m @ f(mu) @ m.T), f(moved))
+             for f in (_lambda, _induced(0.3), _induced(0.8))]
+    return [all(np.linalg.norm(got - want) <= 1e-8 * (1.0 + np.linalg.norm(want))
+                for want, got in pairs)]
 
-    res_pos, res_id, res_grad = [], [], []
-    for _ in range(trials):
-        mu = random_measure(rng, dim)
-        x = random_spd(rng, dim, 1e-1, 1e1)
-        res_pos.append(divergence.objective(x, mu) >= 0.0)
-        a = random_spd(rng, dim)
-        s = float(rng.uniform(0.0, 1.0))
-        res_id.append(abs(divergence.logdet_divergence(a, a, s)) <= 1e-10)
-        g = divergence.riemannian_gradient(x, mu)
-        res_grad.append(np.array_equal(g, -solver.karcher_residual(x, mu)))
-    tally.check("divergence.positivity", res_pos)
-    tally.check("divergence.identity", res_id)
-    tally.check("divergence.gradient_identity", res_grad)
 
-    res = []
-    h = 1e-5
-    for _ in range(trials):
-        mu = random_measure(rng, dim)
-        x = random_spd(rng, dim, 0.5, 2.0)
-        v = core._sym(rng.standard_normal((dim, dim)))
-        num = (
-            divergence.objective(core._sym(x + h * v), mu)
-            - divergence.objective(core._sym(x - h * v), mu)
-        ) / (2.0 * h)
-        g = divergence.riemannian_gradient(x, mu)
-        xi = np.linalg.inv(x)
-        ana = float(np.sum((xi @ g @ xi) * v))
-        res.append(abs(num - ana) <= 1e-5 * (1.0 + abs(ana)))
-    tally.check("divergence.gradient_fd", res)
+def _t_monotone(rng, dim):
+    # the net decreases to Lambda: Lambda <= L_1/16 <= L_1/8 <= L_1/4, L_1/4 <= L_1/2 <= L_1
+    mu = _means_case(rng, dim)
+    net = [_lambda(mu)] + [_induced(t)(mu) for t in (0.0625, 0.125, 0.25, 0.5, 1.0)]
+    ok = [core.loewner_leq(lo, hi, 1e-9) for lo, hi in zip(net, net[1:])]
+    return [all(ok[:3]), ok[3], ok[4]]
 
-    res = []
-    for _ in range(heavy):
-        mu = random_measure(rng, dim)
-        got = divergence.minimize_divergence(mu)
-        ref = solver.lambda_mean(mu)
-        res.append(d(got.mean, ref.mean) <= 1e-6)
-    tally.check("divergence.argmin_equivalence", res)
 
+def _two_point_oracle(rng, dim):
+    # both routes give A # B for two equal atoms under the Lebesgue measure
+    a, b = random_spd(rng, dim, 1e-1, 1e1), random_spd(rng, dim, 1e-1, 1e1)
+    mu = measures.product_measure(monotone.SMeasure.lebesgue(), [(0.5, a), (0.5, b)])
+    geo = core.geometric_mean(a, b, 0.5)
+    lam, newton = solver.lambda_mean(mu), divergence.minimize_divergence(mu)
+    return [d(lam.mean, geo) <= 1e-8 and lam.residual_norm <= solver.RESIDUAL_TOL
+            and len(lam.t_trace) >= 2 and d(newton.mean, geo) <= 1e-6
+            and newton.residual_norm <= 1e-9]
+
+
+def _scalar_karcher(rng, dim):
+    # diagonal atoms: Lambda is the weighted geometric mean of each diagonal entry
+    k = int(rng.integers(2, 6))
+    vals = np.exp(rng.uniform(-2.0, 2.0, (k, dim)))
+    w = random_weights(rng, k)
+    mu = measures.product_measure(monotone.SMeasure.lebesgue(), list(zip(w, map(np.diag, vals))))
+    exact = np.exp(w @ np.log(vals))
+    return [np.max(np.abs(np.diag(_lambda(mu)) - exact) / exact) <= 1e-8]
+
+
+def _power_route(rng, dim):
+    # power_mean(t) is lambda_mean under the power(t) measure, at t = 0.2, 0.5 and 0.8
+    k = int(rng.integers(2, 5))
+    w = random_weights(rng, k)
+    sigma = [(w[i], random_spd(rng, dim, 1e-1, 1e1)) for i in range(k)]
+    return [all(d(solver.power_mean(t, sigma).mean,
+                  _lambda(measures.product_measure(monotone.SMeasure.power(t), sigma))) <= 1e-6
+                for t in (0.2, 0.5, 0.8))]
+
+
+def _positivity(rng, dim):
+    # objective(X) >= 0; LD_s(X, A) >= 0, and > 0 when X and A are apart
     mu = random_measure(rng, dim)
-    tally.check(
-        "divergence.geodesic_convexity",
-        [divergence.geodesic_convexity_check(mu, trials, seed=int(rng.integers(1 << 31)))],
-    )
+    x, a = random_spd(rng, dim, 1e-1, 1e1), random_spd(rng, dim, 1e-1, 1e1)
+    v = divergence.logdet_divergence(x, a, float(rng.uniform(0.0, 1.0)))
+    return [divergence.objective(x, mu) >= 0.0 and v >= 0.0 and (v > 0.0 or d(x, a) <= 1e-6)]
 
-    res = []
-    hh = 1e-3
-    for _ in range(trials):
-        mu = random_measure(rng, dim)
-        g0 = random_spd(rng, dim, 0.5, 2.0)
-        g1 = random_spd(rng, dim, 0.5, 2.0)
-        tau = float(rng.uniform(0.2, 0.8))
-        f = lambda u: divergence.objective(core.geometric_mean(g0, g1, u), mu)
-        res.append(f(tau + hh) - 2.0 * f(tau) + f(tau - hh) >= -1e-10)
-    tally.check("divergence.second_difference", res)
+
+def _divergence_identity(rng, dim):
+    # LD_s(A, A) = 0 at a random s and at both endpoints
+    a, s = random_spd(rng, dim), float(rng.uniform(0.0, 1.0))
+    return [all(abs(divergence.logdet_divergence(a, a, u)) <= 1e-12 for u in (0.0, s, 1.0))]
+
+
+def _gradient_fd(rng, dim):
+    # central differences of the objective along V match <X^-1 G X^-1, V>
+    h = 1e-5
+    mu = random_measure(rng, dim)
+    x, v = random_spd(rng, dim, 0.5, 2.0), core._sym(rng.standard_normal((dim, dim)))
+    num = (divergence.objective(core._sym(x + h * v), mu)
+           - divergence.objective(core._sym(x - h * v), mu)) / (2.0 * h)
+    xi = np.linalg.inv(x)
+    ana = float(np.sum((xi @ divergence.riemannian_gradient(x, mu) @ xi) * v))
+    return [abs(num - ana) <= 1e-5 * (1.0 + abs(ana))]
+
+
+def _second_difference(rng, dim):
+    # the objective along a geodesic has a nonnegative second difference
+    mu = random_measure(rng, dim)
+    g0, g1 = random_spd(rng, dim, 0.5, 2.0), random_spd(rng, dim, 0.5, 2.0)
+    tau = float(rng.uniform(0.2, 0.8))
+    f = [divergence.objective(core.geometric_mean(g0, g1, u), mu)
+         for u in (tau - 1e-3, tau, tau + 1e-3)]
+    return [f[2] - 2.0 * f[1] + f[0] >= -1e-10]
+
+
+# (name, draws, check), in the order verify runs and prints them
+CHECKS = (
+    ("thompson.identity", "trials", _on_pair(lambda a, b, _: d(a, a) <= 1e-12 and d(a, b) >= 0.0)),
+    ("thompson.symmetry", "trials", _on_pair(lambda a, b, _: abs(d(a, b) - d(b, a)) <= _TOL)),
+    ("thompson.triangle", "trials",
+     _on_pair(lambda a, b, c: d(a, c) <= d(a, b) + d(b, c) + _TOL, random_spd)),
+    ("thompson.scaling", "trials",
+     _on_pair(lambda a, b, r: abs(d(r * a, r * b) - d(a, b)) <= _TOL,
+              lambda rng, dim: float(rng.uniform(0.05, 20.0)))),
+    ("thompson.inversion", "trials",
+     _on_pair(lambda a, b, _: abs(d(np.linalg.inv(a), np.linalg.inv(b)) - d(a, b)) <= _TOL)),
+    ("thompson.congruence", "trials",
+     _on_pair(lambda a, b, m: abs(d(core._sym(m @ a @ m.T), core._sym(m @ b @ m.T)) - d(a, b))
+              <= _TOL, random_transform)),
+    ("thompson.order_bounds", "trials", _on_pair(_order_bounds)),
+    ("thompson.convex_combination", "trials", _convex_combination),
+    ("thompson.weighted_bound", "trials", _weighted_bound),
+    ("thompson.contraction_formulas", "trials", _contraction_formulas),
+    ("thompson.contraction_empirical", "trials", _contraction_empirical),
+    ("means.fixed_point", "heavy", _fixed_point),
+    ("means.sandwich", "heavy", _sandwich),
+    ("means.karcher_residual", "heavy", _karcher_residual),
+    ("means.monotone_induced", "heavy", _monotone(_induced(0.25), _induced(0.5), _induced(1.0))),
+    ("means.monotone_lambda", "heavy", _monotone(_lambda)),
+    ("means.congruence", "heavy", _means_congruence),
+    ("means.t_monotone", "heavy", _t_monotone),
+    ("means.two_point_oracle", "heavy", _two_point_oracle),
+    ("means.scalar_karcher", "heavy", _scalar_karcher),
+    ("means.power_route", "heavy", _power_route),
+    ("divergence.positivity", "trials", _positivity),
+    ("divergence.identity", "trials", _divergence_identity),
+    ("divergence.gradient_identity", "trials", _on_measure(
+        lambda mu, x: np.array_equal(divergence.riemannian_gradient(x, mu),
+                                     -solver.karcher_residual(x, mu)),
+        lambda rng, dim: random_spd(rng, dim, 1e-1, 1e1))),
+    ("divergence.gradient_fd", "trials", _gradient_fd),
+    ("divergence.argmin_equivalence", "heavy", _on_measure(
+        lambda mu, _: d(divergence.minimize_divergence(mu).mean, _lambda(mu)) <= 1e-6)),
+    ("divergence.geodesic_convexity", "once", _on_measure(  # along 100 random geodesics
+        lambda mu, seed: divergence.geodesic_convexity_check(mu, 100, seed=seed),
+        lambda rng, dim: int(rng.integers(1 << 31)))),
+    ("divergence.second_difference", "trials", _second_difference),
+)
 
 
 def run_suite(suite, seed, dim, trials, out=print):
@@ -343,13 +343,12 @@ def run_suite(suite, seed, dim, trials, out=print):
         raise SpdMeansError("verify needs trials >= 1, dim >= 1 and seed >= 0, "
                             f"got {trials}, {dim} and {seed}")
     rng = np.random.default_rng(seed)
-    tally = _Tally(out)
-    if suite in ("thompson", "all"):
-        _suite_thompson(rng, dim, trials, tally)
-    if suite in ("means", "all"):
-        _suite_means(rng, dim, trials, tally)
-    if suite in ("divergence", "all"):
-        _suite_divergence(rng, dim, trials, tally)
-    status = "PASS" if tally.ok() else "FAIL"
-    out(f"suite {suite}: {status} ({tally.total_pass}/{tally.total})")
-    return tally.ok()
+    passed = total = 0
+    for name, draws, check in CHECKS:
+        if suite == "all" or name.startswith(suite + "."):
+            n = {"trials": trials, "heavy": max(1, trials // 10), "once": 1}[draws]
+            results = [bool(r) for _ in range(n) for r in check(rng, dim)]
+            passed, total = passed + sum(results), total + len(results)
+            out(f"{name}: {sum(results)}/{len(results)}")
+    out(f"suite {suite}: {'PASS' if passed == total else 'FAIL'} ({passed}/{total})")
+    return passed == total

@@ -15,8 +15,7 @@ import pathlib
 import numpy as np
 
 from spdmeans import PMeasure, SMeasure, matrix_to_json
-from spdmeans.verify import (_ball_point, _psd_bump, random_smeasure, random_spd, random_transform,
-                             random_weights)
+from spdmeans.verify import _psd_bump, random_smeasure, random_spd, random_weights
 
 
 def sym(a):
@@ -29,9 +28,7 @@ def rand_spd(rng, dim, lo=0.1, hi=10.0):
 
 rand_psd = _psd_bump
 rand_weights = random_weights
-conditioned_transform = random_transform
 rand_smeasure = random_smeasure
-thompson_ball_point = _ball_point
 
 
 def rand_measure(rng, dim, n_atoms=None, lo=0.1, hi=10.0):

@@ -54,11 +54,14 @@ _KERNELS = [
 _KERNEL_IDS = ["log", "harmonic", "mean", "monotone"]
 
 
-@pytest.mark.parametrize("x", [-1.0, 0.0, math.nan, np.diag([1.0, -1.0]), np.diag([1.0, math.nan])],
-                         ids=["negative", "zero", "nan", "indefinite", "nan-matrix"])
+@pytest.mark.parametrize("x", [-1.0, 0.0, math.nan, np.diag([1.0, -1.0]), np.diag([1.0, math.nan]),
+                               math.inf],
+                         ids=["negative", "zero", "nan", "indefinite", "nan-matrix", "inf"])
 @pytest.mark.parametrize("kernel", _KERNELS, ids=_KERNEL_IDS)
+@pytest.mark.filterwarnings("error")
 def test_kernels_take_only_positive_arguments(kernel, x):
-    # NaN passes an ``x <= 0`` test; the one positivity test is ``x > 0``
+    # NaN passes an ``x <= 0`` test, and inf an ``x > 0`` one, where a kernel's value is
+    # NaN; a scalar, like a spectrum, must be positive and finite
     with pytest.raises(DomainError):
         kernel(x)
 
@@ -249,7 +252,7 @@ def test_smeasure_validation():
         SMeasure.power(1.0)
 
 
-@pytest.mark.parametrize("nodes", [2.7, 0, -3, math.nan, math.inf, "8"])
+@pytest.mark.parametrize("nodes", [2.7, 0, -3, math.nan, math.inf, "8", True])
 @pytest.mark.parametrize("build", [
     lambda n: SMeasure.lebesgue(n),
     lambda n: SMeasure.power(0.5, n),
@@ -258,7 +261,8 @@ def test_smeasure_validation():
     lambda n: smeasure_from_json({"type": "power", "t": 0.5, "nodes": n}),
 ], ids=["lebesgue", "power", "custom", "json-lebesgue", "json-power"])
 def test_node_counts_must_be_positive_whole_numbers(build, nodes):
-    # no silent truncation: 2.7 nodes is an error, not a 2-node rule
+    # no silent truncation: 2.7 nodes is an error, not a 2-node rule; nor is a JSON
+    # ``true`` a 1-node rule
     with pytest.raises(MeasureError):
         build(nodes)
     assert build(3.0).params["nodes"] == build(np.int64(3)).params["nodes"] == 3
