@@ -15,7 +15,7 @@ import pathlib
 import numpy as np
 
 from spdmeans import PMeasure, SMeasure, matrix_to_json
-from spdmeans.verify import _psd_bump, random_smeasure, random_spd, random_weights
+from spdmeans.verify import CHECKS, _psd_bump, random_smeasure, random_spd, random_weights
 
 
 def sym(a):
@@ -37,6 +37,21 @@ def rand_measure(rng, dim, n_atoms=None, lo=0.1, hi=10.0):
     return PMeasure(
         [(w[i], rand_spd(rng, dim, lo, hi), rand_smeasure(rng)) for i in range(k)]
     )
+
+
+def assert_check(name, seed, draws, dims):
+    """Run ``spdmeans verify``'s row ``name`` ``draws`` times on one ``default_rng(seed)``.
+
+    The draws cycle through ``dims``; each must apply (a non-empty result) and pass.
+    """
+    check = {row: fn for row, _, fn in CHECKS}[name]
+    rng = np.random.default_rng(seed)
+    failed = []
+    for i in range(draws):
+        results = check(rng, dims[i % len(dims)])
+        if not (results and all(results)):
+            failed.append((i, dims[i % len(dims)]))
+    assert not failed, f"{name} failed or did not apply at (draw, dim) {failed[:10]}"
 
 
 def dirac_lebesgue_pair(seed):

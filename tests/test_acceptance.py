@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import subprocess_env
+from conftest import assert_check, subprocess_env
 from spdmeans.verify import CHECKS
 
 PINNED = pathlib.Path(__file__).parent / "verify_all_seed42_dim4_trials50.txt"
@@ -65,6 +65,40 @@ def test_check(name, check):
     seeds, dims = GRID[name]
     failed = [(seed, dim) for dim in dims for seed in seeds if not _passes(check, seed, dim)]
     assert not failed, f"{name} failed or did not apply at (seed, dim) {failed[:10]}"
+
+
+# criteria 01-11 keep their own seed and draws, through the row that states each
+def test_criterion_01_two_point_karcher_oracle():
+    assert_check("means.two_point_oracle", 1, 50, (2, 3, 4, 5, 6))
+
+
+def test_criterion_02_scalar_karcher_oracle():
+    assert_check("means.scalar_karcher", 2, 10, (1, 2, 3, 4))
+
+
+def test_criterion_04_argmin_equivalence():
+    assert_check("divergence.argmin_equivalence", 4, 30, (2, 3, 4, 5))
+
+
+def test_criterion_05_gradient_check():
+    assert_check("divergence.gradient_fd", 5, 100, (2, 3, 4))
+
+
+def test_criterion_06_monotonicity():
+    assert_check("means.monotone_induced", 6, 50, (2, 3, 4))
+    assert_check("means.monotone_lambda", 6, 50, (2, 3, 4))
+
+
+def test_criterion_08_contraction_formulas():
+    assert_check("thompson.contraction_empirical", 8, 729, (3,))
+
+
+def test_criterion_09_power_mean_route():
+    assert_check("means.power_route", 9, 3, (2, 3, 4, 5))
+
+
+def test_criterion_11_t_net_behavior():
+    assert_check("means.t_monotone", 11, 8, (2, 3, 4, 5, 6))
 
 
 def test_pinned_output_names_the_rows_in_table_order():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spdmeans.divergence as dvg
-from conftest import dirac_lebesgue_pair, rand_measure, rand_spd
+from conftest import assert_check, dirac_lebesgue_pair, rand_measure, rand_spd
 from spdmeans import (
     DomainError,
     NotPositiveDefinite,
@@ -75,6 +75,18 @@ def test_gradient_dirac_one_case():
     mu = product_measure(SMeasure.dirac(1.0), [(1.0, a)])
     g = riemannian_gradient(x, mu)
     assert np.linalg.norm(g + (a - x)) <= 1e-12 * (1 + np.linalg.norm(a))
+
+
+def test_gradient_finite_differences():
+    assert_check("divergence.gradient_fd", 8, 100, (2, 3, 4))
+
+
+def test_minimize_agrees_with_lambda_mean():
+    assert_check("divergence.argmin_equivalence", 12, 5, (2, 3, 4))
+
+
+def test_minimize_two_point_geometric():
+    assert_check("means.two_point_oracle", 10, 1, (3,))
 
 
 def test_minimize_single_atom():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_measure, rand_psd, rand_smeasure, rand_spd, rand_weights, sym
+from conftest import (assert_check, rand_measure, rand_psd, rand_smeasure, rand_spd, rand_weights,
+                      sym)
 from spdmeans import (
     DomainError,
     MonotonicityViolation,
@@ -169,6 +170,14 @@ def test_induced_mean_reparametrized_residual_vanishes():
     assert np.linalg.norm(total) <= 1e-8
 
 
+def test_induced_mean_t_monotone():
+    assert_check("means.t_monotone", 11, 1, (3,))
+
+
+def test_induced_mean_monotone_in_measure():
+    assert_check("means.monotone_induced", 12, 5, (3,))
+
+
 def test_induced_mean_nonconvergence_budget():
     rng = np.random.default_rng(10)
     mu = two_point(rng, 3)
@@ -260,6 +269,10 @@ def test_flat_quadrature_matches_per_atom_sums():
 # ---------------------------------------------------------------------------
 # power mean
 # ---------------------------------------------------------------------------
+
+
+def test_power_route_equivalence():
+    assert_check("means.power_route", 28, 1, (4,))
 
 
 def test_power_mean_single_matrix():
@@ -493,6 +506,14 @@ def test_newton_step_on_a_singular_jacobian_stalls():
     assert solver._newton_step(_visit(point, linear[0]), linear[1]) is None
     with pytest.raises(NonConvergence, match="stalled"):
         solver._solve_level(mats, linear, 0.5, _visit(point, linear[0]), 1e-12, 100)
+
+
+def test_lambda_mean_two_point_geometric():
+    assert_check("means.two_point_oracle", 19, 5, (2, 3, 4, 5))
+
+
+def test_lambda_mean_scalar_log_mean():
+    assert_check("means.scalar_karcher", 20, 1, (3,))
 
 
 def test_lambda_mean_dirac_endpoints():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_spd
+from conftest import assert_check, rand_spd
 from spdmeans import (
     DomainError,
     NotPositiveDefinite,
@@ -131,3 +131,14 @@ def test_contraction_factor_mean_edges():
     with pytest.raises(DomainError):
         contraction_factor_mean(0.5, 0.0, 1.0)
 
+
+def test_contraction_factor_affine_below_one():
+    assert_check("thompson.contraction_formulas", 13, 10000, (1,))
+
+
+def test_uniform_dominates_mean_factor():
+    assert_check("thompson.contraction_formulas", 17, 100, (1,))
+
+
+def test_empirical_contraction_below_factor():
+    assert_check("thompson.contraction_empirical", 19, 40, (2, 3, 4))
