@@ -1,6 +1,6 @@
 """Means of probability measures on the cone of SPD matrices.
 
-A numpy/scipy library for generalized operator means: induced means at a
+A numpy library for generalized operator means: induced means at a
 parameter t in (0, 1], their t -> 0 net limit (the generalized Karcher
 mean), matrix power means, the Thompson part metric with explicit
 contraction factors, operator monotone kernel families with representing

@@ -16,13 +16,15 @@ Continuous kinds are discretized once at construction: Lebesgue measure and
 custom densities by Gauss-Legendre, the power density by a Gauss-Jacobi
 rule matched to its endpoint singularity at s = 1 (plain Gauss-Legendre
 loses five to eight digits there; the Jacobi rule is exact for the mass and
-spectrally accurate for the kernels).
+spectrally accurate for the kernels).  The Jacobi rule is computed by
+Golub-Welsch (Golub & Welsch, Math. Comp. 23, 1969) from the eigenvectors
+of the weight's Jacobi matrix, whose weights sum to 1 up to rounding, so
+numpy alone builds it.
 """
 
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .core import (_eigh, _float_array, _is_count, _probability_weights, spd_stack, spectral_sum,
                    sym_matrix, whitened_eigh)
@@ -78,9 +80,19 @@ def _legendre_01(n):
 
 @lru_cache(maxsize=64)
 def _jacobi_01(n, t):
-    # weight (1-u)^(-t) (1+u)^t on [-1,1]; mapped to s^t (1-s)^(-t) on [0,1]
-    x, w = roots_jacobi(n, -t, t)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Golub-Welsch rule for ``s^t (1-s)^(-t) sin(t pi)/(t pi)`` on [0, 1]: (nodes, weights).
+
+    On [-1, 1] the weight is ``(1-u)^(-t) (1+u)^t``, whose Jacobi matrix has
+    diagonal ``(t, 0, ..., 0)`` and off-diagonal ``sqrt((k^2 - t^2)/(4k^2 - 1))``.
+    Its mass ``2 pi t / sin(pi t)`` cancels the density's scale, so the weights
+    are the squared first components of the eigenvectors and sum to 1.
+    """
+    k = np.arange(1.0, n)
+    off = np.sqrt((k * k - t * t) / (4.0 * k * k - 1.0))
+    jac = np.diag(off, 1) + np.diag(off, -1)
+    jac[0, 0] = t
+    x, v = _eigh(jac)
+    return 0.5 * (x + 1.0), v[0] ** 2
 
 
 def _node_count(nodes) -> int:
@@ -146,15 +158,15 @@ class SMeasure:
         """Density ``s^t (1-s)^(-t) sin(t pi)/(t pi)`` for t in (0, 1).
 
         Represents ``(x^t - 1)/t``.  Discretized by a Gauss-Jacobi rule for
-        the endpoint singularity, so the total mass is exact and kernel
-        integrals converge spectrally.
+        the endpoint singularity, computed by Golub-Welsch from the Jacobi
+        matrix's eigenvectors, so the weights sum to 1 up to rounding and
+        kernel integrals converge spectrally.
         """
         if not 0.0 < t < 1.0:
             raise MeasureError(f"power parameter must lie in (0, 1), got {t}")
         nodes = _node_count(nodes)
         x, w = _jacobi_01(nodes, float(t))
-        scale = np.sin(t * np.pi) / (t * np.pi)
-        return cls("power", {"t": float(t), "nodes": nodes}, x, scale * w)
+        return cls("power", {"t": float(t), "nodes": nodes}, x, w)
 
     @classmethod
     def custom(cls, density, nodes: int = DEFAULT_NODES) -> "SMeasure":

@@ -1,7 +1,14 @@
 import ast
+import json
 import pathlib
+import subprocess
+import sys
+
+import numpy as np
 
 import spdmeans
+from conftest import measure_json, rand_spd, subprocess_env
+from spdmeans import PMeasure, SMeasure, matrix_to_json
 
 
 def test_star_import_binds_every_exported_name():
@@ -62,3 +69,29 @@ def test_only_core_calls_eigh():
                 if name in ("eigh", "eigvalsh"):
                     callers.add(path.name)
     assert callers == {"core.py"}
+
+
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
+import spdmeans, spdmeans.cli
+a, b, measure = sys.argv[1:]
+for argv in (["metric", a, b], ["lambda", measure], ["verify", "--suite", "thompson", "--trials", "2"]):
+    code = spdmeans.cli.main(argv)
+    assert code == 0, (argv, code)
+"""
+
+
+def test_package_and_cli_run_without_scipy(tmp_path):
+    # scipy is a test-only dependency: the CLI must import and run with it absent,
+    # including any import made inside a function
+    rng = np.random.default_rng(7)
+    a, b = rand_spd(rng, 3), rand_spd(rng, 3)
+    mu = PMeasure([(0.5, a, SMeasure.power(0.3)), (0.5, b, SMeasure.lebesgue())])
+    paths = []
+    for name, obj in (("a", matrix_to_json(a)), ("b", matrix_to_json(b)), ("mu", measure_json(mu))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(obj))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, *map(str, paths)],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from conftest import measure_json, rand_psd, rand_spd, sym
 from spdmeans import (
@@ -234,6 +235,21 @@ def test_check_normalization():
 def test_power_density_mass():
     for t in (0.1, 0.2, 0.5, 0.8, 0.9):
         assert abs(SMeasure.power(t).weights.sum() - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 128])
+@pytest.mark.parametrize("t", [1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6])
+def test_power_rule_moments_nodes_and_mass(n, t):
+    rep = SMeasure.power(t, n)
+    # moment j of s^t (1-s)^(-t) sin(t pi)/(t pi) ds is B(j+t+1, 1-t) sin(t pi)/(t pi);
+    # an n-node Gauss rule is exact up to degree 2n - 1
+    scale = math.sin(t * math.pi) / (t * math.pi)
+    for j in range(min(2 * n, 12)):
+        exact = math.exp(math.lgamma(j + t + 1.0) + math.lgamma(1.0 - t) - math.lgamma(j + 2.0)) * scale
+        assert abs(rep.weights @ rep.nodes ** j - exact) <= 1e-10 * exact
+    x, _ = roots_jacobi(n, -t, t)
+    assert np.max(np.abs(rep.nodes - 0.5 * (x + 1.0))) <= 1e-14
+    assert abs(rep.weights.sum() - 1.0) <= 1e-14
 
 
 def test_custom_density_kind():
