@@ -17,18 +17,13 @@ from spdmeans import (
     weighted_arith,
     weighted_harm,
 )
+from spdmeans.verify import random_spd
 
 rng = np.random.default_rng(0)
 
 
-def rand_spd(n, lo=0.2, hi=5.0):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    d = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
-    return (q * d) @ q.T
-
-
 print("=== Two matrices, uniform [0,1]-measure: the classical Karcher mean ===")
-a, b = rand_spd(3), rand_spd(3)
+a, b = random_spd(rng, 3, 0.2, 5.0), random_spd(rng, 3, 0.2, 5.0)
 mu = product_measure(SMeasure.lebesgue(), [(0.5, a), (0.5, b)])
 
 print("induced means walk down the t-schedule, decreasing in the Loewner order:")
@@ -44,7 +39,7 @@ print(f"  whitened residual     = {rep.residual_norm:.3e}")
 
 print()
 print("=== Dirac endpoints recover the arithmetic and harmonic means ===")
-mats = [rand_spd(3) for _ in range(4)]
+mats = [random_spd(rng, 3, 0.2, 5.0) for _ in range(4)]
 w = [0.1, 0.2, 0.3, 0.4]
 pairs = list(zip(w, mats))
 arith = lambda_mean(product_measure(SMeasure.dirac(1.0), pairs)).mean

@@ -15,18 +15,13 @@ from spdmeans import (
     min_scaling,
     product_measure,
 )
+from spdmeans.verify import random_spd
 
 rng = np.random.default_rng(2)
 
 
-def rand_spd(n, lo=0.3, hi=3.0):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    d = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
-    return (q * d) @ q.T
-
-
 print("=== The part metric from extremal scalings ===")
-a, b = rand_spd(3), rand_spd(3)
+a, b = random_spd(rng, 3, 0.3, 3.0), random_spd(rng, 3, 0.3, 3.0)
 print(f"min alpha with A <= alpha B : {min_scaling(a, b):.6f}")
 print(f"min alpha with B <= alpha A : {min_scaling(b, a):.6f}")
 print(f"d(A, B) = max of the logs   : {distance(a, b):.6f}")
@@ -43,7 +38,7 @@ print("=== Explicit contraction factors vs measured contraction ===")
 print("the mean iteration X -> M(X, A) contracts Thompson balls;")
 print("the factor depends on (s, t) and the ball radius r:")
 print("s     t     r     factor    measured")
-anchor = rand_spd(3, 0.5, 2.0)
+anchor = random_spd(rng, 3, 0.5, 2.0)
 for s, t, r in [(0.2, 0.3, 1.0), (0.5, 0.5, 1.0), (0.8, 0.2, 2.0), (0.5, 0.9, 0.5)]:
     rho = contraction_factor_mean(s, t, r)
     mu = product_measure(SMeasure.dirac(s), [(1.0, anchor)])

@@ -19,7 +19,6 @@ from .core import (
     weighted_harm,
 )
 from .divergence import (
-    geodesic_convexity_check,
     logdet_divergence,
     minimize_divergence,
     objective,
@@ -69,8 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "congruence", "geometric_mean", "loewner_leq", "matrix_from_json", "matrix_to_json",
     "spd_matrix", "weighted_arith", "weighted_harm",
-    "geodesic_convexity_check", "logdet_divergence", "minimize_divergence",
-    "objective", "riemannian_gradient",
+    "logdet_divergence", "minimize_divergence", "objective", "riemannian_gradient",
     "DomainError", "EmptyInput", "Incomparable", "MeasureError",
     "MonotonicityViolation", "NonConvergence", "NotPositiveDefinite",
     "NumericalFailure", "ShapeError", "SingularTransform", "SpdMeansError",

@@ -45,9 +45,10 @@ def _sym(a):
     return 0.5 * (a + a.T)
 
 
-def _is_count(n) -> bool:
-    """True iff n is a whole number >= 1; NaN, infinities, bools and non-numbers are not."""
-    return isinstance(n, Real) and not isinstance(n, bool) and n >= 1 and float(n).is_integer()
+def _is_count(n, least=1) -> bool:
+    """True iff n is a whole number >= least; NaN, infinities, bools and non-numbers are not."""
+    return (isinstance(n, Real) and not isinstance(n, bool) and n >= least
+            and float(n).is_integer())
 
 
 def _float_array(a) -> np.ndarray:

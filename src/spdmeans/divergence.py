@@ -26,20 +26,13 @@ the t-schedule computes: the two must agree to solver tolerance.  It takes
 its settings from the solvers' SolverConfig (grad_tol, max_iters).
 """
 
-import logging
-import math
-
 import numpy as np
 
-from .core import (_arith, _is_count, geometric_mean, spd_stack, spectral_sum, sqrt_pair,
-                   whitened_eigh)
+from .core import spd_stack, whitened_eigh
 from .errors import DomainError, NotPositiveDefinite
 from .measures import PMeasure
 from .solver import (SolverConfig, SolverReport, _gate_point, _level_kernels, _solve,
                      karcher_residual)
-from .thompson import distance
-
-log = logging.getLogger(__name__)
 
 # 1/(s(1-s)) overflows the useful range below this margin; dispatch to the
 # closed-form endpoint divergences instead.
@@ -108,41 +101,3 @@ def minimize_divergence(mu: PMeasure, cfg: SolverConfig = None, on_step=None) ->
     return _solve(mu.weights, mu.matrices, _level_kernels(mu, 0.0), 0.0, cfg.grad_tol,
                   cfg.max_iters, on_step=hook)
 
-
-def geodesic_convexity_check(mu: PMeasure, trials: int, seed: int = 0) -> bool:
-    """Spot-check strict convexity of the objective along random geodesics.
-
-    Draws random SPD endpoint pairs scaled around the measure's arithmetic
-    mean and verifies the chord inequality at tau in {1/4, 1/2, 3/4} with a
-    1e-12 relative slack (strictly below the chord for distinct endpoints).
-    Returns False and logs the first counterexample found; DomainError unless
-    ``trials`` is a whole number of at least 1 (zero trials would check nothing).
-    """
-    if not _is_count(trials):
-        raise DomainError(f"convexity check needs at least one trial, got {trials!r}")
-    rng = np.random.default_rng(seed)
-    n = mu.dim
-    center = _arith(mu.weights, mu.matrices)
-    rc, _ = sqrt_pair(center)
-
-    def sample():
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        d = np.exp(rng.uniform(math.log(0.25), math.log(4.0), n))
-        return spectral_sum(q[None], d[None], rc)
-
-    for trial in range(int(trials)):
-        g0, g1 = sample(), sample()
-        f0, f1 = objective(g0, mu), objective(g1, mu)
-        distinct = distance(g0, g1) > 1e-8
-        for tau in (0.25, 0.5, 0.75):
-            fm = objective(geometric_mean(g0, g1, tau), mu)
-            chord = (1.0 - tau) * f0 + tau * f1
-            slack = 1e-12 * (1.0 + abs(chord))
-            violated = fm >= chord + slack if distinct else fm > chord + slack
-            if violated:
-                log.warning(
-                    "convexity violation at trial %d tau %.2f: F(geo)=%.17g chord=%.17g",
-                    trial, tau, fm, chord,
-                )
-                return False
-    return True

@@ -4,8 +4,8 @@
 dim)`` draws one case from the generators below and returns one bool per assertion,
 or an empty list when the draw does not apply (ball points closer than 1e-8, a bumped
 measure that ``measure_leq`` does not order).  ``draws`` is how many cases a run
-draws: ``"trials"``, ``"heavy"`` (``max(1, trials // 10)``, for checks that solve for
-means) or ``"once"``.  :func:`run_suite` runs a suite's rows in table order on one
+draws: ``"trials"`` or ``"heavy"`` (``max(1, trials // 10)``, for checks that solve
+for means).  :func:`run_suite` runs a suite's rows in table order on one
 ``default_rng(seed)`` stream and prints one ``name: passed/total`` line per row, so
 two runs with the same flags emit byte-identical output.
 
@@ -17,6 +17,7 @@ conditioning, while closed-form agreement also spends the quadrature error budge
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -41,9 +42,9 @@ def random_transform(rng, dim, lo=0.5, hi=2.0):
     return (q1 * sv) @ q2
 
 
-def random_weights(rng, k):
-    """Random simplex weights: uniform in [0.5, 1.5], normalized, the last one 1 minus the rest."""
-    w = rng.uniform(0.5, 1.5, k)
+def random_weights(rng, k, lo=0.5, hi=1.5):
+    """Random simplex weights: uniform in [lo, hi], normalized, the last one 1 minus the rest."""
+    w = rng.uniform(lo, hi, k)
     w = w / w.sum()
     w[-1] = 1.0 - w[:-1].sum()
     return w
@@ -56,9 +57,7 @@ def random_smeasure(rng):
         return monotone.SMeasure.dirac(float(rng.uniform(0.0, 1.0)))
     if kind == 1:
         k = int(rng.integers(2, 4))
-        v = rng.uniform(0.2, 1.0, k)
-        v = v / v.sum()
-        v[-1] = 1.0 - v[:-1].sum()
+        v = random_weights(rng, k, 0.2, 1.0)
         s = rng.uniform(0.0, 1.0, k)
         return monotone.SMeasure.from_atoms(list(zip(s, v)))
     if kind == 2:
@@ -144,16 +143,20 @@ def _contraction_formulas(rng, dim):
 
 
 def _contraction_empirical(rng, dim):
-    # the iteration map of dirac(s) x {A} contracts a ball around A by the mean factor
+    # the iteration map of dirac(s) x {A} contracts a ball around A by the mean factor: on a
+    # random pair of the ball, and on the commuting pairs e^(+-r) A, e^(+-r(1 - 1e-4)) A at
+    # its edge, whose ratio comes within 3% of the factor
     s, t, r = (float(v) for v in rng.uniform((0.1, 0.1, 0.5), (0.9, 0.9, 2.0)))
     anchor = random_spd(rng, dim, 0.5, 2.0)
     mu = measures.product_measure(monotone.SMeasure.dirac(s), [(1.0, anchor)])
-    x, y = (_ball_point(rng, anchor, r) for _ in range(2))
-    dxy = d(x, y)
-    if dxy <= 1e-8:
+    pairs = [tuple(_ball_point(rng, anchor, r) for _ in range(2))]
+    if d(*pairs[0]) <= 1e-8:
         return []
-    ratio = d(solver.iteration_map(x, t, mu), solver.iteration_map(y, t, mu)) / dxy
-    return [ratio <= thompson.contraction_factor_mean(s, t, r) + 1e-9]
+    pairs += [(math.exp(e * r) * anchor, math.exp(e * r * (1.0 - 1e-4)) * anchor)
+              for e in (1.0, -1.0)]
+    bound = thompson.contraction_factor_mean(s, t, r) + 1e-9
+    return [all(d(solver.iteration_map(x, t, mu), solver.iteration_map(y, t, mu)) / d(x, y)
+                <= bound for x, y in pairs)]
 
 
 def _means_case(rng, dim):
@@ -276,14 +279,26 @@ def _gradient_fd(rng, dim):
     return [abs(num - ana) <= 1e-5 * (1.0 + abs(ana))]
 
 
-def _second_difference(rng, dim):
-    # the objective along a geodesic has a nonnegative second difference
+def _geodesic_convexity(rng, dim):
+    # strict geodesic convexity of the objective F, on two geodesics g(u) = g0 #_u g1 with
+    # ends A^(1/2) W A^(1/2), A the atoms' arithmetic mean: F(g(u)) lies below the chord at
+    # u = 1/4, 1/2, 3/4 (strictly when the ends are apart), and F's second difference at a
+    # random u in [0.2, 0.8] is nonnegative
     mu = random_measure(rng, dim)
-    g0, g1 = random_spd(rng, dim, 0.5, 2.0), random_spd(rng, dim, 0.5, 2.0)
-    tau = float(rng.uniform(0.2, 0.8))
-    f = [divergence.objective(core.geometric_mean(g0, g1, u), mu)
-         for u in (tau - 1e-3, tau, tau + 1e-3)]
-    return [f[2] - 2.0 * f[1] + f[0] >= -1e-10]
+    rc = core.sqrt_pair(core._arith(mu.weights, mu.matrices))[0]
+    ok = []
+    for _ in range(2):
+        g0, g1 = (core._sym(rc @ random_spd(rng, dim, 0.25, 4.0) @ rc) for _ in range(2))
+        tau = float(rng.uniform(0.2, 0.8))
+        f0, f1 = divergence.objective(g0, mu), divergence.objective(g1, mu)
+        rs, _, lam, q = core.whitened_eigh(g0, g1[None])  # g0 #_u g1 = rs q lam^u q.T rs
+        f = [divergence.objective(core.spectral_sum(q, lam**u, rs), mu)
+             for u in (0.25, 0.5, 0.75, tau - 1e-3, tau, tau + 1e-3)]
+        chords = [(1.0 - u) * f0 + u * f1 for u in (0.25, 0.5, 0.75)]
+        below = operator.lt if d(g0, g1) > 1e-8 else operator.le
+        ok.append(all(below(fu, c + 1e-12 * (1.0 + abs(c))) for fu, c in zip(f, chords))
+                  and f[5] - 2.0 * f[4] + f[3] >= -1e-10)
+    return ok
 
 
 # (name, draws, check), in the order verify runs and prints them
@@ -324,29 +339,28 @@ CHECKS = (
     ("divergence.gradient_fd", "trials", _gradient_fd),
     ("divergence.argmin_equivalence", "heavy", _on_measure(
         lambda mu, _: d(divergence.minimize_divergence(mu).mean, _lambda(mu)) <= 1e-6)),
-    ("divergence.geodesic_convexity", "once", _on_measure(  # along 100 random geodesics
-        lambda mu, seed: divergence.geodesic_convexity_check(mu, 100, seed=seed),
-        lambda rng, dim: int(rng.integers(1 << 31)))),
-    ("divergence.second_difference", "trials", _second_difference),
+    ("divergence.geodesic_convexity", "trials", _geodesic_convexity),
 )
 
 
 def run_suite(suite, seed, dim, trials, out=print):
     """Run one named suite (or ``all``); returns True when every check passed.
 
-    Raises SpdMeansError for an unknown suite, for ``trials < 1`` or ``dim < 1``, where
-    a run would check nothing, and for a negative seed, which numpy rejects.
+    Raises SpdMeansError for an unknown suite, unless ``trials`` and ``dim`` are whole
+    numbers of at least 1 (a run over nothing would pass vacuously), and unless ``seed``
+    is a whole number of at least 0, as numpy requires.
     """
     if suite not in SUITES:
         raise SpdMeansError(f"unknown suite {suite!r}, expected one of {SUITES}")
-    if not (trials >= 1 and dim >= 1 and seed >= 0):
-        raise SpdMeansError("verify needs trials >= 1, dim >= 1 and seed >= 0, "
-                            f"got {trials}, {dim} and {seed}")
+    if not (core._is_count(trials) and core._is_count(dim) and core._is_count(seed, 0)):
+        raise SpdMeansError("verify needs trials >= 1, dim >= 1 and seed >= 0, all whole "
+                            f"numbers, got {trials!r}, {dim!r} and {seed!r}")
+    seed, dim, trials = int(seed), int(dim), int(trials)
     rng = np.random.default_rng(seed)
     passed = total = 0
     for name, draws, check in CHECKS:
         if suite == "all" or name.startswith(suite + "."):
-            n = {"trials": trials, "heavy": max(1, trials // 10), "once": 1}[draws]
+            n = trials if draws == "trials" else max(1, trials // 10)
             results = [bool(r) for _ in range(n) for r in check(rng, dim)]
             passed, total = passed + sum(results), total + len(results)
             out(f"{name}: {sum(results)}/{len(results)}")

@@ -12,6 +12,7 @@ from conftest import dirac_lebesgue_pair, measure_json, rand_spd, subprocess_env
 from spdmeans import (
     SMeasure,
     SolverConfig,
+    SpdMeansError,
     cli,
     distance,
     geometric_mean,
@@ -21,6 +22,7 @@ from spdmeans import (
     minimize_divergence,
     pmeasure_from_json,
     product_measure,
+    verify,
 )
 
 
@@ -303,6 +305,15 @@ def test_verify_rejects_a_run_that_checks_nothing(capsys, flag, value):
     assert cli.main(["verify", "--suite", "thompson", "--trials", "2", "--dim", "2",
                      flag, value]) == 1
     assert capsys.readouterr().err.startswith("error: verify needs trials >= 1, dim >= 1")
+
+
+@pytest.mark.parametrize("bad", [{"trials": 1.5}, {"dim": 2.5}, {"seed": 1.5}, {"trials": True}],
+                         ids=["trials=1.5", "dim=2.5", "seed=1.5", "trials=True"])
+def test_run_suite_rejects_a_non_whole_count_or_seed(bad):
+    # a typed input error, not numpy's TypeError, and True is not one trial
+    args = {"suite": "thompson", "seed": 0, "dim": 2, "trials": 2, **bad}
+    with pytest.raises(SpdMeansError, match="all whole numbers"):
+        verify.run_suite(**args, out=lambda line: None)
 
 
 def test_verify_small_run_passes():

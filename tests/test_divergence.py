@@ -6,12 +6,10 @@ import pytest
 import spdmeans.divergence as dvg
 from conftest import assert_check, dirac_lebesgue_pair, rand_measure, rand_spd
 from spdmeans import (
-    DomainError,
     NotPositiveDefinite,
     SMeasure,
     SolverConfig,
     distance,
-    geodesic_convexity_check,
     geometric_mean,
     lambda_mean,
     logdet_divergence,
@@ -179,10 +177,8 @@ def test_geodesic_convexity_trivial_and_random():
     for tau in (0.25, 0.5, 0.75):
         fm = objective(geometric_mean(g0, g0, tau), mu)
         assert abs(fm - f0) <= 1e-10 * (1 + abs(f0))
-    # no trial checks nothing, and must not report convexity; a trial count is whole
-    for trials in (0, -3, 1.5, True):
-        with pytest.raises(DomainError, match="at least one trial"):
-            geodesic_convexity_check(mu, trials)
+    # the Tier-1 grid runs the row at dim 3; these 40 geodesics are at dims 2 and 4
+    assert_check("divergence.geodesic_convexity", 13, 20, (2, 4))
 
 
 def test_geodesic_convexity_scalar_case():

@@ -26,14 +26,16 @@ def test_removed_names_stay_removed():
     # a test differentiates a represented function at 1; the scalar kernels are
     # eval_monotone of a Dirac measure, no command writes measure JSON, a matrix
     # function is monotone._apply, and sym_matrix and smeasure_from_json are
-    # module functions behind spd_matrix and pmeasure_from_json
+    # module functions behind spd_matrix and pmeasure_from_json; geodesic convexity is
+    # verify's divergence.geodesic_convexity row
     for name in ("RgdConfig", "integrate", "transpose_measure", "mean_kernel_inv",
                  "SpectralDecomposition", "spectral", "spd_power", "check_normalization",
                  "log_kernel", "log_kernel_inv", "harmonic_kernel", "mean_kernel",
                  "smeasure_to_json", "pmeasure_to_json", "apply_scalar_fn", "sym_matrix",
-                 "smeasure_from_json"):
+                 "smeasure_from_json", "geodesic_convexity_check"):
         assert name not in spdmeans.__all__
         assert not hasattr(spdmeans, name)
+    assert not hasattr(spdmeans.divergence, "geodesic_convexity_check")
 
 
 def _used_names(path):
@@ -76,7 +78,7 @@ import sys
 sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
 import spdmeans, spdmeans.cli
 a, b, measure = sys.argv[1:]
-for argv in (["metric", a, b], ["lambda", measure], ["verify", "--suite", "thompson", "--trials", "2"]):
+for argv in (["metric", a, b], ["lambda", measure], ["verify", "--suite", "all", "--trials", "2"]):
     code = spdmeans.cli.main(argv)
     assert code == 0, (argv, code)
 """
