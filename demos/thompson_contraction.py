@@ -15,7 +15,8 @@ from spdmeans import (
     min_scaling,
     product_measure,
 )
-from spdmeans.verify import random_spd
+from spdmeans.core import sqrt_pair
+from spdmeans.verify import random_ball_point, random_spd
 
 rng = np.random.default_rng(2)
 
@@ -39,20 +40,13 @@ print("the mean iteration X -> M(X, A) contracts Thompson balls;")
 print("the factor depends on (s, t) and the ball radius r:")
 print("s     t     r     factor    measured")
 anchor = random_spd(rng, 3, 0.5, 2.0)
+root = sqrt_pair(anchor)[0]
 for s, t, r in [(0.2, 0.3, 1.0), (0.5, 0.5, 1.0), (0.8, 0.2, 2.0), (0.5, 0.9, 0.5)]:
     rho = contraction_factor_mean(s, t, r)
     mu = product_measure(SMeasure.dirac(s), [(1.0, anchor)])
     measured = 0.0
     for _ in range(20):
-        w, q = np.linalg.eigh(anchor)
-        rs = (q * np.sqrt(w)) @ q.T
-        def ball_point():
-            g = rng.standard_normal((3, 3))
-            g = 0.5 * (g + g.T)
-            lam, u = np.linalg.eigh(g)
-            scale = r * rng.uniform(0.2, 1.0) / np.abs(lam).max()
-            return rs @ ((u * np.exp(scale * lam)) @ u.T) @ rs
-        x, y = ball_point(), ball_point()
+        x, y = random_ball_point(rng, root, r), random_ball_point(rng, root, r)
         dxy = distance(x, y)
         if dxy > 1e-10:
             measured = max(

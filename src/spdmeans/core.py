@@ -164,9 +164,9 @@ def spectral_sum(q, vals, rs=None) -> np.ndarray:
 def congruence(c, a) -> np.ndarray:
     """Congruence transform ``C A C.T``.
 
-    Raises :class:`DomainError` for a non-finite entry of ``C`` and
-    :class:`SingularTransform` when ``C`` is numerically singular (condition
-    estimate above 1e14 or infinite).
+    Raises :class:`DomainError` for a non-finite entry of ``C`` or of the
+    product, and :class:`SingularTransform` when ``C`` is numerically singular
+    (condition estimate above 1e14 or infinite).
     """
     c, a = _float_array(c), sym_matrix(a)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -178,7 +178,11 @@ def congruence(c, a) -> np.ndarray:
     cond = np.linalg.cond(c)
     if not cond <= 1e14:
         raise SingularTransform(f"transform is numerically singular (cond {cond:.3e})")
-    return _sym(c @ a @ c.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _sym(c @ a @ c.T)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("congruence overflows the float range")
+    return out
 
 
 def geometric_mean(a, b, t: float) -> np.ndarray:
@@ -200,8 +204,10 @@ def loewner_leq(a, b, tol: float = LOEWNER_TOL) -> bool:
     """Test ``A <= B`` in the Loewner (positive semidefinite) order.
 
     True iff ``lambda_min(B - A) >= -tol * (1 + ||B - A||_F)``; A and B pass
-    :func:`sym_matrix`.
+    :func:`sym_matrix`.  DomainError unless tol is finite and nonnegative.
     """
+    if not 0.0 <= tol < np.inf:
+        raise DomainError(f"Loewner tolerance must be finite and nonnegative, got {tol!r}")
     a, b = sym_matrix(a), sym_matrix(b)
     if a.shape != b.shape:
         raise ShapeError("operands must share dimensions")

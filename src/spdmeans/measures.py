@@ -7,17 +7,22 @@ marginals are out of scope: every construction in the underlying theory
 that we evaluate numerically has finitely many matrix atoms, while the
 [0, 1] marginal may be continuous (handled by quadrature inside SMeasure).
 
-The atoms' [0, 1] quadratures are kept as one flat rule over all atoms: a
-kernel is evaluated on every (atom, node) pair in one array pass and summed
-per atom by ``np.add.reduceat`` in a fixed order, so reruns are bit-identical.
+Every integral against a measure is a :class:`PMeasure` method, on one private
+flat rule over all atoms' [0, 1] quadratures: a kernel is evaluated on every (atom,
+node) pair in one array pass and summed per atom by ``np.add.reduceat`` in a fixed
+order, so reruns are bit-identical.
 """
 
 import numpy as np
 
 from .core import (_float_array, _probability_weights, congruence, loewner_leq, matrix_from_json,
                    spd_stack)
-from .errors import Incomparable, MeasureError
-from .monotone import SMeasure, _frozen, smeasure_from_json
+from .errors import Incomparable, MeasureError, NotPositiveDefinite
+from .monotone import SMeasure, _frozen, _kernel_terms, smeasure_from_json
+
+# 1/(s(1-s)) overflows the useful range below this margin; dispatch to the
+# closed-form endpoint divergences instead.
+_ENDPOINT = 1e-8
 
 
 class PMeasure:
@@ -32,14 +37,14 @@ class PMeasure:
         once, as the read-only (k, n, n) stack ``matrices`` and vector
         ``weights``; ``atoms`` holds views into that stack.
 
-    The flat quadrature is read-only too: over all M nodes of all atoms,
-    ``nodes`` (M,) and ``node_weights`` (M,) hold each atom's ``nu.nodes``
-    and ``w_k * omega_m``, ``owner`` (M,) the atom of each node and ``starts``
-    (k,) each atom's first node, so ``np.add.reduceat(terms, starts)`` sums
-    per-node terms per atom.
+    :meth:`kernels` and :meth:`divergence` read the private flat rule: over all M nodes,
+    ``_nodes`` (M,) and ``_node_weights`` (M,) hold each atom's ``nu.nodes`` and ``w_k *
+    omega_m``, ``_owner`` (M,) the atom of each node and ``_starts`` (k,) each atom's
+    first node, so ``np.add.reduceat(terms, _starts)`` sums per-node terms per atom.
     """
 
-    __slots__ = ("atoms", "dim", "matrices", "weights", "nodes", "node_weights", "owner", "starts")
+    __slots__ = ("atoms", "dim", "matrices", "weights", "_nodes", "_node_weights", "_owner",
+                 "_starts")
 
     def __init__(self, atoms):
         atoms = list(atoms)
@@ -58,15 +63,67 @@ class PMeasure:
         self.atoms = tuple((float(wk), m, nu) for wk, m, nu in zip(w, self.matrices, nus))
         self.dim = mats.shape[1]
         counts = [len(nu.nodes) for nu in nus]
-        self.nodes = _frozen(np.concatenate([nu.nodes for nu in nus]))
-        self.owner = np.repeat(np.arange(len(nus)), counts)
-        self.node_weights = _frozen(w[self.owner] * np.concatenate([nu.weights for nu in nus]))
-        self.starts = np.cumsum(counts) - counts
-        self.owner.setflags(write=False)
-        self.starts.setflags(write=False)
+        self._nodes = _frozen(np.concatenate([nu.nodes for nu in nus]))
+        self._owner = np.repeat(np.arange(len(nus)), counts)
+        self._node_weights = _frozen(w[self._owner] * np.concatenate([nu.weights for nu in nus]))
+        self._starts = np.cumsum(counts) - counts
+        self._owner.setflags(write=False)
+        self._starts.setflags(write=False)
 
     def __len__(self):
         return len(self.atoms)
+
+    def kernels(self, t: float):
+        """Per-atom kernel of R_t (t = 0: Karcher) and its divided differences, on spectra (k, n).
+
+        Atom k is ``w_k sum_m omega_m (x - 1)/(a_m x + s_m)``, ``s_m = t + s(1 - t)``,
+        ``a_m = 1 - s_m``; each term's divided difference is ``1/((a_m x + s_m)(a_m y + s_m))``.
+        """
+        s = (t + self._nodes * (1.0 - t))[:, None]
+        omega, owner, starts = self._node_weights[:, None], self._owner, self._starts
+
+        def kernel(lam):
+            return np.add.reduceat(_kernel_terms(s, omega, lam[owner]), starts)
+
+        def divdiff(lam):
+            v = 1.0 / ((1.0 - s) * lam[owner] + s)
+            return np.add.reduceat((omega * v)[:, :, None] * v[:, None, :], starts)
+
+        return kernel, divdiff
+
+    @staticmethod
+    def power_kernels(w, t: float):
+        """Closed-form power kernel ``w_k (x^t - 1)/t`` and its divided differences, as kernels().
+
+        ``(x^t - y^t)/(t(x - y)) = y^(t-1) expm1(t(u - v))/(t expm1(u - v))`` with
+        ``u, v = log x, log y``, and ``y^(t-1)`` where ``u = v``.
+        """
+        def kernel(lam):
+            return w[:, None] * np.expm1(t * np.log(lam)) / t
+
+        def divdiff(lam):
+            u = np.log(lam)
+            d = u[:, :, None] - u[:, None, :]
+            with np.errstate(invalid="ignore"):
+                ratio = np.where(d == 0.0, 1.0, np.expm1(t * d) / (t * np.expm1(d)))
+            return w[:, None, None] * np.exp((t - 1.0) * u)[:, None, :] * ratio
+
+        return kernel, divdiff
+
+    def divergence(self, lam) -> float:
+        """``sum_k w_k int LD_s(X, A_k) d nu_k(s)`` from the atoms' whitened spectra (k, n) at X.
+
+        NotPositiveDefinite unless every eigenvalue is positive (a NaN is not).
+        """
+        w, s = lam[self._owner], self._nodes[:, None]
+        if not np.all(w > 0.0):
+            raise NotPositiveDefinite("divergence of a non-positive matrix")
+        logw = np.log(w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mid = (np.log((1.0 - s) * w + s) - (1.0 - s) * logw) / (s * (1.0 - s))
+        terms = np.where(s <= _ENDPOINT, 1.0 / w - 1.0 + logw,
+                         np.where(s >= 1.0 - _ENDPOINT, w - 1.0 - logw, mid))
+        return float(self._node_weights @ np.sum(terms, axis=1))
 
     def matrix_pairs(self):
         """The matrix marginal as ``[(weight, matrix), ...]``."""

@@ -9,20 +9,20 @@ each vanishing at 1 with unit derivative there, pinched between ``1 - 1/x``
 (s = 0) and ``x - 1`` (s = 1).  So a measure on [0, 1] *is* the function:
 Dirac measures give single kernels, Lebesgue measure gives ``log``, and the
 power density ``s^t (1-s)^(-t) sin(t pi)/(t pi)`` gives ``(x^t - 1)/t``.  An
-:class:`SMeasure` stores the measure as a quadrature rule (nodes, weights),
-which makes every downstream integral a weighted sum over nodes.
+:class:`SMeasure` stores the measure as a quadrature rule (nodes, weights), read
+only here and in :mod:`spdmeans.measures`, whose methods integrate against it.
 
-Continuous kinds are discretized once at construction: Lebesgue measure and
-custom densities by Gauss-Legendre, the power density by a Gauss-Jacobi
-rule matched to its endpoint singularity at s = 1 (plain Gauss-Legendre
-loses five to eight digits there; the Jacobi rule is exact for the mass and
-spectrally accurate for the kernels).  The Jacobi rule is computed by
-Golub-Welsch (Golub & Welsch, Math. Comp. 23, 1969) from the eigenvectors
-of the weight's Jacobi matrix, whose weights sum to 1 up to rounding, so
-numpy alone builds it.
+Continuous kinds are discretized once at construction: Lebesgue measure by
+Gauss-Legendre, the power density by a Gauss-Jacobi rule matched to its
+endpoint singularity at s = 1 (plain Gauss-Legendre loses five to eight digits
+there; the Jacobi rule is exact for the mass and spectrally accurate for the
+kernels).  The Jacobi rule is computed by Golub-Welsch (Golub & Welsch, Math.
+Comp. 23, 1969) from the eigenvectors of the weight's Jacobi matrix, whose
+weights sum to 1 up to rounding, so numpy alone builds it.
 """
 
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -55,16 +55,9 @@ def _apply(x, fn):
     return float(fw[0]) if q is None else spectral_sum(q[None], fw[None])
 
 
-def log_kernel_grid(s, x):
-    """The kernels ``(x - 1)/((1 - s) x + s)`` on an outer grid: s (m,) by x (k,)."""
-    s = np.asarray(s, dtype=float)[:, None]
-    x = np.asarray(x, dtype=float)[None, :]
-    return (x - 1.0) / ((1.0 - s) * x + s)
-
-
-def x_over_affine(s, w):
-    """Elementwise ``w / ((1 - s) w + s) = ((1 - s) + s/w)^-1`` on an eigenvalue array."""
-    return w / ((1.0 - s) * w + s)
+def _kernel_terms(s, omega, x):
+    """``omega (x - 1)/((1 - s) x + s)``: the kernel of eval_monotone and PMeasure.kernels."""
+    return omega * (x - 1.0) / ((1.0 - s) * x + s)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +95,13 @@ def _node_count(nodes) -> int:
     return int(nodes)
 
 
+def _real(x, what) -> float:
+    """``x`` as a float; MeasureError unless it is a real number (a string is not)."""
+    if not isinstance(x, Real):
+        raise MeasureError(f"{what} must be a number, got {x!r}")
+    return float(x)
+
+
 def _frozen(a):
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -111,8 +111,8 @@ def _frozen(a):
 class SMeasure:
     """Probability measure on [0, 1], stored as a quadrature rule.
 
-    Build one with :meth:`dirac`, :meth:`from_atoms`, :meth:`lebesgue`,
-    :meth:`power` or :meth:`custom`.  ``nodes`` and ``weights`` are
+    Build one with :meth:`dirac`, :meth:`from_atoms`, :meth:`lebesgue` or
+    :meth:`power`.  ``nodes`` and ``weights`` are
     read-only arrays with ``sum(weights) = 1`` up to the quadrature scheme,
     and every integral against the measure is ``sum(weights * g(nodes))``.
     """
@@ -130,14 +130,18 @@ class SMeasure:
     @classmethod
     def dirac(cls, s: float) -> "SMeasure":
         """Point mass at ``s`` in [0, 1]."""
+        s = _real(s, "dirac location")
         if not 0.0 <= s <= 1.0:
             raise MeasureError(f"dirac location must lie in [0, 1], got {s}")
-        return cls("dirac", {"s": float(s)}, [s], [1.0])
+        return cls("dirac", {"s": s}, [s], [1.0])
 
     @classmethod
     def from_atoms(cls, points) -> "SMeasure":
         """Finite atomic measure from ``[(s_j, v_j), ...]`` with positive v summing to 1."""
-        pts = [(float(s), float(v)) for s, v in points]
+        try:
+            pts = [(float(s), float(v)) for s, v in points]
+        except (TypeError, ValueError) as exc:
+            raise MeasureError(f"atoms must be (location, weight) number pairs: {exc}") from exc
         if not pts:
             raise MeasureError("atomic measure needs at least one atom")
         s = np.array([p[0] for p in pts])
@@ -162,42 +166,14 @@ class SMeasure:
         matrix's eigenvectors, so the weights sum to 1 up to rounding and
         kernel integrals converge spectrally.
         """
+        t = _real(t, "power parameter")
         if not 0.0 < t < 1.0:
             raise MeasureError(f"power parameter must lie in (0, 1), got {t}")
         nodes = _node_count(nodes)
-        x, w = _jacobi_01(nodes, float(t))
-        return cls("power", {"t": float(t), "nodes": nodes}, x, w)
-
-    @classmethod
-    def custom(cls, density, nodes: int = DEFAULT_NODES) -> "SMeasure":
-        """Density given by a callable on (0, 1), integrated by plain Gauss-Legendre.
-
-        The node count is fixed at construction (no adaptivity) so results
-        are reproducible; the caller owns the accuracy of the density.
-        """
-        nodes = _node_count(nodes)
-        x, w = _legendre_01(nodes)
-        d = np.asarray([float(density(s)) for s in x])
-        if np.any(d < 0.0) or not np.all(np.isfinite(d)):
-            raise MeasureError("density must be finite and nonnegative on the nodes")
-        return cls("custom", {"nodes": nodes}, x, w * d)
+        x, w = _jacobi_01(nodes, t)
+        return cls("power", {"t": t, "nodes": nodes}, x, w)
 
     # -- structure ----------------------------------------------------------
-
-    def transpose(self) -> "SMeasure":
-        """Reflected measure ``nu'(s) = nu(1 - s)``, representing the transposed mean.
-
-        ``eval_mean(nu.transpose(), A, B) = eval_mean(nu, B, A)``.
-        """
-        if self.kind == "dirac":
-            return SMeasure.dirac(1.0 - self.params["s"])
-        if self.kind == "atoms":
-            return SMeasure.from_atoms(
-                [(1.0 - s, v) for s, v in self.params["points"]]
-            )
-        if self.kind == "lebesgue":
-            return SMeasure.lebesgue(self.params["nodes"])
-        return SMeasure(self.kind, dict(self.params), 1.0 - self.nodes, self.weights)
 
     def same_structure(self, other: "SMeasure") -> bool:
         """True when both measures have the same kind and their nodes and weights agree to 1e-12."""
@@ -229,7 +205,7 @@ def eval_monotone(rep: SMeasure, x):
     measure this is ``log x``, for the power measure ``(x^t - 1)/t``.
     Accepts a positive scalar or an SPD matrix.
     """
-    return _apply(x, lambda w: rep.weights @ log_kernel_grid(rep.nodes, w))
+    return _apply(x, lambda w: rep.weights @ _kernel_terms(rep.nodes[:, None], 1.0, w))
 
 
 def eval_mean(nu: SMeasure, a, b):
@@ -243,7 +219,8 @@ def eval_mean(nu: SMeasure, a, b):
     rs, _, lam, q = whitened_eigh(a, b[None])
     if not np.all(lam > 0.0):
         raise NotPositiveDefinite("mean operands must be positive definite")
-    return spectral_sum(q, nu.weights @ x_over_affine(nu.nodes[:, None], lam), rs)
+    s = nu.nodes[:, None]
+    return spectral_sum(q, nu.weights @ (lam / ((1.0 - s) * lam + s)), rs)
 
 
 # ---------------------------------------------------------------------------

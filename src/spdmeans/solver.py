@@ -20,8 +20,9 @@ residual that we evaluate directly, without the catastrophic cancellation of
 forming ``T_t(X) - X`` at small t.  Every solve, at each level and at t = 0
 (the divergence minimizer), is one damped Newton iteration on the whitened
 residual: an exact Newton step in whitened coordinates ``X^(1/2)(I + E)X^(1/2)``,
-its Jacobian built in closed form from the kernels' divided differences
-(Daleckii-Krein; Higham, Functions of Matrices, 2008, 3.2), halved in length
+its Jacobian built in closed form from the divided differences of the kernels the
+measure supplies (``mu.kernels(t)``; Daleckii-Krein; Higham, Functions of Matrices,
+2008, 3.2), halved in length
 until the residual decreases (Absil, Mahony and Sepulchre, Optimization
 Algorithms on Matrix Manifolds, 2008, ch. 6).  Newton keeps the cost bounded
 as t shrinks (plain iteration needs O(1/t) steps, Newton a handful) and, being
@@ -154,47 +155,6 @@ def _visit(point, kernel):
     return point, float(np.linalg.norm(g)), phi, g
 
 
-def _level_kernels(mu: PMeasure, t: float):
-    """Per-atom kernel of R_t (t = 0: Karcher) and its divided differences.
-
-    Atom k is ``w_k sum_m omega_m (x - 1)/(a_m x + s_m)``, ``s_m = t + s(1 - t)``,
-    ``a_m = 1 - s_m``; each term's divided difference is ``1/((a_m x + s_m)(a_m y + s_m))``.
-    Both are evaluated on the measure's flat quadrature and summed per atom.
-    """
-    s = (t + mu.nodes * (1.0 - t))[:, None]
-
-    def kernel(lam):
-        x = lam[mu.owner]
-        return np.add.reduceat(mu.node_weights[:, None] * (x - 1.0) / ((1.0 - s) * x + s),
-                               mu.starts)
-
-    def divdiff(lam):
-        v = 1.0 / ((1.0 - s) * lam[mu.owner] + s)
-        return np.add.reduceat((mu.node_weights[:, None] * v)[:, :, None] * v[:, None, :],
-                               mu.starts)
-
-    return kernel, divdiff
-
-
-def _power_kernels(w, t: float):
-    """Closed-form power kernel ``w_k (x^t - 1)/t`` and its divided differences.
-
-    ``(x^t - y^t)/(t(x - y)) = y^(t-1) expm1(t(u - v))/(t expm1(u - v))`` with
-    ``u, v = log x, log y``, and ``y^(t-1)`` where ``u = v``.
-    """
-    def kernel(lam):
-        return w[:, None] * np.expm1(t * np.log(lam)) / t
-
-    def divdiff(lam):
-        u = np.log(lam)
-        d = u[:, :, None] - u[:, None, :]
-        with np.errstate(invalid="ignore"):
-            ratio = np.where(d == 0.0, 1.0, np.expm1(t * d) / (t * np.expm1(d)))
-        return w[:, None, None] * np.exp((t - 1.0) * u)[:, None, :] * ratio
-
-    return kernel, divdiff
-
-
 def _gate_point(x, mu: PMeasure) -> np.ndarray:
     """A caller's point X through :func:`spd_matrix`, of the measure's dimension."""
     x = spd_matrix(x)
@@ -211,7 +171,7 @@ def karcher_residual(x, mu: PMeasure) -> np.ndarray:
     symmetric, and zero exactly at the Karcher mean of the measure.
     """
     rs, _, lam, q = whitened_eigh(_gate_point(x, mu), mu.matrices)
-    return spectral_sum(q, _level_kernels(mu, 0.0)[0](lam), rs)
+    return spectral_sum(q, mu.kernels(0.0)[0](lam), rs)
 
 
 def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
@@ -226,7 +186,7 @@ def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     x = _gate_point(x, mu)
     rs, _, lam, q = whitened_eigh(x, mu.matrices)
-    r = spectral_sum(q, _level_kernels(mu, t)[0](lam), rs)
+    r = spectral_sum(q, mu.kernels(t)[0](lam), rs)
     return _sym(x + t * r)  # R_t(X) = (T_t(X) - X)/t evaluated directly
 
 
@@ -351,7 +311,7 @@ def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverRepo
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
-    return _solve(mu.weights, mu.matrices, _level_kernels(mu, t), t, cfg.fp_tol, cfg.max_iters)
+    return _solve(mu.weights, mu.matrices, mu.kernels(t), t, cfg.fp_tol, cfg.max_iters)
 
 
 def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
@@ -365,7 +325,7 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
     w, mats = _check_weights(sigma)
-    return _solve(w, mats, _power_kernels(w, t), t, cfg.fp_tol, cfg.max_iters)
+    return _solve(w, mats, PMeasure.power_kernels(w, t), t, cfg.fp_tol, cfg.max_iters)
 
 
 def _lagrange(history, t):
@@ -421,12 +381,12 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     point = _point(_arith(mu.weights, mats), mats)
     history = [(1.0, point[0])]  # L_1 is the weighted arithmetic mean
     t = 0.5
-    karcher = _level_kernels(mu, 0.0)[0]
+    karcher = mu.kernels(0.0)[0]
     prev = e_prev = None
     trace = []
     total = 0
     for _ in range(200):
-        kernels = _level_kernels(mu, t)
+        kernels = mu.kernels(t)
         start = _predicted_start(history, t, point, mats, kernels[0])
         level, iters = _solve_level(mats, kernels, t, start, cfg.fp_tol, cfg.max_iters, total)
         point = level[0]

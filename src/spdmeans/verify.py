@@ -76,12 +76,12 @@ def _psd_bump(rng, dim, scale=0.3):
     return scale * core._sym(g @ g.T)
 
 
-def _ball_point(rng, anchor, r):
-    """Random point of the closed Thompson ball of radius r around the anchor."""
-    n = anchor.shape[0]
+def random_ball_point(rng, root, r):
+    """Random point of the closed Thompson ball of radius r around the anchor ``root @ root``."""
+    n = root.shape[0]
     w, q = core._eigh(core._sym(rng.standard_normal((n, n))))
     scale = r * float(rng.uniform(0.2, 1.0)) / max(abs(w[0]), abs(w[-1]))
-    return core.spectral_sum(q[None], np.exp(scale * w)[None], core.sqrt_pair(anchor)[0])
+    return core.spectral_sum(q[None], np.exp(scale * w)[None], root)
 
 
 _TOL = 1e-10  # the Thompson identities
@@ -149,7 +149,8 @@ def _contraction_empirical(rng, dim):
     s, t, r = (float(v) for v in rng.uniform((0.1, 0.1, 0.5), (0.9, 0.9, 2.0)))
     anchor = random_spd(rng, dim, 0.5, 2.0)
     mu = measures.product_measure(monotone.SMeasure.dirac(s), [(1.0, anchor)])
-    pairs = [tuple(_ball_point(rng, anchor, r) for _ in range(2))]
+    root = core.sqrt_pair(anchor)[0]
+    pairs = [tuple(random_ball_point(rng, root, r) for _ in range(2))]
     if d(*pairs[0]) <= 1e-8:
         return []
     pairs += [(math.exp(e * r) * anchor, math.exp(e * r * (1.0 - 1e-4)) * anchor)

@@ -117,6 +117,16 @@ def test_congruence_basics_and_roundtrip():
         congruence(np.zeros((3, 3)), a)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e200 * np.eye(2), 1e155 * np.array([[1.0, 1.0], [0.0, 1.0]])],
+                         ids=["scaled", "sheared"])
+def test_congruence_that_overflows_raises_domain_error(c):
+    # a well-conditioned, finite C whose C A C.T leaves the float range is an error,
+    # not a matrix of inf, and no overflow warning escapes
+    with pytest.raises(DomainError):
+        congruence(c, np.eye(2))
+
+
 def test_geometric_mean_cases():
     rng = np.random.default_rng(17)
     a = rand_spd(rng, 3)
@@ -267,6 +277,13 @@ def test_loewner_order():
     assert not loewner_leq(np.diag([2.0, 2.0]), np.diag([1.0, 3.0]), 1e-12)
     with pytest.raises(ShapeError):
         loewner_leq(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+def test_loewner_tolerance_must_be_finite_and_nonnegative(tol):
+    # a NaN tolerance made every comparison False: 2I >= I read as unordered
+    with pytest.raises(DomainError):
+        loewner_leq(np.eye(2), 2 * np.eye(2), tol)
 
 
 def test_weighted_means():

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-import spdmeans.divergence as dvg
 from conftest import assert_check, dirac_lebesgue_pair, rand_measure, rand_spd
 from spdmeans import (
     NotPositiveDefinite,
+    PMeasure,
     SMeasure,
     SolverConfig,
     distance,
@@ -19,7 +19,6 @@ from spdmeans import (
     riemannian_gradient,
 )
 from spdmeans import core
-from spdmeans.divergence import _eig_divergence
 from spdmeans.verify import random_measure
 
 
@@ -141,9 +140,9 @@ def test_minimize_newton_step_count_wide_band():
 
 
 def test_minimize_evaluates_objective_only_for_on_step(monkeypatch):
-    # the hook reads each step's cached whitened spectra: one _objective call per
+    # the hook reads each step's cached whitened spectra: one mu.divergence call per
     # step, no further gate or whitening, and f exactly as objective(x, mu) gives it
-    calls = {"_objective": 0, "spd_stack": 0, "sqrt_pair": 0}
+    calls = {"divergence": 0, "spd_stack": 0, "sqrt_pair": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -153,16 +152,16 @@ def test_minimize_evaluates_objective_only_for_on_step(monkeypatch):
             return real(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(dvg, "_objective")
+    counted(PMeasure, "divergence")
     counted(core, "spd_stack")
     counted(core, "sqrt_pair")
     mu = rand_measure(np.random.default_rng(16), 3)
     rep = minimize_divergence(mu)
     plain = dict(calls)
-    assert plain["_objective"] == 0
+    assert plain["divergence"] == 0
     steps = []
     minimize_divergence(mu, on_step=lambda x, f, g: steps.append((x, f)))
-    assert calls["_objective"] == len(steps) == rep.iterations
+    assert calls["divergence"] == len(steps) == rep.iterations
     assert calls["spd_stack"] == 2 * plain["spd_stack"]
     assert calls["sqrt_pair"] == 2 * plain["sqrt_pair"]
     monkeypatch.undo()
@@ -193,12 +192,18 @@ def test_geodesic_convexity_scalar_case():
         assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-12
 
 
+def spectral_divergence(nu, w):
+    """``PMeasure.divergence`` of ``nu x delta_A`` at whitened spectrum w."""
+    return product_measure(nu, [(1.0, np.eye(len(w)))]).divergence(np.array([w]))
+
+
 def test_eig_divergence_endpoint_dispatch():
+    # the divergence terms at s = 0 and 1 are the closed-form endpoint divergences
     w = np.array([0.5, 2.0])
-    lo = _eig_divergence([0.0], w)[0]
-    assert np.allclose(lo, 1.0 / w - 1.0 + np.log(w))
-    hi = _eig_divergence([1.0], w)[0]
-    assert np.allclose(hi, w - 1.0 - np.log(w))
+    lo = spectral_divergence(SMeasure.dirac(0.0), w)
+    assert np.isclose(lo, np.sum(1.0 / w - 1.0 + np.log(w)))
+    hi = spectral_divergence(SMeasure.dirac(1.0), w)
+    assert np.isclose(hi, np.sum(w - 1.0 - np.log(w)))
 
 
 @pytest.mark.filterwarnings("error")
@@ -207,4 +212,4 @@ def test_eig_divergence_rejects_a_non_positive_spectrum(w):
     # rounding can leave a valid but near-singular pair's whitened spectrum off the
     # cone (one 1e-5..1e5 random_measure does at its own atom); that raises, not nan
     with pytest.raises(NotPositiveDefinite):
-        _eig_divergence([0.0, 0.3, 1.0], np.array(w))
+        spectral_divergence(SMeasure.from_atoms([(0.0, 0.2), (0.3, 0.3), (1.0, 0.5)]), w)

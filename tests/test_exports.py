@@ -3,12 +3,14 @@ import json
 import pathlib
 import subprocess
 import sys
+import types
 
 import numpy as np
 
 import spdmeans
 from conftest import measure_json, rand_spd, subprocess_env
-from spdmeans import PMeasure, SMeasure, matrix_to_json
+from spdmeans import PMeasure, SMeasure, SolverConfig, SolverReport, matrix_to_json
+from spdmeans import cli, core, divergence, measures, monotone, solver, thompson, verify
 
 
 def test_star_import_binds_every_exported_name():
@@ -27,7 +29,10 @@ def test_removed_names_stay_removed():
     # eval_monotone of a Dirac measure, no command writes measure JSON, a matrix
     # function is monotone._apply, and sym_matrix and smeasure_from_json are
     # module functions behind spd_matrix and pmeasure_from_json; geodesic convexity is
-    # verify's divergence.geodesic_convexity row
+    # verify's divergence.geodesic_convexity row; every integral against a measure is a
+    # PMeasure method (kernels, power_kernels, divergence), the one kernel formula is
+    # monotone._kernel_terms, no kind needs a user density or a reflection, and the
+    # demos draw Thompson-ball points with verify.random_ball_point
     for name in ("RgdConfig", "integrate", "transpose_measure", "mean_kernel_inv",
                  "SpectralDecomposition", "spectral", "spd_power", "check_normalization",
                  "log_kernel", "log_kernel_inv", "harmonic_kernel", "mean_kernel",
@@ -36,6 +41,12 @@ def test_removed_names_stay_removed():
         assert name not in spdmeans.__all__
         assert not hasattr(spdmeans, name)
     assert not hasattr(spdmeans.divergence, "geodesic_convexity_check")
+    for name in ("custom", "transpose"):
+        assert not hasattr(SMeasure, name)
+    modules = (cli, core, divergence, measures, monotone, solver, thompson, verify)
+    for name in ("log_kernel_grid", "x_over_affine", "_level_kernels", "_power_kernels",
+                 "_objective", "_ball_point"):
+        assert not any(hasattr(m, name) for m in modules), name
 
 
 def _used_names(path):
@@ -46,7 +57,8 @@ def _used_names(path):
 
 
 def test_every_export_has_a_caller_outside_the_tests():
-    # an export is used by another module of the package, a demo or the benchmark
+    # an export, or a public method of an exported class, is used by another module of
+    # the package, a demo or the benchmark
     src = pathlib.Path(spdmeans.__file__).parent
     repo = src.parents[1]
     used = {path: _used_names(path)
@@ -57,6 +69,25 @@ def test_every_export_has_a_caller_outside_the_tests():
         own = {src / f"{getattr(spdmeans, name).__module__.split('.')[-1]}.py", src / "__init__.py"}
         callers = [path for path, names in used.items() if name in names and path not in own]
         assert callers, f"{name} is exported but only its own module and the tests use it"
+    for cls in (SMeasure, PMeasure, SolverConfig, SolverReport):
+        own = src / f"{cls.__module__.split('.')[-1]}.py"
+        for name, attr in vars(cls).items():
+            if name.startswith("_") or not isinstance(
+                    attr, (types.FunctionType, classmethod, staticmethod)):
+                continue
+            callers = [path for path, names in used.items() if name in names and path != own]
+            assert callers, f"{cls.__name__}.{name} has no caller outside its module and the tests"
+
+
+def test_only_the_measure_layer_reads_the_quadrature():
+    # the solvers and the divergence call the measure's methods; no node array of a
+    # measure is read outside monotone.py and measures.py
+    src = pathlib.Path(spdmeans.__file__).parent
+    rule = {"nodes", "node_weights", "owner", "starts", "_nodes", "_node_weights", "_owner",
+            "_starts"}
+    for path in src.glob("*.py"):
+        if path.name not in ("monotone.py", "measures.py"):
+            assert not rule & _used_names(path), path.name
 
 
 def test_only_core_calls_eigh():

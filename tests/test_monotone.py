@@ -16,7 +16,7 @@ from spdmeans import (
     loewner_leq,
     product_measure,
 )
-from spdmeans.monotone import _apply, log_kernel_grid, smeasure_from_json, x_over_affine
+from spdmeans.monotone import _apply, smeasure_from_json
 
 ALL_REPS = [
     SMeasure.dirac(0.0),
@@ -48,8 +48,8 @@ def test_log_kernel_values():
 # the level map forms it (1 + t * kernel at t + s(1 - t)), and a represented function
 _KERNELS = [
     lambda x: eval_monotone(SMeasure.dirac(0.5), x),
-    lambda x: _apply(x, lambda w: x_over_affine(0.5, w)),
-    lambda x: _apply(x, lambda w: 1.0 + 0.5 * log_kernel_grid([0.75], w)[0]),
+    lambda x: _apply(x, lambda w: w / (0.5 * w + 0.5)),
+    lambda x: _apply(x, lambda w: 1.0 + 0.5 * (w - 1.0) / (0.25 * w + 0.75)),
     lambda x: eval_monotone(SMeasure.lebesgue(), x),
 ]
 _KERNEL_IDS = ["log", "harmonic", "mean", "monotone"]
@@ -195,22 +195,6 @@ def test_positive_map_compression_inequality():
         assert loewner_leq(lhs, rhs, 1e-9)
 
 
-def test_transpose_measure():
-    assert SMeasure.dirac(0.3).transpose().params["s"] == 0.7
-    leb = SMeasure.lebesgue(64)
-    assert leb.transpose().same_structure(leb)
-    rng = np.random.default_rng(10)
-    for rep in ALL_REPS:
-        a, b = rand_spd(rng, 3), rand_spd(rng, 3)
-        lhs = eval_mean(rep.transpose(), a, b)
-        rhs = eval_mean(rep, b, a)
-        assert np.linalg.norm(lhs - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
-    # double transpose restores the original evaluation
-    for rep in ALL_REPS:
-        back = rep.transpose().transpose()
-        assert abs(eval_monotone(back, 3.0) - eval_monotone(rep, 3.0)) <= 1e-12
-
-
 def normalization(rep):
     """``(f(1), f'(1))`` of the represented f; f'(1) by 5-point centered differences at 1e-4.
 
@@ -252,13 +236,6 @@ def test_power_rule_moments_nodes_and_mass(n, t):
     assert abs(rep.weights.sum() - 1.0) <= 1e-14
 
 
-def test_custom_density_kind():
-    rep = SMeasure.custom(lambda s: 2.0 * s, nodes=64)
-    # density 2s: f(x) = int l_s(x) 2s ds; check normalization mass ~ 1
-    _, fp = normalization(rep)
-    assert abs(fp - 1.0) <= 1e-10
-
-
 def test_smeasure_validation():
     with pytest.raises(MeasureError):
         SMeasure.dirac(1.5)
@@ -268,14 +245,29 @@ def test_smeasure_validation():
         SMeasure.power(1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", [
+    lambda: SMeasure.dirac("a"),
+    lambda: SMeasure.dirac(None),
+    lambda: SMeasure.power("a"),
+    lambda: SMeasure.from_atoms([("a", 1.0)]),
+    lambda: SMeasure.from_atoms([(0.5,)]),
+    lambda: SMeasure.from_atoms(None),
+], ids=["dirac", "dirac-none", "power", "atoms", "atoms-not-pairs", "atoms-none"])
+def test_non_numeric_parameters_raise_measure_error(build):
+    # a parameter that is not a number is a malformed measure, not a TypeError or
+    # ValueError from a comparison or a float() deep in a factory
+    with pytest.raises(MeasureError):
+        build()
+
+
 @pytest.mark.parametrize("nodes", [2.7, 0, -3, math.nan, math.inf, "8", True])
 @pytest.mark.parametrize("build", [
     lambda n: SMeasure.lebesgue(n),
     lambda n: SMeasure.power(0.5, n),
-    lambda n: SMeasure.custom(lambda s: 1.0, n),
     lambda n: smeasure_from_json({"type": "lebesgue", "nodes": n}),
     lambda n: smeasure_from_json({"type": "power", "t": 0.5, "nodes": n}),
-], ids=["lebesgue", "power", "custom", "json-lebesgue", "json-power"])
+], ids=["lebesgue", "power", "json-lebesgue", "json-power"])
 def test_node_counts_must_be_positive_whole_numbers(build, nodes):
     # no silent truncation: 2.7 nodes is an error, not a 2-node rule; nor is a JSON
     # ``true`` a 1-node rule

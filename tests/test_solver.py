@@ -31,8 +31,7 @@ from spdmeans import (
 )
 from spdmeans import core, solver
 from spdmeans.core import sqrt_pair, whitened_eigh
-from spdmeans.solver import (RESIDUAL_TOL, _level_kernels, _point, _power_kernels, _visit,
-                             _whitened_jacobian)
+from spdmeans.solver import RESIDUAL_TOL, _point, _visit, _whitened_jacobian
 from spdmeans.verify import random_measure
 
 CFG = SolverConfig()
@@ -225,28 +224,29 @@ def test_whitened_jacobian_matches_central_differences():
     nus = [SMeasure.lebesgue(16), SMeasure.power(0.4, 16), SMeasure.from_atoms([(0.2, 0.5), (0.9, 0.5)])]
     mixed = PMeasure([(w, m, nu) for w, m, nu in zip((0.2, 0.3, 0.5), mats, nus)])
     for t in (0.0, 0.3, 1.0):
-        assert jacobian_error(x, mixed.matrices, _level_kernels(mixed, t)) <= 1e-6
-    w = np.array([0.2, 0.3, 0.5])
+        assert jacobian_error(x, mixed.matrices, mixed.kernels(t)) <= 1e-6
+    w, power = np.array([0.2, 0.3, 0.5]), PMeasure.power_kernels
     for t in (0.2, 0.8):
-        assert jacobian_error(x, mixed.matrices, _power_kernels(w, t)) <= 1e-6
+        assert jacobian_error(x, mixed.matrices, power(w, t)) <= 1e-6
     # an atom equal to X: every whitened eigenvalue is 1
     at_x = PMeasure([(0.4, x, nus[0]), (0.6, mats[0], nus[2])])
-    assert jacobian_error(x, at_x.matrices, _level_kernels(at_x, 0.3)) <= 1e-6
-    assert jacobian_error(x, at_x.matrices, _power_kernels(np.array([0.4, 0.6]), 0.5)) <= 1e-6
+    assert jacobian_error(x, at_x.matrices, at_x.kernels(0.3)) <= 1e-6
+    assert jacobian_error(x, at_x.matrices, power(np.array([0.4, 0.6]), 0.5)) <= 1e-6
     # commuting atoms with repeated eigenvalues
     diag = PMeasure([(0.5, np.diag([1.0, 2.0, 2.0]), nus[0]), (0.5, np.diag([3.0, 3.0, 0.5]), nus[1])])
     x = np.diag([2.0, 2.0, 1.0])
-    assert jacobian_error(x, diag.matrices, _level_kernels(diag, 0.0)) <= 1e-6
-    assert jacobian_error(x, diag.matrices, _power_kernels(np.array([0.5, 0.5]), 0.2)) <= 1e-6
+    assert jacobian_error(x, diag.matrices, diag.kernels(0.0)) <= 1e-6
+    assert jacobian_error(x, diag.matrices, power(np.array([0.5, 0.5]), 0.2)) <= 1e-6
 
 
 def test_flat_quadrature_matches_per_atom_sums():
-    # every SMeasure kind, one-node atoms first and last and a density that
-    # vanishes on half its nodes, against per-atom sums over each atom's nodes
+    # the measure's kernels and divergence on its flat rule: every SMeasure kind, one-node
+    # atoms first and last and a step-like atomic measure on (1/2, 1], against per-atom
+    # sums over each atom's nodes
     rng = np.random.default_rng(34)
+    step = SMeasure.from_atoms([(s, 0.25) for s in (0.6, 0.7, 0.8, 0.9)])
     nus = [SMeasure.dirac(0.0), SMeasure.from_atoms([(0.2, 0.5), (0.9, 0.5)]),
-           SMeasure.lebesgue(16), SMeasure.power(0.4, 16),
-           SMeasure.custom(lambda s: 2.0 * (s > 0.5), 8), SMeasure.dirac(1.0)]
+           SMeasure.lebesgue(16), SMeasure.power(0.4, 16), step, SMeasure.dirac(1.0)]
     mu = PMeasure([(w, rand_spd(rng, 3), nu) for w, nu in zip(rand_weights(rng, len(nus)), nus)])
     x = rand_spd(rng, 3)
     lam = whitened_eigh(x, mu.matrices)[2]
@@ -258,7 +258,7 @@ def test_flat_quadrature_matches_per_atom_sums():
                 v = 1.0 - (1.0 - s) * f  # = 1/((1-s) y + s), so v v.T is the divided difference
                 ref_kernel[k] += w * omega * f
                 ref_divdiff[k] += w * omega * np.outer(v, v)
-        kernel, divdiff = _level_kernels(mu, t)
+        kernel, divdiff = mu.kernels(t)
         assert np.linalg.norm(kernel(lam) - ref_kernel) <= 1e-12 * np.linalg.norm(ref_kernel)
         assert np.linalg.norm(divdiff(lam) - ref_divdiff) <= 1e-12 * np.linalg.norm(ref_divdiff)
     ref = sum(w * omega * logdet_divergence(x, a, s)
