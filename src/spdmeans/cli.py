@@ -49,11 +49,14 @@ def _load_matrix(path):
 
 
 def _load_sigma(path):
-    """Matrix-marginal JSON: {"atoms": [{"weight": w, "matrix": {...}}, ...]}."""
+    """Matrix-marginal JSON: {"atoms": [{"weight": w, "matrix": {...}}, ...]}.
+
+    A weight is left as read: ``power_mean`` checks the weights, numbers only, as one vector.
+    """
     obj = _load_json(path)
     try:
-        return [(float(a["weight"]), matrix_from_json(a["matrix"])) for a in obj["atoms"]]
-    except (KeyError, TypeError, ValueError, MeasureError) as exc:
+        return [(a["weight"], matrix_from_json(a["matrix"])) for a in obj["atoms"]]
+    except (KeyError, TypeError, MeasureError) as exc:
         raise MeasureError(f"bad matrix-list JSON in {path}: {exc}") from exc
 
 

@@ -1,11 +1,15 @@
 """Dense SPD/symmetric matrix primitives and the package's one spectral layer.
 
 Everything here operates on plain ``numpy.ndarray`` values.  A caller's matrix
-is checked once, by the public function that takes it: :func:`spd_stack` (the
-one SPD gate; :func:`spd_matrix` is its k = 1 case) or :func:`sym_matrix`
-converts, shape-checks and symmetrizes it as ``(A + A.T) / 2``.  Nothing behind
-that gate checks again; the remaining operations stay allocation-light so they
-can sit inside solver loops.
+is checked once, by the public function that takes it: :func:`sym_matrix`
+converts, shape-checks and symmetrizes it as ``(A + A.T) / 2``, and one
+positive-definiteness rule (:func:`_pd_rule`) reads its spectrum.  Operands
+that are only gated go through :func:`spd_stack` (one stacked ``eigvalsh``;
+:func:`spd_matrix` is its k = 1 case); a point that is decomposed anyway is
+gated by the eigenvalues of that decomposition (:func:`_gated_whitened_eigh`),
+so it takes one ``eigh`` and no ``eigvalsh``.  Nothing behind that gate checks
+again; the remaining operations stay allocation-light so they can sit inside
+solver loops.
 
 All matrix functions take the spectral route rather than Pade or
 scaling-and-squaring: dimensions stay small, and one kernel handles every
@@ -19,6 +23,7 @@ scalar function we need.  It has three pieces, and no other module calls
 * :func:`spectral_sum`, the one reassembly ``rs (sum_k Q_k diag(v_k) Q_k.T) rs``.
 """
 
+import math
 from numbers import Real
 
 import numpy as np
@@ -49,6 +54,13 @@ def _is_count(n, least=1) -> bool:
     """True iff n is a whole number >= least; NaN, infinities, bools and non-numbers are not."""
     return (isinstance(n, Real) and not isinstance(n, bool) and n >= least
             and float(n).is_integer())
+
+
+def _real(x, what) -> float:
+    """``x`` as a float; MeasureError unless it is a real number (a string is not)."""
+    if not isinstance(x, (float, int, Real)):  # the abstract Real alone is a slow check
+        raise MeasureError(f"{what} must be a number, got {x!r}")
+    return float(x)
 
 
 def _float_array(a) -> np.ndarray:
@@ -105,15 +117,23 @@ def spd_stack(mats) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
     a = 0.5 * (a + a.swapaxes(1, 2))
-    w = np.linalg.eigvalsh(a)
+    _pd_rule(np.linalg.eigvalsh(a))
+    return a
+
+
+def _pd_rule(w):
+    """The package's one positive-definiteness rule, on ascending spectra ``w`` (k, n).
+
+    Each smallest eigenvalue must exceed ``n * PD_FLOOR`` times the largest, which
+    must be positive; NotPositiveDefinite names the first failing matrix by its index.
+    """
     lo, hi = w[:, 0], w[:, -1]
-    bad = (hi <= 0.0) | (lo <= a.shape[1] * PD_FLOOR * hi)
+    bad = (hi <= 0.0) | (lo <= w.shape[1] * PD_FLOOR * hi)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise NotPositiveDefinite(
             f"matrix {k} is not positive definite (min eig {lo[k]:.3e}, max eig {hi[k]:.3e})"
         )
-    return a
 
 
 def _eigh(a):
@@ -126,7 +146,11 @@ def _eigh(a):
 
 def sqrt_pair(a):
     """Return ``(A**0.5, A**-0.5)`` from a single eigendecomposition."""
-    w, q = _eigh(a)
+    return _roots(*_eigh(a))
+
+
+def _roots(w, q):
+    """``(A**0.5, A**-0.5)`` from A's eigenpairs; NotPositiveDefinite unless every w > 0."""
     if not np.all(w > 0.0):
         raise NotPositiveDefinite("square root of a non-positive matrix")
     r = np.sqrt(w)
@@ -141,6 +165,18 @@ def whitened_eigh(x, mats):
     ascending and ``q[k]`` the matching eigenvectors.
     """
     rs, irs = sqrt_pair(x)
+    return (rs, irs, *whiten(irs, mats))
+
+
+def _gated_whitened_eigh(x, mats):
+    """:func:`whitened_eigh` of a caller's symmetrized X, gated by the spectrum that whitens it.
+
+    The eigenvalues of X's one ``eigh`` pass :func:`spd_stack`'s rule (:func:`_pd_rule`)
+    before its square roots are taken, so the gate costs no second decomposition.
+    """
+    w, q = _eigh(x)
+    _pd_rule(w[None])
+    rs, irs = _roots(w, q)
     return (rs, irs, *whiten(irs, mats))
 
 
@@ -194,10 +230,25 @@ def geometric_mean(a, b, t: float) -> np.ndarray:
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"geometric mean weight must lie in [0, 1], got {t}")
     a, b = spd_stack([a, b])
-    rs, _, lam, q = whitened_eigh(a, b[None])
+    k = _scale_gap(a, b)
+    rs, _, lam, q = whitened_eigh(a, np.ldexp(b, k)[None])
     if not np.all(lam > 0.0):
         raise NotPositiveDefinite("matrix power of a non-positive matrix")
-    return spectral_sum(q, lam**t, rs)
+    # A #_t B = 2^(-k t) (A #_t 2^k B), the power of two applied as 2^f 2^m
+    m, f = divmod(-k * t, 1.0)
+    return np.ldexp(2.0**f * spectral_sum(q, lam**t, rs), int(m))
+
+
+def _scale_gap(a, b) -> int:
+    """The k with ``2^k B`` on the scale of A: largest diagonal entries within a factor of 2.
+
+    Only the ratio of two operands' scales reaches ``A^(-1/2) B A^(-1/2)``, so a
+    two-operand function whitens against ``2^k B`` and takes ``2^-k`` back out in
+    closed form: operands of any finite scales then meet without overflow or
+    underflow.  Scaling by a power of two is exact, short of entries pushed into the
+    subnormal range, and k = 0 for operands of one scale leaves every bit as it was.
+    """
+    return math.frexp(a.diagonal().max())[1] - math.frexp(b.diagonal().max())[1]
 
 
 def loewner_leq(a, b, tol: float = LOEWNER_TOL) -> bool:
@@ -219,12 +270,10 @@ def loewner_leq(a, b, tol: float = LOEWNER_TOL) -> bool:
 def _probability_weights(w):
     """``w`` as a float array of finite positive numbers summing to 1 within 1e-12.
 
-    Every weight vector of the package passes here; anything else raises MeasureError.
+    Every weight vector of the package passes here; anything else, a numeric string
+    included, raises MeasureError.
     """
-    try:
-        w = np.array(w, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MeasureError(f"weights must be numbers: {exc}") from exc
+    w = np.array([_real(v, "each of the weights") for v in w])
     if not np.all(np.isfinite(w) & (w > 0.0)):
         raise MeasureError("weights must be finite and positive")
     if abs(w.sum() - 1.0) > 1e-12:
@@ -275,16 +324,33 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     """Parse ``{"dim": n, "data": [[row0...], ...]}`` (row-major floats) and symmetrize.
 
-    Only :func:`sym_matrix` runs here: the function the matrix is passed to checks
-    positive definiteness, so each matrix is gated once.
+    :func:`_json_rows` checks the schema in plain Python and :func:`sym_matrix`
+    converts, checks finiteness and symmetrizes; the function the matrix is passed to
+    checks positive definiteness, so each matrix is gated once.
+    """
+    return sym_matrix(_numeric(_json_rows(obj)))
+
+
+def _json_rows(obj):
+    """The ``"data"`` rows of one matrix JSON object, its schema checked in plain Python.
+
+    MeasureError unless ``obj`` is a dict with ``"dim"`` and ``"data"``.  Data that is
+    not ``dim`` lists of ``dim`` entries raises what numpy's reading of it shows:
+    MeasureError (:func:`_numeric`) if it is ragged or not numeric, else ShapeError.
+    The entries are left to the caller's one conversion.
     """
     if not isinstance(obj, dict) or "dim" not in obj or "data" not in obj:
         raise MeasureError('matrix JSON must have "dim" and "data" fields')
-    dim = obj["dim"]
+    dim, rows = obj["dim"], obj["data"]
+    if not (isinstance(rows, list) and len(rows) == dim
+            and all(isinstance(row, list) and len(row) == dim for row in rows)):
+        raise ShapeError(f'"data" must be {dim}x{dim}, got {_numeric(rows).shape}')
+    return rows
+
+
+def _numeric(rows) -> np.ndarray:
+    """Matrix JSON data as one float array; MeasureError if it is ragged or not numeric."""
     try:
-        data = np.array(obj["data"], dtype=float)
+        return np.array(rows, dtype=float)
     except (TypeError, ValueError) as exc:
         raise MeasureError(f'matrix JSON "data" is not numeric: {exc}') from exc
-    if data.shape != (dim, dim):
-        raise ShapeError(f'"data" must be {dim}x{dim}, got {data.shape}')
-    return sym_matrix(data)

@@ -29,11 +29,10 @@ its settings from the solvers' SolverConfig (grad_tol, max_iters).
 
 import numpy as np
 
-from .core import whitened_eigh
 from .errors import DomainError
 from .measures import PMeasure, product_measure
 from .monotone import SMeasure
-from .solver import SolverConfig, SolverReport, _gate_point, _solve, karcher_residual
+from .solver import SolverConfig, SolverReport, _gated_point, _solve, karcher_residual
 
 
 def logdet_divergence(x, a, s: float) -> float:
@@ -48,7 +47,7 @@ def logdet_divergence(x, a, s: float) -> float:
 
 def objective(x, mu: PMeasure) -> float:
     """Integrated divergence ``sum_k w_k int LD_s(X, A_k) d nu_k(s)``; nonnegative."""
-    return mu.divergence(whitened_eigh(_gate_point(x, mu), mu.matrices)[2])
+    return mu.divergence(_gated_point(x, mu)[1][2])
 
 
 def riemannian_gradient(x, mu: PMeasure) -> np.ndarray:

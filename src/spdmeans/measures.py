@@ -15,8 +15,8 @@ order, so reruns are bit-identical.
 
 import numpy as np
 
-from .core import (_float_array, _probability_weights, congruence, loewner_leq, matrix_from_json,
-                   spd_stack)
+from .core import (_float_array, _json_rows, _numeric, _probability_weights, congruence,
+                   loewner_leq, spd_stack)
 from .errors import Incomparable, MeasureError, NotPositiveDefinite
 from .monotone import SMeasure, _frozen, _kernel_terms, smeasure_from_json
 
@@ -174,18 +174,23 @@ def measure_leq(mu1: PMeasure, mu2: PMeasure) -> bool:
 
 
 def pmeasure_from_json(obj) -> PMeasure:
-    """Parse the PMeasure JSON schema ``{"atoms": [{"weight", "nu", "matrix"}, ...]}``."""
+    """Parse the PMeasure JSON schema ``{"atoms": [{"weight", "nu", "matrix"}, ...]}``.
+
+    Each atom's matrix schema is checked in plain Python (:func:`core._json_rows`: a
+    dict with ``"dim"`` and ``"data"``, ``dim`` rows of ``dim`` entries), every atom
+    of one dimension; then all matrices become one (k, n, n) array, which
+    :class:`PMeasure` gates with its one :func:`spd_stack`.  No matrix is converted,
+    checked or symmetrized on its own.
+    """
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise MeasureError('measure JSON must carry an "atoms" list')
     try:
-        atoms = [
-            (
-                entry["weight"],
-                matrix_from_json(entry["matrix"]),
-                smeasure_from_json(entry["nu"]),
-            )
-            for entry in obj["atoms"]
-        ]
+        entries = list(obj["atoms"])
+        rows = [_json_rows(entry["matrix"]) for entry in entries]
+        weights = [entry["weight"] for entry in entries]
+        nus = [smeasure_from_json(entry["nu"]) for entry in entries]
     except (KeyError, TypeError) as exc:
         raise MeasureError(f"malformed measure JSON atoms: {exc!r}") from exc
-    return PMeasure(atoms)
+    if len({len(r) for r in rows}) > 1:
+        raise MeasureError("all atom matrices must share one dimension")
+    return PMeasure(zip(weights, _numeric(rows), nus))

@@ -22,12 +22,11 @@ weights sum to 1 up to rounding, so numpy alone builds it.
 """
 
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
 
-from .core import (_eigh, _float_array, _is_count, _probability_weights, spd_stack, spectral_sum,
-                   sym_matrix, whitened_eigh)
+from .core import (_eigh, _float_array, _is_count, _probability_weights, _real, spd_stack,
+                   spectral_sum, sym_matrix, whitened_eigh)
 from .errors import DomainError, MeasureError, NotPositiveDefinite
 
 DEFAULT_NODES = 64
@@ -95,13 +94,6 @@ def _node_count(nodes) -> int:
     return int(nodes)
 
 
-def _real(x, what) -> float:
-    """``x`` as a float; MeasureError unless it is a real number (a string is not)."""
-    if not isinstance(x, Real):
-        raise MeasureError(f"{what} must be a number, got {x!r}")
-    return float(x)
-
-
 def _frozen(a):
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -137,9 +129,9 @@ class SMeasure:
 
     @classmethod
     def from_atoms(cls, points) -> "SMeasure":
-        """Finite atomic measure from ``[(s_j, v_j), ...]`` with positive v summing to 1."""
+        """Finite atomic measure from ``[(s_j, v_j), ...]``, real numbers, positive v summing to 1."""
         try:
-            pts = [(float(s), float(v)) for s, v in points]
+            pts = [(_real(s, "atom location"), _real(v, "atom weight")) for s, v in points]
         except (TypeError, ValueError) as exc:
             raise MeasureError(f"atoms must be (location, weight) number pairs: {exc}") from exc
         if not pts:

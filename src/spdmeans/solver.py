@@ -53,6 +53,7 @@ import numpy as np
 from .core import (
     _arith,
     _check_weights,
+    _gated_whitened_eigh,
     _harm,
     _is_count,
     _sym,
@@ -60,6 +61,7 @@ from .core import (
     matrix_to_json,
     spd_matrix,
     spectral_sum,
+    sym_matrix,
     whiten,
     whitened_eigh,
 )
@@ -155,12 +157,18 @@ def _visit(point, kernel):
     return point, float(np.linalg.norm(g)), phi, g
 
 
-def _gate_point(x, mu: PMeasure) -> np.ndarray:
-    """A caller's point X through :func:`spd_matrix`, of the measure's dimension."""
-    x = spd_matrix(x)
+def _sym_point(x, mu: PMeasure) -> np.ndarray:
+    """A caller's point X through :func:`sym_matrix`, of the measure's dimension."""
+    x = sym_matrix(x)
     if x.shape != (mu.dim, mu.dim):
         raise ShapeError("matrix and measure dimensions differ")
     return x
+
+
+def _gated_point(x, mu: PMeasure):
+    """A caller's point X as a :func:`_point`, gated by the one ``eigh`` that whitens it."""
+    x = _sym_point(x, mu)
+    return x, _gated_whitened_eigh(x, mu.matrices)
 
 
 def karcher_residual(x, mu: PMeasure) -> np.ndarray:
@@ -170,7 +178,7 @@ def karcher_residual(x, mu: PMeasure) -> np.ndarray:
     ``l_s(x) = (x - 1)/((1 - s) x + s)``;
     symmetric, and zero exactly at the Karcher mean of the measure.
     """
-    rs, _, lam, q = whitened_eigh(_gate_point(x, mu), mu.matrices)
+    rs, _, lam, q = _gated_point(x, mu)[1]
     return spectral_sum(q, mu.kernels(0.0)[0](lam), rs)
 
 
@@ -184,8 +192,7 @@ def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
     """
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
-    x = _gate_point(x, mu)
-    rs, _, lam, q = whitened_eigh(x, mu.matrices)
+    x, (rs, _, lam, q) = _gated_point(x, mu)
     r = spectral_sum(q, mu.kernels(t)[0](lam), rs)
     return _sym(x + t * r)  # R_t(X) = (T_t(X) - X)/t evaluated directly
 
@@ -416,6 +423,6 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
 
 def sandwich_check(x, mu: PMeasure) -> bool:
     """True iff harmonic mean <= X <= arithmetic mean of the atoms (Loewner, scaled tol 1e-9)."""
-    x = _gate_point(x, mu)
+    x = spd_matrix(_sym_point(x, mu))
     return (loewner_leq(_harm(mu.weights, mu.matrices), x, 1e-9)
             and loewner_leq(x, _arith(mu.weights, mu.matrices), 1e-9))

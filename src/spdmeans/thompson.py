@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import spd_stack, whitened_eigh
+from .core import _scale_gap, spd_stack, whitened_eigh
 from .errors import DomainError, NotPositiveDefinite
 
 _R_MAX = 1e300  # radii clamp here: 2r stays finite, and each factor is at its limit from r ~ 1e4
@@ -35,19 +35,23 @@ def distance(a, b) -> float:
     non-finite eigenvalue.
     """
     a, b = spd_stack([a, b])
-    return 0.0 if np.array_equal(a, b) else log_spread(whitened_eigh(b, a[None])[2][0])
+    if np.array_equal(a, b):
+        return 0.0
+    k = _scale_gap(b, a)  # the spectrum of B^(-1/2) 2^k A B^(-1/2) is 2^k times the one sought
+    return log_spread(whitened_eigh(b, np.ldexp(a, k)[None])[2][0], -k * math.log(2.0))
 
 
-def log_spread(w) -> float:
-    """``d(A, B)`` from the spectrum w of ``B^(-1/2) A B^(-1/2)``: ``max |log w_i|``.
+def log_spread(w, log_ratio=0.0) -> float:
+    """``d(A, B)`` from the spectrum ``c w`` of ``B^(-1/2) A B^(-1/2)``: ``max |log c + log w_i|``.
 
+    ``log_ratio`` is ``log c``, a scale taken out of the operands before whitening.
     Raises NotPositiveDefinite unless every w_i is positive and finite.
     """
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w) & (w > 0.0)):
         raise NotPositiveDefinite(f"spectrum {w} is not positive and finite")
     # max(log w_max, -log w_min) == max |log w_i| for positive spectra
-    return float(np.max(np.abs(np.log(w))))
+    return float(np.max(np.abs(log_ratio + np.log(w))))
 
 
 def contraction_factor_affine(a: float, b: float, r: float) -> float:

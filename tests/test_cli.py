@@ -118,8 +118,15 @@ def test_malformed_input_error_names_the_file(setup_files, capsys, command, obj)
     ("power", "sigma", lambda o: o["atoms"][0].update(weight="half"), "'half'"),
     ("power", "sigma", lambda o: o["atoms"][0].update(matrix=matrix_to_json(np.eye(2))),
      "dimensions"),
+    # a number is a JSON number: a numeric string is rejected, not parsed
+    ("lambda", "measure", lambda o: o["atoms"][0].update(weight="0.5"), "'0.5'"),
+    ("lambda", "measure",
+     lambda o: o["atoms"][0].update(nu={"type": "atoms", "points": [{"s": "0.3", "w": 1.0}]}),
+     "'0.3'"),
+    ("power", "sigma", lambda o: o["atoms"][0].update(weight="0.5"), "'0.5'"),
 ], ids=["nan-weight", "nan-location", "text-weight", "sigma-nan-weight", "sigma-text-weight",
-        "sigma-mixed-dimensions"])
+        "sigma-mixed-dimensions", "numeric-text-weight", "numeric-text-location",
+        "sigma-numeric-text-weight"])
 def test_bad_input_values_exit_1(setup_files, capsys, command, key, edit, why):
     # json accepts NaN; these are input errors, named as such, not solver failures
     files, _, _, tmp_path = setup_files

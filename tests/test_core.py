@@ -139,6 +139,16 @@ def test_geometric_mean_cases():
     assert np.allclose(got, np.diag([4.0, 2.0]), atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_geometric_mean_of_operands_at_extreme_scales():
+    # A #_t B = 2^(-k t) (A #_t 2^k B), with 2^k B on the scale of A; whitening
+    # 1e300 I against 1e-300 I directly overflows
+    a, b = 1e-300 * np.eye(2), 1e300 * np.eye(2)
+    assert np.allclose(geometric_mean(a, b, 0.5), np.eye(2), rtol=1e-14, atol=0.0)
+    assert np.allclose(geometric_mean(a, b, 0.0), a, rtol=1e-14, atol=0.0)
+    assert np.allclose(geometric_mean(a, b, 1.0), b, rtol=1e-14, atol=0.0)
+
+
 def test_geometric_mean_symmetry_and_equivariance():
     rng = np.random.default_rng(19)
     for _ in range(10):

@@ -108,8 +108,10 @@ _NO_SCIPY = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
 import spdmeans, spdmeans.cli
-a, b, measure = sys.argv[1:]
-for argv in (["metric", a, b], ["lambda", measure], ["verify", "--suite", "all", "--trials", "2"]):
+a, b, measure, sigma = sys.argv[1:]
+for argv in (["metric", a, b], ["lambda", measure], ["residual", measure, a],
+             ["divergence", measure, a], ["minimize", measure], ["power", sigma, "--t", "0.5"],
+             ["verify", "--suite", "all", "--trials", "2"]):
     code = spdmeans.cli.main(argv)
     assert code == 0, (argv, code)
 """
@@ -122,7 +124,9 @@ def test_package_and_cli_run_without_scipy(tmp_path):
     a, b = rand_spd(rng, 3), rand_spd(rng, 3)
     mu = PMeasure([(0.5, a, SMeasure.power(0.3)), (0.5, b, SMeasure.lebesgue())])
     paths = []
-    for name, obj in (("a", matrix_to_json(a)), ("b", matrix_to_json(b)), ("mu", measure_json(mu))):
+    sigma = {"atoms": [{"weight": 0.5, "matrix": matrix_to_json(m)} for m in (a, b)]}
+    for name, obj in (("a", matrix_to_json(a)), ("b", matrix_to_json(b)), ("mu", measure_json(mu)),
+                      ("sigma", sigma)):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(obj))
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, *map(str, paths)],

@@ -22,7 +22,9 @@ from spdmeans import (
     weighted_arith,
     weighted_harm,
 )
+from spdmeans import core, measures
 from spdmeans.monotone import smeasure_from_json
+from spdmeans.verify import random_measure
 
 
 def test_pmeasure_validation():
@@ -38,7 +40,7 @@ def test_pmeasure_validation():
         PMeasure([(1.0, np.ones((2, 3)), SMeasure.dirac(0.5))])
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "half"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "half", "0.5"])
 def test_weights_must_be_finite_positive_numbers(bad):
     # NaN fails both ``w <= 0`` and ``|sum - 1| > 1e-12``; the one weight rule tests finiteness
     a = rand_spd(np.random.default_rng(11), 3)
@@ -51,7 +53,8 @@ def test_weights_must_be_finite_positive_numbers(bad):
 
 
 @pytest.mark.parametrize("s, v", [(0.3, math.nan), (0.3, math.inf), (math.nan, 0.5),
-                                  (math.inf, 0.5), (-0.5, 0.5), (1.5, 0.5)])
+                                  (math.inf, 0.5), (-0.5, 0.5), (1.5, 0.5), ("0.3", 0.5),
+                                  (0.3, "0.5")])
 def test_atomic_measure_rejects_bad_weights_and_locations(s, v):
     with pytest.raises(MeasureError):
         SMeasure.from_atoms([(s, v), (0.6, 0.5)])
@@ -199,3 +202,63 @@ def test_pmeasure_checks_its_atoms_in_one_stack(bad, error, match):
                      for m in (2.0 * np.eye(2), bad)]}
     with pytest.raises(error, match=match):
         pmeasure_from_json(obj)
+
+
+def test_measure_json_is_gated_as_one_stack(monkeypatch):
+    # the atoms' matrices become one (k, n, n) array, gated by PMeasure's one spd_stack;
+    # no atom is converted, checked or symmetrized on its own
+    calls = {"spd_stack": 0, "sym_matrix": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    obj = measure_json(random_measure(np.random.default_rng(23), 3, n_atoms=20))
+    counted(measures, "spd_stack")
+    counted(core, "sym_matrix")
+    mu = pmeasure_from_json(obj)
+    assert calls == {"spd_stack": 1, "sym_matrix": 0}
+    assert len(mu) == 20 and not mu.matrices.flags.writeable
+
+
+def _json_atom(matrix, weight=0.5):
+    return {"weight": weight, "nu": {"type": "lebesgue"}, "matrix": matrix}
+
+
+_I2 = {"dim": 2, "data": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"data": [[1.0, 0.0], [0.0, 1.0]]}, MeasureError),                  # no "dim"
+    ({"dim": 2}, MeasureError),                                           # no "data"
+    ([[1.0, 0.0], [0.0, 1.0]], MeasureError),                             # not an object
+    ({"dim": 2, "data": [[1.0, 0.0], [0.0]]}, MeasureError),             # ragged data
+    ({"dim": 2, "data": "x"}, MeasureError),                              # not numeric
+    ({"dim": 2, "data": [[1.0, "a"], [0.0, 1.0]]}, MeasureError),        # a text entry
+    ({"dim": 3, "data": [[1.0, 0.0], [0.0, 1.0]]}, ShapeError),          # dim mismatch
+    ({"dim": 2, "data": [1.0, 0.0]}, ShapeError),                         # flat data
+    ({"dim": 2, "data": 1.0}, ShapeError),                                # scalar data
+    ({"dim": 2, "data": [[1.0, math.nan], [math.nan, 1.0]]}, DomainError),
+    ({"dim": 2, "data": [[1.0, math.inf], [0.0, 1.0]]}, DomainError),
+], ids=["no-dim", "no-data", "not-an-object", "ragged", "text-data", "text-entry",
+        "dim-mismatch", "flat-data", "scalar-data", "nan", "inf"])
+def test_matrix_json_errors_keep_their_types(bad, error):
+    # the schema check and the stacked parse raise, for one bad atom among good ones,
+    # the type each malformed matrix raised when every atom was parsed on its own
+    with pytest.raises(error):
+        matrix_from_json(bad)
+    with pytest.raises(error):
+        pmeasure_from_json({"atoms": [_json_atom(_I2), _json_atom(bad)]})
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"dim": 3, "data": np.eye(3).tolist()}, MeasureError),
+    ({"dim": 2, "data": [[1.0, 0.0], [0.0, -1.0]]}, NotPositiveDefinite),
+], ids=["mixed-dimensions", "not-pd"])
+def test_measure_json_errors_of_well_formed_atoms_keep_their_types(bad, error):
+    with pytest.raises(error):
+        pmeasure_from_json({"atoms": [_json_atom(_I2), _json_atom(bad)]})

@@ -9,6 +9,7 @@ from spdmeans import (
     DomainError,
     MonotonicityViolation,
     NonConvergence,
+    NotPositiveDefinite,
     PMeasure,
     SMeasure,
     SolverConfig,
@@ -25,6 +26,7 @@ from spdmeans import (
     objective,
     power_mean,
     product_measure,
+    riemannian_gradient,
     sandwich_check,
     weighted_arith,
     weighted_harm,
@@ -337,6 +339,53 @@ def test_karcher_residual_examples():
     x = rand_spd(rng, 3)
     expect = weighted_arith(list(zip(w, mats))) - x
     assert np.linalg.norm(karcher_residual(x, mu1) - expect) <= 1e-11 * (1 + np.linalg.norm(expect))
+
+
+_POINT_FUNCTIONS = [
+    pytest.param(karcher_residual, id="karcher_residual"),
+    pytest.param(objective, id="objective"),
+    pytest.param(lambda x, mu: iteration_map(x, 0.25, mu), id="iteration_map"),
+    pytest.param(riemannian_gradient, id="riemannian_gradient"),
+]
+
+
+@pytest.mark.parametrize("f", _POINT_FUNCTIONS)
+def test_a_point_is_gated_by_the_eigh_that_whitens_it(monkeypatch, f):
+    # X takes one eigh and no eigvalsh: the spectrum that whitens the atoms also gates X
+    rng = np.random.default_rng(43)
+    mu, x = rand_measure(rng, 3, n_atoms=4), rand_spd(rng, 3)
+    f(x, mu)  # warm
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    counted("eigh")
+    counted("eigvalsh")
+    f(x, mu)
+    assert calls == {"eigh": 2, "eigvalsh": 0}  # one for X, one for the stacked atoms
+
+
+@pytest.mark.parametrize("f", _POINT_FUNCTIONS)
+@pytest.mark.parametrize("low", [1e-16, 2e-14, 2.0000000000000003e-14, 1e-13])
+def test_a_point_at_the_pd_floor_is_judged_as_spd_matrix_judges_it(f, low):
+    # the gate reads eigh's eigenvalues with spd_stack's rule (lo > n * PD_FLOOR * hi)
+    # and message; n = 2 puts the floor at 2e-14
+    x = np.diag([1.0, low])
+    mu = product_measure(SMeasure.lebesgue(), [(1.0, np.diag([2.0, 0.5]))])
+    try:
+        core.spd_matrix(x)
+    except NotPositiveDefinite as exc:
+        with pytest.raises(NotPositiveDefinite) as err:
+            f(x, mu)
+        assert str(err.value) == str(exc)
+    else:
+        assert np.all(np.isfinite(f(x, mu)))
 
 
 def test_lambda_mean_single_atom():

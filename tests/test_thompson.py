@@ -31,6 +31,16 @@ def test_log_spread_rejects_spectra_that_are_not_positive(w):
         log_spread(w)
 
 
+@pytest.mark.filterwarnings("error")
+def test_distance_of_operands_at_extreme_scales():
+    # A is moved onto B's scale by a power of two before whitening, so 1e-300 I
+    # whitened against 1e300 I no longer underflows; d = log(1e600)
+    assert distance(1e-300 * np.eye(2), 1e300 * np.eye(2)) == pytest.approx(
+        600.0 * math.log(10.0), rel=1e-14)
+    assert distance(1e300 * np.eye(2), 1e-300 * np.eye(2)) == pytest.approx(
+        600.0 * math.log(10.0), rel=1e-14)
+
+
 def test_distance_rejects_an_indefinite_operand():
     with pytest.raises(NotPositiveDefinite):
         distance(np.diag([4.0, -1.0]), np.eye(2))
