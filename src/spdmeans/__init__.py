@@ -44,7 +44,7 @@ from .measures import (
     pmeasure_from_json,
     product_measure,
 )
-from .monotone import SMeasure, eval_mean, eval_monotone
+from .monotone import SMeasure
 from .solver import (
     SolverConfig,
     SolverReport,
@@ -74,7 +74,7 @@ __all__ = [
     "NumericalFailure", "ShapeError", "SingularTransform", "SpdMeansError",
     "PMeasure", "congruence_measure", "measure_leq", "pmeasure_from_json",
     "product_measure",
-    "SMeasure", "eval_mean", "eval_monotone",
+    "SMeasure",
     "SolverConfig", "SolverReport", "induced_mean", "iteration_map",
     "karcher_residual", "lambda_mean", "power_mean", "sandwich_check",
     "contraction_factor_affine", "contraction_factor_mean",

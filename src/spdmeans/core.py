@@ -2,7 +2,7 @@
 
 Everything here operates on plain ``numpy.ndarray`` values.  A caller's matrix
 is checked once, by the public function that takes it: :func:`sym_matrix`
-converts, shape-checks and symmetrizes it as ``(A + A.T) / 2``, and one
+converts, shape-checks and symmetrizes it as ``0.5 A + 0.5 A.T``, and one
 positive-definiteness rule (:func:`_pd_rule`) reads its spectrum.  Operands
 that are only gated go through :func:`spd_stack` (one stacked ``eigvalsh``;
 :func:`spd_matrix` is its k = 1 case); a point that is decomposed anyway is
@@ -71,25 +71,36 @@ def _float_array(a) -> np.ndarray:
         raise ShapeError(f"matrices must be numeric arrays: {exc}") from exc
 
 
+def _symmetrized(entries, ndim, what) -> np.ndarray:
+    """The one check body of :func:`sym_matrix` and :func:`spd_stack`.
+
+    ``entries`` as a float array: ShapeError unless it has ``ndim`` axes and ends in a
+    nonempty square matrix, DomainError unless every entry is finite.  Symmetrized as
+    ``0.5 A + 0.5 A.T``, which rounds as ``(A + A.T) / 2`` does in the normal range and
+    cannot overflow.
+    """
+    a = _float_array(entries)
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ShapeError(f"expected {what}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix entries must be finite")
+    return 0.5 * a + 0.5 * a.swapaxes(-1, -2)
+
+
 def sym_matrix(entries) -> np.ndarray:
     """Validate and symmetrize a square real matrix.
 
     Parameters
     ----------
     entries : array_like, shape (n, n)
-        Square matrix; symmetrized as ``(A + A.T) / 2``.
+        Square matrix with finite entries; symmetrized as ``0.5 A + 0.5 A.T``.
 
     Returns
     -------
     ndarray
         Symmetric float64 copy.
     """
-    a = _float_array(entries)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix entries must be finite")
-    return _sym(a)
+    return _symmetrized(entries, 2, "a square matrix")
 
 
 def spd_matrix(entries) -> np.ndarray:
@@ -111,12 +122,7 @@ def spd_stack(mats) -> np.ndarray:
     lambda_max``, so that floating-point drift neither rejects valid input nor
     admits indefinite matrices; the first failing matrix is named by its index.
     """
-    a = _float_array(mats)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
-        raise ShapeError(f"expected a stack of square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix entries must be finite")
-    a = 0.5 * (a + a.swapaxes(1, 2))
+    a = _symmetrized(mats, 3, "a stack of square matrices")
     _pd_rule(np.linalg.eigvalsh(a))
     return a
 

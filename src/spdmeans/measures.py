@@ -18,7 +18,7 @@ import numpy as np
 from .core import (_float_array, _json_rows, _numeric, _probability_weights, congruence,
                    loewner_leq, spd_stack)
 from .errors import Incomparable, MeasureError, NotPositiveDefinite
-from .monotone import SMeasure, _frozen, _kernel_terms, smeasure_from_json
+from .monotone import SMeasure, _frozen, smeasure_from_json
 
 # 1/(s(1-s)) overflows the useful range below this margin; dispatch to the
 # closed-form endpoint divergences instead.
@@ -83,7 +83,8 @@ class PMeasure:
         omega, owner, starts = self._node_weights[:, None], self._owner, self._starts
 
         def kernel(lam):
-            return np.add.reduceat(_kernel_terms(s, omega, lam[owner]), starts)
+            x = lam[owner]
+            return np.add.reduceat(omega * (x - 1.0) / ((1.0 - s) * x + s), starts)
 
         def divdiff(lam):
             v = 1.0 / ((1.0 - s) * lam[owner] + s)

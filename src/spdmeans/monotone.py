@@ -11,6 +11,10 @@ Dirac measures give single kernels, Lebesgue measure gives ``log``, and the
 power density ``s^t (1-s)^(-t) sin(t pi)/(t pi)`` gives ``(x^t - 1)/t``.  An
 :class:`SMeasure` stores the measure as a quadrature rule (nodes, weights), read
 only here and in :mod:`spdmeans.measures`, whose methods integrate against it.
+This module holds only the measure, its quadrature rules and its JSON reader: the
+represented function is evaluated where the solvers evaluate it, by
+:meth:`PMeasure.kernels <spdmeans.measures.PMeasure.kernels>`, so ``f(A)`` is
+``karcher_residual(I, product_measure(rep, [(1.0, A)]))``.
 
 Continuous kinds are discretized once at construction: Lebesgue measure by
 Gauss-Legendre, the power density by a Gauss-Jacobi rule matched to its
@@ -25,38 +29,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (_eigh, _float_array, _is_count, _probability_weights, _real, spd_stack,
-                   spectral_sum, sym_matrix, whitened_eigh)
-from .errors import DomainError, MeasureError, NotPositiveDefinite
+from .core import _eigh, _is_count, _probability_weights, _real
+from .errors import MeasureError
 
 DEFAULT_NODES = 64
-
-
-# ---------------------------------------------------------------------------
-# scalar kernels (vectorized over numpy arrays; 2-d input means spectral)
-# ---------------------------------------------------------------------------
-
-
-def _apply(x, fn):
-    """``fn`` of a positive scalar (0-d), or spectrally of an SPD matrix: ``Q diag(fn(w)) Q.T``.
-
-    A matrix passes :func:`sym_matrix`; DomainError unless the scalar, or the matrix's
-    spectrum w, is positive and finite and ``fn(w)`` finite.
-    """
-    x = _float_array(x)
-    w, q = (x[None], None) if x.ndim == 0 else _eigh(sym_matrix(x))
-    if not np.all((w > 0.0) & (w < np.inf)):
-        raise DomainError("argument must be a finite positive scalar or positive definite matrix")
-    with np.errstate(all="ignore"):
-        fw = fn(w)
-    if not np.all(np.isfinite(fw)):
-        raise DomainError("scalar function undefined on part of the spectrum")
-    return float(fw[0]) if q is None else spectral_sum(q[None], fw[None])
-
-
-def _kernel_terms(s, omega, x):
-    """``omega (x - 1)/((1 - s) x + s)``: the kernel of eval_monotone and PMeasure.kernels."""
-    return omega * (x - 1.0) / ((1.0 - s) * x + s)
 
 
 # ---------------------------------------------------------------------------
@@ -183,36 +159,6 @@ class SMeasure:
             f"{k}={v!r}" for k, v in self.params.items() if k != "points"
         )
         return f"SMeasure({self.kind}, {inner or len(self.nodes)})"
-
-
-# ---------------------------------------------------------------------------
-# evaluation against a representing measure
-# ---------------------------------------------------------------------------
-
-
-def eval_monotone(rep: SMeasure, x):
-    """Evaluate the operator monotone function represented by ``rep``.
-
-    ``f(x) = integral (x - 1)/((1 - s) x + s) d rep(s)``.  For the Lebesgue
-    measure this is ``log x``, for the power measure ``(x^t - 1)/t``.
-    Accepts a positive scalar or an SPD matrix.
-    """
-    return _apply(x, lambda w: rep.weights @ _kernel_terms(rep.nodes[:, None], 1.0, w))
-
-
-def eval_mean(nu: SMeasure, a, b):
-    """Two-variable operator mean with representing measure ``nu``.
-
-    ``M(A, B) = integral ((1-s) A^-1 + s B^-1)^-1 d nu(s)``; equals
-    ``(A+B)/2`` for ``(dirac(0)+dirac(1))/2`` and the harmonic mean for
-    ``dirac(1/2)``.  Fixes ``M(A, A) = A`` and is monotone in both slots.
-    """
-    a, b = spd_stack([a, b])
-    rs, _, lam, q = whitened_eigh(a, b[None])
-    if not np.all(lam > 0.0):
-        raise NotPositiveDefinite("mean operands must be positive definite")
-    s = nu.nodes[:, None]
-    return spectral_sum(q, nu.weights @ (lam / ((1.0 - s) * lam + s)), rs)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ and the two-parameter mean iteration contract Thompson balls of radius
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -22,9 +23,17 @@ _R_MAX = 1e300  # radii clamp here: 2r stays finite, and each factor is at its l
 
 
 def min_scaling(a, b) -> float:
-    """Smallest ``alpha`` with ``A <= alpha B``: the top eigenvalue of ``B^(-1/2) A B^(-1/2)``."""
+    """Smallest ``alpha`` with ``A <= alpha B``: the top eigenvalue of ``B^(-1/2) A B^(-1/2)``.
+
+    Raises DomainError when alpha lies outside the normal float range, where no float
+    states it.
+    """
     a, b = spd_stack([a, b])
-    return float(whitened_eigh(b, a[None])[2][0, -1])
+    k = _scale_gap(b, a)  # the top eigenvalue for 2^k A is 2^k alpha
+    m, e = math.frexp(whitened_eigh(b, np.ldexp(a, k)[None])[2][0, -1])
+    if not sys.float_info.min_exp <= e - k <= sys.float_info.max_exp:
+        raise DomainError(f"A <= alpha B needs alpha near 2^{e - k}, outside the float range")
+    return math.ldexp(m, e - k)
 
 
 def distance(a, b) -> float:
@@ -38,10 +47,10 @@ def distance(a, b) -> float:
     if np.array_equal(a, b):
         return 0.0
     k = _scale_gap(b, a)  # the spectrum of B^(-1/2) 2^k A B^(-1/2) is 2^k times the one sought
-    return log_spread(whitened_eigh(b, np.ldexp(a, k)[None])[2][0], -k * math.log(2.0))
+    return _log_spread(whitened_eigh(b, np.ldexp(a, k)[None])[2][0], -k * math.log(2.0))
 
 
-def log_spread(w, log_ratio=0.0) -> float:
+def _log_spread(w, log_ratio=0.0) -> float:
     """``d(A, B)`` from the spectrum ``c w`` of ``B^(-1/2) A B^(-1/2)``: ``max |log c + log w_i|``.
 
     ``log_ratio`` is ``log c``, a scale taken out of the operands before whitening.

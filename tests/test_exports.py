@@ -25,22 +25,27 @@ def test_removed_names_stay_removed():
     # SolverConfig carries grad_tol, a measure's own integrals run on its flat
     # rule, SMeasure.transpose reflects a measure, nothing inverts mean_kernel,
     # the one spectral route is core's whitened eigh and spectral_sum, and only
-    # a test differentiates a represented function at 1; the scalar kernels are
-    # eval_monotone of a Dirac measure, no command writes measure JSON, a matrix
-    # function is monotone._apply, and sym_matrix and smeasure_from_json are
-    # module functions behind spd_matrix and pmeasure_from_json; geodesic convexity is
-    # verify's divergence.geodesic_convexity row; every integral against a measure is a
-    # PMeasure method (kernels, power_kernels, divergence), the one kernel formula is
-    # monotone._kernel_terms, no kind needs a user density or a reflection, and the
-    # demos draw Thompson-ball points with verify.random_ball_point
+    # a test differentiates a represented function at 1; no command writes measure
+    # JSON, and sym_matrix and smeasure_from_json are module functions behind
+    # spd_matrix and pmeasure_from_json; geodesic convexity is verify's
+    # divergence.geodesic_convexity row; every integral against a measure is a
+    # PMeasure method (kernels, power_kernels, divergence), whose kernels() holds the
+    # one kernel formula, so a represented function, a Dirac measure's scalar kernel
+    # included, is the Karcher residual at I of a one-atom measure, and no
+    # two-variable Kubo-Ando mean is kept; no kind needs a user density or a
+    # reflection, and the demos draw Thompson-ball points with verify.random_ball_point
     for name in ("RgdConfig", "integrate", "transpose_measure", "mean_kernel_inv",
                  "SpectralDecomposition", "spectral", "spd_power", "check_normalization",
                  "log_kernel", "log_kernel_inv", "harmonic_kernel", "mean_kernel",
                  "smeasure_to_json", "pmeasure_to_json", "apply_scalar_fn", "sym_matrix",
-                 "smeasure_from_json", "geodesic_convexity_check"):
+                 "smeasure_from_json", "geodesic_convexity_check", "eval_monotone",
+                 "eval_mean", "log_spread"):
         assert name not in spdmeans.__all__
         assert not hasattr(spdmeans, name)
     assert not hasattr(spdmeans.divergence, "geodesic_convexity_check")
+    for name in ("eval_monotone", "eval_mean", "_apply", "_kernel_terms"):
+        assert not hasattr(monotone, name), name
+    assert not hasattr(thompson, "log_spread")
     for name in ("custom", "transpose"):
         assert not hasattr(SMeasure, name)
     modules = (cli, core, divergence, measures, monotone, solver, thompson, verify)
@@ -57,18 +62,23 @@ def _used_names(path):
 
 
 def test_every_export_has_a_caller_outside_the_tests():
-    # an export, or a public method of an exported class, is used by another module of
-    # the package, a demo or the benchmark
+    # an export, a public module-level function of the library's modules, or a public
+    # method of an exported class, is used by another module of the package, a demo or
+    # the benchmark
     src = pathlib.Path(spdmeans.__file__).parent
     repo = src.parents[1]
     used = {path: _used_names(path)
             for path in [*src.glob("*.py"), *(repo / "demos").glob("*.py"),
                          *(repo / "bench").glob("*.py")]}
-    exempt = {"eval_monotone", "eval_mean"}  # until ROADMAP item 2
-    for name in sorted(set(spdmeans.__all__) - exempt):
-        own = {src / f"{getattr(spdmeans, name).__module__.split('.')[-1]}.py", src / "__init__.py"}
+    public = {name: getattr(spdmeans, name) for name in spdmeans.__all__}
+    for module in (core, monotone, measures, solver, divergence, thompson):
+        public.update((name, f) for name, f in vars(module).items()
+                      if not name.startswith("_") and isinstance(f, types.FunctionType)
+                      and f.__module__ == module.__name__)
+    for name, obj in sorted(public.items()):
+        own = {src / f"{obj.__module__.split('.')[-1]}.py", src / "__init__.py"}
         callers = [path for path, names in used.items() if name in names and path not in own]
-        assert callers, f"{name} is exported but only its own module and the tests use it"
+        assert callers, f"{name} is public but only its own module and the tests use it"
     for cls in (SMeasure, PMeasure, SolverConfig, SolverReport):
         own = src / f"{cls.__module__.split('.')[-1]}.py"
         for name, attr in vars(cls).items():

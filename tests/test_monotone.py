@@ -8,15 +8,16 @@ from conftest import measure_json, rand_psd, rand_spd, sym
 from spdmeans import (
     DomainError,
     MeasureError,
+    NotPositiveDefinite,
     SMeasure,
     ShapeError,
-    eval_mean,
-    eval_monotone,
+    geometric_mean,
     iteration_map,
+    karcher_residual,
     loewner_leq,
     product_measure,
 )
-from spdmeans.monotone import _apply, smeasure_from_json
+from spdmeans.monotone import smeasure_from_json
 
 ALL_REPS = [
     SMeasure.dirac(0.0),
@@ -30,60 +31,74 @@ ALL_REPS = [
 ]
 
 
+def represented(rep, a):
+    """The operator monotone function that ``rep`` represents, at an SPD matrix A.
+
+    ``integral (A - 1)/((1 - s) A + s) d rep(s)`` is the Karcher residual at I of
+    ``rep x delta_A``: :meth:`PMeasure.kernels` is the package's one evaluator of it.
+    """
+    mu = product_measure(rep, [(1.0, a)])
+    return karcher_residual(np.eye(mu.dim), mu)
+
+
+def scalar(rep, x):
+    """The represented function at a positive number x, through the 1 x 1 matrix ``[[x]]``."""
+    return float(represented(rep, [[x]])[0, 0])
+
+
+def level_map(rep, t, a):
+    """The level map at X = I of ``rep x delta_A``: the mean kernel ``m_(s,t)`` integrated at A."""
+    mu = product_measure(rep, [(1.0, a)])
+    return iteration_map(np.eye(mu.dim), t, mu)
+
+
 def test_log_kernel_values():
     # dirac(s) represents the single kernel (x - 1)/((1 - s) x + s)
-    log_kernel = lambda s, x: eval_monotone(SMeasure.dirac(s), x)
+    log_kernel = lambda s, x: scalar(SMeasure.dirac(s), x)
     for s in (0.0, 0.25, 0.5, 1.0):
         assert log_kernel(s, 1.0) == 0.0
     assert log_kernel(1.0, 3.0) == 2.0
     assert abs(log_kernel(0.0, 4.0) - 0.75) <= 1e-15
     assert abs(log_kernel(0.5, 2.0) - 2.0 / 3.0) <= 1e-15
-    with pytest.raises(DomainError):
+    with pytest.raises(NotPositiveDefinite):
         log_kernel(0.5, -1.0)
 
 
-# the kernels as functions of a positive scalar or SPD matrix, through the one
-# dispatch monotone._apply: the single kernel at s = 1/2 (dirac(1/2)'s function),
-# the harmonic kernel that eval_mean integrates, the mean kernel at s = t = 1/2 as
-# the level map forms it (1 + t * kernel at t + s(1 - t)), and a represented function
+# the kernels as functions of an SPD matrix, through the public functions that evaluate
+# them: the single kernel at s = 1/2 (dirac(1/2)'s function), the mean kernel at
+# s = t = 1/2 as the level map forms it (1 + t * kernel at t + s(1 - t)), and a
+# represented function
 _KERNELS = [
-    lambda x: eval_monotone(SMeasure.dirac(0.5), x),
-    lambda x: _apply(x, lambda w: w / (0.5 * w + 0.5)),
-    lambda x: _apply(x, lambda w: 1.0 + 0.5 * (w - 1.0) / (0.25 * w + 0.75)),
-    lambda x: eval_monotone(SMeasure.lebesgue(), x),
+    lambda x: represented(SMeasure.dirac(0.5), x),
+    lambda x: level_map(SMeasure.dirac(0.5), 0.5, x),
+    lambda x: represented(SMeasure.lebesgue(), x),
 ]
-_KERNEL_IDS = ["log", "harmonic", "mean", "monotone"]
+_KERNEL_IDS = ["log", "mean", "monotone"]
 
 
-@pytest.mark.parametrize("x", [-1.0, 0.0, math.nan, np.diag([1.0, -1.0]), np.diag([1.0, math.nan]),
-                               math.inf],
-                         ids=["negative", "zero", "nan", "indefinite", "nan-matrix", "inf"])
+@pytest.mark.parametrize("x, error", [
+    ([[-1.0]], NotPositiveDefinite), ([[0.0]], NotPositiveDefinite), ([[math.nan]], DomainError),
+    (np.diag([1.0, -1.0]), NotPositiveDefinite), (np.diag([1.0, math.nan]), DomainError),
+    ([[math.inf]], DomainError),
+], ids=["negative", "zero", "nan", "indefinite", "nan-matrix", "inf"])
 @pytest.mark.parametrize("kernel", _KERNELS, ids=_KERNEL_IDS)
 @pytest.mark.filterwarnings("error")
-def test_kernels_take_only_positive_arguments(kernel, x):
+def test_kernels_take_only_positive_arguments(kernel, x, error):
     # NaN passes an ``x <= 0`` test, and inf an ``x > 0`` one, where a kernel's value is
-    # NaN; a scalar, like a spectrum, must be positive and finite
-    with pytest.raises(DomainError):
+    # NaN; the atom must be finite (DomainError) and positive definite
+    with pytest.raises(error):
         kernel(x)
 
 
 @pytest.mark.parametrize("kernel", _KERNELS, ids=_KERNEL_IDS)
 def test_kernels_take_nested_lists_and_reject_other_shapes(kernel):
-    # dispatch on ndim: 0 is a scalar, 2 a matrix, anything else ShapeError
+    # a nested list gives its array's bytes; anything but a square matrix, a number
+    # included, is ShapeError
     a = np.array([[2.0, 0.5], [0.5, 1.0]])
     assert kernel(a.tolist()).tobytes() == kernel(a).tobytes()
-    assert kernel(np.float64(2.0)) == kernel(2.0) == kernel(np.array(2.0))
-    for bad in (np.ones(2), np.ones((2, 3)), np.ones((1, 2, 2)), [[1.0, 0.0], [0.0]]):
+    for bad in (2.0, np.ones(2), np.ones((2, 3)), np.ones((1, 2, 2)), [[1.0, 0.0], [0.0]]):
         with pytest.raises(ShapeError):
             kernel(bad)
-
-
-def test_harmonic_kernel_values():
-    # dirac(s) as a two-variable mean: ((1 - s) + s/x)^-1 for A = 1, B = x
-    harmonic_kernel = lambda s, x: eval_mean(SMeasure.dirac(s), [[1.0]], [[x]])[0, 0]
-    assert harmonic_kernel(0.0, 7.0) == 1.0
-    assert harmonic_kernel(1.0, 7.0) == 7.0
-    assert abs(harmonic_kernel(0.5, 3.0) - 1.5) <= 1e-15
 
 
 def mean_kernel(s, t, x):
@@ -92,7 +107,7 @@ def mean_kernel(s, t, x):
     ``iteration_map`` forms it as ``1 + t * l_(t + s(1-t))(x)``, never from the kernel's
     Moebius form, so these tests check that identity.
     """
-    return iteration_map([[1.0]], t, product_measure(SMeasure.dirac(s), [(1.0, [[x]])]))[0, 0]
+    return level_map(SMeasure.dirac(s), t, [[x]])[0, 0]
 
 
 def test_mean_kernel_endpoints_and_semigroup():
@@ -124,20 +139,20 @@ def test_mean_kernel_sandwich():
 
 def test_eval_monotone_examples():
     for rep in ALL_REPS:
-        z = eval_monotone(rep, np.eye(3))
+        z = represented(rep, np.eye(3))
         assert np.linalg.norm(z) == 0.0
-    got = eval_monotone(SMeasure.lebesgue(64), np.diag([math.e]))
+    got = represented(SMeasure.lebesgue(64), np.diag([math.e]))
     assert abs(got[0, 0] - 1.0) <= 1e-8
     for t in (0.2, 0.5, 0.8):
         x = 3.7
         exact = (x**t - 1.0) / t
-        assert abs(eval_monotone(SMeasure.power(t), x) - exact) <= 1e-6
+        assert abs(scalar(SMeasure.power(t), x) - exact) <= 1e-6
 
 
 def test_eval_monotone_bounds_and_monotonicity():
     grid = np.logspace(-3, 3, 25)
     for rep in ALL_REPS:
-        vals = [eval_monotone(rep, float(x)) for x in grid]
+        vals = [scalar(rep, float(x)) for x in grid]
         for x, v in zip(grid, vals):
             assert 1.0 - 1.0 / x - 1e-10 <= v <= x - 1.0 + 1e-10
         assert all(b > a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -145,53 +160,18 @@ def test_eval_monotone_bounds_and_monotonicity():
     for rep in ALL_REPS:
         a = rand_spd(rng, 4)
         b = sym(a + rand_psd(rng, 4))
-        assert loewner_leq(eval_monotone(rep, a), eval_monotone(rep, b), 1e-9)
-
-
-def test_eval_mean_examples():
-    rng = np.random.default_rng(6)
-    a, b = rand_spd(rng, 3), rand_spd(rng, 3)
-    arith_rep = SMeasure.from_atoms([(0.0, 0.5), (1.0, 0.5)])
-    assert np.linalg.norm(eval_mean(arith_rep, a, b) - (a + b) / 2) <= 1e-10
-    harm_rep = SMeasure.dirac(0.5)
-    harm = np.linalg.inv(0.5 * np.linalg.inv(a) + 0.5 * np.linalg.inv(b))
-    assert np.linalg.norm(eval_mean(harm_rep, a, b) - harm) <= 1e-10
-    one = np.array([[2.5]])
-    for rep in ALL_REPS:
-        assert abs(eval_mean(rep, one, one)[0, 0] - 2.5) <= 1e-12
-
-
-def test_eval_mean_fixes_diagonal_and_is_monotone():
-    rng = np.random.default_rng(7)
-    for rep in ALL_REPS:
-        a = rand_spd(rng, 3)
-        assert np.linalg.norm(eval_mean(rep, a, a) - a) <= 1e-10 * np.linalg.norm(a)
-        b = rand_spd(rng, 3)
-        a2 = sym(a + rand_psd(rng, 3))
-        b2 = sym(b + rand_psd(rng, 3))
-        assert loewner_leq(eval_mean(rep, a, b), eval_mean(rep, a2, b2), 1e-9)
-
-
-def test_kubo_order_harmonic_below_arithmetic():
-    rng = np.random.default_rng(8)
-    harm_rep = SMeasure.dirac(0.5)
-    arith_rep = SMeasure.from_atoms([(0.0, 0.5), (1.0, 0.5)])
-    # representing functions are pointwise ordered on a scalar grid
-    for x in np.logspace(-2, 2, 17):
-        fh = 2.0 * x / (x + 1.0)  # the harmonic kernel at s = 1/2
-        fa = 0.5 + 0.5 * x
-        assert fh <= fa + 1e-12
-    for _ in range(10):
-        a, b = rand_spd(rng, 4), rand_spd(rng, 4)
-        assert loewner_leq(eval_mean(harm_rep, a, b), eval_mean(arith_rep, a, b), 1e-10)
+        assert loewner_leq(represented(rep, a), represented(rep, b), 1e-9)
 
 
 def test_positive_map_compression_inequality():
+    # Ando's inequality for a Kubo-Ando mean and the compression A -> A[:2, :2], a
+    # positive unital map: Phi(A #_t B) <= Phi(A) #_t Phi(B) for the weighted geometric
+    # mean, whose representing function is x^t
     rng = np.random.default_rng(9)
-    for rep in ALL_REPS:
+    for t in (0.1, 0.25, 0.5, 0.75, 0.9):
         a, b = rand_spd(rng, 4), rand_spd(rng, 4)
-        lhs = eval_mean(rep, a, b)[:2, :2]
-        rhs = eval_mean(rep, a[:2, :2], b[:2, :2])
+        lhs = geometric_mean(a, b, t)[:2, :2]
+        rhs = geometric_mean(a[:2, :2], b[:2, :2], t)
         assert loewner_leq(lhs, rhs, 1e-9)
 
 
@@ -202,7 +182,7 @@ def normalization(rep):
     quadrature mass; the difference is accurate to ~1e-10 for analytic f.
     """
     h = 1e-4
-    f = lambda x: eval_monotone(rep, x)
+    f = lambda x: scalar(rep, x)
     fp = (f(1.0 - 2 * h) - 8.0 * f(1.0 - h) + 8.0 * f(1.0 + h) - f(1.0 + 2 * h)) / (12.0 * h)
     return f(1.0), fp
 

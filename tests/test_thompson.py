@@ -13,7 +13,7 @@ from spdmeans import (
     distance,
     min_scaling,
 )
-from spdmeans.thompson import log_spread
+from spdmeans.thompson import _log_spread
 
 
 def test_min_scaling_cases():
@@ -28,7 +28,7 @@ def test_min_scaling_cases():
 @pytest.mark.parametrize("w", [[4.0, -1.0], [0.0, 2.0], [math.nan, 2.0], [math.inf, 2.0]])
 def test_log_spread_rejects_spectra_that_are_not_positive(w):
     with pytest.raises(NotPositiveDefinite):
-        log_spread(w)
+        _log_spread(w)
 
 
 @pytest.mark.filterwarnings("error")
@@ -39,6 +39,22 @@ def test_distance_of_operands_at_extreme_scales():
         600.0 * math.log(10.0), rel=1e-14)
     assert distance(1e300 * np.eye(2), 1e-300 * np.eye(2)) == pytest.approx(
         600.0 * math.log(10.0), rel=1e-14)
+    # the gate's symmetrization of 1.7e308 I stays finite
+    want = math.log(1.7e308) + 300.0 * math.log(10.0)
+    assert distance(1e-300 * np.eye(1), 1.7e308 * np.eye(1)) == pytest.approx(want, rel=1e-14)
+    assert distance(1.7e308 * np.eye(2), 1e-300 * np.eye(2)) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_min_scaling_of_operands_at_extreme_scales():
+    # A is moved onto B's scale by a power of two before whitening; a ratio outside
+    # the float range is an error, not inf or a claim that A <= 0 B
+    assert min_scaling(1e-150 * np.eye(2), 1e150 * np.eye(2)) == pytest.approx(1e-300, rel=1e-14)
+    assert min_scaling(1e150 * np.eye(2), 1e-150 * np.eye(2)) == pytest.approx(1e300, rel=1e-14)
+    with pytest.raises(DomainError):
+        min_scaling(1e300 * np.eye(2), 1e-300 * np.eye(2))
+    with pytest.raises(DomainError):
+        min_scaling(1e-300 * np.eye(2), 1e300 * np.eye(2))
 
 
 def test_distance_rejects_an_indefinite_operand():
