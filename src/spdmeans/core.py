@@ -47,7 +47,13 @@ LOEWNER_TOL = 1e-10
 
 
 def _sym(a):
-    return 0.5 * (a + a.T)
+    """``(A + A.T)/2`` of a matrix or a stack: the package's one symmetrizer.
+
+    Formed as ``h + h.T`` with ``h = 0.5 A``, which rounds as ``0.5 (A + A.T)`` does in the
+    normal range and cannot overflow.
+    """
+    h = 0.5 * a
+    return h + h.swapaxes(-1, -2)
 
 
 def _is_count(n, least=1) -> bool:
@@ -75,16 +81,15 @@ def _symmetrized(entries, ndim, what) -> np.ndarray:
     """The one check body of :func:`sym_matrix` and :func:`spd_stack`.
 
     ``entries`` as a float array: ShapeError unless it has ``ndim`` axes and ends in a
-    nonempty square matrix, DomainError unless every entry is finite.  Symmetrized as
-    ``0.5 A + 0.5 A.T``, which rounds as ``(A + A.T) / 2`` does in the normal range and
-    cannot overflow.
+    nonempty square matrix, DomainError unless every entry is finite.  Symmetrized by
+    :func:`_sym`.
     """
     a = _float_array(entries)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ShapeError(f"expected {what}, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
-    return 0.5 * a + 0.5 * a.swapaxes(-1, -2)
+    return _sym(a)
 
 
 def sym_matrix(entries) -> np.ndarray:
@@ -188,8 +193,7 @@ def _gated_whitened_eigh(x, mats):
 
 def whiten(irs, mats):
     """Stacked spectra ``(lam, q)`` of ``irs @ mats @ irs``, irs a known ``X^(-1/2)``."""
-    white = irs @ mats @ irs
-    return _eigh(0.5 * (white + white.swapaxes(1, 2)))
+    return _eigh(_sym(irs @ mats @ irs))
 
 
 def spectral_sum(q, vals, rs=None) -> np.ndarray:

@@ -7,10 +7,11 @@ marginals are out of scope: every construction in the underlying theory
 that we evaluate numerically has finitely many matrix atoms, while the
 [0, 1] marginal may be continuous (handled by quadrature inside SMeasure).
 
-Every integral against a measure is a :class:`PMeasure` method, on one private
-flat rule over all atoms' [0, 1] quadratures: a kernel is evaluated on every (atom,
-node) pair in one array pass and summed per atom by ``np.add.reduceat`` in a fixed
-order, so reruns are bit-identical.
+Every integral against a measure is a :class:`PMeasure` method, on its atoms' [0, 1]
+quadratures kept as per-atom node blocks: (k, m) arrays, m the longest atom rule,
+shorter rules padded with weight 0.  An integrand is evaluated on every (atom, node)
+pair in one array pass and summed per atom by a batched product over the node axis,
+in a fixed order, so reruns are bit-identical.
 """
 
 import numpy as np
@@ -37,14 +38,13 @@ class PMeasure:
         once, as the read-only (k, n, n) stack ``matrices`` and vector
         ``weights``; ``atoms`` holds views into that stack.
 
-    :meth:`kernels` and :meth:`divergence` read the private flat rule: over all M nodes,
-    ``_nodes`` (M,) and ``_node_weights`` (M,) hold each atom's ``nu.nodes`` and ``w_k *
-    omega_m``, ``_owner`` (M,) the atom of each node and ``_starts`` (k,) each atom's
-    first node, so ``np.add.reduceat(terms, _starts)`` sums per-node terms per atom.
+    :meth:`kernels` and :meth:`divergence` read the private node blocks: row k of
+    ``_block_nodes`` (k, m) and ``_block_weights`` (k, m) holds atom k's ``nu.nodes``
+    and ``w_k * omega_m``, m the longest atom rule; a shorter rule is padded with nodes
+    at s = 1/2, where every integrand is finite, of weight 0.
     """
 
-    __slots__ = ("atoms", "dim", "matrices", "weights", "_nodes", "_node_weights", "_owner",
-                 "_starts")
+    __slots__ = ("atoms", "dim", "matrices", "weights", "_block_nodes", "_block_weights")
 
     def __init__(self, atoms):
         atoms = list(atoms)
@@ -62,35 +62,34 @@ class PMeasure:
         self.weights = w
         self.atoms = tuple((float(wk), m, nu) for wk, m, nu in zip(w, self.matrices, nus))
         self.dim = mats.shape[1]
-        counts = [len(nu.nodes) for nu in nus]
-        self._nodes = _frozen(np.concatenate([nu.nodes for nu in nus]))
-        self._owner = np.repeat(np.arange(len(nus)), counts)
-        self._node_weights = _frozen(w[self._owner] * np.concatenate([nu.weights for nu in nus]))
-        self._starts = np.cumsum(counts) - counts
-        self._owner.setflags(write=False)
-        self._starts.setflags(write=False)
+        counts = np.array([len(nu.nodes) for nu in nus])
+        filled = np.arange(counts.max()) < counts[:, None]
+        nodes, omega = np.full(filled.shape, 0.5), np.zeros(filled.shape)
+        nodes[filled] = np.concatenate([nu.nodes for nu in nus])  # row-major: atom by atom
+        omega[filled] = np.concatenate([nu.weights for nu in nus])
+        self._block_nodes = _frozen(nodes)
+        self._block_weights = _frozen(w[:, None] * omega)
 
     def __len__(self):
         return len(self.atoms)
 
     def kernels(self, t: float):
-        """Per-atom kernel of R_t (t = 0: Karcher) and its divided differences, on spectra (k, n).
+        """Kernel of R_t (t = 0: Karcher) on spectra (k, n): ``kernel(lam) -> (phi, divdiff)``.
 
-        Atom k is ``w_k sum_m omega_m (x - 1)/(a_m x + s_m)``, ``s_m = t + s(1 - t)``,
-        ``a_m = 1 - s_m``; each term's divided difference is ``1/((a_m x + s_m)(a_m y + s_m))``.
+        Atom k's kernel is ``w_k sum_m omega_m (x - 1)/(a_m x + s_m)``, ``s_m = t + s(1 - t)``,
+        ``a_m = 1 - s_m``.  One node pass forms ``v = 1/(a_m x + s_m)`` (k, n, m); ``phi =
+        (x - 1) (v omega)`` is one batched product over the nodes, and ``divdiff()`` the Gram
+        ``v diag(omega) v.T`` (k, n, n) from that same v: ``1/((a_m x + s_m)(a_m y + s_m))``
+        is the divided difference of node m's term.
         """
-        s = (t + self._nodes * (1.0 - t))[:, None]
-        omega, owner, starts = self._node_weights[:, None], self._owner, self._starts
+        s = (t + self._block_nodes * (1.0 - t))[:, None, :]
+        a, omega = 1.0 - s, self._block_weights[:, :, None]
 
         def kernel(lam):
-            x = lam[owner]
-            return np.add.reduceat(omega * (x - 1.0) / ((1.0 - s) * x + s), starts)
+            v = 1.0 / (a * lam[:, :, None] + s)
+            return (lam - 1.0) * (v @ omega)[:, :, 0], lambda: v @ (omega * v.swapaxes(1, 2))
 
-        def divdiff(lam):
-            v = 1.0 / ((1.0 - s) * lam[owner] + s)
-            return np.add.reduceat((omega * v)[:, :, None] * v[:, None, :], starts)
-
-        return kernel, divdiff
+        return kernel
 
     @staticmethod
     def power_kernels(w, t: float):
@@ -100,31 +99,32 @@ class PMeasure:
         ``u, v = log x, log y``, and ``y^(t-1)`` where ``u = v``.
         """
         def kernel(lam):
-            return w[:, None] * np.expm1(t * np.log(lam)) / t
-
-        def divdiff(lam):
             u = np.log(lam)
-            d = u[:, :, None] - u[:, None, :]
-            with np.errstate(invalid="ignore"):
-                ratio = np.where(d == 0.0, 1.0, np.expm1(t * d) / (t * np.expm1(d)))
-            return w[:, None, None] * np.exp((t - 1.0) * u)[:, None, :] * ratio
 
-        return kernel, divdiff
+            def divdiff():
+                d = u[:, :, None] - u[:, None, :]
+                with np.errstate(invalid="ignore"):
+                    ratio = np.where(d == 0.0, 1.0, np.expm1(t * d) / (t * np.expm1(d)))
+                return w[:, None, None] * np.exp((t - 1.0) * u)[:, None, :] * ratio
+
+            return w[:, None] * np.expm1(t * u) / t, divdiff
+
+        return kernel
 
     def divergence(self, lam) -> float:
         """``sum_k w_k int LD_s(X, A_k) d nu_k(s)`` from the atoms' whitened spectra (k, n) at X.
 
         NotPositiveDefinite unless every eigenvalue is positive (a NaN is not).
         """
-        w, s = lam[self._owner], self._nodes[:, None]
-        if not np.all(w > 0.0):
+        if not np.all(lam > 0.0):
             raise NotPositiveDefinite("divergence of a non-positive matrix")
+        w, s = lam[:, :, None], self._block_nodes[:, None, :]
         logw = np.log(w)
         with np.errstate(divide="ignore", invalid="ignore"):
             mid = (np.log((1.0 - s) * w + s) - (1.0 - s) * logw) / (s * (1.0 - s))
         terms = np.where(s <= _ENDPOINT, 1.0 / w - 1.0 + logw,
                          np.where(s >= 1.0 - _ENDPOINT, w - 1.0 - logw, mid))
-        return float(self._node_weights @ np.sum(terms, axis=1))
+        return float(np.vdot(self._block_weights, np.sum(terms, axis=1)))
 
     def matrix_pairs(self):
         """The matrix marginal as ``[(weight, matrix), ...]``."""

@@ -145,16 +145,18 @@ def _point(x, mats):
 
 
 def _visit(point, kernel):
-    """A visited point with its whitened residual, ``(point, ||G||_F, phi, G)``; None for None.
+    """A visited point and its whitened residual, ``(point, ||G||_F, phi, G, divdiff)``, or None.
 
-    ``G = X^(-1/2) R X^(-1/2) = sum_k Q_k diag(phi_k) Q_k.T`` with ``phi = kernel(lam)`` on
-    the point's whitened spectrum; every stop test and Newton step reads G, never R.
+    ``phi, divdiff = kernel(lam)`` is the kernel's one pass over the point's whitened
+    spectrum, and ``G = X^(-1/2) R X^(-1/2) = sum_k Q_k diag(phi_k) Q_k.T``; every stop
+    test and Newton step reads G, never R.  ``divdiff()`` gives the divided differences
+    from that same pass, so a Newton step from the point evaluates the kernel no more.
     """
     if point is None:
         return None
-    phi = kernel(point[1][2])
+    phi, divdiff = kernel(point[1][2])
     g = spectral_sum(point[1][3], phi)
-    return point, float(np.linalg.norm(g)), phi, g
+    return point, float(np.linalg.norm(g)), phi, g, divdiff
 
 
 def _sym_point(x, mu: PMeasure) -> np.ndarray:
@@ -179,7 +181,7 @@ def karcher_residual(x, mu: PMeasure) -> np.ndarray:
     symmetric, and zero exactly at the Karcher mean of the measure.
     """
     rs, _, lam, q = _gated_point(x, mu)[1]
-    return spectral_sum(q, mu.kernels(0.0)[0](lam), rs)
+    return spectral_sum(q, mu.kernels(0.0)(lam)[0], rs)
 
 
 def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
@@ -193,7 +195,7 @@ def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     x, (rs, _, lam, q) = _gated_point(x, mu)
-    r = spectral_sum(q, mu.kernels(t)[0](lam), rs)
+    r = spectral_sum(q, mu.kernels(t)(lam)[0], rs)
     return _sym(x + t * r)  # R_t(X) = (T_t(X) - X)/t evaluated directly
 
 
@@ -212,27 +214,31 @@ def _sym_basis(n):
     return basis
 
 
-def _whitened_jacobian(visit, divdiff):
+def _whitened_jacobian(visit):
     """Jacobian of G along ``X^(1/2)(I + E)X^(1/2)`` on the symmetric basis, at a :func:`_visit`.
 
     Daleckii-Krein: ``dG[E] = sum_k Q_k (Gamma_k o Q_k.T E Q_k) Q_k.T`` with
-    ``Gamma_k,ij = (phi_i + phi_j)/2 - (lam_i + lam_j)/2 * phi^[1](lam_i, lam_j)``.
+    ``Gamma_k,ij = (phi_i + phi_j)/2 - (lam_i + lam_j)/2 * phi^[1](lam_i, lam_j)``, phi and
+    the divided differences ``phi^[1]`` read from the visit record.
     Returns ``(J, B)`` with B the flattened basis and ``J[a, b] = <B_a, dG[B_b]>``.
     """
-    (_, (_, _, lam, q)), _, phi, _ = visit
+    (_, (_, _, lam, q)), _, phi, _, divdiff = visit
     k, n = lam.shape
     gamma = 0.5 * (phi[:, :, None] + phi[:, None, :]
-                   - (lam[:, :, None] + lam[:, None, :]) * divdiff(lam))
+                   - (lam[:, :, None] + lam[:, None, :]) * divdiff())
     basis = _sym_basis(n)
     # P_k[a] = Q_k.T B_a Q_k, so that J = sum_k P_k diag(Gamma_k) P_k.T
     proj = (q.swapaxes(1, 2)[:, None] @ basis @ q[:, None]).reshape(k, len(basis), -1)
     return spectral_sum(proj, gamma.reshape(k, -1)), basis.reshape(len(basis), -1)
 
 
-def _newton_step(visit, divdiff):
-    """Newton step ``X^(1/2) E X^(1/2)`` with ``dG[E] = -G``; None if the Jacobian is singular."""
+def _newton_step(visit):
+    """Newton step ``X^(1/2) E X^(1/2)`` with ``dG[E] = -G``, from a :func:`_visit` record alone.
+
+    None if the Jacobian is singular.
+    """
     rs, g = visit[0][1][0], visit[3]
-    jac, flat = _whitened_jacobian(visit, divdiff)
+    jac, flat = _whitened_jacobian(visit)
     try:
         e = (np.linalg.solve(jac, -(flat @ g.ravel())) @ flat).reshape(g.shape)
     except np.linalg.LinAlgError:
@@ -248,7 +254,7 @@ def _trial_point(x, mats):
         return None
 
 
-def _solve_level(mats, kernels, t, visit, tol, max_iters, iters_used=0, on_step=None):
+def _solve_level(mats, kernel, t, visit, tol, max_iters, iters_used=0, on_step=None):
     """Damped Newton on ``G = 0`` for the level map ``x -> x + t * R(x)``; t = 0 is Karcher.
 
     Each step's length eta is halved until the trial point is SPD and its whitened
@@ -260,7 +266,6 @@ def _solve_level(mats, kernels, t, visit, tol, max_iters, iters_used=0, on_step=
     Raises NonConvergence when eta drops below 1e-10, where the demanded decrease nears
     rounding and X barely moves, or ``iters_used`` plus the iterations reach max_iters.
     """
-    kernel, divdiff = kernels
     iters = 0
     fail = lambda why: NonConvergence(
         f"Newton solve at t={t:g} {why} at whitened residual {visit[1]:.3e}",
@@ -270,7 +275,7 @@ def _solve_level(mats, kernels, t, visit, tol, max_iters, iters_used=0, on_step=
             raise fail(f"exhausted {max_iters} iterations")
         wnorm = visit[1]
         floor = t > 0.0 and t * wnorm <= tol and wnorm <= 1e4 * tol
-        step = _newton_step(visit, divdiff)
+        step = _newton_step(visit)
         eta = 1.0
         while step is not None and eta >= (1.0 if floor else 1e-10):
             trial = _visit(_trial_point(visit[0][0] + eta * step, mats), kernel)
@@ -289,15 +294,15 @@ def _solve_level(mats, kernels, t, visit, tol, max_iters, iters_used=0, on_step=
     return visit, iters
 
 
-def _solve(w, mats, kernels, t, tol, max_iters, on_step=None) -> SolverReport:
+def _solve(w, mats, kernel, t, tol, max_iters, on_step=None) -> SolverReport:
     """One solve at t from the weighted arithmetic mean of gated ``w``, ``mats``; t = 0 is Karcher.
 
     Runs :func:`_solve_level` from that start and reports its end point: residual_norm
     is the whitened ``||G||_F`` of the equation solved, and t_trace ``[(t, iterations)]``,
     empty at t = 0 where there is no schedule.
     """
-    start = _visit(_point(_arith(w, mats), mats), kernels[0])
-    visit, iters = _solve_level(mats, kernels, t, start, tol, max_iters, on_step=on_step)
+    start = _visit(_point(_arith(w, mats), mats), kernel)
+    visit, iters = _solve_level(mats, kernel, t, start, tol, max_iters, on_step=on_step)
     return SolverReport(
         mean=visit[0][0],
         iterations=iters,
@@ -388,14 +393,14 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     point = _point(_arith(mu.weights, mats), mats)
     history = [(1.0, point[0])]  # L_1 is the weighted arithmetic mean
     t = 0.5
-    karcher = mu.kernels(0.0)[0]
+    karcher = mu.kernels(0.0)
     prev = e_prev = None
     trace = []
     total = 0
     for _ in range(200):
-        kernels = mu.kernels(t)
-        start = _predicted_start(history, t, point, mats, kernels[0])
-        level, iters = _solve_level(mats, kernels, t, start, cfg.fp_tol, cfg.max_iters, total)
+        kernel = mu.kernels(t)
+        start = _predicted_start(history, t, point, mats, kernel)
+        level, iters = _solve_level(mats, kernel, t, start, cfg.fp_tol, cfg.max_iters, total)
         point = level[0]
         total += iters
         trace.append((t, iters))

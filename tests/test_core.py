@@ -31,7 +31,7 @@ from spdmeans import (
     weighted_arith,
     weighted_harm,
 )
-from spdmeans.core import _eigh, spd_stack, spectral_sum, sym_matrix, whitened_eigh
+from spdmeans.core import _eigh, _sym, spd_stack, spectral_sum, sym_matrix, whitened_eigh
 from spdmeans.errors import SingularTransform
 
 
@@ -59,6 +59,18 @@ def test_symmetrization_does_not_overflow_near_the_float_maximum():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 3))
     assert sym_matrix(a).tobytes() == (0.5 * (a + a.T)).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_results_near_the_float_maximum_do_not_overflow():
+    # the one symmetrizer, 0.5 A + (0.5 A).T, also symmetrizes the averaged and the
+    # reassembled results, so a mean of matrices near the float maximum stays finite
+    big = 1.7e308 * np.eye(2)
+    assert np.array_equal(weighted_arith([(0.5, big), (0.5, big)]), big)
+    g = geometric_mean(big, np.eye(2), 0.5)
+    assert np.allclose(g, math.sqrt(1.7e308) * np.eye(2), rtol=1e-14, atol=0.0)
+    a = np.random.default_rng(5).standard_normal((2, 3, 3))
+    assert _sym(a).tobytes() == (0.5 * (a + a.swapaxes(1, 2))).tobytes()
 
 
 # apply_scalar_fn's spectral route, now core's one eigh and spectral_sum: fn on the

@@ -91,10 +91,11 @@ def test_every_export_has_a_caller_outside_the_tests():
 
 def test_only_the_measure_layer_reads_the_quadrature():
     # the solvers and the divergence call the measure's methods; no node array of a
-    # measure is read outside monotone.py and measures.py
+    # measure, its node blocks or an earlier flat rule, is read outside monotone.py and
+    # measures.py
     src = pathlib.Path(spdmeans.__file__).parent
     rule = {"nodes", "node_weights", "owner", "starts", "_nodes", "_node_weights", "_owner",
-            "_starts"}
+            "_starts", "_block_nodes", "_block_weights"}
     for path in src.glob("*.py"):
         if path.name not in ("monotone.py", "measures.py"):
             assert not rule & _used_names(path), path.name

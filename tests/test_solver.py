@@ -148,7 +148,7 @@ def test_induced_mean_left_trivial_scalar_fixed_point():
 
 def test_induced_mean_reparametrized_residual_vanishes():
     # at X = L_t the average of (mean_kernel(s, t, W) - I)/t over the measure
-    # is zero; summed per atom and node, apart from the flat rule, as a cross-check
+    # is zero; summed per atom and node, apart from the node blocks, as a cross-check
     rng = np.random.default_rng(9)
     mu = rand_measure(rng, 3)
     t = 0.35
@@ -202,15 +202,15 @@ def test_induced_mean_damped_newton_ill_conditioned():
 # ---------------------------------------------------------------------------
 
 
-def jacobian_error(x, mats, kernels, h=1e-5):
+def jacobian_error(x, mats, kernel, h=1e-5):
     # relative distance between the closed-form Jacobian and central differences
     # of the whitened residual along X^(1/2)(I + hE)X^(1/2) on the same basis
     rs, irs = sqrt_pair(x)
-    visit = lambda y: _visit(_point(y, mats), kernels[0])
-    jac, flat = _whitened_jacobian(visit(x), kernels[1])
+    visit = lambda y: _visit(_point(y, mats), kernel)
+    jac, flat = _whitened_jacobian(visit(x))
 
     def g(e):
-        (_, (ry, *_)), _, _, gy = visit(sym(rs @ (np.eye(len(x)) + e) @ rs))
+        (_, (ry, *_)), _, _, gy, _ = visit(sym(rs @ (np.eye(len(x)) + e) @ rs))
         return (irs @ sym(ry @ gy @ ry) @ irs).ravel()  # R = Y^(1/2) G Y^(1/2), whitened by X
 
     fd = np.array([
@@ -242,27 +242,43 @@ def test_whitened_jacobian_matches_central_differences():
 
 
 def test_flat_quadrature_matches_per_atom_sums():
-    # the measure's kernels and divergence on its flat rule: every SMeasure kind, one-node
-    # atoms first and last and a step-like atomic measure on (1/2, 1], against per-atom
-    # sums over each atom's nodes
+    # the measure's kernel, its divided differences and its divergence on the padded node
+    # blocks: every SMeasure kind, one-node atoms first and last, the longest rule in the
+    # middle and a step-like atomic measure on (1/2, 1], against per-atom sums over each
+    # atom's own nodes, on whitened spectra spanning about [1e-6, 1e6]
     rng = np.random.default_rng(34)
     step = SMeasure.from_atoms([(s, 0.25) for s in (0.6, 0.7, 0.8, 0.9)])
     nus = [SMeasure.dirac(0.0), SMeasure.from_atoms([(0.2, 0.5), (0.9, 0.5)]),
-           SMeasure.lebesgue(16), SMeasure.power(0.4, 16), step, SMeasure.dirac(1.0)]
-    mu = PMeasure([(w, rand_spd(rng, 3), nu) for w, nu in zip(rand_weights(rng, len(nus)), nus)])
-    x = rand_spd(rng, 3)
+           SMeasure.lebesgue(16), SMeasure.power(0.4, 24), step, SMeasure.lebesgue(8),
+           SMeasure.dirac(1.0)]
+    mats = [core.congruence(np.linalg.qr(rng.standard_normal((3, 3)))[0],
+                            np.diag(np.logspace(-6.0, 6.0, 3) * rng.uniform(0.5, 2.0, 3)))
+            for _ in nus]
+    mu = PMeasure([(w, m, nu) for w, m, nu in zip(rand_weights(rng, len(nus)), mats, nus)])
+    x = rand_spd(rng, 3, 0.5, 2.0)
     lam = whitened_eigh(x, mu.matrices)[2]
-    for t in (0.0, 0.3):
+    assert lam.min() <= 1e-5 and lam.max() >= 1e5
+    for t in (0.0, 0.3, 1.0):
         ref_kernel, ref_divdiff = np.zeros_like(lam), np.zeros((len(mu), 3, 3))
         for k, (w, _, nu) in enumerate(mu.atoms):
             for s, omega in zip(t + nu.nodes * (1.0 - t), nu.weights):
-                f = (lam[k] - 1.0) / ((1.0 - s) * lam[k] + s)
-                v = 1.0 - (1.0 - s) * f  # = 1/((1-s) y + s), so v v.T is the divided difference
-                ref_kernel[k] += w * omega * f
+                v = 1.0 / ((1.0 - s) * lam[k] + s)  # v v.T is the divided difference
+                ref_kernel[k] += w * omega * (lam[k] - 1.0) / ((1.0 - s) * lam[k] + s)
                 ref_divdiff[k] += w * omega * np.outer(v, v)
-        kernel, divdiff = mu.kernels(t)
-        assert np.linalg.norm(kernel(lam) - ref_kernel) <= 1e-12 * np.linalg.norm(ref_kernel)
-        assert np.linalg.norm(divdiff(lam) - ref_divdiff) <= 1e-12 * np.linalg.norm(ref_divdiff)
+        phi, divdiff = mu.kernels(t)(lam)
+        assert np.linalg.norm(phi - ref_kernel) <= 1e-12 * np.linalg.norm(ref_kernel)
+        assert np.linalg.norm(divdiff() - ref_divdiff) <= 1e-12 * np.linalg.norm(ref_divdiff)
+
+    def ld(s, y):  # LD_s per whitened eigenvalue, its endpoints in closed form
+        if s == 0.0:
+            return 1.0 / y - 1.0 + np.log(y)
+        if s == 1.0:
+            return y - 1.0 - np.log(y)
+        return (np.log((1.0 - s) * y + s) - (1.0 - s) * np.log(y)) / (s * (1.0 - s))
+
+    ref = sum(w * omega * np.sum(ld(s, lam[k]))
+              for k, (w, _, nu) in enumerate(mu.atoms) for s, omega in zip(nu.nodes, nu.weights))
+    assert abs(mu.divergence(lam) - ref) <= 1e-12 * ref
     ref = sum(w * omega * logdet_divergence(x, a, s)
               for w, a, nu in mu.atoms for s, omega in zip(nu.nodes, nu.weights))
     assert abs(objective(x, mu) - ref) <= 1e-12 * ref
@@ -473,10 +489,10 @@ def test_lambda_mean_raises_when_a_level_increases(monkeypatch):
     solve_level = solver._solve_level
     solved = []
 
-    def inflated(mats, kernels, t, start, *args):
-        visit, iters = solve_level(mats, kernels, t, start, *args)
+    def inflated(mats, kernel, t, start, *args):
+        visit, iters = solve_level(mats, kernel, t, start, *args)
         if len(solved) == 3:
-            visit = _visit(_point((1.0 + 1e-7) * solved[-1][0][0], mats), kernels[0])
+            visit = _visit(_point((1.0 + 1e-7) * solved[-1][0][0], mats), kernel)
         solved.append(visit)
         return visit, iters
 
@@ -523,6 +539,42 @@ def test_lambda_mean_whitens_each_visited_point_once(monkeypatch):
             assert calls["eigh"] <= 2 * calls["sqrt_pair"] + len(rep.t_trace) - 1
 
 
+def test_each_visit_is_one_node_pass_of_the_kernel(monkeypatch):
+    # the measure's evaluator makes one node pass per visited point, and the Newton step
+    # from that point reads the divided differences of the same pass from the visit
+    # record: the passes equal the visits, and a step adds none
+    calls = {"pass": 0, "visit": 0, "divdiff": 0, "step": 0}
+    kernels, visit, newton_step = PMeasure.kernels, solver._visit, solver._newton_step
+
+    def counted(name, fn):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+
+    def counted_kernels(self, t):
+        kernel = kernels(self, t)
+
+        def one_pass(lam):
+            phi, divdiff = kernel(lam)
+            return phi, counted("divdiff", divdiff)
+
+        return counted("pass", one_pass)
+
+    def counted_visit(point, kernel):
+        calls["visit"] += point is not None  # a trial point outside the cone is no visit
+        return visit(point, kernel)
+
+    monkeypatch.setattr(PMeasure, "kernels", counted_kernels)
+    monkeypatch.setattr(solver, "_visit", counted_visit)
+    monkeypatch.setattr(solver, "_newton_step", counted("step", newton_step))
+    for lo, hi in ((1e-1, 1e1), (1e-3, 1e3)):
+        for seed in range(5):
+            mu = random_measure(np.random.default_rng(seed), 4, 3, lo=lo, hi=hi)
+            for solve in (lambda_mean, minimize_divergence):
+                calls.update({name: 0 for name in calls})
+                rep = solve(mu, CFG)
+                assert calls["pass"] == calls["visit"] > rep.iterations
+                assert calls["divdiff"] == calls["step"] >= rep.iterations
+
+
 def test_lambda_mean_exhausted_schedule_reports_the_last_level(monkeypatch):
     # a net whose extrapolations never meet runs out of its 200 levels; the error
     # carries the iterations of every level solved
@@ -549,12 +601,12 @@ def test_newton_step_on_a_singular_jacobian_stalls():
     # too, at a nonzero residual, and the level solve reports the stall
     mats = rand_spd(np.random.default_rng(41), 3)[None]
     point = _point(np.eye(3), mats)
-    zero = lambda lam: np.zeros(lam.shape + lam.shape[-1:])
-    assert solver._newton_step(_visit(point, np.zeros_like), zero) is None
-    linear = (lambda lam: lam, lambda lam: np.ones(lam.shape + lam.shape[-1:]))
-    assert solver._newton_step(_visit(point, linear[0]), linear[1]) is None
+    zero = lambda lam: (np.zeros_like(lam), lambda: np.zeros(lam.shape + lam.shape[-1:]))
+    assert solver._newton_step(_visit(point, zero)) is None
+    linear = lambda lam: (lam, lambda: np.ones(lam.shape + lam.shape[-1:]))
+    assert solver._newton_step(_visit(point, linear)) is None
     with pytest.raises(NonConvergence, match="stalled"):
-        solver._solve_level(mats, linear, 0.5, _visit(point, linear[0]), 1e-12, 100)
+        solver._solve_level(mats, linear, 0.5, _visit(point, linear), 1e-12, 100)
 
 
 def test_lambda_mean_two_point_geometric():
