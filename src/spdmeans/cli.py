@@ -20,8 +20,8 @@ import numpy as np
 
 from . import divergence as dvg
 from . import measures, solver, thompson, verify
-from .core import matrix_from_json, matrix_to_json
-from .errors import MeasureError, NonConvergence, SpdMeansError
+from .core import _json_rows, _numeric, matrix_from_json, matrix_to_json
+from .errors import MeasureError, NonConvergence, ShapeError, SpdMeansError
 
 
 def _load_json(path):
@@ -34,30 +34,30 @@ def _load_json(path):
         raise SpdMeansError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _load_measure(path):
-    try:
-        return measures.pmeasure_from_json(_load_json(path))
-    except MeasureError as exc:
-        raise MeasureError(f"bad measure JSON in {path}: {exc}") from exc
+def _sigma_from_json(obj):
+    """``{"atoms": [{"weight": w, "matrix": {...}}, ...]}`` as pairs, the matrices one array.
 
-
-def _load_matrix(path):
-    try:
-        return matrix_from_json(_load_json(path))
-    except MeasureError as exc:
-        raise MeasureError(f"bad matrix JSON in {path}: {exc}") from exc
-
-
-def _load_sigma(path):
-    """Matrix-marginal JSON: {"atoms": [{"weight": w, "matrix": {...}}, ...]}.
-
-    A weight is left as read: ``power_mean`` checks the weights, numbers only, as one vector.
+    ``power_mean`` checks the matrices, as one stack, and the weights, as one vector.
     """
+    entries = list(obj["atoms"])
+    weights = [a["weight"] for a in entries]
+    rows = [_json_rows(a["matrix"]) for a in entries]
+    if len({len(r) for r in rows}) > 1:
+        raise ShapeError("the matrices of a matrix list have different dimensions")
+    return list(zip(weights, _numeric(rows)))
+
+
+_PARSERS = {"measure": measures.pmeasure_from_json, "matrix": matrix_from_json,
+            "matrix-list": _sigma_from_json}
+
+
+def _load(path, kind):
+    """The ``kind`` input in the JSON file at path; MeasureError naming the file if malformed."""
     obj = _load_json(path)
     try:
-        return [(a["weight"], matrix_from_json(a["matrix"])) for a in obj["atoms"]]
+        return _PARSERS[kind](obj)
     except (KeyError, TypeError, MeasureError) as exc:
-        raise MeasureError(f"bad matrix-list JSON in {path}: {exc}") from exc
+        raise MeasureError(f"bad {kind} JSON in {path}: {exc}") from exc
 
 
 def _write(text, path):
@@ -124,20 +124,21 @@ def _run(args):
         _write("\n".join(lines) + "\n", args.output)
         return 0 if ok else 1
     if "measure" in args:
-        mu = _load_measure(args.measure)
+        mu = _load(args.measure, "measure")
     if cmd == "mean":
         out = solver.induced_mean(args.t, mu, _solver_config(args)).to_json()
     elif cmd == "lambda":
         out = solver.lambda_mean(mu, _solver_config(args)).to_json()
     elif cmd == "power":
-        out = solver.power_mean(args.t, _load_sigma(args.sigma), _solver_config(args)).to_json()
+        sigma = _load(args.sigma, "matrix-list")
+        out = solver.power_mean(args.t, sigma, _solver_config(args)).to_json()
     elif cmd == "residual":
-        r = solver.karcher_residual(_load_matrix(args.x), mu)
+        r = solver.karcher_residual(_load(args.x, "matrix"), mu)
         out = {"residual_norm": float(np.linalg.norm(r)), "residual": matrix_to_json(r)}
     elif cmd == "metric":
-        out = {"d_inf": thompson.distance(_load_matrix(args.a), _load_matrix(args.b))}
+        out = {"d_inf": thompson.distance(_load(args.a, "matrix"), _load(args.b, "matrix"))}
     elif cmd == "divergence":
-        out = {"objective": dvg.objective(_load_matrix(args.x), mu)}
+        out = {"objective": dvg.objective(_load(args.x, "matrix"), mu)}
     else:
         out = dvg.minimize_divergence(mu, _solver_config(args)).to_json()
     _write(json.dumps(out) + "\n", args.output)

@@ -3,13 +3,13 @@
 Everything here operates on plain ``numpy.ndarray`` values.  A caller's matrix
 is checked once, by the public function that takes it: :func:`sym_matrix`
 converts, shape-checks and symmetrizes it as ``0.5 A + 0.5 A.T``, and one
-positive-definiteness rule (:func:`_pd_rule`) reads its spectrum.  Operands
-that are only gated go through :func:`spd_stack` (one stacked ``eigvalsh``;
-:func:`spd_matrix` is its k = 1 case); a point that is decomposed anyway is
-gated by the eigenvalues of that decomposition (:func:`_gated_whitened_eigh`),
-so it takes one ``eigh`` and no ``eigvalsh``.  Nothing behind that gate checks
-again; the remaining operations stay allocation-light so they can sit inside
-solver loops.
+positive-definiteness rule (:func:`_pd_rule`) reads its spectrum.  A matrix that
+is whitened against (a caller's point, a two-operand function's frame, a solver's
+trial point) is gated by the ``eigh`` of its :func:`sqrt_pair`; any other operand
+by :func:`spd_stack`'s one stacked ``eigvalsh`` (:func:`spd_matrix` is its k = 1
+case).  The two-operand functions enter through :func:`_whitened_pair`.  Nothing
+behind that gate checks again; the remaining operations stay allocation-light so
+they can sit inside solver loops.
 
 All matrix functions take the spectral route rather than Pade or
 scaling-and-squaring: dimensions stay small, and one kernel handles every
@@ -116,14 +116,16 @@ def spd_matrix(entries) -> np.ndarray:
     ndarray
         Symmetric positive definite float64 copy.
     """
-    return spd_stack(sym_matrix(entries)[None])[0]
+    a = sym_matrix(entries)
+    _pd_rule(np.linalg.eigvalsh(a))
+    return a
 
 
 def spd_stack(mats) -> np.ndarray:
     """Validate, symmetrize and positivity-check k square matrices of one shape.
 
-    The one SPD gate of the package: a (k, n, n) stack, checked by one stacked
-    ``eigvalsh``.  Each smallest eigenvalue must exceed ``n * 1e-14 *
+    The gate of operands that are not whitened against: a (k, n, n) stack, checked by
+    one stacked ``eigvalsh``.  Each smallest eigenvalue must exceed ``n * 1e-14 *
     lambda_max``, so that floating-point drift neither rejects valid input nor
     admits indefinite matrices; the first failing matrix is named by its index.
     """
@@ -133,17 +135,17 @@ def spd_stack(mats) -> np.ndarray:
 
 
 def _pd_rule(w):
-    """The package's one positive-definiteness rule, on ascending spectra ``w`` (k, n).
+    """The package's one positive-definiteness rule, on an ascending spectrum ``w``: (n,) or (k, n).
 
-    Each smallest eigenvalue must exceed ``n * PD_FLOOR`` times the largest, which
-    must be positive; NotPositiveDefinite names the first failing matrix by its index.
+    One comparison: each smallest eigenvalue must exceed ``n * PD_FLOOR`` times the
+    largest, which fails too for a largest eigenvalue <= 0 and for NaN.
+    NotPositiveDefinite names the first failing matrix by its index (0 for one spectrum).
     """
-    lo, hi = w[:, 0], w[:, -1]
-    bad = (hi <= 0.0) | (lo <= w.shape[1] * PD_FLOOR * hi)
-    if np.any(bad):
-        k = int(np.argmax(bad))
+    ok = w[..., :1] > w.shape[-1] * PD_FLOOR * w[..., -1:]
+    if not ok.all():
+        k, w = int(np.argmin(ok)), w.reshape(-1, w.shape[-1])
         raise NotPositiveDefinite(
-            f"matrix {k} is not positive definite (min eig {lo[k]:.3e}, max eig {hi[k]:.3e})"
+            f"matrix {k} is not positive definite (min eig {w[k, 0]:.3e}, max eig {w[k, -1]:.3e})"
         )
 
 
@@ -156,14 +158,9 @@ def _eigh(a):
 
 
 def sqrt_pair(a):
-    """Return ``(A**0.5, A**-0.5)`` from a single eigendecomposition."""
-    return _roots(*_eigh(a))
-
-
-def _roots(w, q):
-    """``(A**0.5, A**-0.5)`` from A's eigenpairs; NotPositiveDefinite unless every w > 0."""
-    if not np.all(w > 0.0):
-        raise NotPositiveDefinite("square root of a non-positive matrix")
+    """``(A**0.5, A**-0.5)`` from one ``eigh``, whose spectrum gates A (:func:`_pd_rule`)."""
+    w, q = _eigh(a)
+    _pd_rule(w)
     r = np.sqrt(w)
     return _sym((q * r) @ q.T), _sym((q / r) @ q.T)
 
@@ -176,18 +173,6 @@ def whitened_eigh(x, mats):
     ascending and ``q[k]`` the matching eigenvectors.
     """
     rs, irs = sqrt_pair(x)
-    return (rs, irs, *whiten(irs, mats))
-
-
-def _gated_whitened_eigh(x, mats):
-    """:func:`whitened_eigh` of a caller's symmetrized X, gated by the spectrum that whitens it.
-
-    The eigenvalues of X's one ``eigh`` pass :func:`spd_stack`'s rule (:func:`_pd_rule`)
-    before its square roots are taken, so the gate costs no second decomposition.
-    """
-    w, q = _eigh(x)
-    _pd_rule(w[None])
-    rs, irs = _roots(w, q)
     return (rs, irs, *whiten(irs, mats))
 
 
@@ -239,14 +224,26 @@ def geometric_mean(a, b, t: float) -> np.ndarray:
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"geometric mean weight must lie in [0, 1], got {t}")
-    a, b = spd_stack([a, b])
-    k = _scale_gap(a, b)
-    rs, _, lam, q = whitened_eigh(a, np.ldexp(b, k)[None])
+    _, _, k, rs, lam, q = _whitened_pair(a, b)
     if not np.all(lam > 0.0):
         raise NotPositiveDefinite("matrix power of a non-positive matrix")
     # A #_t B = 2^(-k t) (A #_t 2^k B), the power of two applied as 2^f 2^m
     m, f = divmod(-k * t, 1.0)
     return np.ldexp(2.0**f * spectral_sum(q, lam**t, rs), int(m))
+
+
+def _whitened_pair(x, a):
+    """``(x, a, k, X^(1/2), lam, q)``: X and A gated, ``X^(-1/2) 2^k A X^(-1/2)``'s spectrum.
+
+    The two-operand functions' one entry: A passes :func:`spd_matrix`, frame X the
+    :func:`sqrt_pair` that whitens it; k is the :func:`_scale_gap` of A to X.
+    """
+    x, a = sym_matrix(x), spd_matrix(a)
+    if x.shape != a.shape:
+        raise ShapeError("operands must share dimensions")
+    k = _scale_gap(x, a)
+    rs, _, lam, q = whitened_eigh(x, np.ldexp(a, k)[None])
+    return x, a, k, rs, lam, q
 
 
 def _scale_gap(a, b) -> int:

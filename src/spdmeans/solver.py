@@ -53,7 +53,6 @@ import numpy as np
 from .core import (
     _arith,
     _check_weights,
-    _gated_whitened_eigh,
     _harm,
     _is_count,
     _sym,
@@ -168,9 +167,12 @@ def _sym_point(x, mu: PMeasure) -> np.ndarray:
 
 
 def _gated_point(x, mu: PMeasure):
-    """A caller's point X as a :func:`_point`, gated by the one ``eigh`` that whitens it."""
-    x = _sym_point(x, mu)
-    return x, _gated_whitened_eigh(x, mu.matrices)
+    """A caller's X as a gated :func:`_point`; DomainError unless its whitened lam are normal."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        point = _point(_sym_point(x, mu), mu.matrices)
+    if not np.all((point[1][2] >= np.finfo(float).tiny) & (point[1][2] < math.inf)):
+        raise DomainError("the atoms' whitened spectrum at X leaves the normal float range")
+    return point
 
 
 def karcher_residual(x, mu: PMeasure) -> np.ndarray:

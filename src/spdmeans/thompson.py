@@ -3,7 +3,7 @@
 The metric is ``d(A, B) = max(log M(A/B), log M(B/A))`` with
 ``M(A/B) = inf{alpha : A <= alpha B}``.  It is computed from the spectrum of
 the symmetric similarity ``B^(-1/2) A B^(-1/2)`` (never via a generalized
-eigenproblem) by :func:`spdmeans.core.whitened_eigh`, which keeps symmetry
+eigenproblem) by :func:`spdmeans.core._whitened_pair`, which keeps symmetry
 exact.
 
 The contraction factors quantify how fast the affine map ``B -> aA + bB``
@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .core import _scale_gap, spd_stack, whitened_eigh
+from .core import _whitened_pair
 from .errors import DomainError, NotPositiveDefinite
 
 _R_MAX = 1e300  # radii clamp here: 2r stays finite, and each factor is at its limit from r ~ 1e4
@@ -28,9 +28,8 @@ def min_scaling(a, b) -> float:
     Raises DomainError when alpha lies outside the normal float range, where no float
     states it.
     """
-    a, b = spd_stack([a, b])
-    k = _scale_gap(b, a)  # the top eigenvalue for 2^k A is 2^k alpha
-    m, e = math.frexp(whitened_eigh(b, np.ldexp(a, k)[None])[2][0, -1])
+    _, _, k, _, lam, _ = _whitened_pair(b, a)  # the top eigenvalue for 2^k A is 2^k alpha
+    m, e = math.frexp(lam[0, -1])
     if not sys.float_info.min_exp <= e - k <= sys.float_info.max_exp:
         raise DomainError(f"A <= alpha B needs alpha near 2^{e - k}, outside the float range")
     return math.ldexp(m, e - k)
@@ -43,11 +42,11 @@ def distance(a, b) -> float:
     when A or B is not, or when ``B^(-1/2) A B^(-1/2)`` has a non-positive or
     non-finite eigenvalue.
     """
-    a, b = spd_stack([a, b])
+    b, a, k, _, lam, _ = _whitened_pair(b, a)
     if np.array_equal(a, b):
         return 0.0
-    k = _scale_gap(b, a)  # the spectrum of B^(-1/2) 2^k A B^(-1/2) is 2^k times the one sought
-    return _log_spread(whitened_eigh(b, np.ldexp(a, k)[None])[2][0], -k * math.log(2.0))
+    # the spectrum of B^(-1/2) 2^k A B^(-1/2) is 2^k times the one sought
+    return _log_spread(lam[0], -k * math.log(2.0))
 
 
 def _log_spread(w, log_ratio=0.0) -> float:

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -24,6 +25,7 @@ from spdmeans import (
     product_measure,
     verify,
 )
+from spdmeans import core
 
 
 def run_cli(*args, cwd=None):
@@ -138,6 +140,26 @@ def test_bad_input_values_exit_1(setup_files, capsys, command, key, edit, why):
     assert cli.main([command, bad, *rest]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and why in err
+
+
+def test_matrix_list_json_is_read_as_one_stack(setup_files, monkeypatch):
+    # the power input's matrices become one array, converted, checked and symmetrized only
+    # by power_mean's one spd_stack: no per-matrix matrix_from_json or sym_matrix runs
+    files = setup_files[0]
+    calls = {"spd_stack": 0, "sym_matrix": 0}
+
+    def counted(name):
+        real = getattr(core, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(core, name, wrapper)
+
+    counted("spd_stack")
+    counted("sym_matrix")
+    assert cli.main(["power", files["sigma"], "--t", "0.5", "--output", os.devnull]) == 0
+    assert calls == {"spd_stack": 1, "sym_matrix": 0}
 
 
 def test_nonconvergence_exits_2(setup_files):

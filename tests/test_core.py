@@ -231,7 +231,8 @@ _SYM_SLOTS = [
                          ids=["indefinite", "nan", "wrong-dim"])
 @pytest.mark.parametrize("call", _SPD_SLOTS)
 def test_spectral_layer_rejects_non_positive_operands(call, bad, error):
-    # the one gate, core.spd_stack, raises before any spectrum is taken
+    # the one rule, core._pd_rule, raises on the first spectrum of the operand, before any
+    # whitened spectrum is taken
     with pytest.raises(error):
         call(bad)
 
@@ -270,6 +271,30 @@ def test_two_operand_functions_take_nested_lists(call):
     want = np.asarray(call(_SPD, _B)).tobytes()
     assert np.asarray(call(_SPD.tolist(), _B)).tobytes() == want
     assert np.asarray(call(_SPD, _B.tolist())).tobytes() == want
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda a, b: geometric_mean(a, b, 0.3), id="geometric_mean"),
+    pytest.param(min_scaling, id="min_scaling"),
+    pytest.param(distance, id="distance"),
+])
+def test_a_pair_takes_three_decompositions(monkeypatch, call):
+    # the frame is gated by the eigh that whitens it, the other operand by one eigvalsh: two
+    # matrices through eigh (the frame and the whitened operand), one through eigvalsh
+    seen = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            seen[name] += math.prod(np.shape(a)[:-2])
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    counted("eigh")
+    counted("eigvalsh")
+    call(_SPD, _B)
+    assert seen == {"eigh": 2, "eigvalsh": 1}
 
 
 _RAGGED = [[1.0, 0.0], [0.0]]

@@ -33,7 +33,8 @@ from spdmeans import (
 )
 from spdmeans import core, solver
 from spdmeans.core import sqrt_pair, whitened_eigh
-from spdmeans.solver import RESIDUAL_TOL, _point, _visit, _whitened_jacobian
+from spdmeans.solver import (RESIDUAL_TOL, _point, _trial_point, _visit,
+                             _whitened_jacobian)
 from spdmeans.verify import random_measure
 
 CFG = SolverConfig()
@@ -387,21 +388,66 @@ def test_a_point_is_gated_by_the_eigh_that_whitens_it(monkeypatch, f):
     assert calls == {"eigh": 2, "eigvalsh": 0}  # one for X, one for the stacked atoms
 
 
-@pytest.mark.parametrize("f", _POINT_FUNCTIONS)
+def _trial_spectrum(x, mu):
+    # a solver's trial point: None where the rule refuses it, else its whitened atoms' spectrum
+    point = _trial_point(x, mu.matrices)
+    return None if point is None else point[1][2]
+
+
+@pytest.mark.parametrize("f", [
+    *_POINT_FUNCTIONS,
+    pytest.param(lambda x, mu: sqrt_pair(x), id="sqrt_pair"),
+    pytest.param(_trial_spectrum, id="trial_point"),
+])
 @pytest.mark.parametrize("low", [1e-16, 2e-14, 2.0000000000000003e-14, 1e-13])
 def test_a_point_at_the_pd_floor_is_judged_as_spd_matrix_judges_it(f, low):
-    # the gate reads eigh's eigenvalues with spd_stack's rule (lo > n * PD_FLOOR * hi)
-    # and message; n = 2 puts the floor at 2e-14
+    # every square root reads eigh's eigenvalues with spd_matrix's rule (lo > n * PD_FLOOR * hi)
+    # and message, a solver's trial point included, which is refused as None; n = 2 puts the
+    # floor at 2e-14
     x = np.diag([1.0, low])
     mu = product_measure(SMeasure.lebesgue(), [(1.0, np.diag([2.0, 0.5]))])
     try:
         core.spd_matrix(x)
     except NotPositiveDefinite as exc:
-        with pytest.raises(NotPositiveDefinite) as err:
-            f(x, mu)
-        assert str(err.value) == str(exc)
+        if f is _trial_spectrum:
+            assert f(x, mu) is None
+        else:
+            with pytest.raises(NotPositiveDefinite) as err:
+                f(x, mu)
+            assert str(err.value) == str(exc)
     else:
         assert np.all(np.isfinite(f(x, mu)))
+
+
+_FAR = product_measure(SMeasure.lebesgue(), [(1.0, 1e300 * np.eye(2))])
+_NEAR_ZERO = product_measure(SMeasure.lebesgue(), [(1.0, 1e-300 * np.eye(2))])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: karcher_residual(1e-300 * np.eye(2), _FAR), id="residual-overflow"),
+    pytest.param(lambda: iteration_map(1e-300 * np.eye(2), 0.5, _FAR), id="map-overflow"),
+    pytest.param(lambda: objective(1e-300 * np.eye(2), _FAR), id="objective-overflow"),
+    pytest.param(lambda: karcher_residual(1e300 * np.eye(2), _NEAR_ZERO),
+                 id="residual-underflow"),
+    pytest.param(lambda: logdet_divergence(1e-160 * np.eye(2), 1e160 * np.eye(2), 0.5),
+                 id="divergence-overflow"),
+    pytest.param(lambda: logdet_divergence(1e160 * np.eye(2), 1e-160 * np.eye(2), 0.5),
+                 id="divergence-underflow"),
+])
+def test_a_point_whose_whitened_spectrum_leaves_the_normal_range_is_refused(call):
+    # whitened eigenvalues of 1e600 or 1e-600 (1e320, 1e-320) are no normal floats: no NaN,
+    # no leaked warning and no silently wrong residual, whose exact value is about -1.4e303 I
+    with pytest.raises(DomainError, match="normal float range"):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_point_far_from_the_atoms_within_the_float_range_is_answered():
+    # a whitened eigenvalue of 1e300 is a normal float: the point is not refused
+    mu = product_measure(SMeasure.dirac(0.5), [(1.0, 1e150 * np.eye(2))])
+    assert np.all(np.isfinite(karcher_residual(1e-150 * np.eye(2), mu)))
+    assert math.isfinite(objective(1e-150 * np.eye(2), mu))
 
 
 def test_lambda_mean_single_atom():
