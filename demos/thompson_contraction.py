@@ -15,7 +15,6 @@ from spdmeans import (
     min_scaling,
     product_measure,
 )
-from spdmeans.core import sqrt_pair
 from spdmeans.verify import random_ball_point, random_spd
 
 rng = np.random.default_rng(2)
@@ -40,7 +39,7 @@ print("the mean iteration X -> M(X, A) contracts Thompson balls;")
 print("the factor depends on (s, t) and the ball radius r:")
 print("s     t     r     factor    measured")
 anchor = random_spd(rng, 3, 0.5, 2.0)
-root = sqrt_pair(anchor)[0]
+root = np.linalg.cholesky(anchor)
 for s, t, r in [(0.2, 0.3, 1.0), (0.5, 0.5, 1.0), (0.8, 0.2, 2.0), (0.5, 0.9, 0.5)]:
     rho = contraction_factor_mean(s, t, r)
     mu = product_measure(SMeasure.dirac(s), [(1.0, anchor)])

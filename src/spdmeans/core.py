@@ -5,7 +5,7 @@ is checked once, by the public function that takes it: :func:`sym_matrix`
 converts, shape-checks and symmetrizes it as ``0.5 A + 0.5 A.T``, and one
 positive-definiteness rule (:func:`_pd_rule`) reads its spectrum.  A matrix that
 is whitened against (a caller's point, a two-operand function's frame, a solver's
-trial point) is gated by the ``eigh`` of its :func:`sqrt_pair`; any other operand
+trial point) is gated by the ``eigh`` of its :func:`whitened_eigh`; any other operand
 by :func:`spd_stack`'s one stacked ``eigvalsh`` (:func:`spd_matrix` is its k = 1
 case).  The two-operand functions enter through :func:`_whitened_pair`.  Nothing
 behind that gate checks again; the remaining operations stay allocation-light so
@@ -18,9 +18,9 @@ scalar function we need.  It has three pieces, and no other module calls
 
 * :func:`_eigh`, the one ``eigh`` call, on a matrix or a (k, n, n) stack; a
   LAPACK failure becomes :class:`NumericalFailure`;
-* :func:`whitened_eigh` / :func:`whiten`, the stacked spectra of
-  ``X^(-1/2) A_k X^(-1/2)``;
-* :func:`spectral_sum`, the one reassembly ``rs (sum_k Q_k diag(v_k) Q_k.T) rs``.
+* :func:`whitened_eigh` / :func:`whiten`, the stacked spectra of ``C.T A_k C`` in
+  X's frame ``X = F F.T``, ``C.T X C = I``: those of ``X^(-1/2) A_k X^(-1/2)``;
+* :func:`spectral_sum`, the one reassembly ``F (sum_k Q_k diag(v_k) Q_k.T) F.T``.
 """
 
 import math
@@ -77,8 +77,8 @@ def _float_array(a) -> np.ndarray:
         raise ShapeError(f"matrices must be numeric arrays: {exc}") from exc
 
 
-def _symmetrized(entries, ndim, what) -> np.ndarray:
-    """The one check body of :func:`sym_matrix` and :func:`spd_stack`.
+def _symmetrized(entries, ndim=3, what="a stack of square matrices") -> np.ndarray:
+    """The one check body of :func:`sym_matrix` and :func:`spd_stack` (a stack by default).
 
     ``entries`` as a float array: ShapeError unless it has ``ndim`` axes and ends in a
     nonempty square matrix, DomainError unless every entry is finite.  Symmetrized by
@@ -129,7 +129,7 @@ def spd_stack(mats) -> np.ndarray:
     lambda_max``, so that floating-point drift neither rejects valid input nor
     admits indefinite matrices; the first failing matrix is named by its index.
     """
-    a = _symmetrized(mats, 3, "a stack of square matrices")
+    a = _symmetrized(mats)
     _pd_rule(np.linalg.eigvalsh(a))
     return a
 
@@ -157,39 +157,50 @@ def _eigh(a):
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
 
 
-def sqrt_pair(a):
-    """``(A**0.5, A**-0.5)`` from one ``eigh``, whose spectrum gates A (:func:`_pd_rule`)."""
-    w, q = _eigh(a)
-    _pd_rule(w)
-    r = np.sqrt(w)
-    return _sym((q * r) @ q.T), _sym((q / r) @ q.T)
+def _cholesky(mats):
+    """Lower Cholesky factors of a gated stack; a LAPACK failure becomes NumericalFailure."""
+    try:
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"Cholesky factorization failed: {exc}") from exc
 
 
-def whitened_eigh(x, mats):
-    """Stacked spectra of the whitened matrices ``X^(-1/2) A_k X^(-1/2)``.
+def whitened_eigh(x, mats, factors=None):
+    """Stacked spectra of the atoms ``mats`` whitened in X's frame: ``(F, C, lam, q)``.
 
-    One :func:`sqrt_pair` of X and one ``eigh`` over the (k, n, n) stack
-    ``mats``; returns ``(X^(1/2), X^(-1/2), lam, q)`` with ``lam[k]``
-    ascending and ``q[k]`` the matching eigenvectors.
+    One ``eigh`` ``X = V diag(w) V.T``, whose spectrum gates X (:func:`_pd_rule`), gives
+    X's frame ``F = V w^(1/2)``, ``C = V w^(-1/2)``: ``X = F F.T`` and ``C.T X C = I``.
+    ``lam[k]`` ascending and ``q[k]`` are the eigenpairs of ``C.T A_k C``, whose spectrum
+    is that of ``X^(-1/2) A_k X^(-1/2)``: one ``eigh`` of the Gram stack ``B_k B_k.T``,
+    ``B_k = C.T L_k`` with ``factors[k] = L_k`` the atom's lower Cholesky factor, which keeps
+    each eigenvalue's relative accuracy (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13,
+    1992); without factors, of the product (:func:`whiten`).  A 1 x 1 spectrum is ``a / x``.
     """
-    rs, irs = sqrt_pair(x)
-    return (rs, irs, *whiten(irs, mats))
+    w, v = _eigh(x)
+    _pd_rule(w)
+    f, c = v * np.sqrt(w), v / np.sqrt(w)
+    if len(x) == 1:
+        return f, c, mats[:, :, 0] / x[0, 0], np.ones_like(mats)
+    if factors is None:
+        return (f, c, *whiten(c, mats))
+    b = c.T @ factors
+    return (f, c, *_eigh(b @ b.swapaxes(1, 2)))
 
 
-def whiten(irs, mats):
-    """Stacked spectra ``(lam, q)`` of ``irs @ mats @ irs``, irs a known ``X^(-1/2)``."""
-    return _eigh(_sym(irs @ mats @ irs))
+def whiten(c, mats):
+    """Stacked spectra ``(lam, q)`` of ``C.T @ mats @ C``, C a known frame ``C.T X C = I``."""
+    return _eigh(_sym(c.T @ mats @ c))
 
 
-def spectral_sum(q, vals, rs=None) -> np.ndarray:
-    """``rs (sum_k Q_k diag(vals_k) Q_k.T) rs`` for q (k, n, n) and vals (k, n), as one product.
+def spectral_sum(q, vals, f=None) -> np.ndarray:
+    """``F (sum_k Q_k diag(vals_k) Q_k.T) F.T`` for q (k, n, n) and vals (k, n), as one product.
 
-    Without ``rs`` the bare sum; with ``rs = X^(1/2)`` the sum is taken back out of
-    X's whitened frame.
+    Without ``f`` the bare sum; with X's frame ``F`` (``X = F F.T``) the sum is taken
+    back out of X's whitened frame.
     """
     cols = q.transpose(1, 0, 2).reshape(q.shape[1], -1)
     acc = _sym((cols * np.ravel(vals)) @ cols.T)
-    return acc if rs is None else _sym(rs @ acc @ rs)
+    return acc if f is None else _sym(f @ acc @ f.T)
 
 
 def congruence(c, a) -> np.ndarray:
@@ -224,26 +235,25 @@ def geometric_mean(a, b, t: float) -> np.ndarray:
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"geometric mean weight must lie in [0, 1], got {t}")
-    _, _, k, rs, lam, q = _whitened_pair(a, b)
+    _, _, k, frame, _, lam, q = _whitened_pair(a, b)
     if not np.all(lam > 0.0):
         raise NotPositiveDefinite("matrix power of a non-positive matrix")
     # A #_t B = 2^(-k t) (A #_t 2^k B), the power of two applied as 2^f 2^m
     m, f = divmod(-k * t, 1.0)
-    return np.ldexp(2.0**f * spectral_sum(q, lam**t, rs), int(m))
+    return np.ldexp(2.0**f * spectral_sum(q, lam**t, frame), int(m))
 
 
 def _whitened_pair(x, a):
-    """``(x, a, k, X^(1/2), lam, q)``: X and A gated, ``X^(-1/2) 2^k A X^(-1/2)``'s spectrum.
+    """``(x, a, k, F, C, lam, q)``: X and A gated, ``C.T 2^k A C``'s spectrum in X's frame.
 
     The two-operand functions' one entry: A passes :func:`spd_matrix`, frame X the
-    :func:`sqrt_pair` that whitens it; k is the :func:`_scale_gap` of A to X.
+    :func:`whitened_eigh` that whitens it; k is the :func:`_scale_gap` of A to X.
     """
     x, a = sym_matrix(x), spd_matrix(a)
     if x.shape != a.shape:
         raise ShapeError("operands must share dimensions")
     k = _scale_gap(x, a)
-    rs, _, lam, q = whitened_eigh(x, np.ldexp(a, k)[None])
-    return x, a, k, rs, lam, q
+    return (x, a, k, *whitened_eigh(x, np.ldexp(a, k)[None]))
 
 
 def _scale_gap(a, b) -> int:
@@ -288,27 +298,25 @@ def _probability_weights(w):
     return w
 
 
-def _check_weights(pairs):
-    """Weights and gated (k, n, n) stack of ``[(weight, matrix), ...]``.
+def _check_weights(pairs, gate=None):
+    """Weights and (k, n, n) stack of ``[(weight, matrix), ...]``.
 
-    Weights go through :func:`_probability_weights`, matrices through :func:`spd_stack`.
+    Weights go through :func:`_probability_weights`, matrices through ``gate`` or :func:`spd_stack`.
     """
     if len(pairs) == 0:
         raise EmptyInput("need at least one (weight, matrix) pair")
-    return _probability_weights([p[0] for p in pairs]), spd_stack([p[1] for p in pairs])
+    return _probability_weights([p[0] for p in pairs]), (gate or spd_stack)([p[1] for p in pairs])
 
 
 def _arith(w, mats):
     """``sym(sum_k w_k A_k)``, summed in atom order, of gated weights and matrices."""
-    acc = np.zeros_like(mats[0])
-    for wk, m in zip(w, mats):
-        acc = acc + wk * m
-    return _sym(acc)
+    return _sym(np.sum(w[:, None, None] * mats, axis=0))
 
 
 def _harm(w, mats):
-    """``(sum_k w_k A_k^-1)^-1`` of gated weights and matrices, from one stacked eigh."""
+    """``(sum_k w_k A_k^-1)^-1`` of symmetric matrices, gated by the spectra of one stacked eigh."""
     lam, q = _eigh(mats)
+    _pd_rule(lam)
     return _sym(np.linalg.inv(spectral_sum(q, w[:, None] / lam)))
 
 
@@ -319,7 +327,7 @@ def weighted_arith(pairs) -> np.ndarray:
 
 def weighted_harm(pairs) -> np.ndarray:
     """Weighted harmonic mean ``(sum_k w_k A_k^-1)^-1``; below the arithmetic mean."""
-    return _harm(*_check_weights(pairs))
+    return _harm(*_check_weights(pairs, _symmetrized))
 
 
 def matrix_to_json(a) -> dict:

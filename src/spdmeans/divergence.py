@@ -76,6 +76,6 @@ def minimize_divergence(mu: PMeasure, cfg: SolverConfig = None, on_step=None) ->
     cfg = cfg or SolverConfig()
     hook = None if on_step is None else (
         lambda visit: on_step(visit[0][0], mu.divergence(visit[0][1][2]), visit[1]))
-    return _solve(mu.weights, mu.matrices, mu.kernels(0.0), 0.0, cfg.grad_tol,
+    return _solve(mu.weights, mu.matrices, mu.factors, mu.kernels(0.0), 0.0, cfg.grad_tol,
                   cfg.max_iters, on_step=hook)
 

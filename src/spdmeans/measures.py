@@ -16,8 +16,8 @@ in a fixed order, so reruns are bit-identical.
 
 import numpy as np
 
-from .core import (_float_array, _json_rows, _numeric, _probability_weights, congruence,
-                   loewner_leq, spd_stack)
+from .core import (_cholesky, _float_array, _json_rows, _numeric, _probability_weights,
+                   congruence, loewner_leq, spd_stack)
 from .errors import Incomparable, MeasureError, NotPositiveDefinite
 from .monotone import SMeasure, _frozen, smeasure_from_json
 
@@ -32,11 +32,11 @@ class PMeasure:
     Parameters
     ----------
     atoms : sequence of (weight, matrix, SMeasure)
-        Finite positive weights summing to 1 (within 1e-12); matrices all SPD and
-        of one shared dimension (a ragged or non-numeric matrix raises ShapeError,
-        well-formed ones of different dimensions MeasureError).  They are stored
-        once, as the read-only (k, n, n) stack ``matrices`` and vector
-        ``weights``; ``atoms`` holds views into that stack.
+        Finite positive weights summing to 1 (within 1e-12); matrices all SPD and of one
+        shared dimension (a ragged or non-numeric matrix raises ShapeError, well-formed ones
+        of different dimensions MeasureError).  They are stored once, as the read-only
+        (k, n, n) stack ``matrices`` and vector ``weights``; ``atoms`` holds views into that
+        stack, and the read-only stack ``factors`` their lower Cholesky factors.
 
     :meth:`kernels` and :meth:`divergence` read the private node blocks: row k of
     ``_block_nodes`` (k, m) and ``_block_weights`` (k, m) holds atom k's ``nu.nodes``
@@ -44,7 +44,7 @@ class PMeasure:
     at s = 1/2, where every integrand is finite, of weight 0.
     """
 
-    __slots__ = ("atoms", "dim", "matrices", "weights", "_block_nodes", "_block_weights")
+    __slots__ = ("atoms", "dim", "factors", "matrices", "weights", "_block_nodes", "_block_weights")
 
     def __init__(self, atoms):
         atoms = list(atoms)
@@ -57,9 +57,9 @@ class PMeasure:
         nus = [nu for _, _, nu in atoms]
         if not all(isinstance(nu, SMeasure) for nu in nus):
             raise MeasureError("each atom needs an SMeasure on [0, 1]")
-        w = _frozen(_probability_weights([w for w, _, _ in atoms]))
+        self.weights = w = _frozen(_probability_weights([w for w, _, _ in atoms]))
         self.matrices = _frozen(mats)
-        self.weights = w
+        self.factors = _frozen(_cholesky(mats))
         self.atoms = tuple((float(wk), m, nu) for wk, m, nu in zip(w, self.matrices, nus))
         self.dim = mats.shape[1]
         counts = np.array([len(nu.nodes) for nu in nus])

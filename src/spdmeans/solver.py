@@ -19,7 +19,7 @@ so the update ``T_t(X) - X`` equals ``t * R_t(X)`` with R_t a reparametrized
 residual that we evaluate directly, without the catastrophic cancellation of
 forming ``T_t(X) - X`` at small t.  Every solve, at each level and at t = 0
 (the divergence minimizer), is one damped Newton iteration on the whitened
-residual: an exact Newton step in whitened coordinates ``X^(1/2)(I + E)X^(1/2)``,
+residual: an exact Newton step in whitened coordinates ``F(I + E)F.T``, ``X = F F.T``,
 its Jacobian built in closed form from the divided differences of the kernels the
 measure supplies (``mu.kernels(t)``; Daleckii-Krein; Higham, Functions of Matrices,
 2008, 3.2), halved in length
@@ -28,10 +28,10 @@ Algorithms on Matrix Manifolds, 2008, ch. 6).  Newton keeps the cost bounded
 as t shrinks (plain iteration needs O(1/t) steps, Newton a handful) and, being
 congruence-equivariant, any scale of X.
 
-The engine carries only the whitened residual ``G = X^(-1/2) R X^(-1/2)``, in one
-record per visited point (:func:`_visit`); stop tests, steps and reports read G, so
-none depends on scale.  R is formed only where it is returned, by
-:func:`karcher_residual` and :func:`iteration_map`.
+The engine carries only the whitened residual ``G = C.T R C``, ``C.T X C = I``, whose
+norm is that of ``X^(-1/2) R X^(-1/2)``, in one record per visited point (:func:`_visit`);
+stop tests, steps and reports read G, so none depends on scale.  R is formed only where
+it is returned, by :func:`karcher_residual` and :func:`iteration_map`.
 
 Along the net each level starts from the Lagrange extrapolation, in t, of
 the last five levels solved (predictor-corrector continuation; Allgower and
@@ -52,6 +52,7 @@ import numpy as np
 
 from .core import (
     _arith,
+    _cholesky,
     _check_weights,
     _harm,
     _is_count,
@@ -138,16 +139,16 @@ class SolverReport:
 # ---------------------------------------------------------------------------
 
 
-def _point(x, mats):
-    """A visited point: X with its :func:`whitened_eigh` against ``mats``, free of t and kernel."""
-    return x, whitened_eigh(x, mats)
+def _point(x, atoms):
+    """A visited point: X with its :func:`whitened_eigh` against ``(mats, factors)``, free of t."""
+    return x, whitened_eigh(x, *atoms)
 
 
 def _visit(point, kernel):
     """A visited point and its whitened residual, ``(point, ||G||_F, phi, G, divdiff)``, or None.
 
     ``phi, divdiff = kernel(lam)`` is the kernel's one pass over the point's whitened
-    spectrum, and ``G = X^(-1/2) R X^(-1/2) = sum_k Q_k diag(phi_k) Q_k.T``; every stop
+    spectrum, and ``G = C.T R C = sum_k Q_k diag(phi_k) Q_k.T``; every stop
     test and Newton step reads G, never R.  ``divdiff()`` gives the divided differences
     from that same pass, so a Newton step from the point evaluates the kernel no more.
     """
@@ -169,7 +170,7 @@ def _sym_point(x, mu: PMeasure) -> np.ndarray:
 def _gated_point(x, mu: PMeasure):
     """A caller's X as a gated :func:`_point`; DomainError unless its whitened lam are normal."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        point = _point(_sym_point(x, mu), mu.matrices)
+        point = _point(_sym_point(x, mu), (mu.matrices, mu.factors))
     if not np.all((point[1][2] >= np.finfo(float).tiny) & (point[1][2] < math.inf)):
         raise DomainError("the atoms' whitened spectrum at X leaves the normal float range")
     return point
@@ -182,8 +183,8 @@ def karcher_residual(x, mu: PMeasure) -> np.ndarray:
     ``l_s(x) = (x - 1)/((1 - s) x + s)``;
     symmetric, and zero exactly at the Karcher mean of the measure.
     """
-    rs, _, lam, q = _gated_point(x, mu)[1]
-    return spectral_sum(q, mu.kernels(0.0)(lam)[0], rs)
+    f, _, lam, q = _gated_point(x, mu)[1]
+    return spectral_sum(q, mu.kernels(0.0)(lam)[0], f)
 
 
 def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
@@ -196,8 +197,8 @@ def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
     """
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
-    x, (rs, _, lam, q) = _gated_point(x, mu)
-    r = spectral_sum(q, mu.kernels(t)(lam)[0], rs)
+    x, (f, _, lam, q) = _gated_point(x, mu)
+    r = spectral_sum(q, mu.kernels(t)(lam)[0], f)
     return _sym(x + t * r)  # R_t(X) = (T_t(X) - X)/t evaluated directly
 
 
@@ -217,7 +218,7 @@ def _sym_basis(n):
 
 
 def _whitened_jacobian(visit):
-    """Jacobian of G along ``X^(1/2)(I + E)X^(1/2)`` on the symmetric basis, at a :func:`_visit`.
+    """Jacobian of G along ``F(I + E)F.T`` on the symmetric basis, at a :func:`_visit`.
 
     Daleckii-Krein: ``dG[E] = sum_k Q_k (Gamma_k o Q_k.T E Q_k) Q_k.T`` with
     ``Gamma_k,ij = (phi_i + phi_j)/2 - (lam_i + lam_j)/2 * phi^[1](lam_i, lam_j)``, phi and
@@ -235,28 +236,28 @@ def _whitened_jacobian(visit):
 
 
 def _newton_step(visit):
-    """Newton step ``X^(1/2) E X^(1/2)`` with ``dG[E] = -G``, from a :func:`_visit` record alone.
+    """Newton step ``F E F.T`` with ``dG[E] = -G``, from a :func:`_visit` record alone.
 
     None if the Jacobian is singular.
     """
-    rs, g = visit[0][1][0], visit[3]
+    f, g = visit[0][1][0], visit[3]
     jac, flat = _whitened_jacobian(visit)
     try:
         e = (np.linalg.solve(jac, -(flat @ g.ravel())) @ flat).reshape(g.shape)
     except np.linalg.LinAlgError:
         return None
-    return rs @ e @ rs if np.all(np.isfinite(e)) else None
+    return f @ e @ f.T if np.all(np.isfinite(e)) else None
 
 
-def _trial_point(x, mats):
+def _trial_point(x, atoms):
     """The visited point ``sym(X)``, or None if that is not positive definite."""
     try:
-        return _point(_sym(x), mats)
+        return _point(_sym(x), atoms)
     except NotPositiveDefinite:
         return None
 
 
-def _solve_level(mats, kernel, t, visit, tol, max_iters, iters_used=0, on_step=None):
+def _solve_level(atoms, kernel, t, visit, tol, max_iters, iters_used=0, on_step=None):
     """Damped Newton on ``G = 0`` for the level map ``x -> x + t * R(x)``; t = 0 is Karcher.
 
     Each step's length eta is halved until the trial point is SPD and its whitened
@@ -280,7 +281,7 @@ def _solve_level(mats, kernel, t, visit, tol, max_iters, iters_used=0, on_step=N
         step = _newton_step(visit)
         eta = 1.0
         while step is not None and eta >= (1.0 if floor else 1e-10):
-            trial = _visit(_trial_point(visit[0][0] + eta * step, mats), kernel)
+            trial = _visit(_trial_point(visit[0][0] + eta * step, atoms), kernel)
             decrease = _NEWTON_DECREASE if floor else 1.0 - 1e-4 * eta
             if trial is not None and trial[1] <= max(decrease * wnorm, tol):
                 break
@@ -296,15 +297,15 @@ def _solve_level(mats, kernel, t, visit, tol, max_iters, iters_used=0, on_step=N
     return visit, iters
 
 
-def _solve(w, mats, kernel, t, tol, max_iters, on_step=None) -> SolverReport:
+def _solve(w, mats, factors, kernel, t, tol, max_iters, on_step=None) -> SolverReport:
     """One solve at t from the weighted arithmetic mean of gated ``w``, ``mats``; t = 0 is Karcher.
 
     Runs :func:`_solve_level` from that start and reports its end point: residual_norm
     is the whitened ``||G||_F`` of the equation solved, and t_trace ``[(t, iterations)]``,
     empty at t = 0 where there is no schedule.
     """
-    start = _visit(_point(_arith(w, mats), mats), kernel)
-    visit, iters = _solve_level(mats, kernel, t, start, tol, max_iters, on_step=on_step)
+    start = _visit(_point(_arith(w, mats), (mats, factors)), kernel)
+    visit, iters = _solve_level((mats, factors), kernel, t, start, tol, max_iters, on_step=on_step)
     return SolverReport(
         mean=visit[0][0],
         iterations=iters,
@@ -325,7 +326,7 @@ def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverRepo
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
-    return _solve(mu.weights, mu.matrices, mu.kernels(t), t, cfg.fp_tol, cfg.max_iters)
+    return _solve(mu.weights, mu.matrices, mu.factors, mu.kernels(t), t, cfg.fp_tol, cfg.max_iters)
 
 
 def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
@@ -339,7 +340,8 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
         raise DomainError(f"t must lie in (0, 1], got {t}")
     cfg = cfg or SolverConfig()
     w, mats = _check_weights(sigma)
-    return _solve(w, mats, PMeasure.power_kernels(w, t), t, cfg.fp_tol, cfg.max_iters)
+    kernel = PMeasure.power_kernels(w, t)
+    return _solve(w, mats, _cholesky(mats), kernel, t, cfg.fp_tol, cfg.max_iters)
 
 
 def _lagrange(history, t):
@@ -349,7 +351,7 @@ def _lagrange(history, t):
                for i, (_, x) in enumerate(history))
 
 
-def _predicted_start(history, t, warm, mats, kernel):
+def _predicted_start(history, t, warm, atoms, kernel):
     """The :func:`_visit` starting level t: extrapolated from the solved levels, else warm.
 
     ``history`` holds the last (up to _LEVELS) solved levels ``(t_i, L_{t_i})``; their
@@ -359,15 +361,15 @@ def _predicted_start(history, t, warm, mats, kernel):
     start = _visit(warm, kernel)
     if len(history) < 2:
         return start
-    trial = _visit(_trial_point(_lagrange(history, t), mats), kernel)
+    trial = _visit(_trial_point(_lagrange(history, t), atoms), kernel)
     return trial if trial is not None and trial[1] <= _NEWTON_DECREASE * start[1] else start
 
 
 def _extrapolation_gap(lam):
     """Certified bound on ``d(E_prev, E)`` from whitened spectra; inf if unproven.
 
-    ``lam`` holds the ascending spectra of ``X^(-1/2) E X^(-1/2)`` and of
-    ``X^(-1/2) (E - E_prev) X^(-1/2)`` for any SPD X.  With m the least of the first
+    ``lam`` holds the ascending spectra of ``C.T E C`` and of ``C.T (E - E_prev) C`` for
+    the frame ``C.T X C = I`` of any SPD X.  With m the least of the first
     and delta the spectral radius of the second, both are positive definite and
     ``d(E_prev, E) <= -log(1 - delta/m)`` whenever ``delta < m``.
     """
@@ -386,13 +388,13 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     (:func:`_extrapolation_gap`) and the latest one's whitened Karcher residual is at
     most RESIDUAL_TOL; that extrapolation is the reported mean.  Each level starts
     from :func:`_predicted_start`.  The levels must decrease in the Loewner order,
-    checked at every level on the whitened ``X^(-1/2) L_prev X^(-1/2) >= I``: an
+    checked at every level on the whitened ``C.T L_prev C >= I``: an
     eigenvalue below ``1 - 1e-9`` signals a numerics bug, not a modelling error.  One
     stacked whiten of ``[L_prev, E, E - E_prev]`` in the level's frame X serves both.
     """
     cfg = cfg or SolverConfig()
-    mats = mu.matrices
-    point = _point(_arith(mu.weights, mats), mats)
+    atoms = (mu.matrices, mu.factors)
+    point = _point(_arith(mu.weights, mu.matrices), atoms)
     history = [(1.0, point[0])]  # L_1 is the weighted arithmetic mean
     t = 0.5
     karcher = mu.kernels(0.0)
@@ -401,8 +403,8 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     total = 0
     for _ in range(200):
         kernel = mu.kernels(t)
-        start = _predicted_start(history, t, point, mats, kernel)
-        level, iters = _solve_level(mats, kernel, t, start, cfg.fp_tol, cfg.max_iters, total)
+        start = _predicted_start(history, t, point, atoms, kernel)
+        level, iters = _solve_level(atoms, kernel, t, start, cfg.fp_tol, cfg.max_iters, total)
         point = level[0]
         total += iters
         trace.append((t, iters))
@@ -417,7 +419,7 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
                     f"induced means failed to decrease from t={2 * t:g} to t={t:g}"
                 )
             if pair and _extrapolation_gap(lam[1:]) <= cfg.lambda_tol:
-                mean = _visit(_trial_point(e, mats), karcher)
+                mean = _visit(_trial_point(e, atoms), karcher)
                 if mean is not None and mean[1] <= RESIDUAL_TOL:
                     break
         prev, e_prev = point[0], e

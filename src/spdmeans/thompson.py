@@ -2,9 +2,9 @@
 
 The metric is ``d(A, B) = max(log M(A/B), log M(B/A))`` with
 ``M(A/B) = inf{alpha : A <= alpha B}``.  It is computed from the spectrum of
-the symmetric similarity ``B^(-1/2) A B^(-1/2)`` (never via a generalized
-eigenproblem) by :func:`spdmeans.core._whitened_pair`, which keeps symmetry
-exact.
+``B^(-1/2) A B^(-1/2)``, taken as that of the symmetric ``C.T A C`` in B's frame
+``C.T B C = I`` (never via a generalized eigenproblem) by
+:func:`spdmeans.core._whitened_pair`, which keeps symmetry exact.
 
 The contraction factors quantify how fast the affine map ``B -> aA + bB``
 and the two-parameter mean iteration contract Thompson balls of radius
@@ -28,7 +28,7 @@ def min_scaling(a, b) -> float:
     Raises DomainError when alpha lies outside the normal float range, where no float
     states it.
     """
-    _, _, k, _, lam, _ = _whitened_pair(b, a)  # the top eigenvalue for 2^k A is 2^k alpha
+    _, _, k, _, _, lam, _ = _whitened_pair(b, a)  # the top eigenvalue for 2^k A is 2^k alpha
     m, e = math.frexp(lam[0, -1])
     if not sys.float_info.min_exp <= e - k <= sys.float_info.max_exp:
         raise DomainError(f"A <= alpha B needs alpha near 2^{e - k}, outside the float range")
@@ -42,7 +42,7 @@ def distance(a, b) -> float:
     when A or B is not, or when ``B^(-1/2) A B^(-1/2)`` has a non-positive or
     non-finite eigenvalue.
     """
-    b, a, k, _, lam, _ = _whitened_pair(b, a)
+    b, a, k, _, _, lam, _ = _whitened_pair(b, a)
     if np.array_equal(a, b):
         return 0.0
     # the spectrum of B^(-1/2) 2^k A B^(-1/2) is 2^k times the one sought

@@ -18,7 +18,7 @@ from spdmeans import (
     product_measure,
     riemannian_gradient,
 )
-from spdmeans import core
+from spdmeans import core, solver
 from spdmeans.verify import random_measure
 
 
@@ -142,7 +142,7 @@ def test_minimize_newton_step_count_wide_band():
 def test_minimize_evaluates_objective_only_for_on_step(monkeypatch):
     # the hook reads each step's cached whitened spectra: one mu.divergence call per
     # step, no further gate or whitening, and f exactly as objective(x, mu) gives it
-    calls = {"divergence": 0, "spd_stack": 0, "sqrt_pair": 0}
+    calls = {"divergence": 0, "spd_stack": 0, "whitened_eigh": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -154,7 +154,7 @@ def test_minimize_evaluates_objective_only_for_on_step(monkeypatch):
 
     counted(PMeasure, "divergence")
     counted(core, "spd_stack")
-    counted(core, "sqrt_pair")
+    counted(solver, "whitened_eigh")
     mu = rand_measure(np.random.default_rng(16), 3)
     rep = minimize_divergence(mu)
     plain = dict(calls)
@@ -163,7 +163,7 @@ def test_minimize_evaluates_objective_only_for_on_step(monkeypatch):
     minimize_divergence(mu, on_step=lambda x, f, g: steps.append((x, f)))
     assert calls["divergence"] == len(steps) == rep.iterations
     assert calls["spd_stack"] == 2 * plain["spd_stack"]
-    assert calls["sqrt_pair"] == 2 * plain["sqrt_pair"]
+    assert calls["whitened_eigh"] == 2 * plain["whitened_eigh"]
     monkeypatch.undo()
     assert all(f == objective(x, mu) for x, f in steps)
 

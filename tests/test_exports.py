@@ -33,7 +33,8 @@ def test_removed_names_stay_removed():
     # one kernel formula, so a represented function, a Dirac measure's scalar kernel
     # included, is the Karcher residual at I of a one-atom measure, and no
     # two-variable Kubo-Ando mean is kept; no kind needs a user density or a
-    # reflection, and the demos draw Thompson-ball points with verify.random_ball_point
+    # reflection, and the demos draw Thompson-ball points with verify.random_ball_point;
+    # X's eigenvector frame, not a symmetric square root, whitens every point
     for name in ("RgdConfig", "integrate", "transpose_measure", "mean_kernel_inv",
                  "SpectralDecomposition", "spectral", "spd_power", "check_normalization",
                  "log_kernel", "log_kernel_inv", "harmonic_kernel", "mean_kernel",
@@ -50,7 +51,7 @@ def test_removed_names_stay_removed():
         assert not hasattr(SMeasure, name)
     modules = (cli, core, divergence, measures, monotone, solver, thompson, verify)
     for name in ("log_kernel_grid", "x_over_affine", "_level_kernels", "_power_kernels",
-                 "_objective", "_ball_point"):
+                 "_objective", "_ball_point", "sqrt_pair"):
         assert not any(hasattr(m, name) for m in modules), name
 
 

@@ -32,7 +32,7 @@ from spdmeans import (
     weighted_harm,
 )
 from spdmeans import core, solver
-from spdmeans.core import sqrt_pair, whitened_eigh
+from spdmeans.core import whitened_eigh
 from spdmeans.solver import (RESIDUAL_TOL, _point, _trial_point, _visit,
                              _whitened_jacobian)
 from spdmeans.verify import random_measure
@@ -205,14 +205,16 @@ def test_induced_mean_damped_newton_ill_conditioned():
 
 def jacobian_error(x, mats, kernel, h=1e-5):
     # relative distance between the closed-form Jacobian and central differences
-    # of the whitened residual along X^(1/2)(I + hE)X^(1/2) on the same basis
-    rs, irs = sqrt_pair(x)
-    visit = lambda y: _visit(_point(y, mats), kernel)
-    jac, flat = _whitened_jacobian(visit(x))
+    # of the whitened residual along F(I + hE)F.T, X = F F.T, on the same basis
+    atoms = (mats, np.linalg.cholesky(mats))
+    visit = lambda y: _visit(_point(y, atoms), kernel)
+    at_x = visit(x)
+    f, c = at_x[0][1][:2]
+    jac, flat = _whitened_jacobian(at_x)
 
     def g(e):
-        (_, (ry, *_)), _, _, gy, _ = visit(sym(rs @ (np.eye(len(x)) + e) @ rs))
-        return (irs @ sym(ry @ gy @ ry) @ irs).ravel()  # R = Y^(1/2) G Y^(1/2), whitened by X
+        (_, (fy, *_)), _, _, gy, _ = visit(sym(f @ (np.eye(len(x)) + e) @ f.T))
+        return (c.T @ sym(fy @ gy @ fy.T) @ c).ravel()  # R = F_Y G F_Y.T, whitened by X's C
 
     fd = np.array([
         flat @ (g(h * b.reshape(x.shape)) - g(-h * b.reshape(x.shape))) / (2.0 * h) for b in flat
@@ -257,7 +259,7 @@ def test_flat_quadrature_matches_per_atom_sums():
             for _ in nus]
     mu = PMeasure([(w, m, nu) for w, m, nu in zip(rand_weights(rng, len(nus)), mats, nus)])
     x = rand_spd(rng, 3, 0.5, 2.0)
-    lam = whitened_eigh(x, mu.matrices)[2]
+    lam = whitened_eigh(x, mu.matrices, mu.factors)[2]
     assert lam.min() <= 1e-5 and lam.max() >= 1e5
     for t in (0.0, 0.3, 1.0):
         ref_kernel, ref_divdiff = np.zeros_like(lam), np.zeros((len(mu), 3, 3))
@@ -390,18 +392,18 @@ def test_a_point_is_gated_by_the_eigh_that_whitens_it(monkeypatch, f):
 
 def _trial_spectrum(x, mu):
     # a solver's trial point: None where the rule refuses it, else its whitened atoms' spectrum
-    point = _trial_point(x, mu.matrices)
+    point = _trial_point(x, (mu.matrices, mu.factors))
     return None if point is None else point[1][2]
 
 
 @pytest.mark.parametrize("f", [
     *_POINT_FUNCTIONS,
-    pytest.param(lambda x, mu: sqrt_pair(x), id="sqrt_pair"),
+    pytest.param(lambda x, mu: whitened_eigh(x, mu.matrices, mu.factors)[2], id="frame"),
     pytest.param(_trial_spectrum, id="trial_point"),
 ])
 @pytest.mark.parametrize("low", [1e-16, 2e-14, 2.0000000000000003e-14, 1e-13])
 def test_a_point_at_the_pd_floor_is_judged_as_spd_matrix_judges_it(f, low):
-    # every square root reads eigh's eigenvalues with spd_matrix's rule (lo > n * PD_FLOOR * hi)
+    # every frame reads eigh's eigenvalues with spd_matrix's rule (lo > n * PD_FLOOR * hi)
     # and message, a solver's trial point included, which is refused as None; n = 2 puts the
     # floor at 2e-14
     x = np.diag([1.0, low])
@@ -526,8 +528,8 @@ def test_lambda_mean_monotonicity_check_is_scale_invariant():
         mu = random_measure(np.random.default_rng(seed), 6, n_atoms=3, lo=1e-5, hi=1e5)
         rep = lambda_mean(mu, cfg)
         assert rep.t_trace[-1][0] <= 1e-12
-        irs = sqrt_pair(rep.mean)[1]
-        assert np.linalg.norm(irs @ karcher_residual(rep.mean, mu) @ irs) <= RESIDUAL_TOL
+        c = whitened_eigh(rep.mean, mu.matrices)[1]
+        assert np.linalg.norm(c.T @ karcher_residual(rep.mean, mu) @ c) <= RESIDUAL_TOL
 
 
 def test_lambda_mean_raises_when_a_level_increases(monkeypatch):
@@ -535,10 +537,10 @@ def test_lambda_mean_raises_when_a_level_increases(monkeypatch):
     solve_level = solver._solve_level
     solved = []
 
-    def inflated(mats, kernel, t, start, *args):
-        visit, iters = solve_level(mats, kernel, t, start, *args)
+    def inflated(atoms, kernel, t, start, *args):
+        visit, iters = solve_level(atoms, kernel, t, start, *args)
         if len(solved) == 3:
-            visit = _visit(_point((1.0 + 1e-7) * solved[-1][0][0], mats), kernel)
+            visit = _visit(_point((1.0 + 1e-7) * solved[-1][0][0], atoms), kernel)
         solved.append(visit)
         return visit, iters
 
@@ -568,21 +570,21 @@ def test_lambda_mean_whitens_each_visited_point_once(monkeypatch):
     # a level's end point carries its whitened spectrum to the stopping test,
     # the Thompson gap and the next level; only the start point and the trial
     # points of the iterations are whitened.  Each costs two eigh calls (its
-    # sqrt_pair and its whitened atoms); past the first level, the monotonicity
+    # frame and its whitened atoms); past the first level, the monotonicity
     # check and the extrapolation gap share one more
-    calls = {"eigh": 0, "sqrt_pair": 0}
+    calls = {"eigh": 0, "whitened_eigh": 0}
 
     def counted(name, fn):
-        return lambda a: calls.__setitem__(name, calls[name] + 1) or fn(a)
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
 
     monkeypatch.setattr(core, "_eigh", counted("eigh", core._eigh))
-    monkeypatch.setattr(core, "sqrt_pair", counted("sqrt_pair", sqrt_pair))
+    monkeypatch.setattr(solver, "whitened_eigh", counted("whitened_eigh", whitened_eigh))
     for lo, hi in ((1e-1, 1e1), (1e-3, 1e3)):
         for seed in range(5):
-            calls.update(eigh=0, sqrt_pair=0)
+            calls.update(eigh=0, whitened_eigh=0)
             rep = lambda_mean(random_measure(np.random.default_rng(seed), 4, 3, lo=lo, hi=hi), CFG)
-            assert calls["sqrt_pair"] <= rep.iterations + len(rep.t_trace) + 2
-            assert calls["eigh"] <= 2 * calls["sqrt_pair"] + len(rep.t_trace) - 1
+            assert calls["whitened_eigh"] <= rep.iterations + len(rep.t_trace) + 2
+            assert calls["eigh"] <= 2 * calls["whitened_eigh"] + len(rep.t_trace) - 1
 
 
 def test_each_visit_is_one_node_pass_of_the_kernel(monkeypatch):
@@ -646,13 +648,14 @@ def test_newton_step_on_a_singular_jacobian_stalls():
     # not a LinAlgError; the kernel x with divided difference 1 zeroes the Jacobian
     # too, at a nonzero residual, and the level solve reports the stall
     mats = rand_spd(np.random.default_rng(41), 3)[None]
-    point = _point(np.eye(3), mats)
+    atoms = (mats, np.linalg.cholesky(mats))
+    point = _point(np.eye(3), atoms)
     zero = lambda lam: (np.zeros_like(lam), lambda: np.zeros(lam.shape + lam.shape[-1:]))
     assert solver._newton_step(_visit(point, zero)) is None
     linear = lambda lam: (lam, lambda: np.ones(lam.shape + lam.shape[-1:]))
     assert solver._newton_step(_visit(point, linear)) is None
     with pytest.raises(NonConvergence, match="stalled"):
-        solver._solve_level(mats, linear, 0.5, _visit(point, linear), 1e-12, 100)
+        solver._solve_level(atoms, linear, 0.5, _visit(point, linear), 1e-12, 100)
 
 
 def test_lambda_mean_two_point_geometric():
@@ -730,8 +733,8 @@ def test_lambda_mean_extrapolated_limit_agrees_with_newton():
                 rep = lambda_mean(mu, CFG)
                 newton = minimize_divergence(mu, SolverConfig(grad_tol=1e-12)).mean
                 assert distance(rep.mean, newton) <= 2e-10
-                irs = sqrt_pair(rep.mean)[1]
-                assert np.linalg.norm(irs @ karcher_residual(rep.mean, mu) @ irs) <= RESIDUAL_TOL
+                c = whitened_eigh(rep.mean, mu.matrices)[1]
+                assert np.linalg.norm(c.T @ karcher_residual(rep.mean, mu) @ c) <= RESIDUAL_TOL
                 levels.append(len(rep.t_trace))
     assert np.median(levels) <= 12
 
@@ -740,10 +743,10 @@ def test_extrapolation_gap_is_a_certified_bound():
     # an upper bound on d(E_prev, E) whenever it is finite, and infinite unless
     # both extrapolations are positive definite
     rng = np.random.default_rng(40)
-    irs = sqrt_pair(rand_spd(rng, 4))[1]
+    c = whitened_eigh(rand_spd(rng, 4), np.eye(4)[None])[1]
 
     def gap(e, e_prev):
-        return solver._extrapolation_gap(core.whiten(irs, np.stack([e, e - e_prev]))[0])
+        return solver._extrapolation_gap(core.whiten(c, np.stack([e, e - e_prev]))[0])
 
     for scale in (1e-10, 1e-6, 1e-3):
         e = rand_spd(rng, 4)
