@@ -62,10 +62,10 @@ def _is_count(n, least=1) -> bool:
             and float(n).is_integer())
 
 
-def _real(x, what) -> float:
-    """``x`` as a float; MeasureError unless it is a real number (a string is not)."""
-    if not isinstance(x, (float, int, Real)):  # the abstract Real alone is a slow check
-        raise MeasureError(f"{what} must be a number, got {x!r}")
+def _real(x, what, error=MeasureError) -> float:
+    """``x`` as a float; ``error`` unless it is a real number (a string or a bool is not)."""
+    if isinstance(x, bool) or not isinstance(x, (float, int, Real)):  # Real alone is slow
+        raise error(f"{what} must be a number, got {x!r}")
     return float(x)
 
 
@@ -233,7 +233,7 @@ def geometric_mean(a, b, t: float) -> np.ndarray:
     ``t = 0`` returns ``A`` and ``t = 1`` returns ``B``; for ``t`` in between
     this is the geodesic of the affine-invariant metric.
     """
-    if not 0.0 <= t <= 1.0:
+    if not 0.0 <= _real(t, "geometric mean weight", DomainError) <= 1.0:
         raise DomainError(f"geometric mean weight must lie in [0, 1], got {t}")
     _, _, k, frame, _, lam, q = _whitened_pair(a, b)
     if not np.all(lam > 0.0):
@@ -272,16 +272,18 @@ def loewner_leq(a, b, tol: float = LOEWNER_TOL) -> bool:
     """Test ``A <= B`` in the Loewner (positive semidefinite) order.
 
     True iff ``lambda_min(B - A) >= -tol * (1 + ||B - A||_F)``; A and B pass
-    :func:`sym_matrix`.  DomainError unless tol is finite and nonnegative.
+    :func:`sym_matrix`.  DomainError unless tol is finite and nonnegative.  Taken as
+    ``lambda_min(D) >= -tol * (2^-e + ||D||_F)``, ``D = 2^-e B - 2^-e A`` with 2^-e <= 1
+    bringing every entry below 1, so that no step overflows.
     """
-    if not 0.0 <= tol < np.inf:
+    if not 0.0 <= (tol := _real(tol, "Loewner tolerance", DomainError)) < math.inf:
         raise DomainError(f"Loewner tolerance must be finite and nonnegative, got {tol!r}")
     a, b = sym_matrix(a), sym_matrix(b)
     if a.shape != b.shape:
         raise ShapeError("operands must share dimensions")
-    d = b - a
-    wmin = np.linalg.eigvalsh(d)[0]
-    return bool(wmin >= -tol * (1.0 + np.linalg.norm(d)))
+    e = max(math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1], 0)
+    d = np.ldexp(b, -e) - np.ldexp(a, -e)
+    return bool(np.linalg.eigvalsh(d)[0] >= -tol * (math.ldexp(1.0, -e) + float(np.linalg.norm(d))))
 
 
 def _probability_weights(w):

@@ -29,6 +29,7 @@ its settings from the solvers' SolverConfig (grad_tol, max_iters).
 
 import numpy as np
 
+from .core import _real
 from .errors import DomainError
 from .measures import PMeasure, product_measure
 from .monotone import SMeasure
@@ -40,7 +41,7 @@ def logdet_divergence(x, a, s: float) -> float:
 
     The :func:`objective` of the one-atom measure ``dirac(s) x delta_A``.
     """
-    if not 0.0 <= s <= 1.0:
+    if not 0.0 <= _real(s, "divergence parameter", DomainError) <= 1.0:
         raise DomainError(f"divergence parameter must lie in [0, 1], got {s}")
     return objective(x, product_measure(SMeasure.dirac(s), [(1.0, a)]))
 

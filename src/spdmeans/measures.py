@@ -168,10 +168,7 @@ def measure_leq(mu1: PMeasure, mu2: PMeasure) -> bool:
             raise Incomparable("matched atoms carry different weights")
         if not n1.same_structure(n2):
             raise Incomparable("matched atoms carry different [0, 1]-measures")
-    return all(
-        loewner_leq(a1, a2)
-        for (_, a1, _), (_, a2, _) in zip(mu1.atoms, mu2.atoms)
-    )
+    return all(loewner_leq(a1, a2) for (_, a1, _), (_, a2, _) in zip(mu1.atoms, mu2.atoms))
 
 
 def pmeasure_from_json(obj) -> PMeasure:

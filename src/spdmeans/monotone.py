@@ -145,19 +145,12 @@ class SMeasure:
 
     def same_structure(self, other: "SMeasure") -> bool:
         """True when both measures have the same kind and their nodes and weights agree to 1e-12."""
-        if self.kind != other.kind:
-            return False
-        if self.nodes.shape != other.nodes.shape:
-            return False
-        return bool(
-            np.all(np.abs(self.nodes - other.nodes) <= 1e-12)
-            and np.all(np.abs(self.weights - other.weights) <= 1e-12)
-        )
+        return (self.kind == other.kind and self.nodes.shape == other.nodes.shape
+                and bool(np.all(np.abs(self.nodes - other.nodes) <= 1e-12)
+                         and np.all(np.abs(self.weights - other.weights) <= 1e-12)))
 
     def __repr__(self):
-        inner = ", ".join(
-            f"{k}={v!r}" for k, v in self.params.items() if k != "points"
-        )
+        inner = ", ".join(f"{k}={v!r}" for k, v in self.params.items() if k != "points")
         return f"SMeasure({self.kind}, {inner or len(self.nodes)})"
 
 

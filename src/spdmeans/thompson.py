@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .core import _whitened_pair
+from .core import _real, _whitened_pair
 from .errors import DomainError, NotPositiveDefinite
 
 _R_MAX = 1e300  # radii clamp here: 2r stays finite, and each factor is at its limit from r ~ 1e4
@@ -69,7 +69,7 @@ def contraction_factor_affine(a: float, b: float, r: float) -> float:
     only through ``b/a``: below 1 for positive ``a``, though in floats it rounds to
     1.0 at large r or ``b/a``; tends to 0 as ``b -> 0`` (pure translation).
     """
-    if not all(0.0 < v < math.inf for v in (a, b, r)):
+    if not all(0.0 < _real(v, "each of a, b and r", DomainError) < math.inf for v in (a, b, r)):
         raise DomainError("affine contraction factor needs finite positive a, b, r")
     return min(_affine(a, b, min(r, _R_MAX)), 1.0)
 
@@ -98,11 +98,11 @@ def contraction_factor_mean(s: float, t: float, r: float) -> float:
     correction; 0 at ``t = 1`` (the map collapses to the constant ``A``) and
     approaches 1 as ``t -> 0``.
     """
-    if not 0.0 <= s <= 1.0:
+    if not 0.0 <= _real(s, "s", DomainError) <= 1.0:
         raise DomainError(f"s must lie in [0, 1], got {s}")
-    if not 0.0 < t <= 1.0:
+    if not 0.0 < _real(t, "t", DomainError) <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t} (no contraction at t = 0)")
-    if not 0.0 < r < math.inf:
+    if not 0.0 < _real(r, "ball radius", DomainError) < math.inf:
         raise DomainError("ball radius must be finite and positive")
     r = min(r, _R_MAX)
     rho1 = _affine(t, 1.0 - t, r)

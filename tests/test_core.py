@@ -12,9 +12,14 @@ from spdmeans import (
     ShapeError,
     SMeasure,
     PMeasure,
+    SolverConfig,
     congruence,
+    contraction_factor_affine,
+    contraction_factor_mean,
+    contraction_factor_uniform,
     distance,
     geometric_mean,
+    induced_mean,
     iteration_map,
     karcher_residual,
     logdet_divergence,
@@ -394,6 +399,59 @@ def test_loewner_tolerance_must_be_finite_and_nonnegative(tol):
     # a NaN tolerance made every comparison False: 2I >= I read as unordered
     with pytest.raises(DomainError):
         loewner_leq(np.eye(2), 2 * np.eye(2), tol)
+
+
+@pytest.mark.filterwarnings("error")
+def test_loewner_order_at_every_finite_scale():
+    # B - A or its norm overflowed: 1e200 I <= diag(1, 2, 3) read True, and the pair at
+    # -+1e308 leaked overflow warnings and then an untyped LinAlgError
+    big, small = 1e200 * np.eye(3), np.diag([1.0, 2.0, 3.0])
+    assert not loewner_leq(big, small) and loewner_leq(small, big)
+    top = 1e308 * np.eye(3)
+    assert loewner_leq(-top, top) and not loewner_leq(top, -top)
+    # the rule lambda_min(B - A) >= -tol (1 + ||B - A||_F) itself, wherever it is finite, on
+    # pairs whose least eigenvalue of B - A lies within 1% of the threshold either way
+    rng = np.random.default_rng(61)
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    a, tol, seen = rand_spd(rng, 3), 1e-6, set()
+    for scale in (2.0**-300, 2.0**-20, 1.0, 2.0**20, 2.0**300):
+        for side in (0.99, 1.01):
+            lam = np.array([0.0, 1.0, 2.0]) * scale
+            lam[0] = -side * tol * (1.0 + np.linalg.norm(lam))
+            b = scale * a + _sym((q * lam) @ q.T)
+            d = b - scale * a
+            rule = bool(np.linalg.eigvalsh(d)[0] >= -tol * (1.0 + np.linalg.norm(d)))
+            assert loewner_leq(scale * a, b, tol) == rule
+            seen.add(rule)
+    assert seen == {True, False}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["0.5", None, [0.5], True], ids=["str", "none", "list", "bool"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda v: geometric_mean(_SPD, _B, v), id="geometric_mean-t"),
+    pytest.param(lambda v: logdet_divergence(_SPD, _B, v), id="logdet_divergence-s"),
+    pytest.param(lambda v: iteration_map(_B, v, _MU), id="iteration_map-t"),
+    pytest.param(lambda v: induced_mean(v, _MU), id="induced_mean-t"),
+    pytest.param(lambda v: power_mean(v, [(1.0, _SPD)]), id="power_mean-t"),
+    pytest.param(lambda v: SolverConfig(fp_tol=v), id="SolverConfig-fp_tol"),
+    pytest.param(lambda v: SolverConfig(lambda_tol=v), id="SolverConfig-lambda_tol"),
+    pytest.param(lambda v: SolverConfig(grad_tol=v), id="SolverConfig-grad_tol"),
+    pytest.param(lambda v: loewner_leq(_SPD, _B, v), id="loewner_leq-tol"),
+    pytest.param(lambda v: contraction_factor_affine(v, 1.0, 1.0), id="affine-a"),
+    pytest.param(lambda v: contraction_factor_affine(1.0, v, 1.0), id="affine-b"),
+    pytest.param(lambda v: contraction_factor_affine(1.0, 1.0, v), id="affine-r"),
+    pytest.param(lambda v: contraction_factor_mean(v, 0.5, 1.0), id="mean-s"),
+    pytest.param(lambda v: contraction_factor_mean(0.5, v, 1.0), id="mean-t"),
+    pytest.param(lambda v: contraction_factor_mean(0.5, 0.5, v), id="mean-r"),
+    pytest.param(lambda v: contraction_factor_uniform(v, 1.0), id="uniform-t"),
+    pytest.param(lambda v: contraction_factor_uniform(0.5, v), id="uniform-r"),
+])
+def test_scalar_parameters_take_only_real_numbers(call, value):
+    # a string, None or a list raised an untyped TypeError from the range comparison, and a
+    # bool was taken as 0 or 1: induced_mean(True, mu) solved at t = 1
+    with pytest.raises(DomainError, match="must be a number"):
+        call(value)
 
 
 def test_weighted_means():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,8 +34,8 @@ from spdmeans import (
 )
 from spdmeans import core, solver
 from spdmeans.core import whitened_eigh
-from spdmeans.solver import (RESIDUAL_TOL, _point, _trial_point, _visit,
-                             _whitened_jacobian)
+from spdmeans.solver import (RESIDUAL_TOL, _newton_step, _point, _sym_pairs, _trial_point,
+                             _visit, _whitened_jacobian)
 from spdmeans.verify import random_measure
 
 CFG = SolverConfig()
@@ -209,16 +210,21 @@ def jacobian_error(x, mats, kernel, h=1e-5):
     atoms = (mats, np.linalg.cholesky(mats))
     visit = lambda y: _visit(_point(y, atoms), kernel)
     at_x = visit(x)
-    f, c = at_x[0][1][:2]
-    jac, flat = _whitened_jacobian(at_x)
+    f, cx = at_x[0][1][:2]
+    jac = _whitened_jacobian(at_x)
+    ij, c, _, _ = _sym_pairs(len(x))
 
     def g(e):
         (_, (fy, *_)), _, _, gy, _ = visit(sym(f @ (np.eye(len(x)) + e) @ f.T))
-        return (c.T @ sym(fy @ gy @ fy.T) @ c).ravel()  # R = F_Y G F_Y.T, whitened by X's C
+        return cx.T @ sym(fy @ gy @ fy.T) @ cx  # R = F_Y G F_Y.T, whitened by X's C
 
-    fd = np.array([
-        flat @ (g(h * b.reshape(x.shape)) - g(-h * b.reshape(x.shape))) / (2.0 * h) for b in flat
-    ]).T
+    fd = []
+    for b in range(len(c)):  # along the basis matrix c_b (E_ij + E_ji)
+        e = np.zeros(x.shape)
+        e.flat[ij[b]] = c[b]
+        d = (g(h * (e + e.T)) - g(-h * (e + e.T))) / (2.0 * h)
+        fd.append(2.0 * c * d.flat[ij])  # <c_a (E_ij + E_ji), D> = 2 c_a D_ij, D symmetric
+    fd = np.array(fd).T
     return np.linalg.norm(fd - jac) / np.linalg.norm(jac)
 
 
@@ -242,6 +248,21 @@ def test_whitened_jacobian_matches_central_differences():
     x = np.diag([2.0, 2.0, 1.0])
     assert jacobian_error(x, diag.matrices, diag.kernels(0.0)) <= 1e-6
     assert jacobian_error(x, diag.matrices, power(np.array([0.5, 0.5]), 0.2)) <= 1e-6
+
+
+def test_newton_step_memory_is_bounded():
+    # one step at n = 16 with 100 atoms: the Jacobian's one (n^2, n^2) contraction holds
+    # O(k n^3 + n^4) floats, about 10 MiB; the (k, m, n^2) projection before it peaked at 80 MiB
+    mu = random_measure(np.random.default_rng(0), 16, n_atoms=100)
+    visit = _visit(_point(core._arith(mu.weights, mu.matrices), (mu.matrices, mu.factors)),
+                   mu.kernels(0.0))
+    tracemalloc.start()
+    try:
+        step = _newton_step(visit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step is not None and peak <= 20 * 2**20
 
 
 def test_flat_quadrature_matches_per_atom_sums():
