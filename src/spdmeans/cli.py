@@ -3,8 +3,10 @@
 Subcommands: ``mean``, ``lambda``, ``power``, ``residual``, ``metric``,
 ``divergence``, ``minimize``, ``verify``.  All matrix and measure I/O uses
 the JSON schemas of :mod:`spdmeans.core` / :mod:`spdmeans.measures`;
-numeric output is serialized with shortest round-trip floats so identical
-inputs produce byte-identical output.
+numeric output is serialized with shortest round-trip floats, so the same
+input gives byte-identical output on the same numpy/BLAS build with the same
+BLAS thread count (from n = 14 the Newton step's dense solve may round
+differently at another thread count).
 
 Exit codes: 0 success, 1 input error (malformed JSON, missing file, bad
 flag), 2 solver non-convergence.
@@ -20,8 +22,8 @@ import numpy as np
 
 from . import divergence as dvg
 from . import measures, solver, thompson, verify
-from .core import _json_rows, _numeric, matrix_from_json, matrix_to_json
-from .errors import MeasureError, NonConvergence, ShapeError, SpdMeansError
+from .core import matrix_from_json, matrix_to_json
+from .errors import NonConvergence, SpdMeansError
 
 
 def _load_json(path):
@@ -34,30 +36,17 @@ def _load_json(path):
         raise SpdMeansError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _sigma_from_json(obj):
-    """``{"atoms": [{"weight": w, "matrix": {...}}, ...]}`` as pairs, the matrices one array.
-
-    ``power_mean`` checks the matrices, as one stack, and the weights, as one vector.
-    """
-    entries = list(obj["atoms"])
-    weights = [a["weight"] for a in entries]
-    rows = [_json_rows(a["matrix"]) for a in entries]
-    if len({len(r) for r in rows}) > 1:
-        raise ShapeError("the matrices of a matrix list have different dimensions")
-    return list(zip(weights, _numeric(rows)))
-
-
 _PARSERS = {"measure": measures.pmeasure_from_json, "matrix": matrix_from_json,
-            "matrix-list": _sigma_from_json}
+            "matrix-list": measures._json_atoms}
 
 
 def _load(path, kind):
-    """The ``kind`` input in the JSON file at path; MeasureError naming the file if malformed."""
+    """The ``kind`` input in the JSON file at path; a parser error, of its type, names the file."""
     obj = _load_json(path)
     try:
         return _PARSERS[kind](obj)
-    except (KeyError, TypeError, MeasureError) as exc:
-        raise MeasureError(f"bad {kind} JSON in {path}: {exc}") from exc
+    except SpdMeansError as exc:
+        raise type(exc)(f"bad {kind} JSON in {path}: {exc}") from exc
 
 
 def _write(text, path):

@@ -300,14 +300,27 @@ def _probability_weights(w):
     return w
 
 
-def _check_weights(pairs, gate=None):
-    """Weights and (k, n, n) stack of ``[(weight, matrix), ...]``.
+def _check_weights(entries, gate=None, arity=2):
+    """``(w, mats, *rest)`` of ``[(weight, matrix, ...), ...]``: the one weighted-list reader.
 
-    Weights go through :func:`_probability_weights`, matrices through ``gate`` or :func:`spd_stack`.
+    MeasureError unless ``entries`` is an iterable of ``arity``-item entries, EmptyInput (a
+    MeasureError) if it is empty, one ShapeError naming the dimensions if the matrices, as float
+    arrays, differ in shape.  Weights pass :func:`_probability_weights`, the matrices ``gate`` or
+    :func:`spd_stack`; ``rest`` holds the entries' further columns, as tuples.
     """
-    if len(pairs) == 0:
+    try:
+        entries = [tuple(e) for e in entries]
+    except TypeError as exc:
+        raise MeasureError(f"a weighted matrix list must be an iterable of entries: {exc}") from exc
+    if not entries:
         raise EmptyInput("need at least one (weight, matrix) pair")
-    return _probability_weights([p[0] for p in pairs]), (gate or spd_stack)([p[1] for p in pairs])
+    if any(len(e) != arity for e in entries):
+        raise MeasureError(f"each entry must be ({', '.join(('weight', 'matrix', 'nu')[:arity])})")
+    w, mats, *rest = zip(*entries)
+    w, mats = _probability_weights(w), [_float_array(m) for m in mats]
+    if len(shapes := {m.shape for m in mats}) > 1:
+        raise ShapeError(f"matrices of different dimensions in a weighted list: {sorted(shapes)}")
+    return (w, (gate or spd_stack)(mats), *rest)
 
 
 def _arith(w, mats):

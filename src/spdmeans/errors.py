@@ -25,12 +25,12 @@ class SingularTransform(SpdMeansError):
     """A congruence transform matrix is numerically singular."""
 
 
-class EmptyInput(SpdMeansError):
-    """An operation received an empty collection."""
-
-
 class MeasureError(SpdMeansError):
     """A measure violates its normalization or support constraints."""
+
+
+class EmptyInput(MeasureError):
+    """An operation received an empty collection: a measure with no atom."""
 
 
 class Incomparable(SpdMeansError):

@@ -16,8 +16,8 @@ in a fixed order, so reruns are bit-identical.
 
 import numpy as np
 
-from .core import (_cholesky, _float_array, _json_rows, _numeric, _probability_weights,
-                   congruence, loewner_leq, spd_stack)
+from .core import (_check_weights, _cholesky, _json_rows, _numeric, congruence, loewner_leq,
+                   spd_stack)
 from .errors import Incomparable, MeasureError, NotPositiveDefinite
 from .monotone import SMeasure, _frozen, smeasure_from_json
 
@@ -31,10 +31,10 @@ class PMeasure:
 
     Parameters
     ----------
-    atoms : sequence of (weight, matrix, SMeasure)
-        Finite positive weights summing to 1 (within 1e-12); matrices all SPD and of one
-        shared dimension (a ragged or non-numeric matrix raises ShapeError, well-formed ones
-        of different dimensions MeasureError).  They are stored once, as the read-only
+    atoms : iterable of (weight, matrix, SMeasure)
+        Read by :func:`core._check_weights`: finite positive weights summing to 1 (within
+        1e-12); SPD matrices of one dimension (a ragged or non-numeric matrix, or matrices of
+        different dimensions, raise ShapeError).  They are stored once, as the read-only
         (k, n, n) stack ``matrices`` and vector ``weights``; ``atoms`` holds views into that
         stack, and the read-only stack ``factors`` their lower Cholesky factors.
 
@@ -47,17 +47,10 @@ class PMeasure:
     __slots__ = ("atoms", "dim", "factors", "matrices", "weights", "_block_nodes", "_block_weights")
 
     def __init__(self, atoms):
-        atoms = list(atoms)
-        if not atoms:
-            raise MeasureError("measure needs at least one atom")
-        mats = [_float_array(m) for _, m, _ in atoms]
-        if len({m.shape for m in mats}) > 1:
-            raise MeasureError("all atom matrices must share one dimension")
-        mats = spd_stack(mats)
-        nus = [nu for _, _, nu in atoms]
+        w, mats, nus = _check_weights(atoms, spd_stack, 3)
         if not all(isinstance(nu, SMeasure) for nu in nus):
             raise MeasureError("each atom needs an SMeasure on [0, 1]")
-        self.weights = w = _frozen(_probability_weights([w for w, _, _ in atoms]))
+        self.weights = w = _frozen(w)
         self.matrices = _frozen(mats)
         self.factors = _frozen(_cholesky(mats))
         self.atoms = tuple((float(wk), m, nu) for wk, m, nu in zip(w, self.matrices, nus))
@@ -137,12 +130,10 @@ class PMeasure:
 def product_measure(nu: SMeasure, sigma) -> PMeasure:
     """Product of one [0, 1]-measure with a finitely supported matrix measure.
 
-    ``sigma`` is ``[(weight, matrix), ...]``; every atom of the result
-    carries the same ``nu``.
+    ``sigma`` is ``[(weight, matrix), ...]``; every atom of the result carries the same
+    ``nu``.  :class:`PMeasure`'s reader iterates sigma, so it types sigma's faults too.
     """
-    if not sigma:
-        raise MeasureError("matrix marginal needs at least one atom")
-    return PMeasure([(w, m, nu) for w, m in sigma])
+    return PMeasure((*pair, nu) for pairs in [sigma] for pair in pairs)
 
 
 def congruence_measure(x, mu: PMeasure) -> PMeasure:
@@ -171,24 +162,28 @@ def measure_leq(mu1: PMeasure, mu2: PMeasure) -> bool:
     return all(loewner_leq(a1, a2) for (_, a1, _), (_, a2, _) in zip(mu1.atoms, mu2.atoms))
 
 
+def _json_atoms(obj, nu=False):
+    """``[(weight, matrix[, nu]), ...]`` of the JSON ``{"atoms": [{"weight", "matrix"[, "nu"]}]}``.
+
+    Each matrix's schema is checked in plain Python (:func:`core._json_rows`) and its data
+    converted once (:func:`core._numeric`), not symmetrized or gated.  With ``nu`` the atoms
+    go to :class:`PMeasure`, whose reader they pass; without, :func:`core._check_weights`
+    reads them here with no gate, so that the list's faults are raised while it is parsed.
+    """
+    if not isinstance(obj, dict) or "atoms" not in obj:
+        raise MeasureError('atoms-list JSON must carry an "atoms" list')
+    try:
+        atoms = [(a["weight"], _numeric(_json_rows(a["matrix"])),
+                  *((smeasure_from_json(a["nu"]),) if nu else ())) for a in obj["atoms"]]
+    except (KeyError, TypeError) as exc:
+        raise MeasureError(f"malformed JSON atoms: {exc!r}") from exc
+    return atoms if nu else list(zip(*_check_weights(atoms, list)))
+
+
 def pmeasure_from_json(obj) -> PMeasure:
     """Parse the PMeasure JSON schema ``{"atoms": [{"weight", "nu", "matrix"}, ...]}``.
 
-    Each atom's matrix schema is checked in plain Python (:func:`core._json_rows`: a
-    dict with ``"dim"`` and ``"data"``, ``dim`` rows of ``dim`` entries), every atom
-    of one dimension; then all matrices become one (k, n, n) array, which
-    :class:`PMeasure` gates with its one :func:`spd_stack`.  No matrix is converted,
-    checked or symmetrized on its own.
+    :func:`_json_atoms` converts each matrix once and :class:`PMeasure` reads the atoms,
+    gating all matrices with its one :func:`spd_stack`.
     """
-    if not isinstance(obj, dict) or "atoms" not in obj:
-        raise MeasureError('measure JSON must carry an "atoms" list')
-    try:
-        entries = list(obj["atoms"])
-        rows = [_json_rows(entry["matrix"]) for entry in entries]
-        weights = [entry["weight"] for entry in entries]
-        nus = [smeasure_from_json(entry["nu"]) for entry in entries]
-    except (KeyError, TypeError) as exc:
-        raise MeasureError(f"malformed measure JSON atoms: {exc!r}") from exc
-    if len({len(r) for r in rows}) > 1:
-        raise MeasureError("all atom matrices must share one dimension")
-    return PMeasure(zip(weights, _numeric(rows), nus))
+    return PMeasure(_json_atoms(obj, nu=True))

@@ -161,9 +161,9 @@ def _visit(point, kernel):
     return point, float(np.linalg.norm(g)), phi, g, divdiff
 
 
-def _sym_point(x, mu: PMeasure) -> np.ndarray:
-    """A caller's point X through :func:`sym_matrix`, of the measure's dimension."""
-    x = sym_matrix(x)
+def _sym_point(x, mu: PMeasure, gate=sym_matrix) -> np.ndarray:
+    """A caller's point X through ``gate`` (:func:`sym_matrix`), of the measure's dimension."""
+    x = gate(x)
     if x.shape != (mu.dim, mu.dim):
         raise ShapeError("matrix and measure dimensions differ")
     return x
@@ -176,6 +176,12 @@ def _gated_point(x, mu: PMeasure):
     if not np.all((point[1][2] >= np.finfo(float).tiny) & (point[1][2] < math.inf)):
         raise DomainError("the atoms' whitened spectrum at X leaves the normal float range")
     return point
+
+
+def _check_t(t):
+    """DomainError unless t is a real number in (0, 1]: the parameter of a level map or mean."""
+    if not 0.0 < _real(t, "t", DomainError) <= 1.0:
+        raise DomainError(f"t must lie in (0, 1], got {t}")
 
 
 def karcher_residual(x, mu: PMeasure) -> np.ndarray:
@@ -197,8 +203,7 @@ def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
     in X.  ``t = 1`` collapses to the weighted arithmetic mean of the atoms
     regardless of X.
     """
-    if not 0.0 < _real(t, "t", DomainError) <= 1.0:
-        raise DomainError(f"t must lie in (0, 1], got {t}")
+    _check_t(t)
     x, (f, _, lam, q) = _gated_point(x, mu)
     r = spectral_sum(q, mu.kernels(t)(lam)[0], f)
     return _sym(x + t * r)  # R_t(X) = (T_t(X) - X)/t evaluated directly
@@ -330,8 +335,7 @@ def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverRepo
     ``distance(X, iteration_map(X, t, mu)) <= 10 * fp_tol``; residual_norm is
     the whitened norm of the level residual ``R_t`` there.
     """
-    if not 0.0 < _real(t, "t", DomainError) <= 1.0:
-        raise DomainError(f"t must lie in (0, 1], got {t}")
+    _check_t(t)
     cfg = cfg or SolverConfig()
     return _solve(mu.weights, mu.matrices, mu.factors, mu.kernels(t), t, cfg.fp_tol, cfg.max_iters)
 
@@ -343,8 +347,7 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
     is the whitened Frobenius norm ``||sum_i w_i (W_i^t - I)/t||_F`` of the
     generalized residual at the solution, ``W_i = X^(-1/2) A_i X^(-1/2)``.
     """
-    if not 0.0 < _real(t, "t", DomainError) <= 1.0:
-        raise DomainError(f"t must lie in (0, 1], got {t}")
+    _check_t(t)
     cfg = cfg or SolverConfig()
     w, mats = _check_weights(sigma)
     kernel = PMeasure.power_kernels(w, t)
@@ -439,6 +442,6 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
 
 def sandwich_check(x, mu: PMeasure) -> bool:
     """True iff harmonic mean <= X <= arithmetic mean of the atoms (Loewner, scaled tol 1e-9)."""
-    x = spd_matrix(_sym_point(x, mu))
+    x = _sym_point(x, mu, spd_matrix)
     return (loewner_leq(_harm(mu.weights, mu.matrices), x, 1e-9)
             and loewner_leq(x, _arith(mu.weights, mu.matrices), 1e-9))

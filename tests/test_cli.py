@@ -101,6 +101,8 @@ def test_malformed_json_exits_1(tmp_path):
     ("lambda", {"atoms": [{}]}),
     ("metric", {"dim": 2, "data": "x"}),
     ("power", {"atoms": [{"weight": 1.0}]}),
+    ("power", {"atoms": [{"weight": 0.5, "matrix": matrix_to_json(np.eye(d))} for d in (2, 3)]}),
+    ("power", {"atoms": []}),
 ])
 def test_malformed_input_error_names_the_file(setup_files, capsys, command, obj):
     files, _, _, tmp_path = setup_files

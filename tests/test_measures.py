@@ -6,6 +6,7 @@ import pytest
 from conftest import measure_json, rand_spd
 from spdmeans import (
     DomainError,
+    EmptyInput,
     Incomparable,
     MeasureError,
     NotPositiveDefinite,
@@ -34,7 +35,7 @@ def test_pmeasure_validation():
         PMeasure([])
     with pytest.raises(MeasureError):
         PMeasure([(0.6, a, SMeasure.dirac(0.5)), (0.6, a, SMeasure.dirac(0.5))])
-    with pytest.raises(MeasureError):
+    with pytest.raises(ShapeError):
         PMeasure([(0.5, a, SMeasure.dirac(0.5)), (0.5, rand_spd(rng, 4), SMeasure.dirac(0.5))])
     with pytest.raises(ShapeError):
         PMeasure([(1.0, np.ones((2, 3)), SMeasure.dirac(0.5))])
@@ -64,6 +65,46 @@ def test_power_mean_rejects_mixed_dimensions_as_shape_error():
     rng = np.random.default_rng(12)
     with pytest.raises(ShapeError):
         power_mean(0.5, [(0.5, rand_spd(rng, 2)), (0.5, rand_spd(rng, 3))])
+
+
+_NU = SMeasure.dirac(0.5)
+
+
+def _with_nu(pairs):
+    """A weighted matrix list as PMeasure's atoms: nu appended to each tuple entry."""
+    if not isinstance(pairs, list):
+        return pairs
+    return [(*p, _NU) if isinstance(p, tuple) else p for p in pairs]
+
+
+_LIST_READERS = {
+    "PMeasure": lambda pairs: PMeasure(_with_nu(pairs)),
+    "product_measure": lambda pairs: product_measure(_NU, pairs),
+    "weighted_arith": weighted_arith,
+    "weighted_harm": weighted_harm,
+    "power_mean": lambda pairs: power_mean(0.5, pairs),
+}
+
+_LIST_FAULTS = {
+    "none": (None, MeasureError, "iterable"),
+    "number": (5, MeasureError, "iterable"),
+    "bare-entry": ([1.0], MeasureError, "iterable"),
+    "short-entry": ([(1.0,)], MeasureError, "each entry"),
+    "long-entry": ([(1.0, np.eye(2), np.eye(2))], MeasureError, "each entry"),
+    "empty": ([], EmptyInput, "at least one"),
+    "mixed-dimensions": ([(0.5, np.eye(2)), (0.5, np.eye(3))], ShapeError, r"\(2, 2\), \(3, 3\)"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fault", list(_LIST_FAULTS))
+@pytest.mark.parametrize("reader", list(_LIST_READERS))
+def test_weighted_matrix_list_faults_raise_one_typed_error(reader, fault):
+    # every entry point reads its list through core._check_weights, so each fault of a
+    # weighted matrix list raises the same SpdMeansError subclass, with no warning
+    entries, error, match = _LIST_FAULTS[fault]
+    with pytest.raises(error, match=match):
+        _LIST_READERS[reader](entries)
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -256,7 +297,7 @@ def test_matrix_json_errors_keep_their_types(bad, error):
 
 
 @pytest.mark.parametrize("bad, error", [
-    ({"dim": 3, "data": np.eye(3).tolist()}, MeasureError),
+    ({"dim": 3, "data": np.eye(3).tolist()}, ShapeError),
     ({"dim": 2, "data": [[1.0, 0.0], [0.0, -1.0]]}, NotPositiveDefinite),
 ], ids=["mixed-dimensions", "not-pd"])
 def test_measure_json_errors_of_well_formed_atoms_keep_their_types(bad, error):
