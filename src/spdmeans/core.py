@@ -2,24 +2,24 @@
 
 Everything here operates on plain ``numpy.ndarray`` values.  A caller's matrix
 is checked once, by the public function that takes it: :func:`sym_matrix`
-converts, shape-checks and symmetrizes it as ``0.5 A + 0.5 A.T``, and one
-positive-definiteness rule (:func:`_pd_rule`) reads its spectrum.  A matrix that
-is whitened against (a caller's point, a two-operand function's frame, a solver's
-trial point) is gated by the ``eigh`` of its :func:`whitened_eigh`; any other operand
-by :func:`spd_stack`'s one stacked ``eigvalsh`` (:func:`spd_matrix` is its k = 1
-case).  The two-operand functions enter through :func:`_whitened_pair`.  Nothing
-behind that gate checks again; the remaining operations stay allocation-light so
-they can sit inside solver loops.
+converts, shape-checks and symmetrizes it as ``0.5 A + 0.5 A.T``.  Every SPD operand then
+takes one gated ``eigh`` ``A = V diag(w) V.T`` (:func:`_frame`): one positive-definiteness
+rule (:func:`_pd_rule`) reads w, and the factor ``F = V w^(1/2)`` and frame ``C = V w^(-1/2)``
+come with it; :func:`_spd` is that gate on a caller's operand, :func:`whitened_eigh` on a
+point that is whitened against.  The two-operand functions enter through
+:func:`_whitened_pair`.  Nothing behind that gate checks again; the remaining
+operations stay allocation-light so they can sit inside solver loops.
 
 All matrix functions take the spectral route rather than Pade or
 scaling-and-squaring: dimensions stay small, and one kernel handles every
 scalar function we need.  It has three pieces, and no other module calls
-``eigh`` or ``eigvalsh``:
+``eigh``:
 
 * :func:`_eigh`, the one ``eigh`` call, on a matrix or a (k, n, n) stack; a
   LAPACK failure becomes :class:`NumericalFailure`;
-* :func:`whitened_eigh` / :func:`whiten`, the stacked spectra of ``C.T A_k C`` in
-  X's frame ``X = F F.T``, ``C.T X C = I``: those of ``X^(-1/2) A_k X^(-1/2)``;
+* :func:`whitened_eigh`, the stacked spectra of ``C.T A_k C`` in X's frame
+  ``X = F F.T``, ``C.T X C = I`` (those of ``X^(-1/2) A_k X^(-1/2)``) from the atoms'
+  factors; :func:`whiten` those of a product in a known frame;
 * :func:`spectral_sum`, the one reassembly ``F (sum_k Q_k diag(v_k) Q_k.T) F.T``.
 """
 
@@ -70,15 +70,18 @@ def _real(x, what, error=MeasureError) -> float:
 
 
 def _float_array(a) -> np.ndarray:
-    """``a`` as a float ndarray, not copied if it is one; ShapeError if ragged or not numeric."""
+    """``a`` as a float ndarray, not copied if one; ShapeError if ragged, complex or not numeric."""
     try:
-        return np.asarray(a, dtype=float)
+        a = np.asarray(a)
+        if np.iscomplexobj(a):
+            raise ShapeError(f"matrices must be real, got dtype {a.dtype}")
+        return a.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ShapeError(f"matrices must be numeric arrays: {exc}") from exc
 
 
 def _symmetrized(entries, ndim=3, what="a stack of square matrices") -> np.ndarray:
-    """The one check body of :func:`sym_matrix` and :func:`spd_stack` (a stack by default).
+    """The one check body of :func:`sym_matrix` and :func:`_spd` (a stack by default).
 
     ``entries`` as a float array: ShapeError unless it has ``ndim`` axes and ends in a
     nonempty square matrix, DomainError unless every entry is finite.  Symmetrized by
@@ -109,29 +112,24 @@ def sym_matrix(entries) -> np.ndarray:
 
 
 def spd_matrix(entries) -> np.ndarray:
-    """Validate, symmetrize and positivity-check a matrix: the k = 1 case of :func:`spd_stack`.
+    """Validate, symmetrize and positivity-check a matrix: the n x n case of :func:`_spd`.
 
     Returns
     -------
     ndarray
         Symmetric positive definite float64 copy.
     """
-    a = sym_matrix(entries)
-    _pd_rule(np.linalg.eigvalsh(a))
-    return a
+    return _spd(entries, 2, "a square matrix")[0]
 
 
-def spd_stack(mats) -> np.ndarray:
-    """Validate, symmetrize and positivity-check k square matrices of one shape.
+def _spd(entries, ndim=3, what="a stack of square matrices"):
+    """``(A, F, C)``, ``A = F F.T``, ``C.T A C = I``: the one gate and factor of SPD operands.
 
-    The gate of operands that are not whitened against: a (k, n, n) stack, checked by
-    one stacked ``eigvalsh``.  Each smallest eigenvalue must exceed ``n * 1e-14 *
-    lambda_max``, so that floating-point drift neither rejects valid input nor
-    admits indefinite matrices; the first failing matrix is named by its index.
+    ``A`` is ``entries`` through :func:`_symmetrized`, then :func:`_frame`: each smallest
+    eigenvalue must exceed ``n * 1e-14 * lambda_max``; the first failing matrix is named.
     """
-    a = _symmetrized(mats)
-    _pd_rule(np.linalg.eigvalsh(a))
-    return a
+    a = _symmetrized(entries, ndim, what)
+    return (a, *_frame(a))
 
 
 def _pd_rule(w):
@@ -157,32 +155,27 @@ def _eigh(a):
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
 
 
-def _cholesky(mats):
-    """Lower Cholesky factors of a gated stack; a LAPACK failure becomes NumericalFailure."""
-    try:
-        return np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"Cholesky factorization failed: {exc}") from exc
+def _frame(a):
+    """``(F, C) = (V w^(1/2), V w^(-1/2))`` of symmetric A's ``eigh``; w passes :func:`_pd_rule`."""
+    w, v = _eigh(a)
+    _pd_rule(w)
+    r = np.sqrt(w)[..., None, :]
+    return v * r, v / r
 
 
-def whitened_eigh(x, mats, factors=None):
+def whitened_eigh(x, mats, factors):
     """Stacked spectra of the atoms ``mats`` whitened in X's frame: ``(F, C, lam, q)``.
 
-    One ``eigh`` ``X = V diag(w) V.T``, whose spectrum gates X (:func:`_pd_rule`), gives
-    X's frame ``F = V w^(1/2)``, ``C = V w^(-1/2)``: ``X = F F.T`` and ``C.T X C = I``.
-    ``lam[k]`` ascending and ``q[k]`` are the eigenpairs of ``C.T A_k C``, whose spectrum
-    is that of ``X^(-1/2) A_k X^(-1/2)``: one ``eigh`` of the Gram stack ``B_k B_k.T``,
-    ``B_k = C.T L_k`` with ``factors[k] = L_k`` the atom's lower Cholesky factor, which keeps
-    each eigenvalue's relative accuracy (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13,
-    1992); without factors, of the product (:func:`whiten`).  A 1 x 1 spectrum is ``a / x``.
+    X's frame ``X = F F.T``, ``C.T X C = I`` is its gated :func:`_frame`.  ``lam[k]`` ascending
+    and ``q[k]`` are the eigenpairs of ``C.T A_k C``, whose spectrum is that of
+    ``X^(-1/2) A_k X^(-1/2)``: one ``eigh`` of the Gram stack ``B_k B_k.T``, ``B_k = C.T F_k``
+    with ``factors[k] = F_k`` any factor ``A_k = F_k F_k.T`` (the atom's :func:`_spd`), which
+    keeps each eigenvalue's relative accuracy (Demmel and Veselic, SIAM J. Matrix Anal. Appl.
+    13, 1992).  A 1 x 1 spectrum is ``a / x``.
     """
-    w, v = _eigh(x)
-    _pd_rule(w)
-    f, c = v * np.sqrt(w), v / np.sqrt(w)
+    f, c = _frame(x)
     if len(x) == 1:
         return f, c, mats[:, :, 0] / x[0, 0], np.ones_like(mats)
-    if factors is None:
-        return (f, c, *whiten(c, mats))
     b = c.T @ factors
     return (f, c, *_eigh(b @ b.swapaxes(1, 2)))
 
@@ -246,14 +239,16 @@ def geometric_mean(a, b, t: float) -> np.ndarray:
 def _whitened_pair(x, a):
     """``(x, a, k, F, C, lam, q)``: X and A gated, ``C.T 2^k A C``'s spectrum in X's frame.
 
-    The two-operand functions' one entry: A passes :func:`spd_matrix`, frame X the
-    :func:`whitened_eigh` that whitens it; k is the :func:`_scale_gap` of A to X.
+    The two-operand functions' one entry: :func:`_frame` gates and factors ``2^k A`` (an entry
+    overflowing to inf fails it), :func:`whitened_eigh` gates X; k is A's :func:`_scale_gap` to X.
     """
-    x, a = sym_matrix(x), spd_matrix(a)
+    x, a = sym_matrix(x), sym_matrix(a)
     if x.shape != a.shape:
         raise ShapeError("operands must share dimensions")
     k = _scale_gap(x, a)
-    return (x, a, k, *whitened_eigh(x, np.ldexp(a, k)[None]))
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(a, k)[None]
+    return (x, a, k, *whitened_eigh(x, scaled, _frame(scaled)[0]))
 
 
 def _scale_gap(a, b) -> int:
@@ -283,7 +278,7 @@ def loewner_leq(a, b, tol: float = LOEWNER_TOL) -> bool:
         raise ShapeError("operands must share dimensions")
     e = max(math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1], 0)
     d = np.ldexp(b, -e) - np.ldexp(a, -e)
-    return bool(np.linalg.eigvalsh(d)[0] >= -tol * (math.ldexp(1.0, -e) + float(np.linalg.norm(d))))
+    return bool(_eigh(d)[0][0] >= -tol * (math.ldexp(1.0, -e) + float(np.linalg.norm(d))))
 
 
 def _probability_weights(w):
@@ -306,7 +301,7 @@ def _check_weights(entries, gate=None, arity=2):
     MeasureError unless ``entries`` is an iterable of ``arity``-item entries, EmptyInput (a
     MeasureError) if it is empty, one ShapeError naming the dimensions if the matrices, as float
     arrays, differ in shape.  Weights pass :func:`_probability_weights`, the matrices ``gate`` or
-    :func:`spd_stack`; ``rest`` holds the entries' further columns, as tuples.
+    :func:`_spd`'s ``(A, F, C)``; ``rest`` holds the entries' further columns, as tuples.
     """
     try:
         entries = [tuple(e) for e in entries]
@@ -320,7 +315,7 @@ def _check_weights(entries, gate=None, arity=2):
     w, mats = _probability_weights(w), [_float_array(m) for m in mats]
     if len(shapes := {m.shape for m in mats}) > 1:
         raise ShapeError(f"matrices of different dimensions in a weighted list: {sorted(shapes)}")
-    return (w, (gate or spd_stack)(mats), *rest)
+    return (w, (gate or _spd)(mats), *rest)
 
 
 def _arith(w, mats):
@@ -329,15 +324,15 @@ def _arith(w, mats):
 
 
 def _harm(w, mats):
-    """``(sum_k w_k A_k^-1)^-1`` of symmetric matrices, gated by the spectra of one stacked eigh."""
-    lam, q = _eigh(mats)
-    _pd_rule(lam)
-    return _sym(np.linalg.inv(spectral_sum(q, w[:, None] / lam)))
+    """``(sum_k w_k A_k^-1)^-1`` = ``(sum_k w_k C_k C_k.T)^-1`` (:func:`_frame`)."""
+    c = _frame(mats)[1]
+    return _sym(np.linalg.inv(spectral_sum(c, np.repeat(w[:, None], c.shape[-1], 1))))
 
 
 def weighted_arith(pairs) -> np.ndarray:
     """Weighted arithmetic mean ``sum_k w_k A_k`` of SPD matrices."""
-    return _arith(*_check_weights(pairs))
+    w, (mats, _, _) = _check_weights(pairs)
+    return _arith(w, mats)
 
 
 def weighted_harm(pairs) -> np.ndarray:

@@ -16,8 +16,7 @@ in a fixed order, so reruns are bit-identical.
 
 import numpy as np
 
-from .core import (_check_weights, _cholesky, _json_rows, _numeric, congruence, loewner_leq,
-                   spd_stack)
+from .core import _check_weights, _json_rows, _numeric, _spd, congruence, loewner_leq
 from .errors import Incomparable, MeasureError, NotPositiveDefinite
 from .monotone import SMeasure, _frozen, smeasure_from_json
 
@@ -36,7 +35,7 @@ class PMeasure:
         1e-12); SPD matrices of one dimension (a ragged or non-numeric matrix, or matrices of
         different dimensions, raise ShapeError).  They are stored once, as the read-only
         (k, n, n) stack ``matrices`` and vector ``weights``; ``atoms`` holds views into that
-        stack, and the read-only stack ``factors`` their lower Cholesky factors.
+        stack, and the read-only stack ``factors`` their factors ``V_k w_k^(1/2)`` (``core._spd``).
 
     :meth:`kernels` and :meth:`divergence` read the private node blocks: row k of
     ``_block_nodes`` (k, m) and ``_block_weights`` (k, m) holds atom k's ``nu.nodes``
@@ -47,12 +46,12 @@ class PMeasure:
     __slots__ = ("atoms", "dim", "factors", "matrices", "weights", "_block_nodes", "_block_weights")
 
     def __init__(self, atoms):
-        w, mats, nus = _check_weights(atoms, spd_stack, 3)
+        w, (mats, factors, _), nus = _check_weights(atoms, _spd, 3)
         if not all(isinstance(nu, SMeasure) for nu in nus):
             raise MeasureError("each atom needs an SMeasure on [0, 1]")
         self.weights = w = _frozen(w)
         self.matrices = _frozen(mats)
-        self.factors = _frozen(_cholesky(mats))
+        self.factors = _frozen(factors)
         self.atoms = tuple((float(wk), m, nu) for wk, m, nu in zip(w, self.matrices, nus))
         self.dim = mats.shape[1]
         counts = np.array([len(nu.nodes) for nu in nus])
@@ -184,6 +183,6 @@ def pmeasure_from_json(obj) -> PMeasure:
     """Parse the PMeasure JSON schema ``{"atoms": [{"weight", "nu", "matrix"}, ...]}``.
 
     :func:`_json_atoms` converts each matrix once and :class:`PMeasure` reads the atoms,
-    gating all matrices with its one :func:`spd_stack`.
+    gating and factoring all matrices with its one stacked ``eigh`` (:func:`core._spd`).
     """
     return PMeasure(_json_atoms(obj, nu=True))

@@ -52,7 +52,6 @@ import numpy as np
 
 from .core import (
     _arith,
-    _cholesky,
     _check_weights,
     _harm,
     _is_count,
@@ -349,9 +348,9 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
     """
     _check_t(t)
     cfg = cfg or SolverConfig()
-    w, mats = _check_weights(sigma)
+    w, (mats, factors, _) = _check_weights(sigma)
     kernel = PMeasure.power_kernels(w, t)
-    return _solve(w, mats, _cholesky(mats), kernel, t, cfg.fp_tol, cfg.max_iters)
+    return _solve(w, mats, factors, kernel, t, cfg.fp_tol, cfg.max_iters)
 
 
 def _lagrange(history, t):

@@ -149,7 +149,7 @@ def _contraction_empirical(rng, dim):
     s, t, r = (float(v) for v in rng.uniform((0.1, 0.1, 0.5), (0.9, 0.9, 2.0)))
     anchor = random_spd(rng, dim, 0.5, 2.0)
     mu = measures.product_measure(monotone.SMeasure.dirac(s), [(1.0, anchor)])
-    root = core._cholesky(anchor)
+    root = core._frame(anchor)[0]
     pairs = [tuple(random_ball_point(rng, root, r) for _ in range(2))]
     if d(*pairs[0]) <= 1e-8:
         return []
@@ -282,17 +282,17 @@ def _gradient_fd(rng, dim):
 
 def _geodesic_convexity(rng, dim):
     # strict geodesic convexity of the objective F, on two geodesics g(u) = g0 #_u g1 with
-    # ends L W L.T, L L.T the atoms' arithmetic mean: F(g(u)) lies below the chord at
+    # ends rc W rc.T, rc rc.T the atoms' arithmetic mean: F(g(u)) lies below the chord at
     # u = 1/4, 1/2, 3/4 (strictly when the ends are apart), and F's second difference at a
-    # random u in [0.2, 0.8] is nonnegative
+    # random u in [0.2, 0.8] is nonnegative; g0 #_u g1 = frame q lam^u q.T frame.T
     mu = random_measure(rng, dim)
-    rc = core._cholesky(core._arith(mu.weights, mu.matrices))
+    rc = core._frame(core._arith(mu.weights, mu.matrices))[0]
     ok = []
     for _ in range(2):
         g0, g1 = (core._sym(rc @ random_spd(rng, dim, 0.25, 4.0) @ rc.T) for _ in range(2))
         tau = float(rng.uniform(0.2, 0.8))
         f0, f1 = divergence.objective(g0, mu), divergence.objective(g1, mu)
-        frame, _, lam, q = core.whitened_eigh(g0, g1[None])  # g0 #_u g1 = F q lam^u q.T F.T
+        frame, _, lam, q = core.whitened_eigh(g0, g1[None], core._frame(g1)[0][None])
         f = [divergence.objective(core.spectral_sum(q, lam**u, frame), mu)
              for u in (0.25, 0.5, 0.75, tau - 1e-3, tau, tau + 1e-3)]
         chords = [(1.0 - u) * f0 + u * f1 for u in (0.25, 0.5, 0.75)]

@@ -146,9 +146,10 @@ def test_bad_input_values_exit_1(setup_files, capsys, command, key, edit, why):
 
 def test_matrix_list_json_is_read_as_one_stack(setup_files, monkeypatch):
     # the power input's matrices become one array, converted, checked and symmetrized only
-    # by power_mean's one spd_stack: no per-matrix matrix_from_json or sym_matrix runs
+    # by power_mean's one stacked gate, core._spd: no per-matrix matrix_from_json or
+    # sym_matrix runs
     files = setup_files[0]
-    calls = {"spd_stack": 0, "sym_matrix": 0}
+    calls = {"_spd": 0, "sym_matrix": 0}
 
     def counted(name):
         real = getattr(core, name)
@@ -158,10 +159,10 @@ def test_matrix_list_json_is_read_as_one_stack(setup_files, monkeypatch):
             return real(*args)
         monkeypatch.setattr(core, name, wrapper)
 
-    counted("spd_stack")
+    counted("_spd")
     counted("sym_matrix")
     assert cli.main(["power", files["sigma"], "--t", "0.5", "--output", os.devnull]) == 0
-    assert calls == {"spd_stack": 1, "sym_matrix": 0}
+    assert calls == {"_spd": 1, "sym_matrix": 0}
 
 
 def test_nonconvergence_exits_2(setup_files):

@@ -36,8 +36,7 @@ from spdmeans import (
     weighted_arith,
     weighted_harm,
 )
-from spdmeans.core import (_arith, _cholesky, _eigh, _sym, spd_stack, spectral_sum, sym_matrix,
-                           whitened_eigh)
+from spdmeans.core import _arith, _eigh, _spd, _sym, spectral_sum, sym_matrix, whitened_eigh
 from spdmeans.errors import NumericalFailure, SingularTransform
 from spdmeans.verify import random_spd
 
@@ -60,7 +59,7 @@ def test_symmetrization_does_not_overflow_near_the_float_maximum():
     # rounds as (A + A.T) / 2
     big = 1.7e308 * np.eye(2)
     assert np.array_equal(spd_matrix(big), big)
-    assert np.array_equal(spd_stack([big, np.eye(2)])[0], big)
+    assert np.array_equal(_spd([big, np.eye(2)])[0][0], big)
     assert np.array_equal(sym_matrix([[1.7e308, 1.0], [3.0, -1.7e308]]),
                           [[1.7e308, 2.0], [2.0, -1.7e308]])
     rng = np.random.default_rng(4)
@@ -134,22 +133,28 @@ def test_whitened_eigh_and_spectral_sum_on_a_stack():
     assert np.allclose(back, sum(wk * a for wk, a in zip(w, mats)), rtol=1e-10, atol=1e-10)
 
 
-def test_measure_factors_are_read_only_lower_cholesky_factors():
+def test_measure_factors_are_read_only_factors_of_the_atoms(monkeypatch):
+    # the factors F = V w^(1/2) come from the one stacked eigh that gates the atoms
     rng = np.random.default_rng(14)
     mu = PMeasure([(0.5, rand_spd(rng, 3), SMeasure.lebesgue(4)) for _ in range(2)])
     assert mu.factors.shape == mu.matrices.shape and not mu.factors.flags.writeable
-    assert np.array_equal(mu.factors, np.tril(mu.factors))
     assert np.allclose(mu.factors @ mu.factors.swapaxes(1, 2), mu.matrices, rtol=1e-12, atol=1e-12)
-    # a factorization LAPACK refuses is a NumericalFailure, as a failed eigh is
-    with pytest.raises(NumericalFailure, match="Cholesky"):
-        _cholesky(np.diag([1.0, -1.0])[None])
+    assert np.array_equal(mu.factors, _spd(mu.matrices)[1])
+
+    # a decomposition LAPACK refuses is a NumericalFailure
+    def refused(a):
+        raise np.linalg.LinAlgError("no convergence")
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    with pytest.raises(NumericalFailure, match="eigendecomposition"):
+        _spd(mu.matrices)
 
 
 def test_whitened_spectra_are_accurate_relative_to_each_eigenvalue():
-    # whitening the atom's Cholesky factor keeps every eigenvalue of X^(-1/2) A X^(-1/2)
-    # to relative accuracy: 60 pairs with spectra in [1e-5, 1e5] against 50-digit
-    # arithmetic (Cholesky whitening, then a symmetric eigensolver); the product of the
-    # symmetric roots, X^(-1/2) A X^(-1/2) in floats, was off by up to 2.2e-2 here
+    # whitening the atom's own factor, as its gate gives it, keeps every eigenvalue of
+    # X^(-1/2) A X^(-1/2) to relative accuracy: 60 pairs with spectra in [1e-5, 1e5]
+    # against 50-digit arithmetic (Cholesky whitening, then a symmetric eigensolver); the
+    # product of the symmetric roots, X^(-1/2) A X^(-1/2) in floats, was off by up to
+    # 2.2e-2 here
     from mpmath import mp
 
     rng = np.random.default_rng(1)
@@ -157,7 +162,7 @@ def test_whitened_spectra_are_accurate_relative_to_each_eigenvalue():
     with mp.workdps(50):
         for _ in range(60):
             x, a = (random_spd(rng, 4, 1e-5, 1e5) for _ in range(2))
-            lam = whitened_eigh(x, a[None], np.linalg.cholesky(a[None]))[2][0]
+            lam = whitened_eigh(x, *_spd(a[None])[:2])[2][0]
             li = mp.inverse(mp.cholesky(mp.matrix(x.tolist())))
             ref = mp.eigsy(li * mp.matrix(a.tolist()) * li.T, eigvals_only=True)
             ref = np.sort([float(v) for v in ref])
@@ -227,6 +232,7 @@ _SPD = np.array([[2.0, 0.5], [0.5, 1.0]])
 _B = np.array([[1.5, -0.25], [-0.25, 0.75]])
 _INDEFINITE = np.diag([1.0, -0.5])
 _NAN = np.array([[1.0, math.nan], [math.nan, 1.0]])
+_OVERFLOWING = np.array([[1e-300, 1e9], [1e9, 1e-300]])  # 2^k of it overflows beside _SPD
 _HALF = SMeasure.dirac(0.5)
 _MU = product_measure(_HALF, [(1.0, _SPD)])
 
@@ -265,12 +271,14 @@ _SYM_SLOTS = [
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad, error", [(_INDEFINITE, NotPositiveDefinite), (_NAN, DomainError),
-                                        (np.eye(3), ShapeError)],
-                         ids=["indefinite", "nan", "wrong-dim"])
+                                        (np.eye(3), ShapeError),
+                                        (_OVERFLOWING, NotPositiveDefinite)],
+                         ids=["indefinite", "nan", "wrong-dim", "indefinite-overflowing"])
 @pytest.mark.parametrize("call", _SPD_SLOTS)
 def test_spectral_layer_rejects_non_positive_operands(call, bad, error):
     # the one rule, core._pd_rule, raises on the first spectrum of the operand, before any
-    # whitened spectrum is taken
+    # whitened spectrum is taken; a pair's indefinite operand whose scaled off-diagonal
+    # overflows fails it too, without a warning
     with pytest.raises(error):
         call(bad)
 
@@ -317,8 +325,8 @@ def test_two_operand_functions_take_nested_lists(call):
     pytest.param(distance, id="distance"),
 ])
 def test_a_pair_takes_three_decompositions(monkeypatch, call):
-    # the frame is gated by the eigh that whitens it, the other operand by one eigvalsh: two
-    # matrices through eigh (the frame and the whitened operand), one through eigvalsh
+    # the frame is gated by the eigh that whitens it, the other operand by the eigh that
+    # factors it: three matrices through eigh (the frame, the operand, its whitened Gram)
     seen = {"eigh": 0, "eigvalsh": 0}
 
     def counted(name):
@@ -332,7 +340,7 @@ def test_a_pair_takes_three_decompositions(monkeypatch, call):
     counted("eigh")
     counted("eigvalsh")
     call(_SPD, _B)
-    assert seen == {"eigh": 2, "eigvalsh": 1}
+    assert seen == {"eigh": 3, "eigvalsh": 0}
 
 
 _RAGGED = [[1.0, 0.0], [0.0]]
@@ -341,13 +349,30 @@ _RAGGED = [[1.0, 0.0], [0.0]]
 @pytest.mark.parametrize("call", [
     lambda: spd_matrix(_RAGGED),
     lambda: sym_matrix(_RAGGED),
-    lambda: spd_stack([np.eye(2), np.eye(3)]),
+    lambda: _spd([np.eye(2), np.eye(3)]),
     lambda: PMeasure([(1.0, _RAGGED, _HALF)]),
     lambda: geometric_mean(_RAGGED, _SPD, 0.5),
-], ids=["spd_matrix", "sym_matrix", "spd_stack", "PMeasure", "geometric_mean"])
+], ids=["spd_matrix", "sym_matrix", "stack", "PMeasure", "geometric_mean"])
 def test_ragged_matrices_raise_shape_error(call):
     with pytest.raises(ShapeError):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    pytest.param(spd_matrix, id="spd_matrix"),
+    pytest.param(lambda m: weighted_arith([(1.0, m)]), id="weighted_arith"),
+    pytest.param(lambda m: PMeasure([(1.0, m, _HALF)]), id="PMeasure"),
+    pytest.param(lambda m: geometric_mean(_SPD, m, 0.5), id="geometric_mean"),
+    pytest.param(lambda m: distance(m, _SPD), id="distance"),
+    pytest.param(lambda m: loewner_leq(m, _SPD), id="loewner_leq"),
+    pytest.param(lambda m: congruence(m, _SPD), id="congruence-transform"),
+])
+def test_complex_matrices_raise_shape_error(call):
+    # a complex dtype is refused before the float cast, which would drop its imaginary part
+    # (spd_matrix(I (1 + 1j)) read the identity) with only a ComplexWarning
+    with pytest.raises(ShapeError, match="must be real"):
+        call(np.eye(2) * (1 + 1j))
 
 
 @pytest.mark.parametrize("bad, error", [(_INDEFINITE, NotPositiveDefinite), (_NAN, DomainError)],

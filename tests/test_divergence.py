@@ -142,7 +142,7 @@ def test_minimize_newton_step_count_wide_band():
 def test_minimize_evaluates_objective_only_for_on_step(monkeypatch):
     # the hook reads each step's cached whitened spectra: one mu.divergence call per
     # step, no further gate or whitening, and f exactly as objective(x, mu) gives it
-    calls = {"divergence": 0, "spd_stack": 0, "whitened_eigh": 0}
+    calls = {"divergence": 0, "_spd": 0, "whitened_eigh": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -153,7 +153,7 @@ def test_minimize_evaluates_objective_only_for_on_step(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(PMeasure, "divergence")
-    counted(core, "spd_stack")
+    counted(core, "_spd")
     counted(solver, "whitened_eigh")
     mu = rand_measure(np.random.default_rng(16), 3)
     rep = minimize_divergence(mu)
@@ -162,7 +162,7 @@ def test_minimize_evaluates_objective_only_for_on_step(monkeypatch):
     steps = []
     minimize_divergence(mu, on_step=lambda x, f, g: steps.append((x, f)))
     assert calls["divergence"] == len(steps) == rep.iterations
-    assert calls["spd_stack"] == 2 * plain["spd_stack"]
+    assert calls["_spd"] == 2 * plain["_spd"]
     assert calls["whitened_eigh"] == 2 * plain["whitened_eigh"]
     monkeypatch.undo()
     assert all(f == objective(x, mu) for x, f in steps)

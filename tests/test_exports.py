@@ -34,7 +34,8 @@ def test_removed_names_stay_removed():
     # included, is the Karcher residual at I of a one-atom measure, and no
     # two-variable Kubo-Ando mean is kept; no kind needs a user density or a
     # reflection, and the demos draw Thompson-ball points with verify.random_ball_point;
-    # X's eigenvector frame, not a symmetric square root, whitens every point
+    # X's eigenvector frame, not a symmetric square root, whitens every point; every SPD
+    # operand takes one gated eigh, core._spd, which also gives its factor
     for name in ("RgdConfig", "integrate", "transpose_measure", "mean_kernel_inv",
                  "SpectralDecomposition", "spectral", "spd_power", "check_normalization",
                  "log_kernel", "log_kernel_inv", "harmonic_kernel", "mean_kernel",
@@ -51,7 +52,7 @@ def test_removed_names_stay_removed():
         assert not hasattr(SMeasure, name)
     modules = (cli, core, divergence, measures, monotone, solver, thompson, verify)
     for name in ("log_kernel_grid", "x_over_affine", "_level_kernels", "_power_kernels",
-                 "_objective", "_ball_point", "sqrt_pair"):
+                 "_objective", "_ball_point", "sqrt_pair", "_cholesky", "spd_stack"):
         assert not any(hasattr(m, name) for m in modules), name
 
 
@@ -103,17 +104,19 @@ def test_only_the_measure_layer_reads_the_quadrature():
 
 
 def test_only_core_calls_eigh():
-    # every spectrum of the package comes from core's one spectral layer
+    # every spectrum and every factor of the package comes from one eigh call, in
+    # core._eigh: no module calls eigvalsh or cholesky
     src = pathlib.Path(spdmeans.__file__).parent
-    callers = set()
+    calls = []
     for path in src.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                f = node.func
-                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                if name in ("eigh", "eigvalsh"):
-                    callers.add(path.name)
-    assert callers == {"core.py"}
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    if name in ("eigh", "eigvalsh", "cholesky"):
+                        calls.append((path.name, getattr(top, "name", None), name))
+    assert calls == [("core.py", "_eigh", "eigh")]
 
 
 _NO_SCIPY = """

@@ -235,7 +235,7 @@ def test_pmeasure_json_roundtrip():
     (np.array([[1.0, math.nan], [math.nan, 1.0]]), DomainError, "finite"),
 ])
 def test_pmeasure_checks_its_atoms_in_one_stack(bad, error, match):
-    # one spd_stack names the failing atom; the JSON loader leaves the check to it
+    # one stacked gate names the failing atom; the JSON loader leaves the check to it
     nu = SMeasure.lebesgue()
     with pytest.raises(error, match=match):
         PMeasure([(0.5, 2.0 * np.eye(2), nu), (0.5, bad, nu)])
@@ -246,9 +246,9 @@ def test_pmeasure_checks_its_atoms_in_one_stack(bad, error, match):
 
 
 def test_measure_json_is_gated_as_one_stack(monkeypatch):
-    # the atoms' matrices become one (k, n, n) array, gated by PMeasure's one spd_stack;
-    # no atom is converted, checked or symmetrized on its own
-    calls = {"spd_stack": 0, "sym_matrix": 0}
+    # the atoms' matrices become one (k, n, n) array, gated by PMeasure's one stacked gate,
+    # core._spd; no atom is converted, checked or symmetrized on its own
+    calls = {"_spd": 0, "sym_matrix": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -259,10 +259,10 @@ def test_measure_json_is_gated_as_one_stack(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     obj = measure_json(random_measure(np.random.default_rng(23), 3, n_atoms=20))
-    counted(measures, "spd_stack")
+    counted(measures, "_spd")
     counted(core, "sym_matrix")
     mu = pmeasure_from_json(obj)
-    assert calls == {"spd_stack": 1, "sym_matrix": 0}
+    assert calls == {"_spd": 1, "sym_matrix": 0}
     assert len(mu) == 20 and not mu.matrices.flags.writeable
 
 
