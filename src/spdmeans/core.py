@@ -266,19 +266,21 @@ def _scale_gap(a, b) -> int:
 def loewner_leq(a, b, tol: float = LOEWNER_TOL) -> bool:
     """Test ``A <= B`` in the Loewner (positive semidefinite) order.
 
-    True iff ``lambda_min(B - A) >= -tol * (1 + ||B - A||_F)``; A and B pass
-    :func:`sym_matrix`.  DomainError unless tol is finite and nonnegative.  Taken as
-    ``lambda_min(D) >= -tol * (2^-e + ||D||_F)``, ``D = 2^-e B - 2^-e A`` with 2^-e <= 1
-    bringing every entry below 1, so that no step overflows.
+    True iff ``lambda_min(B - A) >= -tol * max(||A||_F, ||B||_F)``; A and B pass
+    :func:`sym_matrix`.  DomainError unless tol is finite and nonnegative.  The rule is
+    homogeneous: ``cA <= cB`` reads as ``A <= B`` for every c > 0.  It is taken on
+    ``A' = 2^-e A`` and ``B' = 2^-e B``, with 2^-e bringing the largest entry into
+    [1/2, 1): no step overflows, and rescaling both operands by a power of two leaves A'
+    and B', and so the answer, bit for bit as they were (short of subnormal entries).
     """
     if not 0.0 <= (tol := _real(tol, "Loewner tolerance", DomainError)) < math.inf:
         raise DomainError(f"Loewner tolerance must be finite and nonnegative, got {tol!r}")
     a, b = sym_matrix(a), sym_matrix(b)
     if a.shape != b.shape:
         raise ShapeError("operands must share dimensions")
-    e = max(math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1], 0)
-    d = np.ldexp(b, -e) - np.ldexp(a, -e)
-    return bool(_eigh(d)[0][0] >= -tol * (math.ldexp(1.0, -e) + float(np.linalg.norm(d))))
+    e = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
+    a, b = np.ldexp(a, -e), np.ldexp(b, -e)
+    return bool(_eigh(b - a)[0][0] >= -tol * max(np.linalg.norm(a), np.linalg.norm(b)))
 
 
 def _probability_weights(w):

@@ -146,7 +146,8 @@ def measure_leq(mu1: PMeasure, mu2: PMeasure) -> bool:
     Atoms are matched by list position and must have equal weights (within
     1e-12) and structurally identical [0, 1]-measures; then the order holds
     iff every matched matrix pair is Loewner ordered (:func:`loewner_leq` at its
-    default scaled tolerance, 1e-10).  Structural mismatch raises
+    default tolerance, 1e-10 relative to the pair's norms, so that scaling both
+    measures' matrices together keeps the answer).  Structural mismatch raises
     :class:`Incomparable`.
     """
     if len(mu1) != len(mu2):

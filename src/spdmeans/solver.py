@@ -6,7 +6,7 @@ The induced mean at parameter t solves ``X = T_t(X)`` where
     m_(s,t)(x) = ([(1-t)(1-s) + t] x + s(1-t)) / ((1-t)(1-s) x + t + s(1-t)),
 
 and the Karcher mean is the decreasing-net limit of those solutions along the
-dyadic schedule t = 2^-l -> 0, characterized by a vanishing residual
+schedule t = 4^-l -> 0, characterized by a vanishing residual
 
     R(X) = integral X^(1/2) l_s(X^(-1/2) A X^(-1/2)) X^(1/2) dmu,
     l_s(x) = (x - 1) / ((1 - s) x + s).
@@ -76,6 +76,11 @@ _NEWTON_DECREASE = 0.7
 # Solved levels in the Lagrange interpolant of the net's level starts and its t = 0 limit.
 _LEVELS = 5
 
+# Ratio of successive levels of the net, t_l = _RATIO^-l: Richardson extrapolation on a
+# geometric schedule gains more per level the larger the ratio, and 4 still leaves the
+# last level well short of the limit, so that the extrapolation carries the answer.
+_RATIO = 4
+
 # Bound on the whitened Karcher residual ``||X^(-1/2) R X^(-1/2)||_F`` that the
 # net's extrapolated limit must meet before lambda_mean stops.
 RESIDUAL_TOL = 1e-8
@@ -86,7 +91,7 @@ class SolverConfig:
     """Tolerances and budget for every solver.
 
     fp_tol bounds both the Thompson step and the whitened residual at an
-    accepted fixed point; lambda_tol stops the dyadic t-net when a certified
+    accepted fixed point; lambda_tol stops the t-net (t = 4^-l) when a certified
     bound on the Thompson gap between successive extrapolations of the levels
     to t = 0 is that small (the latest extrapolation must also meet
     RESIDUAL_TOL); grad_tol bounds the whitened norm ``||X^(-1/2) R X^(-1/2)||_F``
@@ -389,23 +394,24 @@ def _extrapolation_gap(lam):
 def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     """Karcher mean of the measure: the t -> 0 limit of the induced means.
 
-    Solves the induced mean along the dyadic schedule ``t_l = 2**-l``, l = 1, 2, ...
-    (at most 200 levels).  Once _LEVELS levels are solved, ``L_1`` (the weighted
-    arithmetic mean) among them, it extrapolates the last _LEVELS to t = 0 after each
-    level (:func:`_lagrange`) and stops once two successive extrapolations are
-    provably positive definite and within lambda_tol in Thompson metric
-    (:func:`_extrapolation_gap`) and the latest one's whitened Karcher residual is at
-    most RESIDUAL_TOL; that extrapolation is the reported mean.  Each level starts
-    from :func:`_predicted_start`.  The levels must decrease in the Loewner order,
-    checked at every level on the whitened ``C.T L_prev C >= I``: an
-    eigenvalue below ``1 - 1e-9`` signals a numerics bug, not a modelling error.  One
-    stacked whiten of ``[L_prev, E, E - E_prev]`` in the level's frame X serves both.
+    Solves the induced mean along the schedule ``t_l = _RATIO**-l = 4**-l``, l = 1, 2,
+    ... (at most 200 levels, every t an exact power of two, the last 2**-400).  Once
+    _LEVELS levels are solved, ``L_1`` (the weighted arithmetic mean) among them, it
+    extrapolates the last _LEVELS to t = 0 after each level (:func:`_lagrange`) and
+    stops once two successive extrapolations are provably positive definite and within
+    lambda_tol in Thompson metric (:func:`_extrapolation_gap`) and the latest one's
+    whitened Karcher residual is at most RESIDUAL_TOL; that extrapolation is the
+    reported mean.  Each level starts from :func:`_predicted_start`.  The levels must
+    decrease in the Loewner order, checked at every level on the whitened
+    ``C.T L_prev C >= I``: an eigenvalue below ``1 - 1e-9`` signals a numerics bug, not
+    a modelling error.  One stacked whiten of ``[L_prev, E, E - E_prev]`` in the level's
+    frame X serves both.
     """
     cfg = cfg or SolverConfig()
     atoms = (mu.matrices, mu.factors)
     point = _point(_arith(mu.weights, mu.matrices), atoms)
     history = [(1.0, point[0])]  # L_1 is the weighted arithmetic mean
-    t = 0.5
+    t = 1.0 / _RATIO
     karcher = mu.kernels(0.0)
     prev = e_prev = None
     trace = []
@@ -425,14 +431,14 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
             lam = whiten(point[1][1], np.stack([prev, *pair]))[0]
             if not np.array_equal(prev, point[0]) and lam[0, 0] < 1.0 - 1e-9:
                 raise MonotonicityViolation(
-                    f"induced means failed to decrease from t={2 * t:g} to t={t:g}"
+                    f"induced means failed to decrease from t={trace[-2][0]:g} to t={t:g}"
                 )
             if pair and _extrapolation_gap(lam[1:]) <= cfg.lambda_tol:
                 mean = _visit(_trial_point(e, atoms), karcher)
                 if mean is not None and mean[1] <= RESIDUAL_TOL:
                     break
         prev, e_prev = point[0], e
-        t *= 0.5
+        t /= _RATIO
     else:
         raise NonConvergence("t-schedule exhausted 200 levels without meeting lambda_tol",
                              iterations=total)
@@ -440,7 +446,11 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
 
 
 def sandwich_check(x, mu: PMeasure) -> bool:
-    """True iff harmonic mean <= X <= arithmetic mean of the atoms (Loewner, scaled tol 1e-9)."""
+    """True iff harmonic mean <= X <= arithmetic mean of the atoms.
+
+    Both by :func:`loewner_leq` at tol 1e-9, relative to the operands' norms, so that the
+    answer does not change when X and the atoms are scaled together.
+    """
     x = _sym_point(x, mu, spd_matrix)
     return (loewner_leq(_harm(mu.weights, mu.matrices), x, 1e-9)
             and loewner_leq(x, _arith(mu.weights, mu.matrices), 1e-9))

@@ -26,6 +26,7 @@ from spdmeans import (
     loewner_leq,
     matrix_from_json,
     matrix_to_json,
+    measure_leq,
     min_scaling,
     objective,
     power_mean,
@@ -434,21 +435,50 @@ def test_loewner_order_at_every_finite_scale():
     assert not loewner_leq(big, small) and loewner_leq(small, big)
     top = 1e308 * np.eye(3)
     assert loewner_leq(-top, top) and not loewner_leq(top, -top)
-    # the rule lambda_min(B - A) >= -tol (1 + ||B - A||_F) itself, wherever it is finite, on
-    # pairs whose least eigenvalue of B - A lies within 1% of the threshold either way
+    # the rule lambda_min(B - A) >= -tol max(||A||_F, ||B||_F) itself, wherever it is finite,
+    # on pairs whose least eigenvalue of B - A lies within 1% of the threshold either way
     rng = np.random.default_rng(61)
     q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     a, tol, seen = rand_spd(rng, 3), 1e-6, set()
     for scale in (2.0**-300, 2.0**-20, 1.0, 2.0**20, 2.0**300):
         for side in (0.99, 1.01):
             lam = np.array([0.0, 1.0, 2.0]) * scale
-            lam[0] = -side * tol * (1.0 + np.linalg.norm(lam))
             b = scale * a + _sym((q * lam) @ q.T)
-            d = b - scale * a
-            rule = bool(np.linalg.eigvalsh(d)[0] >= -tol * (1.0 + np.linalg.norm(d)))
+            lam[0] = -side * tol * max(np.linalg.norm(scale * a), np.linalg.norm(b))
+            b = scale * a + _sym((q * lam) @ q.T)
+            norm = max(np.linalg.norm(scale * a), np.linalg.norm(b))
+            rule = bool(np.linalg.eigvalsh(b - scale * a)[0] >= -tol * norm)
             assert loewner_leq(scale * a, b, tol) == rule
             seen.add(rule)
     assert seen == {True, False}
+
+
+@pytest.mark.filterwarnings("error")
+def test_order_predicates_are_scale_free():
+    # the rule is relative to the operands' norms, so scaling every operand by c = 2^k
+    # changes no answer; an absolute term once read 2c I <= c I as True at c = 1e-12,
+    # and ten times the arithmetic mean as inside the sandwich there
+    a = np.diag([1.0, 2.0, 3.0])
+    b = np.array([[2.0, 0.5, 0.0], [0.5, 3.0, 0.1], [0.0, 0.1, 4.0]])
+    nu = SMeasure.lebesgue()
+
+    def answers(c):
+        mu = product_measure(nu, [(0.5, c * a), (0.5, c * np.diag([3.0, 1.0, 2.0]))])
+        mid = weighted_arith(mu.matrix_pairs())
+        double = product_measure(nu, [(0.5, 2.0 * c * a), (0.5, 2.0 * c * b)])
+        return (loewner_leq(2.0 * c * np.eye(3), c * np.eye(3)),
+                loewner_leq(c * np.eye(3), 2.0 * c * np.eye(3)),
+                loewner_leq((1.0 + 1e-12) * c * b, c * b),
+                loewner_leq((1.0 + 1e-8) * c * b, c * b),
+                sandwich_check(10.0 * c * np.eye(3), mu),
+                sandwich_check(0.1 * c * np.eye(3), mu),
+                sandwich_check(mid, mu),
+                measure_leq(product_measure(nu, [(0.5, c * a), (0.5, c * b)]), double),
+                measure_leq(double, product_measure(nu, [(0.5, c * a), (0.5, c * b)])))
+
+    expected = (False, True, True, False, False, False, True, True, False)
+    assert answers(1.0) == expected
+    assert [k for k in range(-300, 301) if answers(2.0**k) != expected] == []
 
 
 @pytest.mark.filterwarnings("error")

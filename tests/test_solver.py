@@ -527,15 +527,35 @@ def test_lambda_mean_newton_levels_take_few_iterations():
 def test_lambda_mean_predicted_levels_start_near_their_fixed_points():
     # each level starts from the extrapolation of the (up to five) levels solved
     # before it, O(t^5) off its fixed point; from the previous level alone it is
-    # O(t) off, and the levels at t <= 1/16 took 2.33-2.90 Newton steps each
-    # (1.17-1.71 here); the five-level limit stops every solve within 10 levels,
-    # where three levels took up to 13
+    # O(t) off.  Under halving of t the levels at t <= 1/16 took 2.33-2.90 Newton
+    # steps each from the previous level, 1.17-1.71 from the extrapolation; on
+    # t = 4^-l the same set, the levels with four solved levels of history (L_1
+    # among them), takes 1.25-1.50.  The five-level limit stops every solve within
+    # 7 levels, where halving took up to 10 and three levels up to 13
     for seed in range(5):
         for n in (2, 4, 6):
             rep = lambda_mean(random_measure(np.random.default_rng(seed), n, n_atoms=3), CFG)
-            small = [iters for t, iters in rep.t_trace if t <= 2.0**-4]
+            small = [iters for _, iters in rep.t_trace[3:]]
             assert sum(small) <= 2 * len(small)
-            assert len(rep.t_trace) <= 10
+            assert len(rep.t_trace) <= 7
+
+
+def test_lambda_mean_net_cost_and_shape():
+    # on t = 4^-l the 15 solves take 96 levels and 221 Newton steps (halving t took
+    # 137 and 283), and the Richardson limit, not the deepest level, carries each answer:
+    # that level stays at least 1.5e-5 from it (2.4e-7 on t = 16^-l, where the net
+    # nears the t = 0 Newton route it cross-checks)
+    levels = iterations = 0
+    for seed in range(5):
+        for n in (2, 4, 6):
+            mu = random_measure(np.random.default_rng(seed), n, n_atoms=3)
+            rep = lambda_mean(mu, CFG)
+            levels += len(rep.t_trace)
+            iterations += rep.iterations
+            deepest = induced_mean(rep.t_trace[-1][0], mu, CFG).mean
+            assert distance(deepest, rep.mean) >= 1e3 * CFG.lambda_tol
+    assert levels <= 105
+    assert iterations <= 240
 
 
 def test_lambda_mean_monotonicity_check_is_scale_invariant():
@@ -543,7 +563,7 @@ def test_lambda_mean_monotonicity_check_is_scale_invariant():
     # whitened X^(-1/2) L_prev X^(-1/2) is I to 3e-10, while lambda_min(L_prev - X)
     # is -2e-9, beyond an absolute 1e-9; the net stops well above such t, so a
     # lambda_tol of 1e-300 runs it on until two extrapolations agree exactly
-    # (t = 2^-44 on both inputs)
+    # (t = 4^-30 and 4^-33 on the two inputs)
     cfg = SolverConfig(lambda_tol=1e-300)
     for seed in (1, 10):
         mu = random_measure(np.random.default_rng(seed), 6, n_atoms=3, lo=1e-5, hi=1e5)
@@ -554,7 +574,8 @@ def test_lambda_mean_monotonicity_check_is_scale_invariant():
 
 
 def test_lambda_mean_raises_when_a_level_increases(monkeypatch):
-    # a fourth level 1e-7 above the third, far beyond rounding, is a numerics bug
+    # a fourth level 1e-7 above the third, far beyond rounding, is a numerics bug; the
+    # message names both levels' t
     solve_level = solver._solve_level
     solved = []
 
@@ -566,7 +587,7 @@ def test_lambda_mean_raises_when_a_level_increases(monkeypatch):
         return visit, iters
 
     monkeypatch.setattr(solver, "_solve_level", inflated)
-    with pytest.raises(MonotonicityViolation):
+    with pytest.raises(MonotonicityViolation, match=r"from t=0\.015625 to t=0\.00390625$"):
         lambda_mean(random_measure(np.random.default_rng(0), 4, n_atoms=3), CFG)
     assert len(solved) == 4
 
@@ -576,15 +597,16 @@ def test_lambda_mean_levels_stop_at_the_rounding_floor():
     # Newton step there ends the level, so the cost of a solve does not hinge
     # on the rounding of its coordinates (waiting out the stall took 14-16
     # iterations per level and 94-296 per solve over these rotations; the
-    # floor exit takes 41-51)
+    # floor exit takes 25-30 on t = 4^-l, 39-49 under halving of t).  The second
+    # level, a jump from t = 1/4 to 1/16 with two solved levels behind it, took 7
     rng = np.random.default_rng(100)
     for seed in (6, 7):
         mu = random_measure(np.random.default_rng(seed), 4, n_atoms=3, lo=1e-3, hi=1e3)
         for _ in range(3):
             q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
             rep = lambda_mean(congruence_measure(q, mu), CFG)
-            assert max(iters for _, iters in rep.t_trace[1:]) <= 6
-            assert rep.iterations <= 90
+            assert max(iters for _, iters in rep.t_trace[2:]) <= 6
+            assert rep.iterations <= 40
 
 
 def test_lambda_mean_whitens_each_visited_point_once(monkeypatch):
@@ -744,9 +766,10 @@ def test_lambda_mean_positive_map_compression():
 
 def test_lambda_mean_extrapolated_limit_agrees_with_newton():
     # the net stops on successive Richardson extrapolations of its last five
-    # levels to t = 0: at most 5.4e-11 from the t = 0 Newton minimizer after a
-    # median of 11 levels (three levels: 1.4e-10 after 14), where the level gap
-    # d(L_t, L_2t) <= lambda_tol stopped up to 9.9e-10 away after a median of 32
+    # levels to t = 0: at most 1.5e-11 from the t = 0 Newton minimizer after a
+    # median of 7 levels on t = 4^-l (halving t: 6.5e-11 after 11; three levels:
+    # 1.4e-10 after 14), where the level gap d(L_t, L_2t) <= lambda_tol stopped
+    # up to 9.9e-10 away after a median of 32
     levels = []
     for lo, hi in ((1e-1, 1e1), (1e-3, 1e3)):
         for n in (4, 8):
@@ -834,7 +857,7 @@ def test_solver_config_rejects_nan(name):
 
 @pytest.mark.parametrize("name", ["t_start", "t_factor", "residual_tol"])
 def test_solver_config_has_no_schedule_or_residual_setting(name):
-    # the net's schedule is t = 2^-l and its residual bound RESIDUAL_TOL
+    # the net's schedule is t = 4^-l and its residual bound RESIDUAL_TOL
     with pytest.raises(TypeError):
         SolverConfig(**{name: 0.5})
 
