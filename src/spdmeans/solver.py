@@ -6,7 +6,7 @@ The induced mean at parameter t solves ``X = T_t(X)`` where
     m_(s,t)(x) = ([(1-t)(1-s) + t] x + s(1-t)) / ((1-t)(1-s) x + t + s(1-t)),
 
 and the Karcher mean is the decreasing-net limit of those solutions along the
-schedule t = 4^-l -> 0, characterized by a vanishing residual
+schedule t = 4^-l, l = 2, 3, ... -> 0, characterized by a vanishing residual
 
     R(X) = integral X^(1/2) l_s(X^(-1/2) A X^(-1/2)) X^(1/2) dmu,
     l_s(x) = (x - 1) / ((1 - s) x + s).
@@ -81,6 +81,13 @@ _LEVELS = 5
 # last level well short of the limit, so that the extrapolation carries the answer.
 _RATIO = 4
 
+# First solved level of the net, t = _RATIO^-2 = 1/16, after the anchor L_1.  A level at
+# 1/4 is solved from the arithmetic mean with no predictor and only ever fed the
+# predictor: without it the net ends at the same deepest level in nearly every solve.
+# Starting at 1/32 or deeper, five levels, the fewest the limit needs, stop most
+# solves, and lambda_tol no longer decides the stop.
+_FIRST_T = _RATIO ** -2.0
+
 # Bound on the whitened Karcher residual ``||X^(-1/2) R X^(-1/2)||_F`` that the
 # net's extrapolated limit must meet before lambda_mean stops.
 RESIDUAL_TOL = 1e-8
@@ -91,7 +98,7 @@ class SolverConfig:
     """Tolerances and budget for every solver.
 
     fp_tol bounds both the Thompson step and the whitened residual at an
-    accepted fixed point; lambda_tol stops the t-net (t = 4^-l) when a certified
+    accepted fixed point; lambda_tol stops the t-net (t = 4^-l, l >= 2) when a certified
     bound on the Thompson gap between successive extrapolations of the levels
     to t = 0 is that small (the latest extrapolation must also meet
     RESIDUAL_TOL); grad_tol bounds the whitened norm ``||X^(-1/2) R X^(-1/2)||_F``
@@ -358,11 +365,20 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
     return _solve(w, mats, factors, kernel, t, cfg.fp_tol, cfg.max_iters)
 
 
+@lru_cache(maxsize=512)
+def _lagrange_weights(ts, t):
+    """Lagrange basis weights at t of the nodes ``ts``, one tuple per node set and point.
+
+    The net's nodes are windows of one fixed schedule: its 200 levels make about 400 keys.
+    """
+    return tuple(math.prod((t - tj) / (ti - tj) for j, tj in enumerate(ts) if j != i)
+                 for i, ti in enumerate(ts))
+
+
 def _lagrange(history, t):
     """Lagrange interpolant at t of the solved levels ``history = [(t_i, L_{t_i})]``."""
-    ts = [ti for ti, _ in history]
-    return sum(x * math.prod((t - tj) / (ts[i] - tj) for j, tj in enumerate(ts) if j != i)
-               for i, (_, x) in enumerate(history))
+    weights = _lagrange_weights(tuple(ti for ti, _ in history), t)
+    return sum(x * w for (_, x), w in zip(history, weights))
 
 
 def _predicted_start(history, t, warm, atoms, kernel):
@@ -394,14 +410,15 @@ def _extrapolation_gap(lam):
 def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     """Karcher mean of the measure: the t -> 0 limit of the induced means.
 
-    Solves the induced mean along the schedule ``t_l = _RATIO**-l = 4**-l``, l = 1, 2,
-    ... (at most 200 levels, every t an exact power of two, the last 2**-400).  Once
-    _LEVELS levels are solved, ``L_1`` (the weighted arithmetic mean) among them, it
-    extrapolates the last _LEVELS to t = 0 after each level (:func:`_lagrange`) and
-    stops once two successive extrapolations are provably positive definite and within
-    lambda_tol in Thompson metric (:func:`_extrapolation_gap`) and the latest one's
-    whitened Karcher residual is at most RESIDUAL_TOL; that extrapolation is the
-    reported mean.  Each level starts from :func:`_predicted_start`.  The levels must
+    Solves the induced mean along the schedule ``t_l = _RATIO**-l = 4**-l``, l = 2, 3,
+    ..., from _FIRST_T = 1/16 (at most 200 levels, every t an exact power of two, the
+    last 2**-402).  Once _LEVELS levels are solved, ``L_1`` (the weighted arithmetic
+    mean) among them, it extrapolates the last _LEVELS to t = 0 after each level
+    (:func:`_lagrange`) and stops once two successive extrapolations are provably
+    positive definite and within lambda_tol in Thompson metric
+    (:func:`_extrapolation_gap`) and the latest one's whitened Karcher residual is at
+    most RESIDUAL_TOL; that extrapolation is the reported mean.  Each level starts
+    from :func:`_predicted_start`.  The levels must
     decrease in the Loewner order, checked at every level on the whitened
     ``C.T L_prev C >= I``: an eigenvalue below ``1 - 1e-9`` signals a numerics bug, not
     a modelling error.  One stacked whiten of ``[L_prev, E, E - E_prev]`` in the level's
@@ -411,7 +428,7 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     atoms = (mu.matrices, mu.factors)
     point = _point(_arith(mu.weights, mu.matrices), atoms)
     history = [(1.0, point[0])]  # L_1 is the weighted arithmetic mean
-    t = 1.0 / _RATIO
+    t = _FIRST_T
     karcher = mu.kernels(0.0)
     prev = e_prev = None
     trace = []

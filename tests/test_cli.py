@@ -144,6 +144,19 @@ def test_bad_input_values_exit_1(setup_files, capsys, command, key, edit, why):
     assert err.startswith("error: ") and why in err
 
 
+def test_node_count_past_the_bound_exits_1(setup_files):
+    # "nodes": 1e308 overflowed the quadrature builder's index and ended in a traceback;
+    # past the bound it is an input error, reported on one line
+    files, _, _, tmp_path = setup_files
+    with open(files["measure"], encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["atoms"][0]["nu"] = {"type": "lebesgue", "nodes": 1e308}
+    proc = run_cli("residual", write_json(tmp_path / "bad.json", obj), files["a"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_matrix_list_json_is_read_as_one_stack(setup_files, monkeypatch):
     # the power input's matrices become one array, converted, checked and symmetrized only
     # by power_mean's one stacked gate, core._spd: no per-matrix matrix_from_json or

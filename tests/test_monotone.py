@@ -17,7 +17,7 @@ from spdmeans import (
     loewner_leq,
     product_measure,
 )
-from spdmeans.monotone import smeasure_from_json
+from spdmeans.monotone import _MAX_NODES, smeasure_from_json
 
 ALL_REPS = [
     SMeasure.dirac(0.0),
@@ -241,7 +241,8 @@ def test_non_numeric_parameters_raise_measure_error(build):
         build()
 
 
-@pytest.mark.parametrize("nodes", [2.7, 0, -3, math.nan, math.inf, "8", True])
+@pytest.mark.parametrize("nodes", [2.7, 0, -3, math.nan, math.inf, "8", True,
+                                   1e308, 10**6, _MAX_NODES + 1])
 @pytest.mark.parametrize("build", [
     lambda n: SMeasure.lebesgue(n),
     lambda n: SMeasure.power(0.5, n),
@@ -250,7 +251,9 @@ def test_non_numeric_parameters_raise_measure_error(build):
 ], ids=["lebesgue", "power", "json-lebesgue", "json-power"])
 def test_node_counts_must_be_positive_whole_numbers(build, nodes):
     # no silent truncation: 2.7 nodes is an error, not a 2-node rule; nor is a JSON
-    # ``true`` a 1-node rule
+    # ``true`` a 1-node rule.  Past the bound the dense rule would not fit in memory
+    # (10**6 nodes) or in an index (1e308); both are input errors, raised before any
+    # rule is built
     with pytest.raises(MeasureError):
         build(nodes)
     assert build(3.0).params["nodes"] == build(np.int64(3)).params["nodes"] == 3

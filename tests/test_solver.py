@@ -514,48 +514,59 @@ def test_reported_residual_norm_is_the_whitened_one_each_stop_test_bounds(c):
     assert power_mean(0.3, scaled.matrix_pairs(), CFG).residual_norm <= floor
 
 
+def _cost_grid(cfg=CFG):
+    """``(mu, lambda_mean(mu, cfg))`` on 3-atom measures, seeds 0-4, n in {2, 4, 6}."""
+    for seed in range(5):
+        for n in (2, 4, 6):
+            mu = random_measure(np.random.default_rng(seed), n, n_atoms=3)
+            yield mu, lambda_mean(mu, cfg)
+
+
 def test_lambda_mean_newton_levels_take_few_iterations():
     # the closed-form Newton step settles every warm-started level in a handful
     # of iterations; a stale or inexact Jacobian shows up here first
-    for seed in range(5):
-        for n in (2, 4, 6):
-            rep = lambda_mean(random_measure(np.random.default_rng(seed), n, n_atoms=3), CFG)
-            assert max(iters for _, iters in rep.t_trace[1:]) <= 6
-            assert rep.iterations <= 3 * len(rep.t_trace)
+    for _, rep in _cost_grid():
+        assert max(iters for _, iters in rep.t_trace[1:]) <= 6
+        assert rep.iterations <= 3 * len(rep.t_trace)
 
 
 def test_lambda_mean_predicted_levels_start_near_their_fixed_points():
     # each level starts from the extrapolation of the (up to five) levels solved
     # before it, O(t^5) off its fixed point; from the previous level alone it is
     # O(t) off.  Under halving of t the levels at t <= 1/16 took 2.33-2.90 Newton
-    # steps each from the previous level, 1.17-1.71 from the extrapolation; on
-    # t = 4^-l the same set, the levels with four solved levels of history (L_1
-    # among them), takes 1.25-1.50.  The five-level limit stops every solve within
-    # 7 levels, where halving took up to 10 and three levels up to 13
-    for seed in range(5):
-        for n in (2, 4, 6):
-            rep = lambda_mean(random_measure(np.random.default_rng(seed), n, n_atoms=3), CFG)
-            small = [iters for _, iters in rep.t_trace[3:]]
-            assert sum(small) <= 2 * len(small)
-            assert len(rep.t_trace) <= 7
+    # steps each from the previous level, 1.17-1.71 from the extrapolation.  The
+    # levels with four solved levels of history (L_1 among them), t_trace[3:], took
+    # 1.25-1.50 on t = 4^-l from 1/4, and take 1.00-1.33 from 1/16.  The five-level limit
+    # stops every solve within 6 levels (7 from 1/4, 10 under halving, 13 with three levels)
+    for _, rep in _cost_grid():
+        small = [iters for _, iters in rep.t_trace[3:]]
+        assert sum(small) <= 2 * len(small)
+        assert len(rep.t_trace) <= 6
 
 
 def test_lambda_mean_net_cost_and_shape():
-    # on t = 4^-l the 15 solves take 96 levels and 221 Newton steps (halving t took
-    # 137 and 283), and the Richardson limit, not the deepest level, carries each answer:
-    # that level stays at least 1.5e-5 from it (2.4e-7 on t = 16^-l, where the net
-    # nears the t = 0 Newton route it cross-checks)
+    # on t = 4^-l from t = 1/16 the 15 solves take 82 levels and 183 Newton steps (from
+    # 1/4: 96 and 221; halving t from 1/2: 137 and 283), and the Richardson limit, not
+    # the deepest level, carries each answer: that level stays at least 1.5e-5 from it
+    # (2.4e-7 on t = 16^-l, where the net nears the t = 0 Newton route it cross-checks)
     levels = iterations = 0
-    for seed in range(5):
-        for n in (2, 4, 6):
-            mu = random_measure(np.random.default_rng(seed), n, n_atoms=3)
-            rep = lambda_mean(mu, CFG)
-            levels += len(rep.t_trace)
-            iterations += rep.iterations
-            deepest = induced_mean(rep.t_trace[-1][0], mu, CFG).mean
-            assert distance(deepest, rep.mean) >= 1e3 * CFG.lambda_tol
-    assert levels <= 105
-    assert iterations <= 240
+    for mu, rep in _cost_grid():
+        levels += len(rep.t_trace)
+        iterations += rep.iterations
+        deepest = induced_mean(rep.t_trace[-1][0], mu, CFG).mean
+        assert distance(deepest, rep.mean) >= 1e3 * CFG.lambda_tol
+    assert levels <= 90
+    assert iterations <= 200
+
+
+def test_lambda_mean_loose_tolerance_stops_some_solves_sooner():
+    # lambda_tol, not the five levels the limit needs, decides where the net stops: of
+    # the 15 solves, 7 take fewer levels at lambda_tol 1e-6 than at 1e-9 when the net
+    # starts at t = 1/16 (15 from 1/4, 1 from 1/32 and 0 from 1/64, where nearly every
+    # solve stops at its fifth level whatever the tolerance)
+    tight = [len(rep.t_trace) for _, rep in _cost_grid()]
+    loose = [len(rep.t_trace) for _, rep in _cost_grid(SolverConfig(lambda_tol=1e-6))]
+    assert sum(a < b for a, b in zip(loose, tight)) >= 5
 
 
 def test_lambda_mean_monotonicity_check_is_scale_invariant():
@@ -563,7 +574,7 @@ def test_lambda_mean_monotonicity_check_is_scale_invariant():
     # whitened X^(-1/2) L_prev X^(-1/2) is I to 3e-10, while lambda_min(L_prev - X)
     # is -2e-9, beyond an absolute 1e-9; the net stops well above such t, so a
     # lambda_tol of 1e-300 runs it on until two extrapolations agree exactly
-    # (t = 4^-30 and 4^-33 on the two inputs)
+    # (t = 4^-30 and 4^-28 on the two inputs)
     cfg = SolverConfig(lambda_tol=1e-300)
     for seed in (1, 10):
         mu = random_measure(np.random.default_rng(seed), 6, n_atoms=3, lo=1e-5, hi=1e5)
@@ -587,7 +598,7 @@ def test_lambda_mean_raises_when_a_level_increases(monkeypatch):
         return visit, iters
 
     monkeypatch.setattr(solver, "_solve_level", inflated)
-    with pytest.raises(MonotonicityViolation, match=r"from t=0\.015625 to t=0\.00390625$"):
+    with pytest.raises(MonotonicityViolation, match=r"from t=0\.00390625 to t=0\.000976562$"):
         lambda_mean(random_measure(np.random.default_rng(0), 4, n_atoms=3), CFG)
     assert len(solved) == 4
 
@@ -597,8 +608,9 @@ def test_lambda_mean_levels_stop_at_the_rounding_floor():
     # Newton step there ends the level, so the cost of a solve does not hinge
     # on the rounding of its coordinates (waiting out the stall took 14-16
     # iterations per level and 94-296 per solve over these rotations; the
-    # floor exit takes 25-30 on t = 4^-l, 39-49 under halving of t).  The second
-    # level, a jump from t = 1/4 to 1/16 with two solved levels behind it, took 7
+    # floor exit takes 21-28 on t = 4^-l from 1/16, 25-30 from 1/4, 39-49 under
+    # halving of t).  The first level, solved from the arithmetic mean with no
+    # predictor, takes 8; the second, with two solved levels behind it, 4-6
     rng = np.random.default_rng(100)
     for seed in (6, 7):
         mu = random_measure(np.random.default_rng(seed), 4, n_atoms=3, lo=1e-3, hi=1e3)
@@ -766,10 +778,10 @@ def test_lambda_mean_positive_map_compression():
 
 def test_lambda_mean_extrapolated_limit_agrees_with_newton():
     # the net stops on successive Richardson extrapolations of its last five
-    # levels to t = 0: at most 1.5e-11 from the t = 0 Newton minimizer after a
-    # median of 7 levels on t = 4^-l (halving t: 6.5e-11 after 11; three levels:
-    # 1.4e-10 after 14), where the level gap d(L_t, L_2t) <= lambda_tol stopped
-    # up to 9.9e-10 away after a median of 32
+    # levels to t = 0: at most 5.9e-12 from the t = 0 Newton minimizer after a
+    # median of 6 levels on t = 4^-l from 1/16 (from 1/4: 1.5e-11 after 7; halving t:
+    # 6.5e-11 after 11; three levels: 1.4e-10 after 14), where the level gap
+    # d(L_t, L_2t) <= lambda_tol stopped up to 9.9e-10 away after a median of 32
     levels = []
     for lo, hi in ((1e-1, 1e1), (1e-3, 1e3)):
         for n in (4, 8):
@@ -857,7 +869,7 @@ def test_solver_config_rejects_nan(name):
 
 @pytest.mark.parametrize("name", ["t_start", "t_factor", "residual_tol"])
 def test_solver_config_has_no_schedule_or_residual_setting(name):
-    # the net's schedule is t = 4^-l and its residual bound RESIDUAL_TOL
+    # the net's schedule is t = 4^-l from 1/16 and its residual bound RESIDUAL_TOL
     with pytest.raises(TypeError):
         SolverConfig(**{name: 0.5})
 
