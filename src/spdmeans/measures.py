@@ -24,6 +24,48 @@ from .monotone import SMeasure, _frozen, smeasure_from_json
 # closed-form endpoint divergences instead.
 _ENDPOINT = 1e-8
 
+# Whitened eigenvalues w with |w - 1| below this may take :func:`_divergence_near_one`.
+_NEAR_ONE = 0.25
+
+# 1/(2j + 3), j = 8, 7, ..., 0: Horner's coefficients of (atanh(u) - u)/u^3 in u^2, to
+# rounding for |u| <= 1/7.
+_ATANH_COEFFS = tuple(1.0 / c for c in range(19, 2, -2))
+
+
+def _log1p_quotient(x):
+    """``h(x) = (log1p(x) - x)/x^2`` to full relative accuracy, elementwise for |x| <= 1/4.
+
+    ``log1p(x) = 2 atanh(u)`` with ``u = x/(2 + x)``, ``|u| <= 1/7``, and ``x = 2u/(1 - u)``
+    give ``h(x) = ((1 - u)^2 u (atanh(u) - u)/u^3 - (1 - u))/2``, free of the cancellation
+    in ``log1p(x) - x``; ``(atanh(u) - u)/u^3`` is its series in u^2.
+    """
+    u = x / (2.0 + x)
+    v = u * u
+    series = _ATANH_COEFFS[0] * v
+    for c in _ATANH_COEFFS[1:-1]:
+        series += c
+        series *= v
+    series += _ATANH_COEFFS[-1]
+    b = 1.0 - u
+    return 0.5 * b * (b * u * series - 1.0)
+
+
+def _divergence_near_one(d, s):
+    """The divergence's terms (k, m) at ``w = 1 + d`` (k, 1), |d| <= 1/4, and nodes s (k, m).
+
+    With ``log1p(x) = x + x^2 h(x)`` (:func:`_log1p_quotient`) the linear parts that cancel
+    as d -> 0 drop out exactly: ``log((1-s) w + s) - (1-s) log w = (1-s) d^2 ((1-s) h((1-s) d)
+    - h(d))``, which at s = 1 reads ``w - 1 - log w = -d^2 h(d)``, and the term of the nodes
+    at s = 0 (below _ENDPOINT), ``1/w - 1 + log w``, is ``d^2 (1/w + h(d))``.
+    """
+    a = 1.0 - s
+    h = _log1p_quotient(np.concatenate([a * d, d], axis=1))
+    hd = h[:, -1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = d * d * (a * h[:, :-1] - hd) / s
+    low = s <= _ENDPOINT
+    return np.where(low, d * d * (1.0 / (1.0 + d) + hd), terms) if low.any() else terms
+
 
 class PMeasure:
     """Finitely supported probability measure on [0, 1] x SPD.
@@ -106,17 +148,33 @@ class PMeasure:
     def divergence(self, lam) -> float:
         """``sum_k w_k int LD_s(X, A_k) d nu_k(s)`` from the atoms' whitened spectra (k, n) at X.
 
+        Terms at whitened eigenvalues within _NEAR_ONE of 1, where the logs cancel, come
+        from :func:`_divergence_near_one` wherever their rounding could show in the sum.
         NotPositiveDefinite unless every eigenvalue is positive (a NaN is not).
         """
         if not np.all(lam > 0.0):
             raise NotPositiveDefinite("divergence of a non-positive matrix")
         w, s = lam[:, :, None], self._block_nodes[:, None, :]
-        logw = np.log(w)
+        a, logw = 1.0 - s, np.log(w)
+        den = s * a
         with np.errstate(divide="ignore", invalid="ignore"):
-            mid = (np.log((1.0 - s) * w + s) - (1.0 - s) * logw) / (s * (1.0 - s))
-        terms = np.where(s <= _ENDPOINT, 1.0 / w - 1.0 + logw,
-                         np.where(s >= 1.0 - _ENDPOINT, w - 1.0 - logw, mid))
-        return float(np.vdot(self._block_weights, np.sum(terms, axis=1)))
+            terms = (np.log(a * w + s) - a * logw) / den
+        low, high = s <= _ENDPOINT, s >= 1.0 - _ENDPOINT
+        if low.any():
+            terms = np.where(low, 1.0 / w - 1.0 + logw, terms)
+        if high.any():
+            terms = np.where(high, w - 1.0 - logw, terms)
+        total = np.vdot(self._block_weights, np.sum(terms, axis=1))
+        near = np.abs(lam - 1.0) < _NEAR_ONE
+        if near.any():
+            # a term at a near eigenvalue is off by at most 4 eps/(s(1 - s)) (4 eps at the
+            # endpoints): redo those terms only where that can reach 2^-40 of the total
+            slack = np.sum(self._block_weights / np.maximum(den[:, 0], _ENDPOINT), axis=1)
+            if 4.0 * np.finfo(float).eps * (near.sum(axis=1) @ slack) > 2.0 ** -40 * total:
+                terms[near] = _divergence_near_one(lam[near][:, None] - 1.0,
+                                                   self._block_nodes[np.nonzero(near)[0]])
+                total = np.vdot(self._block_weights, np.sum(terms, axis=1))
+        return float(total)
 
     def matrix_pairs(self):
         """The matrix marginal as ``[(weight, matrix), ...]``."""

@@ -6,7 +6,8 @@ The induced mean at parameter t solves ``X = T_t(X)`` where
     m_(s,t)(x) = ([(1-t)(1-s) + t] x + s(1-t)) / ((1-t)(1-s) x + t + s(1-t)),
 
 and the Karcher mean is the decreasing-net limit of those solutions along the
-schedule t = 4^-l, l = 2, 3, ... -> 0, characterized by a vanishing residual
+schedule t = 4^-l -> 0, l >= 2, from the largest such t at most the least whitened
+eigenvalue of the atoms at L_1, characterized by a vanishing residual
 
     R(X) = integral X^(1/2) l_s(X^(-1/2) A X^(-1/2)) X^(1/2) dmu,
     l_s(x) = (x - 1) / ((1 - s) x + s).
@@ -81,12 +82,18 @@ _LEVELS = 5
 # last level well short of the limit, so that the extrapolation carries the answer.
 _RATIO = 4
 
-# First solved level of the net, t = _RATIO^-2 = 1/16, after the anchor L_1.  A level at
-# 1/4 is solved from the arithmetic mean with no predictor and only ever fed the
-# predictor: without it the net ends at the same deepest level in nearly every solve.
-# Starting at 1/32 or deeper, five levels, the fewest the limit needs, stop most
-# solves, and lambda_tol no longer decides the stop.
+# The net's first solved level after the anchor L_1: the largest t = _RATIO^-l, l >= 2, at
+# most lam_min, the least whitened eigenvalue of the atoms at L_1, capped at _FIRST_T = 1/16
+# (a level at 1/4, solved from the arithmetic mean with no predictor, only ever fed the
+# predictor) and clamped at _MIN_FIRST_T = 2^-52, below which the level equation is the
+# Karcher equation to rounding; 200 levels from there end at 2^-450, a normal float.  The
+# level kernel (x - 1)/((1 - s_t) x + s_t), s_t = t + s(1 - t), has a pole near
+# t = -x/(1 - x) at s = 0, so L_t is the power series in t that the Richardson limit
+# assumes only for t below about lam_min; levels above it cost Newton steps and slow the
+# limit.  The cost: started inside that radius, most wide-band solves stop at the five
+# levels the limit needs, so lambda_tol decides the stop less often.
 _FIRST_T = _RATIO ** -2.0
+_MIN_FIRST_T = 2.0 ** -52
 
 # Bound on the whitened Karcher residual ``||X^(-1/2) R X^(-1/2)||_F`` that the
 # net's extrapolated limit must meet before lambda_mean stops.
@@ -98,7 +105,8 @@ class SolverConfig:
     """Tolerances and budget for every solver.
 
     fp_tol bounds both the Thompson step and the whitened residual at an
-    accepted fixed point; lambda_tol stops the t-net (t = 4^-l, l >= 2) when a certified
+    accepted fixed point; lambda_tol stops the t-net (t = 4^-l, l >= 2, from the largest
+    such t at most the least whitened eigenvalue of the atoms at L_1) when a certified
     bound on the Thompson gap between successive extrapolations of the levels
     to t = 0 is that small (the latest extrapolation must also meet
     RESIDUAL_TOL); grad_tol bounds the whitened norm ``||X^(-1/2) R X^(-1/2)||_F``
@@ -369,7 +377,8 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
 def _lagrange_weights(ts, t):
     """Lagrange basis weights at t of the nodes ``ts``, one tuple per node set and point.
 
-    The net's nodes are windows of one fixed schedule: its 200 levels make about 400 keys.
+    The net's nodes are windows of the schedule ``4^-l``, which starts at a level read off
+    the input: the 108 solves of three bands (seeds 0-11, n in {2, 4, 6}) made 93 keys.
     """
     return tuple(math.prod((t - tj) / (ti - tj) for j, tj in enumerate(ts) if j != i)
                  for i, ti in enumerate(ts))
@@ -410,14 +419,15 @@ def _extrapolation_gap(lam):
 def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     """Karcher mean of the measure: the t -> 0 limit of the induced means.
 
-    Solves the induced mean along the schedule ``t_l = _RATIO**-l = 4**-l``, l = 2, 3,
-    ..., from _FIRST_T = 1/16 (at most 200 levels, every t an exact power of two, the
-    last 2**-402).  Once _LEVELS levels are solved, ``L_1`` (the weighted arithmetic
-    mean) among them, it extrapolates the last _LEVELS to t = 0 after each level
-    (:func:`_lagrange`) and stops once two successive extrapolations are provably
-    positive definite and within lambda_tol in Thompson metric
-    (:func:`_extrapolation_gap`) and the latest one's whitened Karcher residual is at
-    most RESIDUAL_TOL; that extrapolation is the reported mean.  Each level starts
+    Solves the induced mean along the schedule ``t_l = _RATIO**-l = 4**-l``, from the
+    largest such t, l >= 2, at most the least whitened eigenvalue of the atoms at ``L_1``,
+    clamped to [_MIN_FIRST_T, _FIRST_T] = [2**-52, 1/16] (at most 200 levels, every t an
+    exact power of two, the last between 2**-450 and 2**-402).  Once _LEVELS levels are
+    solved, ``L_1`` (the weighted arithmetic mean) among them, it extrapolates the last
+    _LEVELS to t = 0 after each level (:func:`_lagrange`) and stops once two successive
+    extrapolations are provably positive definite and within lambda_tol in Thompson
+    metric (:func:`_extrapolation_gap`) and the latest one's whitened Karcher residual is
+    at most RESIDUAL_TOL; that extrapolation is the reported mean.  Each level starts
     from :func:`_predicted_start`.  The levels must
     decrease in the Loewner order, checked at every level on the whitened
     ``C.T L_prev C >= I``: an eigenvalue below ``1 - 1e-9`` signals a numerics bug, not
@@ -429,6 +439,9 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     point = _point(_arith(mu.weights, mu.matrices), atoms)
     history = [(1.0, point[0])]  # L_1 is the weighted arithmetic mean
     t = _FIRST_T
+    lam_min = point[1][2][:, 0].min()  # least whitened eigenvalue of the atoms at L_1
+    while t > lam_min and t > _MIN_FIRST_T:
+        t /= _RATIO
     karcher = mu.kernels(0.0)
     prev = e_prev = None
     trace = []

@@ -36,7 +36,7 @@ from spdmeans import core, solver
 from spdmeans.core import whitened_eigh
 from spdmeans.solver import (RESIDUAL_TOL, _newton_step, _point, _sym_pairs, _trial_point,
                              _visit, _whitened_jacobian)
-from spdmeans.verify import random_measure
+from spdmeans.verify import random_measure, random_spd, random_weights
 
 CFG = SolverConfig()
 
@@ -536,8 +536,9 @@ def test_lambda_mean_predicted_levels_start_near_their_fixed_points():
     # O(t) off.  Under halving of t the levels at t <= 1/16 took 2.33-2.90 Newton
     # steps each from the previous level, 1.17-1.71 from the extrapolation.  The
     # levels with four solved levels of history (L_1 among them), t_trace[3:], took
-    # 1.25-1.50 on t = 4^-l from 1/4, and take 1.00-1.33 from 1/16.  The five-level limit
-    # stops every solve within 6 levels (7 from 1/4, 10 under halving, 13 with three levels)
+    # 1.25-1.50 on t = 4^-l from 1/4, 1.00-1.33 from 1/16, and take 0.50-1.33 from the
+    # largest 4^-l under lam_min.  The five-level limit stops every solve within 6 levels
+    # (7 from 1/4, 10 under halving, 13 with three levels)
     for _, rep in _cost_grid():
         small = [iters for _, iters in rep.t_trace[3:]]
         assert sum(small) <= 2 * len(small)
@@ -545,8 +546,9 @@ def test_lambda_mean_predicted_levels_start_near_their_fixed_points():
 
 
 def test_lambda_mean_net_cost_and_shape():
-    # on t = 4^-l from t = 1/16 the 15 solves take 82 levels and 183 Newton steps (from
-    # 1/4: 96 and 221; halving t from 1/2: 137 and 283), and the Richardson limit, not
+    # on t = 4^-l from the largest 4^-l <= min(lam_min, 1/16) the 15 solves take 80 levels
+    # and 177 Newton steps (from 1/16: 82 and 183; from 1/4: 96 and 221; halving t from 1/2:
+    # 137 and 283), and the Richardson limit, not
     # the deepest level, carries each answer: that level stays at least 1.5e-5 from it
     # (2.4e-7 on t = 16^-l, where the net nears the t = 0 Newton route it cross-checks)
     levels = iterations = 0
@@ -561,12 +563,64 @@ def test_lambda_mean_net_cost_and_shape():
 
 def test_lambda_mean_loose_tolerance_stops_some_solves_sooner():
     # lambda_tol, not the five levels the limit needs, decides where the net stops: of
-    # the 15 solves, 7 take fewer levels at lambda_tol 1e-6 than at 1e-9 when the net
-    # starts at t = 1/16 (15 from 1/4, 1 from 1/32 and 0 from 1/64, where nearly every
-    # solve stops at its fifth level whatever the tolerance)
+    # the 15 solves, 5 take fewer levels at lambda_tol 1e-6 than at 1e-9 (7 when every
+    # solve started at t = 1/16; here 3 of them start at 1/64, under lam_min), against 15
+    # from 1/4, 1 from 1/32 and 0 from 1/64, where nearly every solve stops at its fifth
+    # level whatever the tolerance
     tight = [len(rep.t_trace) for _, rep in _cost_grid()]
     loose = [len(rep.t_trace) for _, rep in _cost_grid(SolverConfig(lambda_tol=1e-6))]
     assert sum(a < b for a, b in zip(loose, tight)) >= 5
+
+
+def _first_level(mu):
+    """The net's first t: the largest 4^-l, l >= 2, at most the least whitened eigenvalue
+    of the atoms at the arithmetic mean L_1, and 2^-52 where none of l <= 26 is."""
+    arith = weighted_arith(mu.matrix_pairs())
+    lam_min = whitened_eigh(arith, mu.matrices, mu.factors)[2].min()
+    return next((4.0 ** -l for l in range(2, 27) if 4.0 ** -l <= lam_min), 2.0 ** -52)
+
+
+def test_lambda_mean_wide_band_net_starts_inside_its_radius():
+    # L_t is a power series in t only below about the least whitened eigenvalue lam_min at
+    # L_1, where the level kernel's pole lies; started at the largest t = 4^-l under it, the
+    # 36 solves in [1e-3, 1e3] take 405 Newton steps over 181 levels (from t = 1/16: 831
+    # and 292)
+    levels = iterations = 0
+    for seed in range(12):
+        for n in (2, 4, 6):
+            mu = random_measure(np.random.default_rng(seed), n, 3, lo=1e-3, hi=1e3)
+            rep = lambda_mean(mu, CFG)
+            assert rep.t_trace[0][0] == _first_level(mu)
+            levels += len(rep.t_trace)
+            iterations += rep.iterations
+    assert levels <= 190
+    assert iterations <= 450
+
+
+@pytest.mark.parametrize("seed", [8, 10, 16, 17])
+def test_lambda_mean_two_dirac_wide_band_converges(seed):
+    # two atoms in [1e-5, 1e5] under Dirac [0, 1]-marginals: from t = 1/16 the first
+    # levels stalled at whitened residuals 1.8e-11 to 1.3e-10, above what the floor rule
+    # allows at that t; started inside the radius the net converges
+    rng = np.random.default_rng(seed)
+    w = random_weights(rng, 2)
+    mu = PMeasure([(w[i], random_spd(rng, 4, 1e-5, 1e5), SMeasure.dirac(rng.uniform()))
+                   for i in range(2)])
+    rep = lambda_mean(mu, CFG)
+    c = whitened_eigh(rep.mean, mu.matrices, mu.factors)[1]
+    assert np.linalg.norm(c.T @ karcher_residual(rep.mean, mu) @ c) <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("c", [1e50, 1e150])
+def test_lambda_mean_schedule_from_a_clamped_start(c):
+    # at lam_min of 7e-101 and 7e-301 the start is clamped at 2^-52, below which the level
+    # equation is the Karcher equation to rounding; every level is then an exact power of
+    # two, a quarter of the one before
+    mu = product_measure(SMeasure.lebesgue(), [(0.5, np.eye(2) / c), (0.5, c * np.diag([2.0, 3.0]))])
+    ts = [t for t, _ in lambda_mean(mu, CFG).t_trace]
+    assert ts[0] == _first_level(mu) == 2.0 ** -52
+    assert all(t > 0.0 and math.frexp(t)[0] == 0.5 for t in ts)
+    assert all(prev == 4.0 * t for prev, t in zip(ts, ts[1:]))
 
 
 def test_lambda_mean_monotonicity_check_is_scale_invariant():
@@ -574,7 +628,7 @@ def test_lambda_mean_monotonicity_check_is_scale_invariant():
     # whitened X^(-1/2) L_prev X^(-1/2) is I to 3e-10, while lambda_min(L_prev - X)
     # is -2e-9, beyond an absolute 1e-9; the net stops well above such t, so a
     # lambda_tol of 1e-300 runs it on until two extrapolations agree exactly
-    # (t = 4^-30 and 4^-28 on the two inputs)
+    # (t = 4^-28 and 4^-29 on the two inputs, whose nets start at 4^-12 and 4^-14)
     cfg = SolverConfig(lambda_tol=1e-300)
     for seed in (1, 10):
         mu = random_measure(np.random.default_rng(seed), 6, n_atoms=3, lo=1e-5, hi=1e5)
@@ -608,9 +662,10 @@ def test_lambda_mean_levels_stop_at_the_rounding_floor():
     # Newton step there ends the level, so the cost of a solve does not hinge
     # on the rounding of its coordinates (waiting out the stall took 14-16
     # iterations per level and 94-296 per solve over these rotations; the
-    # floor exit takes 21-28 on t = 4^-l from 1/16, 25-30 from 1/4, 39-49 under
-    # halving of t).  The first level, solved from the arithmetic mean with no
-    # predictor, takes 8; the second, with two solved levels behind it, 4-6
+    # floor exit takes 13-14 on t = 4^-l from the largest 4^-l under lam_min, here
+    # 4^-7, 21-28 from 1/16, 25-30 from 1/4, 39-49 under halving of t).  The first
+    # level, solved from the arithmetic mean with no predictor, takes 8-9; the second,
+    # with two solved levels behind it, 2-3 (4-6 from 1/16)
     rng = np.random.default_rng(100)
     for seed in (6, 7):
         mu = random_measure(np.random.default_rng(seed), 4, n_atoms=3, lo=1e-3, hi=1e3)
@@ -778,8 +833,9 @@ def test_lambda_mean_positive_map_compression():
 
 def test_lambda_mean_extrapolated_limit_agrees_with_newton():
     # the net stops on successive Richardson extrapolations of its last five
-    # levels to t = 0: at most 5.9e-12 from the t = 0 Newton minimizer after a
-    # median of 6 levels on t = 4^-l from 1/16 (from 1/4: 1.5e-11 after 7; halving t:
+    # levels to t = 0: at most 8.6e-12 from the t = 0 Newton minimizer after a
+    # median of 5 levels on t = 4^-l from the largest 4^-l under lam_min (from 1/16:
+    # 5.9e-12 after 6; from 1/4: 1.5e-11 after 7; halving t:
     # 6.5e-11 after 11; three levels: 1.4e-10 after 14), where the level gap
     # d(L_t, L_2t) <= lambda_tol stopped up to 9.9e-10 away after a median of 32
     levels = []
@@ -869,7 +925,8 @@ def test_solver_config_rejects_nan(name):
 
 @pytest.mark.parametrize("name", ["t_start", "t_factor", "residual_tol"])
 def test_solver_config_has_no_schedule_or_residual_setting(name):
-    # the net's schedule is t = 4^-l from 1/16 and its residual bound RESIDUAL_TOL
+    # the net's schedule is t = 4^-l, its start read off the input, and its residual
+    # bound RESIDUAL_TOL
     with pytest.raises(TypeError):
         SolverConfig(**{name: 0.5})
 
