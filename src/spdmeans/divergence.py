@@ -33,7 +33,7 @@ from .core import _real
 from .errors import DomainError
 from .measures import PMeasure, product_measure
 from .monotone import SMeasure
-from .solver import SolverConfig, SolverReport, _gated_point, _solve, karcher_residual
+from .solver import SolverConfig, SolverReport, _solve, _Visit, karcher_residual
 
 
 def logdet_divergence(x, a, s: float) -> float:
@@ -48,7 +48,7 @@ def logdet_divergence(x, a, s: float) -> float:
 
 def objective(x, mu: PMeasure) -> float:
     """Integrated divergence ``sum_k w_k int LD_s(X, A_k) d nu_k(s)``; nonnegative."""
-    return mu.divergence(_gated_point(x, mu)[1][2])
+    return mu.divergence(_Visit.whiten(x, (mu.matrices, mu.factors), gate="caller").lam)
 
 
 def riemannian_gradient(x, mu: PMeasure) -> np.ndarray:
@@ -76,7 +76,7 @@ def minimize_divergence(mu: PMeasure, cfg: SolverConfig = None, on_step=None) ->
     """
     cfg = cfg or SolverConfig()
     hook = None if on_step is None else (
-        lambda visit: on_step(visit[0][0], mu.divergence(visit[0][1][2]), visit[1]))
+        lambda visit: on_step(visit.x, mu.divergence(visit.lam), visit.gnorm))
     return _solve(mu.weights, mu.matrices, mu.factors, mu.kernels(0.0), 0.0, cfg.grad_tol,
                   cfg.max_iters, on_step=hook)
 

@@ -20,8 +20,10 @@ from .core import _check_weights, _json_rows, _numeric, _spd, congruence, loewne
 from .errors import Incomparable, MeasureError, NotPositiveDefinite
 from .monotone import SMeasure, _frozen, smeasure_from_json
 
-# 1/(s(1-s)) overflows the useful range below this margin; dispatch to the
-# closed-form endpoint divergences instead.
+# Within this margin of s = 0 or 1, log((1-s) w + s) - (1-s) log w cancels to O(s(1-s));
+# the terms there are taken through log1p, free of that cancellation, and the closed-form
+# endpoint divergences only at s = 0 and 1 exactly: at s = 1e-8 the s -> 0 limit is off
+# by its O(s) remainder, which grows like 1/w (relative error 1e3 at w = 1e-12).
 _ENDPOINT = 1e-8
 
 # Whitened eigenvalues w with |w - 1| below this may take :func:`_divergence_near_one`.
@@ -157,13 +159,15 @@ class PMeasure:
         w, s = lam[:, :, None], self._block_nodes[:, None, :]
         a, logw = 1.0 - s, np.log(w)
         den = s * a
+        low, high = s <= _ENDPOINT, s >= 1.0 - _ENDPOINT
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = (np.log(a * w + s) - a * logw) / den
-        low, high = s <= _ENDPOINT, s >= 1.0 - _ENDPOINT
-        if low.any():
-            terms = np.where(low, 1.0 / w - 1.0 + logw, terms)
-        if high.any():
-            terms = np.where(high, w - 1.0 - logw, terms)
+            if low.any():  # log(a w + s) - a log w = log1p(s (1/w - 1)) + s log w
+                terms = np.where(low, (np.log1p(s * (1.0 / w - 1.0)) + s * logw) / den, terms)
+                terms = np.where(s == 0.0, 1.0 / w - 1.0 + logw, terms)
+            if high.any():  # log(a w + s) - a log w = log1p(a (w - 1)) - a log w, a = 1 - s
+                terms = np.where(high, (np.log1p(a * (w - 1.0)) - a * logw) / den, terms)
+                terms = np.where(s == 1.0, w - 1.0 - logw, terms)
         total = np.vdot(self._block_weights, np.sum(terms, axis=1))
         near = np.abs(lam - 1.0) < _NEAR_ONE
         if near.any():

@@ -29,10 +29,11 @@ Algorithms on Matrix Manifolds, 2008, ch. 6).  Newton keeps the cost bounded
 as t shrinks (plain iteration needs O(1/t) steps, Newton a handful) and, being
 congruence-equivariant, any scale of X.
 
-The engine carries only the whitened residual ``G = C.T R C``, ``C.T X C = I``, whose
-norm is that of ``X^(-1/2) R X^(-1/2)``, in one record per visited point (:func:`_visit`);
-stop tests, steps and reports read G, so none depends on scale.  R is formed only where
-it is returned, by :func:`karcher_residual` and :func:`iteration_map`.
+Each visited point is one record (:class:`_Visit`), read by field name: X, its frame, the
+atoms' whitened spectra and the whitened residual ``g = C.T R C``, ``C.T X C = I``, with its
+norm ``gnorm``, that of ``X^(-1/2) R X^(-1/2)``; stop tests, steps and reports read g, so none
+depends on scale.  R is formed only where it is returned, by :func:`karcher_residual` and
+:func:`iteration_map`.
 
 Along the net each level starts from the Lagrange extrapolation, in t, of
 the last five levels solved (predictor-corrector continuation; Allgower and
@@ -160,41 +161,56 @@ class SolverReport:
 # ---------------------------------------------------------------------------
 
 
-def _point(x, atoms):
-    """A visited point: X with its :func:`whitened_eigh` against ``(mats, factors)``, free of t."""
-    return x, whitened_eigh(x, *atoms)
+class _Visit:
+    """A visited point of the Newton engine; every reader takes its fields by name.
 
-
-def _visit(point, kernel):
-    """A visited point and its whitened residual, ``(point, ||G||_F, phi, G, divdiff)``, or None.
-
-    ``phi, divdiff = kernel(lam)`` is the kernel's one pass over the point's whitened
-    spectrum, and ``G = C.T R C = sum_k Q_k diag(phi_k) Q_k.T``; every stop
-    test and Newton step reads G, never R.  ``divdiff()`` gives the divided differences
+    ``x`` is X, ``f, c`` its frame ``X = F F.T``, ``C.T X C = I``, and ``lam, q`` the stacked
+    eigenpairs of the atoms whitened there (:func:`whitened_eigh`), free of t.  Under a
+    kernel, ``phi, divdiff = kernel(lam)`` is its one pass over that spectrum, ``g`` the whitened
+    residual ``G = C.T R C = sum_k Q_k diag(phi_k) Q_k.T`` and ``gnorm = ||G||_F``: every stop
+    test and Newton step reads G, never R, and ``divdiff()`` gives the divided differences
     from that same pass, so a Newton step from the point evaluates the kernel no more.
     """
-    if point is None:
-        return None
-    phi, divdiff = kernel(point[1][2])
-    g = spectral_sum(point[1][3], phi)
-    return point, float(np.linalg.norm(g)), phi, g, divdiff
+
+    __slots__ = ("x", "f", "c", "lam", "q", "gnorm", "phi", "g", "divdiff")
+
+    def __init__(self, x, f, c, lam, q, kernel=None):
+        self.x, self.f, self.c, self.lam, self.q = x, f, c, lam, q
+        self.phi, self.divdiff = (None, None) if kernel is None else kernel(lam)
+        self.g = None if kernel is None else spectral_sum(q, self.phi)
+        self.gnorm = None if kernel is None else float(np.linalg.norm(self.g))
+
+    @classmethod
+    def whiten(cls, x, atoms, kernel=None, gate=None):
+        """X whitened against ``atoms = (mats, factors)``, then :meth:`under` kernel if given.
+
+        ``gate``: None takes X as the engine built it; "trial" a step's ``sym(X)``, None unless
+        positive definite; "caller" a caller's X through :func:`sym_matrix`, of the atoms'
+        dimension, DomainError unless its whitened lam are normal floats.
+        """
+        if gate == "caller":
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                point = cls.whiten(_sized(sym_matrix(x), atoms[0].shape[1:]), atoms)
+            if not np.all((point.lam >= np.finfo(float).tiny) & (point.lam < math.inf)):
+                raise DomainError("the atoms' whitened spectrum at X leaves the normal float range")
+            return point if kernel is None else point.under(kernel)
+        if gate == "trial":
+            try:
+                return cls.whiten(_sym(x), atoms, kernel)
+            except NotPositiveDefinite:
+                return None
+        return cls(x, *whitened_eigh(x, *atoms), kernel)
+
+    def under(self, kernel):
+        """The point's record under kernel: one pass of it over the whitened spectrum, no eigh."""
+        return _Visit(self.x, self.f, self.c, self.lam, self.q, kernel)
 
 
-def _sym_point(x, mu: PMeasure, gate=sym_matrix) -> np.ndarray:
-    """A caller's point X through ``gate`` (:func:`sym_matrix`), of the measure's dimension."""
-    x = gate(x)
-    if x.shape != (mu.dim, mu.dim):
+def _sized(x, shape) -> np.ndarray:
+    """A caller's gated point X, ShapeError unless of the measure's ``shape``, (n, n)."""
+    if x.shape != shape:
         raise ShapeError("matrix and measure dimensions differ")
     return x
-
-
-def _gated_point(x, mu: PMeasure):
-    """A caller's X as a gated :func:`_point`; DomainError unless its whitened lam are normal."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        point = _point(_sym_point(x, mu), (mu.matrices, mu.factors))
-    if not np.all((point[1][2] >= np.finfo(float).tiny) & (point[1][2] < math.inf)):
-        raise DomainError("the atoms' whitened spectrum at X leaves the normal float range")
-    return point
 
 
 def _check_t(t):
@@ -210,8 +226,8 @@ def karcher_residual(x, mu: PMeasure) -> np.ndarray:
     ``l_s(x) = (x - 1)/((1 - s) x + s)``;
     symmetric, and zero exactly at the Karcher mean of the measure.
     """
-    f, _, lam, q = _gated_point(x, mu)[1]
-    return spectral_sum(q, mu.kernels(0.0)(lam)[0], f)
+    point = _Visit.whiten(x, (mu.matrices, mu.factors), gate="caller")
+    return spectral_sum(point.q, mu.kernels(0.0)(point.lam)[0], point.f)
 
 
 def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
@@ -223,9 +239,9 @@ def iteration_map(x, t: float, mu: PMeasure) -> np.ndarray:
     regardless of X.
     """
     _check_t(t)
-    x, (f, _, lam, q) = _gated_point(x, mu)
-    r = spectral_sum(q, mu.kernels(t)(lam)[0], f)
-    return _sym(x + t * r)  # R_t(X) = (T_t(X) - X)/t evaluated directly
+    point = _Visit.whiten(x, (mu.matrices, mu.factors), gate="caller")
+    r = spectral_sum(point.q, mu.kernels(t)(point.lam)[0], point.f)
+    return _sym(point.x + t * r)  # R_t(X) = (T_t(X) - X)/t evaluated directly
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +261,7 @@ def _sym_pairs(n):
 
 
 def _whitened_jacobian(visit):
-    """Jacobian of G along ``F(I + E)F.T`` on the :func:`_sym_pairs` basis, at a :func:`_visit`.
+    """Jacobian of G along ``F(I + E)F.T`` on the :func:`_sym_pairs` basis, at a :class:`_Visit`.
 
     Daleckii-Krein: ``dG[E] = sum_k Q_k (Gamma_k o Q_k.T E Q_k) Q_k.T`` with
     ``Gamma_k,ij = (phi_i + phi_j)/2 - (lam_i + lam_j)/2 * phi^[1](lam_i, lam_j)``, phi and
@@ -253,10 +269,10 @@ def _whitened_jacobian(visit):
     Q_k[i, p] Q_k[a, p]``, ``T = sum_k M_k Gamma_k M_k.T`` holds ``<E_ij, dG[E_ab]>`` at
     ``T[(i, a), (j, b)]``: ``J[a, b] = 2 c_a c_b (T[(i, i'), (j, j')] + T[(i, j'), (j, i')])``.
     """
-    (_, (_, _, lam, q)), _, phi, _, divdiff = visit
+    lam, q, phi = visit.lam, visit.q, visit.phi
     k, n = lam.shape
     gamma = 0.5 * (phi[:, :, None] + phi[:, None, :]
-                   - (lam[:, :, None] + lam[:, None, :]) * divdiff())
+                   - (lam[:, :, None] + lam[:, None, :]) * visit.divdiff())
     m = np.einsum("kip,kap->iakp", q, q).reshape(n * n, k, n)  # M_k[(i, a), p] at [(i, a), k, p]
     mg = (m.transpose(1, 0, 2) @ gamma).transpose(1, 0, 2)  # M_k Gamma_k, in m's layout
     t = mg.reshape(n * n, -1) @ m.reshape(n * n, -1).T
@@ -265,11 +281,11 @@ def _whitened_jacobian(visit):
 
 
 def _newton_step(visit):
-    """Newton step ``F E F.T`` with ``dG[E] = -G``, from a :func:`_visit` record alone.
+    """Newton step ``F E F.T`` with ``dG[E] = -G``, from a :class:`_Visit` record alone.
 
     None if the Jacobian is singular.
     """
-    f, g = visit[0][1][0], visit[3]
+    f, g = visit.f, visit.g
     ij, c, _, _ = _sym_pairs(len(g))
     try:
         y = np.linalg.solve(_whitened_jacobian(visit), -2.0 * c * g.take(ij))
@@ -280,14 +296,6 @@ def _newton_step(visit):
     return f @ (e + e.T) @ f.T if np.all(np.isfinite(e)) else None
 
 
-def _trial_point(x, atoms):
-    """The visited point ``sym(X)``, or None if that is not positive definite."""
-    try:
-        return _point(_sym(x), atoms)
-    except NotPositiveDefinite:
-        return None
-
-
 def _solve_level(atoms, kernel, t, visit, tol, max_iters, iters_used=0, on_step=None):
     """Damped Newton on ``G = 0`` for the level map ``x -> x + t * R(x)``; t = 0 is Karcher.
 
@@ -295,26 +303,26 @@ def _solve_level(atoms, kernel, t, visit, tol, max_iters, iters_used=0, on_step=
     residual is at most ``max((1 - 1e-4 eta)||G||, tol)``.  At a level's rounding floor
     (t > 0, ``t||G|| <= tol``, ``||G|| <= 1e4 tol``) a step moves X by less than tol:
     only the full step is tried, against _NEWTON_DECREASE, and a miss ends the level.
-    From a start ``visit`` (:func:`_visit`, the level's kernel), returns ``(visit,
+    From a start ``visit`` (:class:`_Visit`, under the level's kernel), returns ``(visit,
     iterations)`` with the end point's visit.  ``on_step(visit)`` follows each step.
     Raises NonConvergence when eta drops below 1e-10, where the demanded decrease nears
     rounding and X barely moves, or ``iters_used`` plus the iterations reach max_iters.
     """
     iters = 0
     fail = lambda why: NonConvergence(
-        f"Newton solve at t={t:g} {why} at whitened residual {visit[1]:.3e}",
+        f"Newton solve at t={t:g} {why} at whitened residual {visit.gnorm:.3e}",
         iterations=iters_used + iters)
-    while not visit[1] <= tol:
+    while not visit.gnorm <= tol:
         if iters_used + iters >= max_iters:
             raise fail(f"exhausted {max_iters} iterations")
-        wnorm = visit[1]
+        wnorm = visit.gnorm
         floor = t > 0.0 and t * wnorm <= tol and wnorm <= 1e4 * tol
         step = _newton_step(visit)
         eta = 1.0
         while step is not None and eta >= (1.0 if floor else 1e-10):
-            trial = _visit(_trial_point(visit[0][0] + eta * step, atoms), kernel)
+            trial = _Visit.whiten(visit.x + eta * step, atoms, kernel, "trial")
             decrease = _NEWTON_DECREASE if floor else 1.0 - 1e-4 * eta
-            if trial is not None and trial[1] <= max(decrease * wnorm, tol):
+            if trial is not None and trial.gnorm <= max(decrease * wnorm, tol):
                 break
             eta *= 0.5
         else:
@@ -335,14 +343,10 @@ def _solve(w, mats, factors, kernel, t, tol, max_iters, on_step=None) -> SolverR
     is the whitened ``||G||_F`` of the equation solved, and t_trace ``[(t, iterations)]``,
     empty at t = 0 where there is no schedule.
     """
-    start = _visit(_point(_arith(w, mats), (mats, factors)), kernel)
+    start = _Visit.whiten(_arith(w, mats), (mats, factors), kernel)
     visit, iters = _solve_level((mats, factors), kernel, t, start, tol, max_iters, on_step=on_step)
-    return SolverReport(
-        mean=visit[0][0],
-        iterations=iters,
-        residual_norm=visit[1],
-        t_trace=[(t, iters)] if t > 0.0 else [],
-    )
+    return SolverReport(mean=visit.x, iterations=iters, residual_norm=visit.gnorm,
+                        t_trace=[(t, iters)] if t > 0.0 else [])
 
 
 def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
@@ -369,8 +373,7 @@ def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
     _check_t(t)
     cfg = cfg or SolverConfig()
     w, (mats, factors, _) = _check_weights(sigma)
-    kernel = PMeasure.power_kernels(w, t)
-    return _solve(w, mats, factors, kernel, t, cfg.fp_tol, cfg.max_iters)
+    return _solve(w, mats, factors, PMeasure.power_kernels(w, t), t, cfg.fp_tol, cfg.max_iters)
 
 
 @lru_cache(maxsize=512)
@@ -391,17 +394,17 @@ def _lagrange(history, t):
 
 
 def _predicted_start(history, t, warm, atoms, kernel):
-    """The :func:`_visit` starting level t: extrapolated from the solved levels, else warm.
+    """The :class:`_Visit` starting level t: extrapolated from the solved levels, else warm.
 
     ``history`` holds the last (up to _LEVELS) solved levels ``(t_i, L_{t_i})``; their
     Lagrange extrapolation to t is taken if it is positive definite and its whitened
     residual at t is at most _NEWTON_DECREASE times that of the warm start.
     """
-    start = _visit(warm, kernel)
+    start = warm.under(kernel)
     if len(history) < 2:
         return start
-    trial = _visit(_trial_point(_lagrange(history, t), atoms), kernel)
-    return trial if trial is not None and trial[1] <= _NEWTON_DECREASE * start[1] else start
+    trial = _Visit.whiten(_lagrange(history, t), atoms, kernel, "trial")
+    return trial if trial is not None and trial.gnorm <= _NEWTON_DECREASE * start.gnorm else start
 
 
 def _extrapolation_gap(lam):
@@ -412,7 +415,7 @@ def _extrapolation_gap(lam):
     and delta the spectral radius of the second, both are positive definite and
     ``d(E_prev, E) <= -log(1 - delta/m)`` whenever ``delta < m``.
     """
-    m, delta = lam[0][0], np.max(np.abs(lam[1]))
+    m, delta = lam[0, 0], np.max(np.abs(lam[1]))
     return -math.log1p(-delta / m) if delta < m else math.inf
 
 
@@ -436,43 +439,40 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
     """
     cfg = cfg or SolverConfig()
     atoms = (mu.matrices, mu.factors)
-    point = _point(_arith(mu.weights, mu.matrices), atoms)
-    history = [(1.0, point[0])]  # L_1 is the weighted arithmetic mean
+    point = _Visit.whiten(_arith(mu.weights, mu.matrices), atoms)
+    history = [(1.0, point.x)]  # L_1 is the weighted arithmetic mean
     t = _FIRST_T
-    lam_min = point[1][2][:, 0].min()  # least whitened eigenvalue of the atoms at L_1
+    lam_min = point.lam[:, 0].min()  # least whitened eigenvalue of the atoms at L_1
     while t > lam_min and t > _MIN_FIRST_T:
         t /= _RATIO
-    karcher = mu.kernels(0.0)
-    prev = e_prev = None
-    trace = []
-    total = 0
+    karcher, prev, e_prev = mu.kernels(0.0), None, None
+    trace, total = [], 0
     for _ in range(200):
         kernel = mu.kernels(t)
         start = _predicted_start(history, t, point, atoms, kernel)
-        level, iters = _solve_level(atoms, kernel, t, start, cfg.fp_tol, cfg.max_iters, total)
-        point = level[0]
+        point, iters = _solve_level(atoms, kernel, t, start, cfg.fp_tol, cfg.max_iters, total)
         total += iters
         trace.append((t, iters))
-        history = history[1 - _LEVELS:] + [(t, point[0])]
+        history = history[1 - _LEVELS:] + [(t, point.x)]
         # Richardson extrapolation of the levels to t = 0
         e = _lagrange(history, 0.0) if len(history) == _LEVELS else None
         if prev is not None:
             pair = [] if e_prev is None else [e, e - e_prev]
-            lam = whiten(point[1][1], np.stack([prev, *pair]))[0]
-            if not np.array_equal(prev, point[0]) and lam[0, 0] < 1.0 - 1e-9:
+            lam = whiten(point.c, np.stack([prev, *pair]))[0]
+            if not np.array_equal(prev, point.x) and lam[0, 0] < 1.0 - 1e-9:
                 raise MonotonicityViolation(
-                    f"induced means failed to decrease from t={trace[-2][0]:g} to t={t:g}"
+                    f"induced means failed to decrease from t={t_prev:g} to t={t:g}"
                 )
             if pair and _extrapolation_gap(lam[1:]) <= cfg.lambda_tol:
-                mean = _visit(_trial_point(e, atoms), karcher)
-                if mean is not None and mean[1] <= RESIDUAL_TOL:
+                mean = _Visit.whiten(e, atoms, karcher, "trial")
+                if mean is not None and mean.gnorm <= RESIDUAL_TOL:
                     break
-        prev, e_prev = point[0], e
+        t_prev, prev, e_prev = t, point.x, e
         t /= _RATIO
     else:
         raise NonConvergence("t-schedule exhausted 200 levels without meeting lambda_tol",
                              iterations=total)
-    return SolverReport(mean=mean[0][0], iterations=total, residual_norm=mean[1], t_trace=trace)
+    return SolverReport(mean=mean.x, iterations=total, residual_norm=mean.gnorm, t_trace=trace)
 
 
 def sandwich_check(x, mu: PMeasure) -> bool:
@@ -481,6 +481,6 @@ def sandwich_check(x, mu: PMeasure) -> bool:
     Both by :func:`loewner_leq` at tol 1e-9, relative to the operands' norms, so that the
     answer does not change when X and the atoms are scaled together.
     """
-    x = _sym_point(x, mu, spd_matrix)
+    x = _sized(spd_matrix(x), (mu.dim, mu.dim))
     return (loewner_leq(_harm(mu.weights, mu.matrices), x, 1e-9)
             and loewner_leq(x, _arith(mu.weights, mu.matrices), 1e-9))

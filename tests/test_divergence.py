@@ -168,6 +168,20 @@ def test_minimize_evaluates_objective_only_for_on_step(monkeypatch):
     assert all(f == objective(x, mu) for x, f in steps)
 
 
+def test_minimize_on_step_reports_each_accepted_step():
+    # the public hook is called once per accepted step; its last call is at the reported
+    # mean bit for bit, with the reported whitened gradient norm and the objective there
+    for seed, (lo, hi) in ((0, (0.1, 10.0)), (1, (1e-3, 1e3)), (2, (1e-3, 1e3))):
+        mu = random_measure(np.random.default_rng(seed), 4, 3, lo=lo, hi=hi)
+        steps = []
+        rep = minimize_divergence(mu, on_step=lambda x, f, gnorm: steps.append((x, f, gnorm)))
+        assert len(steps) == rep.iterations >= 1
+        x, f, gnorm = steps[-1]
+        assert x.tobytes() == rep.mean.tobytes()
+        assert gnorm == rep.residual_norm
+        assert f == objective(rep.mean, mu)
+
+
 def test_geodesic_convexity_trivial_and_random():
     rng = np.random.default_rng(13)
     mu = rand_measure(rng, 3)
@@ -209,12 +223,14 @@ def test_logdet_divergence_near_its_minimum_matches_mpmath():
     # near w = 1 the logs of log((1-s) w + s) - (1-s) log w, and of the endpoint terms,
     # cancel; written through log1p(x) - x they stay within 1e-7 relative of 50-digit
     # arithmetic.  Taking the difference of the logs missed by more than that on 42 of
-    # the 96 interior points here, by 2e12 at s = 1e-6, w = 1 - 1e-12
+    # the 96 points with s in [1e-6, 1 - 1e-6] and w near 1 here, by 2e12 at s = 1e-6,
+    # w = 1 - 1e-12.  Within 1e-8 of an endpoint the endpoint limits missed by 1.08e3 at
+    # s = 1e-8 and 1 - 1e-8, w = 1e-12 and 1e12, by 1.44e2 at s = 1e-9, and by 5e-6 at
+    # w = 1e-3 and 1e3; worst now 2.3e-9
     worst = 0.0
-    for s in (0.0, 1e-6, 0.1, 0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0):
-        for d in (1e-12, -1e-12, 1e-9, -1e-9, 1e-7, 1e-5, -1e-5, 1e-3, 0.1, -0.1, 0.3, -0.5,
-                  -0.9, -0.999, 3.0, 1e3):
-            w = 1.0 + d
+    for s in (0.0, 1e-9, 1e-8, 1e-6, 0.1, 0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-8, 1.0):
+        for w in (*(1.0 + d for d in (1e-12, -1e-12, 1e-9, -1e-9, 1e-7, 1e-5, -1e-5, 1e-3, 0.1,
+                                      -0.1, 0.3, -0.5, -0.9, -0.999, 3.0, 1e3)), 1e-12, 1e12):
             ref = _ld_mpmath(s, w)
             got = logdet_divergence(np.eye(1), np.array([[w]]), s)
             worst = max(worst, float(abs(got - ref) / ref))

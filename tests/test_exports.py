@@ -35,7 +35,8 @@ def test_removed_names_stay_removed():
     # two-variable Kubo-Ando mean is kept; no kind needs a user density or a
     # reflection, and the demos draw Thompson-ball points with verify.random_ball_point;
     # X's eigenvector frame, not a symmetric square root, whitens every point; every SPD
-    # operand takes one gated eigh, core._spd, which also gives its factor
+    # operand takes one gated eigh, core._spd, which also gives its factor; the Newton
+    # engine's visited points are one record, solver._Visit, not positional tuples
     for name in ("RgdConfig", "integrate", "transpose_measure", "mean_kernel_inv",
                  "SpectralDecomposition", "spectral", "spd_power", "check_normalization",
                  "log_kernel", "log_kernel_inv", "harmonic_kernel", "mean_kernel",
@@ -52,7 +53,8 @@ def test_removed_names_stay_removed():
         assert not hasattr(SMeasure, name)
     modules = (cli, core, divergence, measures, monotone, solver, thompson, verify)
     for name in ("log_kernel_grid", "x_over_affine", "_level_kernels", "_power_kernels",
-                 "_objective", "_ball_point", "sqrt_pair", "_cholesky", "spd_stack"):
+                 "_objective", "_ball_point", "sqrt_pair", "_cholesky", "spd_stack", "_point",
+                 "_visit", "_trial_point", "_gated_point", "_sym_point"):
         assert not any(hasattr(m, name) for m in modules), name
 
 
@@ -101,6 +103,32 @@ def test_only_the_measure_layer_reads_the_quadrature():
     for path in src.glob("*.py"):
         if path.name not in ("monotone.py", "measures.py"):
             assert not rule & _used_names(path), path.name
+
+
+def _int_literal(node):
+    """True for a literal integer index, negative ones included."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _positional_reads(source):
+    """The nested literal-integer subscripts ``a[i][j]`` of a source text, as source segments."""
+    return [ast.get_source_segment(source, node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and _int_literal(node.slice)
+            and isinstance(node.value, ast.Subscript) and _int_literal(node.value.slice)]
+
+
+def test_the_newton_engine_reads_no_record_by_position():
+    # the engine's visited points are records read by field name: a subscript of a
+    # subscript at literal integers (``visit[0][1][2]``, ``trace[-2][0]``) is a tuple read
+    # by position; an array index ``lam[0, 0]`` or a call's result ``kernel(lam)[0]`` is not
+    assert sorted(_positional_reads("visit[0][1][2]; point[1][2]; lam[0][0]; trace[-2][0]")) == [
+        "lam[0][0]", "point[1][2]", "trace[-2][0]", "visit[0][1]", "visit[0][1][2]"]
+    assert _positional_reads("lam[0, 0]; kernel(lam)[0]; lam[1:][0]; at[0]; h[:, -1:]") == []
+    src = pathlib.Path(spdmeans.__file__).parent
+    for name in ("solver.py", "divergence.py"):
+        assert _positional_reads((src / name).read_text(encoding="utf-8")) == [], name
 
 
 def test_only_core_calls_eigh():

@@ -34,8 +34,7 @@ from spdmeans import (
 )
 from spdmeans import core, solver
 from spdmeans.core import whitened_eigh
-from spdmeans.solver import (RESIDUAL_TOL, _newton_step, _point, _sym_pairs, _trial_point,
-                             _visit, _whitened_jacobian)
+from spdmeans.solver import RESIDUAL_TOL, _newton_step, _sym_pairs, _Visit, _whitened_jacobian
 from spdmeans.verify import random_measure, random_spd, random_weights
 
 CFG = SolverConfig()
@@ -208,15 +207,15 @@ def jacobian_error(x, mats, kernel, h=1e-5):
     # relative distance between the closed-form Jacobian and central differences
     # of the whitened residual along F(I + hE)F.T, X = F F.T, on the same basis
     atoms = (mats, np.linalg.cholesky(mats))
-    visit = lambda y: _visit(_point(y, atoms), kernel)
+    visit = lambda y: _Visit.whiten(y, atoms, kernel)
     at_x = visit(x)
-    f, cx = at_x[0][1][:2]
+    f, cx = at_x.f, at_x.c
     jac = _whitened_jacobian(at_x)
     ij, c, _, _ = _sym_pairs(len(x))
 
     def g(e):
-        (_, (fy, *_)), _, _, gy, _ = visit(sym(f @ (np.eye(len(x)) + e) @ f.T))
-        return cx.T @ sym(fy @ gy @ fy.T) @ cx  # R = F_Y G F_Y.T, whitened by X's C
+        at_y = visit(sym(f @ (np.eye(len(x)) + e) @ f.T))
+        return cx.T @ sym(at_y.f @ at_y.g @ at_y.f.T) @ cx  # R = F_Y G F_Y.T, whitened by X's C
 
     fd = []
     for b in range(len(c)):  # along the basis matrix c_b (E_ij + E_ji)
@@ -254,8 +253,8 @@ def test_newton_step_memory_is_bounded():
     # one step at n = 16 with 100 atoms: the Jacobian's one (n^2, n^2) contraction holds
     # O(k n^3 + n^4) floats, about 10 MiB; the (k, m, n^2) projection before it peaked at 80 MiB
     mu = random_measure(np.random.default_rng(0), 16, n_atoms=100)
-    visit = _visit(_point(core._arith(mu.weights, mu.matrices), (mu.matrices, mu.factors)),
-                   mu.kernels(0.0))
+    visit = _Visit.whiten(core._arith(mu.weights, mu.matrices), (mu.matrices, mu.factors),
+                          mu.kernels(0.0))
     tracemalloc.start()
     try:
         step = _newton_step(visit)
@@ -413,8 +412,8 @@ def test_a_point_is_gated_by_the_eigh_that_whitens_it(monkeypatch, f):
 
 def _trial_spectrum(x, mu):
     # a solver's trial point: None where the rule refuses it, else its whitened atoms' spectrum
-    point = _trial_point(x, (mu.matrices, mu.factors))
-    return None if point is None else point[1][2]
+    point = _Visit.whiten(x, (mu.matrices, mu.factors), gate="trial")
+    return None if point is None else point.lam
 
 
 @pytest.mark.parametrize("f", [
@@ -647,7 +646,7 @@ def test_lambda_mean_raises_when_a_level_increases(monkeypatch):
     def inflated(atoms, kernel, t, start, *args):
         visit, iters = solve_level(atoms, kernel, t, start, *args)
         if len(solved) == 3:
-            visit = _visit(_point((1.0 + 1e-7) * solved[-1][0][0], atoms), kernel)
+            visit = _Visit.whiten((1.0 + 1e-7) * solved[-1].x, atoms, kernel)
         solved.append(visit)
         return visit, iters
 
@@ -703,7 +702,7 @@ def test_each_visit_is_one_node_pass_of_the_kernel(monkeypatch):
     # from that point reads the divided differences of the same pass from the visit
     # record: the passes equal the visits, and a step adds none
     calls = {"pass": 0, "visit": 0, "divdiff": 0, "step": 0}
-    kernels, visit, newton_step = PMeasure.kernels, solver._visit, solver._newton_step
+    kernels, init, newton_step = PMeasure.kernels, solver._Visit.__init__, solver._newton_step
 
     def counted(name, fn):
         return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
@@ -717,12 +716,12 @@ def test_each_visit_is_one_node_pass_of_the_kernel(monkeypatch):
 
         return counted("pass", one_pass)
 
-    def counted_visit(point, kernel):
-        calls["visit"] += point is not None  # a trial point outside the cone is no visit
-        return visit(point, kernel)
+    def counted_visit(visit, x, f, c, lam, q, kernel=None):
+        calls["visit"] += kernel is not None  # a trial point outside the cone builds no record
+        init(visit, x, f, c, lam, q, kernel)
 
     monkeypatch.setattr(PMeasure, "kernels", counted_kernels)
-    monkeypatch.setattr(solver, "_visit", counted_visit)
+    monkeypatch.setattr(solver._Visit, "__init__", counted_visit)
     monkeypatch.setattr(solver, "_newton_step", counted("step", newton_step))
     for lo, hi in ((1e-1, 1e1), (1e-3, 1e3)):
         for seed in range(5):
@@ -760,13 +759,13 @@ def test_newton_step_on_a_singular_jacobian_stalls():
     # too, at a nonzero residual, and the level solve reports the stall
     mats = rand_spd(np.random.default_rng(41), 3)[None]
     atoms = (mats, np.linalg.cholesky(mats))
-    point = _point(np.eye(3), atoms)
+    point = _Visit.whiten(np.eye(3), atoms)
     zero = lambda lam: (np.zeros_like(lam), lambda: np.zeros(lam.shape + lam.shape[-1:]))
-    assert solver._newton_step(_visit(point, zero)) is None
+    assert solver._newton_step(point.under(zero)) is None
     linear = lambda lam: (lam, lambda: np.ones(lam.shape + lam.shape[-1:]))
-    assert solver._newton_step(_visit(point, linear)) is None
+    assert solver._newton_step(point.under(linear)) is None
     with pytest.raises(NonConvergence, match="stalled"):
-        solver._solve_level(atoms, linear, 0.5, _visit(point, linear), 1e-12, 100)
+        solver._solve_level(atoms, linear, 0.5, point.under(linear), 1e-12, 100)
 
 
 def test_lambda_mean_two_point_geometric():
