@@ -17,16 +17,12 @@ in a fixed order, so reruns are bit-identical.
 import numpy as np
 
 from .core import _check_weights, _json_rows, _numeric, _spd, congruence, loewner_leq
-from .errors import Incomparable, MeasureError, NotPositiveDefinite
+from .errors import DomainError, Incomparable, MeasureError, NotPositiveDefinite
 from .monotone import SMeasure, _frozen, smeasure_from_json
 
-# Within this margin of s = 0 or 1, log((1-s) w + s) - (1-s) log w cancels to O(s(1-s));
-# the terms there are taken through log1p, free of that cancellation, and the closed-form
-# endpoint divergences only at s = 0 and 1 exactly: at s = 1e-8 the s -> 0 limit is off
-# by its O(s) remainder, which grows like 1/w (relative error 1e3 at w = 1e-12).
-_ENDPOINT = 1e-8
-
-# Whitened eigenvalues w with |w - 1| below this may take :func:`_divergence_near_one`.
+# Whitened eigenvalues w with |w - 1| below this take the divergence's terms through
+# :func:`_log1p_quotient`, free of the cancellation of their logs; its arguments, d = w - 1
+# and y, then lie within its range (|y| <= 1/6).
 _NEAR_ONE = 0.25
 
 # 1/(2j + 3), j = 8, 7, ..., 0: Horner's coefficients of (atanh(u) - u)/u^3 in u^2, to
@@ -50,23 +46,6 @@ def _log1p_quotient(x):
     series += _ATANH_COEFFS[-1]
     b = 1.0 - u
     return 0.5 * b * (b * u * series - 1.0)
-
-
-def _divergence_near_one(d, s):
-    """The divergence's terms (k, m) at ``w = 1 + d`` (k, 1), |d| <= 1/4, and nodes s (k, m).
-
-    With ``log1p(x) = x + x^2 h(x)`` (:func:`_log1p_quotient`) the linear parts that cancel
-    as d -> 0 drop out exactly: ``log((1-s) w + s) - (1-s) log w = (1-s) d^2 ((1-s) h((1-s) d)
-    - h(d))``, which at s = 1 reads ``w - 1 - log w = -d^2 h(d)``, and the term of the nodes
-    at s = 0 (below _ENDPOINT), ``1/w - 1 + log w``, is ``d^2 (1/w + h(d))``.
-    """
-    a = 1.0 - s
-    h = _log1p_quotient(np.concatenate([a * d, d], axis=1))
-    hd = h[:, -1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = d * d * (a * h[:, :-1] - hd) / s
-    low = s <= _ENDPOINT
-    return np.where(low, d * d * (1.0 / (1.0 + d) + hd), terms) if low.any() else terms
 
 
 class PMeasure:
@@ -150,35 +129,36 @@ class PMeasure:
     def divergence(self, lam) -> float:
         """``sum_k w_k int LD_s(X, A_k) d nu_k(s)`` from the atoms' whitened spectra (k, n) at X.
 
-        Terms at whitened eigenvalues within _NEAR_ONE of 1, where the logs cancel, come
-        from :func:`_divergence_near_one` wherever their rounding could show in the sum.
-        NotPositiveDefinite unless every eigenvalue is positive (a NaN is not).
+        Each term is expanded about its node's nearer endpoint, so s = 0 and 1 need no case:
+        with ``d = w - 1``, ``c, r = min, max(s, 1 - s)`` and ``(P, Q) = (log w, d/w)`` for
+        s <= 1/2, ``(-log w, -d)`` above, ``(1-s) w + s`` is ``w (1 + y)`` or ``1 + y`` at
+        ``y = -c Q >= -1/2``, and the term is ``(P - Q B)/r`` with ``B = log1p(y)/y`` (1 at
+        y = 0).  Only ``P - Q`` cancels, near w = 1: at ``|d| < _NEAR_ONE`` the terms take
+        ``P - Q``, ``d^2 (h(d) + 1/w)`` or ``-d^2 h(d)``, and ``B - 1 = y h(y)`` in place of P
+        and B, from ``log1p(x) = x + x^2 h(x)`` (:func:`_log1p_quotient`), which drops that
+        part exactly.
+        NotPositiveDefinite unless every eigenvalue is positive (a NaN is not), and DomainError
+        unless it is a normal float, as :func:`divergence.objective`'s gate asks: below that,
+        1/w and so y overflow.
         """
         if not np.all(lam > 0.0):
             raise NotPositiveDefinite("divergence of a non-positive matrix")
+        if not np.all((lam >= np.finfo(float).tiny) & (lam < np.inf)):
+            raise DomainError("the atoms' whitened spectrum leaves the normal float range")
         w, s = lam[:, :, None], self._block_nodes[:, None, :]
-        a, logw = 1.0 - s, np.log(w)
-        den = s * a
-        low, high = s <= _ENDPOINT, s >= 1.0 - _ENDPOINT
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = (np.log(a * w + s) - a * logw) / den
-            if low.any():  # log(a w + s) - a log w = log1p(s (1/w - 1)) + s log w
-                terms = np.where(low, (np.log1p(s * (1.0 / w - 1.0)) + s * logw) / den, terms)
-                terms = np.where(s == 0.0, 1.0 / w - 1.0 + logw, terms)
-            if high.any():  # log(a w + s) - a log w = log1p(a (w - 1)) - a log w, a = 1 - s
-                terms = np.where(high, (np.log1p(a * (w - 1.0)) - a * logw) / den, terms)
-                terms = np.where(s == 1.0, w - 1.0 - logw, terms)
-        total = np.vdot(self._block_weights, np.sum(terms, axis=1))
+        low, d = s <= 0.5, w - 1.0
+        q, p = np.where(low, d / w, -d), np.where(low, 1.0, -1.0) * np.log(w)
+        y = -np.minimum(s, 1.0 - s) * q
+        with np.errstate(invalid="ignore"):  # 0/0 at y = 0
+            b = np.where(y == 0.0, 1.0, np.log1p(y) / y)
         near = np.abs(lam - 1.0) < _NEAR_ONE
-        if near.any():
-            # a term at a near eigenvalue is off by at most 4 eps/(s(1 - s)) (4 eps at the
-            # endpoints): redo those terms only where that can reach 2^-40 of the total
-            slack = np.sum(self._block_weights / np.maximum(den[:, 0], _ENDPOINT), axis=1)
-            if 4.0 * np.finfo(float).eps * (near.sum(axis=1) @ slack) > 2.0 ** -40 * total:
-                terms[near] = _divergence_near_one(lam[near][:, None] - 1.0,
-                                                   self._block_nodes[np.nonzero(near)[0]])
-                total = np.vdot(self._block_weights, np.sum(terms, axis=1))
-        return float(total)
+        if near.any():  # P - Q and B - 1 in place of P and B
+            i, dn, yn = np.nonzero(near)[0], d[near], y[near]
+            h = _log1p_quotient(np.concatenate([dn, yn], axis=1))
+            p[near] = np.where(low[i, 0], dn * dn * (h[:, :1] + 1.0 / w[near]), -dn * dn * h[:, :1])
+            b[near] = yn * h[:, 1:]
+        terms = (p - q * b) / np.maximum(s, 1.0 - s)
+        return float(np.vdot(self._block_weights, np.sum(terms, axis=1)))
 
     def matrix_pairs(self):
         """The matrix marginal as ``[(weight, matrix), ...]``."""

@@ -196,7 +196,7 @@ class _Visit:
             return point if kernel is None else point.under(kernel)
         if gate == "trial":
             try:
-                return cls.whiten(_sym(x), atoms, kernel)
+                return cls(y := _sym(x), *whitened_eigh(y, *atoms), kernel)
             except NotPositiveDefinite:
                 return None
         return cls(x, *whitened_eigh(x, *atoms), kernel)

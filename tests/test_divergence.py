@@ -5,6 +5,7 @@ import pytest
 
 from conftest import assert_check, dirac_lebesgue_pair, rand_measure, rand_spd
 from spdmeans import (
+    DomainError,
     NotPositiveDefinite,
     PMeasure,
     SMeasure,
@@ -221,25 +222,28 @@ def _ld_mpmath(s, w):
 
 def test_logdet_divergence_near_its_minimum_matches_mpmath():
     # near w = 1 the logs of log((1-s) w + s) - (1-s) log w, and of the endpoint terms,
-    # cancel; written through log1p(x) - x they stay within 1e-7 relative of 50-digit
-    # arithmetic.  Taking the difference of the logs missed by more than that on 42 of
-    # the 96 points with s in [1e-6, 1 - 1e-6] and w near 1 here, by 2e12 at s = 1e-6,
-    # w = 1 - 1e-12.  Within 1e-8 of an endpoint the endpoint limits missed by 1.08e3 at
-    # s = 1e-8 and 1 - 1e-8, w = 1e-12 and 1e12, by 1.44e2 at s = 1e-9, and by 5e-6 at
-    # w = 1e-3 and 1e3; worst now 2.3e-9
+    # cancel, and near s = 0 or 1 the difference of the logs cancels to O(s(1-s)).
+    # Taking the difference of the logs missed 50-digit arithmetic by more than 1e-7 on
+    # 42 of 96 points with s in [1e-6, 1 - 1e-6] and w near 1 here, by 2e12 at s = 1e-6,
+    # w = 1 - 1e-12; the s -> 0 limit taken for s <= 1e-8 missed by 1.08e3 at s = 1e-8,
+    # w = 1e-12; and the plain form just outside log1p bands of width 1e-8 missed by
+    # 2.3e-7 at s = 2e-8, w = 1.3.  Each term expanded about its nearer endpoint stays
+    # within 2.8e-15 on this grid
     worst = 0.0
-    for s in (0.0, 1e-9, 1e-8, 1e-6, 0.1, 0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-8, 1.0):
+    for s in (0.0, 1e-16, 1e-9, 1e-8, 2e-8, 1e-7, 1e-6, 1e-4, 0.1, 0.3, 0.49, 0.5, 0.51, 0.9,
+              1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-7, 1.0 - 2e-8, 1.0 - 1e-8, 1.0):
         for w in (*(1.0 + d for d in (1e-12, -1e-12, 1e-9, -1e-9, 1e-7, 1e-5, -1e-5, 1e-3, 0.1,
-                                      -0.1, 0.3, -0.5, -0.9, -0.999, 3.0, 1e3)), 1e-12, 1e12):
+                                      -0.1, 0.3, -0.5, -0.9, -0.999, 3.0, 1e3, 0.25, -0.25,
+                                      0.2499, -0.2499)), 1e-12, 1e12, 1e-300, 1e300):
             ref = _ld_mpmath(s, w)
             got = logdet_divergence(np.eye(1), np.array([[w]]), s)
             worst = max(worst, float(abs(got - ref) / ref))
-    assert worst <= 1e-7
+    assert worst <= 1e-13
     # the Lebesgue rule at whitened spectrum 1 +- 1e-7, node by node (1.037e-14 against
-    # 1.000e-14 before)
+    # 1.000e-14 from the difference of the logs; 3.2e-16 relative now)
     nu, w = SMeasure.lebesgue(64), (1.0 + 1e-7, 1.0 - 1e-7)
     ref = sum(om * _ld_mpmath(s, wi) for s, om in zip(nu.nodes, nu.weights) for wi in w)
-    assert abs(spectral_divergence(nu, np.array(w)) - ref) <= 1e-7 * ref
+    assert abs(spectral_divergence(nu, np.array(w)) - ref) <= 1e-13 * ref
 
 
 def spectral_divergence(nu, w):
@@ -262,4 +266,13 @@ def test_eig_divergence_rejects_a_non_positive_spectrum(w):
     # rounding can leave a valid but near-singular pair's whitened spectrum off the
     # cone (one 1e-5..1e5 random_measure does at its own atom); that raises, not nan
     with pytest.raises(NotPositiveDefinite):
+        spectral_divergence(SMeasure.from_atoms([(0.0, 0.2), (0.3, 0.3), (1.0, 0.5)]), w)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w", [[1e-310, 2.0], [5e-324, 2.0], [math.inf, 2.0]])
+def test_eig_divergence_rejects_a_spectrum_off_the_normal_range(w):
+    # each term divides by w on the nodes s <= 1/2, which overflows below the normal
+    # range; objective's gate already keeps a caller's X inside it
+    with pytest.raises(DomainError):
         spectral_divergence(SMeasure.from_atoms([(0.0, 0.2), (0.3, 0.3), (1.0, 0.5)]), w)

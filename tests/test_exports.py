@@ -36,7 +36,8 @@ def test_removed_names_stay_removed():
     # reflection, and the demos draw Thompson-ball points with verify.random_ball_point;
     # X's eigenvector frame, not a symmetric square root, whitens every point; every SPD
     # operand takes one gated eigh, core._spd, which also gives its factor; the Newton
-    # engine's visited points are one record, solver._Visit, not positional tuples
+    # engine's visited points are one record, solver._Visit, not positional tuples; the
+    # divergence has one term form, with no endpoint band or separate near-one helper
     for name in ("RgdConfig", "integrate", "transpose_measure", "mean_kernel_inv",
                  "SpectralDecomposition", "spectral", "spd_power", "check_normalization",
                  "log_kernel", "log_kernel_inv", "harmonic_kernel", "mean_kernel",
@@ -49,6 +50,8 @@ def test_removed_names_stay_removed():
     for name in ("eval_monotone", "eval_mean", "_apply", "_kernel_terms"):
         assert not hasattr(monotone, name), name
     assert not hasattr(thompson, "log_spread")
+    for name in ("_divergence_near_one", "_ENDPOINT"):
+        assert not hasattr(measures, name), name
     for name in ("custom", "transpose"):
         assert not hasattr(SMeasure, name)
     modules = (cli, core, divergence, measures, monotone, solver, thompson, verify)
