@@ -8,8 +8,8 @@ input gives byte-identical output on the same numpy/BLAS build with the same
 BLAS thread count (from n = 14 the Newton step's dense solve may round
 differently at another thread count).
 
-Exit codes: 0 success, 1 input error (malformed JSON, missing file, bad
-flag), 2 solver non-convergence.
+Exit codes: 0 success, 1 input error (malformed JSON, a file that cannot be read or
+written, a bad flag) or a failed verify check, 2 solver non-convergence.
 """
 
 import argparse
@@ -52,9 +52,12 @@ def _load(path, kind):
 def _write(text, path):
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SpdMeansError(f"cannot write {path}: {exc}") from exc
 
 
 def _solver_config(args):

@@ -1,19 +1,16 @@
 """Dense SPD/symmetric matrix primitives and the package's one spectral layer.
 
-Everything here operates on plain ``numpy.ndarray`` values.  A caller's matrix
-is checked once, by the public function that takes it: :func:`sym_matrix`
+A caller's matrix is checked once, by the public function that takes it: :func:`sym_matrix`
 converts, shape-checks and symmetrizes it as ``0.5 A + 0.5 A.T``.  Every SPD operand then
 takes one gated ``eigh`` ``A = V diag(w) V.T`` (:func:`_frame`): one positive-definiteness
 rule (:func:`_pd_rule`) reads w, and the factor ``F = V w^(1/2)`` and frame ``C = V w^(-1/2)``
 come with it; :func:`_spd` is that gate on a caller's operand, :func:`whitened_eigh` on a
 point that is whitened against.  The two-operand functions enter through
-:func:`_whitened_pair`.  Nothing behind that gate checks again; the remaining
-operations stay allocation-light so they can sit inside solver loops.
+:func:`_whitened_pair`.  Nothing behind that gate checks again.
 
-All matrix functions take the spectral route rather than Pade or
-scaling-and-squaring: dimensions stay small, and one kernel handles every
-scalar function we need.  It has three pieces, and no other module calls
-``eigh``:
+All matrix functions take the spectral route rather than Pade or scaling-and-squaring: one
+kernel handles every scalar function we need.  It has three pieces, and no other module
+calls ``eigh``:
 
 * :func:`_eigh`, the one ``eigh`` call, on a matrix or a (k, n, n) stack; a
   LAPACK failure becomes :class:`NumericalFailure`;
@@ -223,8 +220,9 @@ def congruence(c, a) -> np.ndarray:
 def geometric_mean(a, b, t: float) -> np.ndarray:
     """Weighted geometric mean ``A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2)``.
 
-    ``t = 0`` returns ``A`` and ``t = 1`` returns ``B``; for ``t`` in between
-    this is the geodesic of the affine-invariant metric.
+    The geodesic of the affine-invariant metric from A (t = 0) to B (t = 1), reassembled in
+    A's frame, so its endpoints are A and B up to rounding that grows with the operands'
+    conditioning: in Thompson distance, up to 4e-10 on 4 x 4 pairs with spectra in [1e-3, 1e3].
     """
     if not 0.0 <= _real(t, "geometric mean weight", DomainError) <= 1.0:
         raise DomainError(f"geometric mean weight must lie in [0, 1], got {t}")

@@ -23,8 +23,9 @@ and the fixed-point solvers.
 
 The minimizer solves that critical-point equation with the fixed-point
 solvers' damped Newton engine at t = 0, an independent route to the point
-the t-schedule computes: the two must agree to solver tolerance.  It takes
-its settings from the solvers' SolverConfig (grad_tol, max_iters).
+the t-schedule computes: the two must agree to solver tolerance.  The objective is
+strictly geodesically convex, so its critical point is the global minimizer; verify's
+``divergence.geodesic_convexity`` row checks it along random geodesics.
 """
 
 import numpy as np
@@ -54,9 +55,7 @@ def objective(x, mu: PMeasure) -> float:
 def riemannian_gradient(x, mu: PMeasure) -> np.ndarray:
     """Gradient of :func:`objective` at X under the affine-invariant metric.
 
-    Equal to the negated Karcher residual, computed through the same code
-    path so the critical-point equation and the fixed-point solvers can
-    never disagree on signs.
+    The negated Karcher residual, through the same code path (module docstring).
     """
     return -karcher_residual(x, mu)
 

@@ -13,8 +13,7 @@ power density ``s^t (1-s)^(-t) sin(t pi)/(t pi)`` gives ``(x^t - 1)/t``.  An
 only here and in :mod:`spdmeans.measures`, whose methods integrate against it.
 This module holds only the measure, its quadrature rules and its JSON reader: the
 represented function is evaluated where the solvers evaluate it, by
-:meth:`PMeasure.kernels <spdmeans.measures.PMeasure.kernels>`, so ``f(A)`` is
-``karcher_residual(I, product_measure(rep, [(1.0, A)]))``.
+:meth:`PMeasure.kernels <spdmeans.measures.PMeasure.kernels>`.
 
 Continuous kinds are discretized once at construction: Lebesgue measure by
 Gauss-Legendre, the power density by a Gauss-Jacobi rule matched to its
@@ -138,10 +137,7 @@ class SMeasure:
     def power(cls, t: float, nodes: int = DEFAULT_NODES) -> "SMeasure":
         """Density ``s^t (1-s)^(-t) sin(t pi)/(t pi)`` for t in (0, 1).
 
-        Represents ``(x^t - 1)/t``.  Discretized by a Gauss-Jacobi rule for
-        the endpoint singularity, computed by Golub-Welsch from the Jacobi
-        matrix's eigenvectors, so the weights sum to 1 up to rounding and
-        kernel integrals converge spectrally.
+        Represents ``(x^t - 1)/t``, by the Gauss-Jacobi rule :func:`_jacobi_01`.
         """
         t = _real(t, "power parameter")
         if not 0.0 < t < 1.0:

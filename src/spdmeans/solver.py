@@ -23,7 +23,8 @@ forming ``T_t(X) - X`` at small t.  Every solve, at each level and at t = 0
 residual: an exact Newton step in whitened coordinates ``F(I + E)F.T``, ``X = F F.T``,
 its Jacobian built in closed form from the divided differences of the kernels the
 measure supplies (``mu.kernels(t)``; Daleckii-Krein; Higham, Functions of Matrices,
-2008, 3.2) in O(k n^5) time and O(k n^3 + n^4) memory for k atoms, halved in length
+2008, 3.2) in O(k n^5) time and O(k n^3 + n^4) memory for k atoms, solved densely in
+O(n^6), which tells from n of about 16, and halved in length
 until the residual decreases (Absil, Mahony and Sepulchre, Optimization
 Algorithms on Matrix Manifolds, 2008, ch. 6).  Newton keeps the cost bounded
 as t shrinks (plain iteration needs O(1/t) steps, Newton a handful) and, being
@@ -80,7 +81,8 @@ _LEVELS = 5
 
 # Ratio of successive levels of the net, t_l = _RATIO^-l: Richardson extrapolation on a
 # geometric schedule gains more per level the larger the ratio, and 4 still leaves the
-# last level well short of the limit, so that the extrapolation carries the answer.
+# last level well short of the limit, so that the extrapolation carries the answer.  The
+# paper's limit holds along any null sequence, so no setting chooses another schedule.
 _RATIO = 4
 
 # The net's first solved level after the anchor L_1: the largest t = _RATIO^-l, l >= 2, at
@@ -106,11 +108,9 @@ class SolverConfig:
     """Tolerances and budget for every solver.
 
     fp_tol bounds both the Thompson step and the whitened residual at an
-    accepted fixed point; lambda_tol stops the t-net (t = 4^-l, l >= 2, from the largest
-    such t at most the least whitened eigenvalue of the atoms at L_1) when a certified
-    bound on the Thompson gap between successive extrapolations of the levels
-    to t = 0 is that small (the latest extrapolation must also meet
-    RESIDUAL_TOL); grad_tol bounds the whitened norm ``||X^(-1/2) R X^(-1/2)||_F``
+    accepted fixed point; lambda_tol stops the t-net (:func:`lambda_mean`) when a certified
+    bound on the Thompson gap between successive extrapolations of the levels to t = 0 is
+    that small; grad_tol bounds the whitened norm ``||X^(-1/2) R X^(-1/2)||_F``
     of the gradient at minimize_divergence's minimizer.  max_iters caps the
     accepted steps of one solve, summed over its levels.  No test depends on
     scale.  Tolerances must be finite and positive, max_iters a whole number >= 1.
@@ -137,8 +137,9 @@ class SolverReport:
     iterations : accepted updates, summed over all levels
     residual_norm : whitened Frobenius norm ``||X^(-1/2) R X^(-1/2)||_F`` of the
         residual of the equation solved, the number the stop tests bound: the Karcher
-        equation for lambda_mean and minimize_divergence, the level equation for
-        induced_mean, the power equation for power_mean
+        equation's for lambda_mean (RESIDUAL_TOL) and minimize_divergence (grad_tol), the
+        level equation's for induced_mean and the power equation's for power_mean (fp_tol,
+        or up to 1e4 fp_tol at a level's rounding floor, see :func:`_solve_level`)
     t_trace : [(t, iterations)] per level of the schedule
     """
 
@@ -182,18 +183,18 @@ class _Visit:
 
     @classmethod
     def whiten(cls, x, atoms, kernel=None, gate=None):
-        """X whitened against ``atoms = (mats, factors)``, then :meth:`under` kernel if given.
+        """X whitened against ``atoms = (mats, factors)``, under ``kernel`` if given.
 
         ``gate``: None takes X as the engine built it; "trial" a step's ``sym(X)``, None unless
         positive definite; "caller" a caller's X through :func:`sym_matrix`, of the atoms'
-        dimension, DomainError unless its whitened lam are normal floats.
+        dimension, DomainError unless its whitened lam are normal floats, with no kernel.
         """
         if gate == "caller":
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 point = cls.whiten(_sized(sym_matrix(x), atoms[0].shape[1:]), atoms)
             if not np.all((point.lam >= np.finfo(float).tiny) & (point.lam < math.inf)):
                 raise DomainError("the atoms' whitened spectrum at X leaves the normal float range")
-            return point if kernel is None else point.under(kernel)
+            return point
         if gate == "trial":
             try:
                 return cls(y := _sym(x), *whitened_eigh(y, *atoms), kernel)
@@ -305,8 +306,9 @@ def _solve_level(atoms, kernel, t, visit, tol, max_iters, iters_used=0, on_step=
     only the full step is tried, against _NEWTON_DECREASE, and a miss ends the level.
     From a start ``visit`` (:class:`_Visit`, under the level's kernel), returns ``(visit,
     iterations)`` with the end point's visit.  ``on_step(visit)`` follows each step.
-    Raises NonConvergence when eta drops below 1e-10, where the demanded decrease nears
-    rounding and X barely moves, or ``iters_used`` plus the iterations reach max_iters.
+    Raises NonConvergence ("stalled") when the Jacobian is singular or eta drops below 1e-10,
+    where the demanded decrease nears rounding, or when ``iters_used`` plus the iterations
+    reach max_iters.
     """
     iters = 0
     fail = lambda why: NonConvergence(
@@ -366,6 +368,8 @@ def induced_mean(t: float, mu: PMeasure, cfg: SolverConfig = None) -> SolverRepo
 def power_mean(t: float, sigma, cfg: SolverConfig = None) -> SolverReport:
     """Solve the power-mean equation ``X = sum_i w_i X #_t A_i`` for t in (0, 1].
 
+    It is :func:`lambda_mean` of the same atoms under ``SMeasure.power(t)`` (Lim and Palfia,
+    JFA 262, 2012); verify's ``means.power_route`` row checks that the two routes agree.
     ``t = 1`` gives the weighted arithmetic mean.  The reported residual_norm
     is the whitened Frobenius norm ``||sum_i w_i (W_i^t - I)/t||_F`` of the
     generalized residual at the solution, ``W_i = X^(-1/2) A_i X^(-1/2)``.
@@ -424,8 +428,7 @@ def lambda_mean(mu: PMeasure, cfg: SolverConfig = None) -> SolverReport:
 
     Solves the induced mean along the schedule ``t_l = _RATIO**-l = 4**-l``, from the
     largest such t, l >= 2, at most the least whitened eigenvalue of the atoms at ``L_1``,
-    clamped to [_MIN_FIRST_T, _FIRST_T] = [2**-52, 1/16] (at most 200 levels, every t an
-    exact power of two, the last between 2**-450 and 2**-402).  Once _LEVELS levels are
+    clamped to [_MIN_FIRST_T, _FIRST_T], for at most 200 levels.  Once _LEVELS levels are
     solved, ``L_1`` (the weighted arithmetic mean) among them, it extrapolates the last
     _LEVELS to t = 0 after each level (:func:`_lagrange`) and stops once two successive
     extrapolations are provably positive definite and within lambda_tol in Thompson

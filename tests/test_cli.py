@@ -329,6 +329,19 @@ def test_output_flag(setup_files, tmp_path):
     assert "d_inf" in json.loads(target.read_text())
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+@pytest.mark.parametrize("command", ["lambda", "verify"])
+def test_unwritable_output_is_an_input_error(setup_files, tmp_path, capsys, command, where):
+    # an --output that cannot be opened exits 1 with one error line, never a traceback
+    files, _, _, _ = setup_files
+    target = str(tmp_path / "no" / "out.json") if where == "missing-dir" else str(tmp_path)
+    args = {"lambda": [files["measure"]],
+            "verify": ["--suite", "thompson", "--trials", "1", "--dim", "2"]}[command]
+    assert cli.main([command, *args, "--output", target]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
 def test_matrix_json_parse_serialize_roundtrip(setup_files):
     files, a, _, _ = setup_files
     obj = json.loads(open(files["a"]).read())

@@ -198,6 +198,31 @@ def test_induced_mean_damped_newton_ill_conditioned():
     assert 0.3 * rep.residual_norm <= CFG.fp_tol
 
 
+def _mean_or_none(solve):
+    """The mean ``solve()`` reports, or None if it raises NonConvergence."""
+    try:
+        return solve().mean
+    except NonConvergence:
+        return None
+
+
+def test_wide_band_level_solves_converge_or_raise_typed():
+    # in [1e-5, 1e5] some induced and power solves stall at their rounding floor (ROADMAP
+    # item 5); each solve either raises NonConvergence or returns a fixed point within its
+    # bound (worst seen: 2.0e-12 and 9.5e-12).  How many raise turns on rounding, so it is
+    # not pinned.
+    for seed in range(12):
+        for n in (2, 4, 6):
+            mu = random_measure(np.random.default_rng(seed), n, 3, 1e-5, 1e5)
+            pairs = list(zip(mu.weights, mu.matrices))
+            for t in (0.3, 0.5, 0.9):
+                x = _mean_or_none(lambda: induced_mean(t, mu))
+                assert x is None or distance(x, iteration_map(x, t, mu)) <= 10 * CFG.fp_tol
+                x = _mean_or_none(lambda: power_mean(t, pairs))
+                assert x is None or distance(
+                    x, sum(w * geometric_mean(x, a, t) for w, a in pairs)) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # closed-form whitened Jacobian
 # ---------------------------------------------------------------------------
